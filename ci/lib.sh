@@ -35,3 +35,20 @@ assert_same_hash() {
         exit 1
     fi
 }
+
+# gen_reports <dir>
+#
+# Regenerates every committed BENCH_*.json report, with baseline-identical
+# parameters, into <dir>. The one list of report commands: the regress
+# stage and ci/regen-baselines.sh both call it.
+gen_reports() {
+    local dir=$1
+    mkdir -p "$dir"
+    cargo run --release -q -p bench --bin throughput -- --out "$dir/BENCH_throughput.json"
+    cargo run --release -q -p bench --bin netbench -- --out "$dir/BENCH_net.json"
+    cargo run --release -q -p fuzz --bin fuzzstats -- --out "$dir/BENCH_fuzz.json"
+    cargo run --release -q -p bench --bin profile -- --out "$dir/BENCH_profile.json"
+    cargo run --release -q -p bench --bin verifier_ladder -- --out "$dir/BENCH_verifier.json"
+    cargo run --release -q -p bench --bin churn -- --out "$dir/BENCH_churn.json"
+    cargo run --release -q -p bench --bin hooks -- --out "$dir/BENCH_hooks.json"
+}

@@ -3,7 +3,7 @@
 #
 # A PR that deliberately shifts modelled costs (or adds bench rows) must
 # refresh the committed baselines or the regress stage fails. Doing that
-# by hand means remembering six bench binaries and their output names;
+# by hand means remembering seven report binaries and their output names;
 # this script regenerates all of them into a scratch directory, shows
 # the drift against the committed baselines *before* installing (so the
 # diff you are about to commit is visible and reviewable), installs the
@@ -15,16 +15,9 @@ cd "$(dirname "$0")/.."
 source ci/lib.sh
 
 FRESH=target/ci-regen
-mkdir -p "$FRESH"
 
 say "regenerating every bench report into $FRESH"
-cargo run --release -q -p bench --bin throughput -- --out "$FRESH/BENCH_throughput.json"
-cargo run --release -q -p bench --bin netbench -- --out "$FRESH/BENCH_net.json"
-cargo run --release -q -p fuzz --bin fuzzstats -- --out "$FRESH/BENCH_fuzz.json"
-cargo run --release -q -p bench --bin profile -- --out "$FRESH/BENCH_profile.json"
-cargo run --release -q -p bench --bin verifier_ladder -- --out "$FRESH/BENCH_verifier.json"
-cargo run --release -q -p bench --bin churn -- --out "$FRESH/BENCH_churn.json"
-cargo run --release -q -p bench --bin hooks -- --out "$FRESH/BENCH_hooks.json"
+gen_reports "$FRESH"
 
 say "drift vs committed baselines (informational — about to be installed)"
 cargo run --release -q -p analysis --bin regress -- --baseline . --fresh "$FRESH" ||

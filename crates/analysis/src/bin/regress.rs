@@ -2,23 +2,21 @@
 //!
 //! Compares freshly generated bench reports (`--fresh DIR`) against the
 //! committed baselines (`--baseline DIR`, default `.`) for every report
-//! named with `--report` (repeatable; defaults to the three committed
-//! `BENCH_*.json` families plus `BENCH_profile.json` when present in the
-//! baseline dir). Two metric families are gated (see
-//! `analysis::regress`): simulated-cost metrics at `--tolerance`
-//! (default 0.10, overridable via `REGRESS_TOLERANCE`), and host-side
-//! capacity metrics (`host_pps` per backend/shard count) at the loose
-//! `--host-tolerance` (default 0.40, overridable via
-//! `REGRESS_HOST_TOLERANCE`). Drift beyond tolerance in **either**
-//! direction exits nonzero, as do rows missing from either side.
+//! named with `--report` (repeatable; defaults to every known
+//! `BENCH_*.json` family present in the baseline dir). Simulated-cost
+//! metrics are gated at `--tolerance` (default 0.10, overridable via
+//! `REGRESS_TOLERANCE`) in either direction, and every `*_sha256` field
+//! must match exactly; rows missing from either side fail too (see
+//! `analysis::regress`). Host-capacity rows are printed as gains and
+//! losses and never fail the gate.
 
 use std::path::Path;
 use std::process::ExitCode;
 
-use analysis::json;
+use analysis::json::{self, Json};
 use analysis::regress::{
-    compare, extract_host_metrics, extract_metrics, MetricDiff, DEFAULT_HOST_TOLERANCE,
-    DEFAULT_TOLERANCE,
+    compare, drift, extract_hashes, extract_host_metrics, extract_metrics, hash_mismatches,
+    MetricDiff, DEFAULT_TOLERANCE,
 };
 
 const DEFAULT_REPORTS: &[&str] = &[
@@ -35,7 +33,6 @@ struct Args {
     baseline: String,
     fresh: String,
     tolerance: f64,
-    host_tolerance: f64,
     reports: Vec<String>,
 }
 
@@ -47,18 +44,10 @@ fn parse_args() -> Result<Args, String> {
                 .map_err(|e| format!("REGRESS_TOLERANCE: {e}"))
         })
         .transpose()?;
-    let env_host_tol = std::env::var("REGRESS_HOST_TOLERANCE")
-        .ok()
-        .map(|v| {
-            v.parse::<f64>()
-                .map_err(|e| format!("REGRESS_HOST_TOLERANCE: {e}"))
-        })
-        .transpose()?;
     let mut args = Args {
         baseline: ".".to_string(),
         fresh: String::new(),
         tolerance: env_tol.unwrap_or(DEFAULT_TOLERANCE),
-        host_tolerance: env_host_tol.unwrap_or(DEFAULT_HOST_TOLERANCE),
         reports: Vec::new(),
     };
     let mut it = std::env::args().skip(1);
@@ -72,11 +61,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--tolerance: {e}"))?
             }
-            "--host-tolerance" => {
-                args.host_tolerance = value("--host-tolerance")?
-                    .parse()
-                    .map_err(|e| format!("--host-tolerance: {e}"))?
-            }
             "--report" => args.reports.push(value("--report")?),
             other => return Err(format!("unknown argument: {other}")),
         }
@@ -86,12 +70,6 @@ fn parse_args() -> Result<Args, String> {
     }
     if !(0.0..1.0).contains(&args.tolerance) {
         return Err(format!("tolerance {} out of range [0, 1)", args.tolerance));
-    }
-    if !(0.0..1.0).contains(&args.host_tolerance) {
-        return Err(format!(
-            "host tolerance {} out of range [0, 1)",
-            args.host_tolerance
-        ));
     }
     if args.reports.is_empty() {
         // Default to every known report family the baseline dir carries.
@@ -110,15 +88,10 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-type Metrics = std::collections::BTreeMap<String, f64>;
-
-/// Loads one report and extracts both metric families:
-/// `(simulated-cost, host-capacity)`.
-fn load(dir: &str, name: &str) -> Result<(Metrics, Metrics), String> {
+fn load(dir: &str, name: &str) -> Result<Json, String> {
     let path = Path::new(dir).join(name);
     let text = std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let doc = json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-    Ok((extract_metrics(&doc), extract_host_metrics(&doc)))
+    json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
 }
 
 fn print_diffs(kind: &str, diffs: &[MetricDiff]) {
@@ -131,6 +104,65 @@ fn print_diffs(kind: &str, diffs: &[MetricDiff]) {
             d.rel * 100.0
         );
     }
+}
+
+fn print_missing(missing_in_fresh: &[String], missing_in_baseline: &[String]) {
+    for key in missing_in_fresh {
+        println!("  MISSING-IN-FRESH {key}");
+    }
+    for key in missing_in_baseline {
+        println!("  MISSING-IN-BASELINE {key} (regenerate the committed baseline)");
+    }
+}
+
+/// Gates one report pair; returns whether it passed.
+fn gate(report: &str, base: &Json, fresh: &Json, tolerance: f64) -> bool {
+    let sim = compare(&extract_metrics(base), &extract_metrics(fresh), tolerance);
+    println!(
+        "{} {report} [sim]: {} within tolerance, {} regressions, {} improvements, {} missing",
+        if sim.ok() { "OK" } else { "FAIL" },
+        sim.within,
+        sim.regressions.len(),
+        sim.improvements.len(),
+        sim.missing_in_fresh.len() + sim.missing_in_baseline.len()
+    );
+    print_diffs("REGRESSION", &sim.regressions);
+    print_diffs("IMPROVEMENT", &sim.improvements);
+    print_missing(&sim.missing_in_fresh, &sim.missing_in_baseline);
+
+    let (base_hashes, fresh_hashes) = (extract_hashes(base), extract_hashes(fresh));
+    let mismatched = hash_mismatches(&base_hashes, &fresh_hashes);
+    println!(
+        "{} {report} [sha]: {} hashes, {} mismatched or missing",
+        if mismatched.is_empty() { "OK" } else { "FAIL" },
+        base_hashes.len(),
+        mismatched.len()
+    );
+    for key in &mismatched {
+        let side = |hashes: &std::collections::BTreeMap<String, String>| {
+            hashes
+                .get(key)
+                .cloned()
+                .unwrap_or_else(|| "missing".to_string())
+        };
+        println!(
+            "  MISMATCH {key}: baseline {} -> fresh {}",
+            side(&base_hashes),
+            side(&fresh_hashes)
+        );
+    }
+
+    let host = drift(&extract_host_metrics(base), &extract_host_metrics(fresh));
+    if !host.is_empty() {
+        println!(
+            "INFO {report} [host]: {} rows, reported only (higher is better)",
+            host.len()
+        );
+        for d in &host {
+            print_diffs(d.host_label(), std::slice::from_ref(d));
+        }
+    }
+    sim.ok() && mismatched.is_empty()
 }
 
 fn main() -> ExitCode {
@@ -146,56 +178,25 @@ fn main() -> ExitCode {
     };
 
     println!(
-        "REGRESS baseline={} fresh={} tolerance={:.0}% host-tolerance={:.0}%",
+        "REGRESS baseline={} fresh={} tolerance={:.0}%",
         args.baseline,
         args.fresh,
-        args.tolerance * 100.0,
-        args.host_tolerance * 100.0
+        args.tolerance * 100.0
     );
     let mut failed = false;
     for report in &args.reports {
-        let ((base, base_host), (fresh, fresh_host)) =
-            match (load(&args.baseline, report), load(&args.fresh, report)) {
-                (Ok(b), Ok(f)) => (b, f),
-                (b, f) => {
-                    for err in [b.err(), f.err()].into_iter().flatten() {
-                        eprintln!("regress: {err}");
-                    }
-                    failed = true;
-                    continue;
+        match (load(&args.baseline, report), load(&args.fresh, report)) {
+            (Ok(base), Ok(fresh)) => failed |= !gate(report, &base, &fresh, args.tolerance),
+            (b, f) => {
+                for err in [b.err(), f.err()].into_iter().flatten() {
+                    eprintln!("regress: {err}");
                 }
-            };
-        for (family, outcome) in [
-            ("sim", compare(&base, &fresh, args.tolerance)),
-            (
-                "host",
-                compare(&base_host, &fresh_host, args.host_tolerance),
-            ),
-        ] {
-            if family == "host" && base_host.is_empty() && fresh_host.is_empty() {
-                continue; // report has no host-capacity rows at all
+                failed = true;
             }
-            let verdict = if outcome.ok() { "OK" } else { "FAIL" };
-            println!(
-                "{verdict} {report} [{family}]: {} within tolerance, {} regressions, {} improvements, {} missing",
-                outcome.within,
-                outcome.regressions.len(),
-                outcome.improvements.len(),
-                outcome.missing_in_fresh.len() + outcome.missing_in_baseline.len()
-            );
-            print_diffs("REGRESSION", &outcome.regressions);
-            print_diffs("IMPROVEMENT", &outcome.improvements);
-            for key in &outcome.missing_in_fresh {
-                println!("  MISSING-IN-FRESH {key}");
-            }
-            for key in &outcome.missing_in_baseline {
-                println!("  MISSING-IN-BASELINE {key} (regenerate the committed baseline)");
-            }
-            failed |= !outcome.ok();
         }
     }
     if failed {
-        eprintln!("regress: metric drift beyond tolerance (see above)");
+        eprintln!("regress: metric drift beyond tolerance or canonical hash mismatch (see above)");
         ExitCode::FAILURE
     } else {
         println!("REGRESS PASS");

@@ -1,12 +1,14 @@
-//! A minimal JSON reader for the committed `BENCH_*.json` baselines.
+//! A minimal JSON reader and writer for the committed `BENCH_*.json`
+//! reports.
 //!
-//! The workspace is fully offline (no serde); the bench binaries write
-//! their reports with hand-rolled formatting, and this module reads them
-//! back for the CI perf-regression gate. It supports exactly the JSON
+//! The workspace is fully offline (no serde). The bench binaries write
+//! their reports with [`Obj`] and [`document`], and [`parse`] reads them
+//! back for the CI perf-regression gate. Both handle exactly the JSON
 //! subset those reports use: objects, arrays, strings without escapes
 //! beyond `\"` and `\\`, numbers, booleans, and null.
 
 use std::collections::BTreeMap;
+use std::fmt::Display;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -219,6 +221,76 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
+/// One JSON object whose members keep insertion order: a report row, a
+/// report header, or an element nested in a row. Each value is rendered
+/// as it is added, so a report's bytes are exactly what its writer chose.
+#[derive(Debug, Clone, Default)]
+pub struct Obj(Vec<(&'static str, String)>);
+
+impl Obj {
+    /// An empty object.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// A member rendered by `Display`: integers and booleans.
+    pub fn num(mut self, key: &'static str, v: impl Display) -> Self {
+        self.0.push((key, v.to_string()));
+        self
+    }
+
+    /// A float with `decimals` digits after the point.
+    pub fn fixed(self, key: &'static str, v: f64, decimals: usize) -> Self {
+        self.num(key, format!("{v:.decimals$}"))
+    }
+
+    /// A string member.
+    pub fn str(self, key: &'static str, v: &str) -> Self {
+        self.num(
+            key,
+            format!("\"{}\"", v.replace('\\', "\\\\").replace('"', "\\\"")),
+        )
+    }
+
+    /// An array of values rendered by `Display`.
+    pub fn nums<T: Display>(self, key: &'static str, items: impl IntoIterator<Item = T>) -> Self {
+        let items: Vec<String> = items.into_iter().map(|v| v.to_string()).collect();
+        self.num(key, format!("[{}]", items.join(", ")))
+    }
+
+    /// An array of objects, each on the same line.
+    pub fn objs(self, key: &'static str, items: &[Obj]) -> Self {
+        self.nums(key, items.iter().map(Obj::inline))
+    }
+
+    /// The object on one line: `{"key": value, ...}`.
+    pub fn inline(&self) -> String {
+        let members: Vec<String> = self
+            .0
+            .iter()
+            .map(|(k, v)| format!("\"{k}\": {v}"))
+            .collect();
+        format!("{{{}}}", members.join(", "))
+    }
+}
+
+/// A report document: `header`'s members one per line, then the array
+/// `section` holding `rows`, one row per line.
+pub fn document(header: &Obj, section: &str, rows: &[Obj]) -> String {
+    let mut out = String::from("{\n");
+    for (key, value) in &header.0 {
+        out.push_str(&format!("  \"{key}\": {value},\n"));
+    }
+    out.push_str(&format!("  \"{section}\": [\n"));
+    let rows: Vec<String> = rows.iter().map(|r| format!("    {}", r.inline())).collect();
+    if !rows.is_empty() {
+        out.push_str(&rows.join(",\n"));
+        out.push('\n');
+    }
+    out.push_str("  ]\n}\n");
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,6 +330,25 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("12 34").is_err());
         assert!(parse("\"open").is_err());
+    }
+
+    #[test]
+    fn writer_output_round_trips_byte_exact() {
+        let row = Obj::new()
+            .str("backend", "a\"b")
+            .num("ok", true)
+            .fixed("pps", 1234.56, 0)
+            .nums("counts", [1u64, 2])
+            .objs("stages", &[Obj::new().num("n", 3)]);
+        let text = document(&Obj::new().num("seed", 42), "rows", &[row]);
+        assert_eq!(
+            text,
+            "{\n  \"seed\": 42,\n  \"rows\": [\n    {\"backend\": \"a\\\"b\", \"ok\": true, \
+             \"pps\": 1235, \"counts\": [1, 2], \"stages\": [{\"n\": 3}]}\n  ]\n}\n"
+        );
+        let v = parse(&text).unwrap();
+        let rows = v.get("rows").unwrap().items().unwrap();
+        assert_eq!(rows[0].get("backend").unwrap().as_str(), Some("a\"b"));
     }
 
     #[test]

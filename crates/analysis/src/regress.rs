@@ -1,7 +1,7 @@
 //! The CI perf-regression gate: compares freshly generated bench
 //! reports against the committed `BENCH_*.json` baselines.
 //!
-//! Two metric families are compared, each with its own tolerance:
+//! Three row-field families are compared:
 //!
 //! * **Simulated-cost** metrics ([`SIM_COST_FIELDS`]) are deterministic
 //!   functions of `(code, seed)`, so any drift is a real change in
@@ -9,25 +9,25 @@
 //!   [`DEFAULT_TOLERANCE`], ±10%) exists so a PR that *deliberately*
 //!   shifts costs slightly can still land by regenerating baselines,
 //!   while order-of-magnitude regressions fail loudly.
-//! * **Host-capacity** metrics ([`HOST_CAPACITY_FIELDS`]) — `host_pps`,
-//!   packets per second of busiest-shard *thread CPU time* — are
-//!   measured on the host, so they wobble with machine load. They are
-//!   gated loosely (default [`DEFAULT_HOST_TOLERANCE`], ±40%) to catch
-//!   losing the parallel-scaling property outright, not noise. Raw
-//!   wall-clock fields (`host_elapsed_ns`, `host_wall_pps`,
-//!   `host_cpu_ns`) remain ungated by construction.
+//! * **Canonical hashes** (every `*_sha256` field) pin the byte-exact
+//!   contract: canonical logs, merged audits and canonical traces. They
+//!   must match exactly, so a change that keeps every cost but alters a
+//!   log fails too.
+//! * **Host-capacity** metrics ([`HOST_CAPACITY_FIELDS`]) are measured on
+//!   whatever machine ran the bench, in cells of tens of milliseconds,
+//!   so they move with the host and with load. They are reported as
+//!   gains and losses (higher is better) and never fail the gate; the
+//!   host-cost gate is the repository's benchmark, which interleaves a
+//!   reference loop to cancel host drift. Raw clocks (`host_elapsed_ns`,
+//!   `host_wall_pps`, `host_cpu_ns`) are not compared at all.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::json::Json;
 
 /// Relative drift allowed before a metric is flagged, in either
 /// direction (an unexplained speed-*up* also means the model changed).
 pub const DEFAULT_TOLERANCE: f64 = 0.10;
-
-/// Relative drift allowed on host-capacity metrics before flagging.
-/// Deliberately loose: these are host measurements, not simulated costs.
-pub const DEFAULT_HOST_TOLERANCE: f64 = 0.40;
 
 /// The numeric row fields treated as simulated-cost metrics. The churn
 /// fields (`p50_cost_ns`, `p99_cost_ns`, `churn_events`) are virtual-time
@@ -52,10 +52,9 @@ pub const SIM_COST_FIELDS: &[&str] = &[
     "sched_fallbacks",
 ];
 
-/// The numeric row fields treated as host-capacity metrics, gated with
-/// [`DEFAULT_HOST_TOLERANCE`]. `host_pps` divides packets by the busiest
-/// shard's thread-CPU time, so it tracks per-shard work (and therefore
-/// shard scaling) even on a single-core CI host.
+/// The numeric row fields treated as host-capacity metrics, reported but
+/// never gated. `host_pps` divides packets by the busiest shard's
+/// thread-CPU time: a capacity projection on the host that ran it.
 pub const HOST_CAPACITY_FIELDS: &[&str] = &["host_pps"];
 
 /// Row fields (in key order) that identify a row across regenerations.
@@ -72,6 +71,18 @@ pub struct MetricDiff {
     pub fresh: f64,
     /// Signed relative drift: `(fresh - baseline) / baseline`.
     pub rel: f64,
+}
+
+impl MetricDiff {
+    /// The host-row label: host capacity is higher-is-better, so a drop
+    /// is a `LOSS` and a rise a `GAIN`.
+    pub fn host_label(&self) -> &'static str {
+        if self.rel < 0.0 {
+            "LOSS"
+        } else {
+            "GAIN"
+        }
+    }
 }
 
 /// The outcome of comparing one report pair.
@@ -118,6 +129,19 @@ pub fn extract_host_metrics(doc: &Json) -> BTreeMap<String, f64> {
 /// `lane`, `feature`), and keeps the requested numbers.
 pub fn extract_fields(doc: &Json, fields: &[&str]) -> BTreeMap<String, f64> {
     let mut out = BTreeMap::new();
+    for (key, row) in keyed_rows(doc) {
+        for field in fields {
+            if let Some(v) = row.get(field).and_then(Json::as_f64) {
+                out.insert(format!("{key}/{field}"), v);
+            }
+        }
+    }
+    out
+}
+
+/// Every row of a bench report with its `section/id=value...` key.
+fn keyed_rows(doc: &Json) -> Vec<(String, &Json)> {
+    let mut out = Vec::new();
     let Json::Obj(top) = doc else { return out };
     for (section, value) in top {
         let Some(rows) = value.items() else { continue };
@@ -134,14 +158,60 @@ pub fn extract_fields(doc: &Json, fields: &[&str]) -> BTreeMap<String, f64> {
                 // Rows with no identifying fields fall back to position.
                 key.push_str(&format!("/{index}"));
             }
-            for field in fields {
-                if let Some(v) = row.get(field).and_then(Json::as_f64) {
-                    out.insert(format!("{key}/{field}"), v);
-                }
+            out.push((key, row));
+        }
+    }
+    out
+}
+
+/// Extracts every `*_sha256` string field of every row, keyed
+/// `row-key/field`.
+pub fn extract_hashes(doc: &Json) -> BTreeMap<String, String> {
+    let mut out = BTreeMap::new();
+    for (key, row) in keyed_rows(doc) {
+        let Json::Obj(fields) = row else { continue };
+        for (field, value) in fields.iter().filter(|(f, _)| f.ends_with("_sha256")) {
+            if let Some(hash) = value.as_str() {
+                out.insert(format!("{key}/{field}"), hash.to_string());
             }
         }
     }
     out
+}
+
+/// The key of every canonical hash that differs from the baseline or
+/// exists on one side only: hashes must match exactly.
+pub fn hash_mismatches(
+    baseline: &BTreeMap<String, String>,
+    fresh: &BTreeMap<String, String>,
+) -> Vec<String> {
+    let keys: BTreeSet<&String> = baseline.keys().chain(fresh.keys()).collect();
+    keys.into_iter()
+        .filter(|key| baseline.get(*key) != fresh.get(*key))
+        .cloned()
+        .collect()
+}
+
+/// The drift of every metric present on both sides, with no tolerance:
+/// what the gate reports for host rows.
+pub fn drift(baseline: &BTreeMap<String, f64>, fresh: &BTreeMap<String, f64>) -> Vec<MetricDiff> {
+    baseline
+        .iter()
+        .filter_map(|(key, &base)| {
+            let &new = fresh.get(key)?;
+            let rel = match (base, new) {
+                (0.0, 0.0) => 0.0,
+                (0.0, _) => f64::INFINITY,
+                _ => (new - base) / base,
+            };
+            Some(MetricDiff {
+                key: key.clone(),
+                baseline: base,
+                fresh: new,
+                rel,
+            })
+        })
+        .collect()
 }
 
 /// Compares fresh metrics against the baseline with a symmetric
@@ -151,38 +221,21 @@ pub fn compare(
     fresh: &BTreeMap<String, f64>,
     tolerance: f64,
 ) -> RegressOutcome {
-    let mut outcome = RegressOutcome::default();
-    for (key, &base) in baseline {
-        let Some(&new) = fresh.get(key) else {
-            outcome.missing_in_fresh.push(key.clone());
-            continue;
-        };
-        let rel = if base == 0.0 {
-            if new == 0.0 {
-                0.0
-            } else {
-                f64::INFINITY
-            }
-        } else {
-            (new - base) / base
-        };
-        let diff = MetricDiff {
-            key: key.clone(),
-            baseline: base,
-            fresh: new,
-            rel,
-        };
-        if rel > tolerance {
+    let missing = |a: &BTreeMap<String, f64>, b: &BTreeMap<String, f64>| {
+        a.keys().filter(|k| !b.contains_key(*k)).cloned().collect()
+    };
+    let mut outcome = RegressOutcome {
+        missing_in_fresh: missing(baseline, fresh),
+        missing_in_baseline: missing(fresh, baseline),
+        ..RegressOutcome::default()
+    };
+    for diff in drift(baseline, fresh) {
+        if diff.rel > tolerance {
             outcome.regressions.push(diff);
-        } else if rel < -tolerance {
+        } else if diff.rel < -tolerance {
             outcome.improvements.push(diff);
         } else {
             outcome.within += 1;
-        }
-    }
-    for key in fresh.keys() {
-        if !baseline.contains_key(key) {
-            outcome.missing_in_baseline.push(key.clone());
         }
     }
     outcome
@@ -232,16 +285,34 @@ mod tests {
     }
 
     #[test]
-    fn host_gate_is_loose_but_not_absent() {
+    fn host_drift_is_reported_higher_is_better() {
         let base = extract_host_metrics(&host_doc(1_000_000));
-        // 30% wobble: machine noise, passes at the ±40% host tolerance.
-        let wobble = extract_host_metrics(&host_doc(1_300_000));
-        assert!(compare(&base, &wobble, DEFAULT_HOST_TOLERANCE).ok());
-        // Halving capacity is a lost scaling property, not noise.
-        let lost = extract_host_metrics(&host_doc(490_000));
-        let outcome = compare(&base, &lost, DEFAULT_HOST_TOLERANCE);
-        assert!(!outcome.ok());
-        assert_eq!(outcome.improvements.len(), 1, "fresh < baseline flags");
+        // Halving capacity is a loss, not an improvement.
+        let lost = drift(&base, &extract_host_metrics(&host_doc(490_000)));
+        assert_eq!(lost.len(), 1);
+        assert!((lost[0].rel + 0.51).abs() < 1e-9);
+        assert_eq!(lost[0].host_label(), "LOSS");
+        let gained = drift(&base, &extract_host_metrics(&host_doc(1_300_000)));
+        assert_eq!(gained[0].host_label(), "GAIN");
+    }
+
+    fn sha_doc(hash: &str) -> Json {
+        parse(&format!(
+            r#"{{"rows": [{{"backend": "ebpf", "shards": 2, "sim_elapsed_ns": 1000, "merged_audit_sha256": "{hash}", "canonical_sha256": "c0ffee"}}]}}"#
+        ))
+        .unwrap()
+    }
+
+    #[test]
+    fn canonical_hashes_must_match_exactly() {
+        let base = extract_hashes(&sha_doc("abc123"));
+        assert_eq!(base.len(), 2, "every *_sha256 field is compared");
+        assert!(hash_mismatches(&base, &extract_hashes(&sha_doc("abc123"))).is_empty());
+        assert_eq!(
+            hash_mismatches(&base, &extract_hashes(&sha_doc("abc124"))),
+            ["rows/backend=ebpf/shards=2/merged_audit_sha256"]
+        );
+        assert_eq!(hash_mismatches(&base, &BTreeMap::new()).len(), 2);
     }
 
     #[test]

@@ -13,24 +13,20 @@
 //! - the **churn SHA** (canonical per-item log, see [`bench::churn`]) must
 //!   be byte-identical across *all* shard counts of one
 //!   `(backend, storm)` cell; and
-//! - the **merged audit fingerprint** must replay byte-identically when
-//!   the same configuration runs twice.
+//! - every artifact must replay byte-identically when the same
+//!   configuration runs twice.
 //!
 //! `--smoke` runs a reduced fleet (2 shards, storm armed, all backends,
 //! two runs each plus a 1-shard reference), prints the `CHURN_SHA256` and
 //! `MERGED_AUDIT_SHA256` lines CI compares, and exits nonzero on any
 //! divergence.
 
-use std::fmt::Write as _;
-use std::time::Instant;
-
-use bench::churn::{run_churn, ChurnConfig, ChurnReport};
-use bench::dispatch::Backend;
-use signing::sha256;
-
-fn audit_sha256(report: &ChurnReport) -> String {
-    sha256::to_hex(&sha256::digest(report.merged_fingerprint.as_bytes()))
-}
+use analysis::json::Obj;
+use bench::churn::ChurnConfig;
+use bench::cli;
+use bench::engine::{self, RunReport};
+use bench::fleet::{Fleet, FleetStats};
+use bench::Lane;
 
 const SEED: u64 = 42;
 const FULL_TENANTS: u32 = 600;
@@ -42,258 +38,129 @@ const SMOKE_CHURN_EVERY: u64 = 6;
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 fn config(shards: usize, storm: bool, smoke: bool) -> ChurnConfig {
-    if smoke {
-        ChurnConfig {
-            shards,
-            seed: SEED,
-            tenants: SMOKE_TENANTS,
-            packets: SMOKE_PACKETS,
-            churn_every: SMOKE_CHURN_EVERY,
-            storm_armed: storm,
-            storm_victims: 6,
-        }
+    let (tenants, items, churn_every, storm_victims) = if smoke {
+        (SMOKE_TENANTS, SMOKE_PACKETS, SMOKE_CHURN_EVERY, 6)
     } else {
-        ChurnConfig {
+        (FULL_TENANTS, FULL_PACKETS, FULL_CHURN_EVERY, 24)
+    };
+    ChurnConfig {
+        fleet: Fleet {
             shards,
             seed: SEED,
-            tenants: FULL_TENANTS,
-            packets: FULL_PACKETS,
-            churn_every: FULL_CHURN_EVERY,
+            tenants,
+            items,
             storm_armed: storm,
-            storm_victims: 24,
-        }
+            storm_victims,
+        },
+        churn_every,
     }
 }
 
-struct Row {
-    backend: &'static str,
-    shards: usize,
-    faults: &'static str,
-    tenants: u32,
-    report: ChurnReport,
-}
-
-/// Runs one configuration twice; returns the faster run, aborting if the
-/// replays diverge in either artifact.
-fn run_config(backend: Backend, cfg: &ChurnConfig) -> ChurnReport {
-    let first = run_churn(backend, cfg).expect("churn run");
-    let second = run_churn(backend, cfg).expect("churn run");
-    if first.merged_fingerprint != second.merged_fingerprint
-        || first.churn_sha256 != second.churn_sha256
-    {
-        eprintln!(
-            "FAIL: nondeterministic replay for backend={} shards={} storm={}",
-            backend.name(),
-            cfg.shards,
-            cfg.storm_armed
-        );
-        std::process::exit(1);
-    }
-    if second.host_cpu_ns < first.host_cpu_ns {
-        second
-    } else {
-        first
-    }
+/// Sweeps one `(lane, storm)` cell over `shard_counts`.
+fn sweep(
+    lane: Lane,
+    storm: bool,
+    smoke: bool,
+    shard_counts: &[usize],
+) -> Vec<[RunReport<FleetStats>; 2]> {
+    let what = format!("backend={} storm={storm}", lane.backend());
+    cli::sweep(&what, shard_counts, |shards| {
+        engine::run(&config(shards, storm, smoke), lane)
+    })
 }
 
 fn full(out: &str) {
-    let started = Instant::now();
-    let mut rows: Vec<Row> = Vec::new();
-
-    for backend in Backend::ALL {
+    let mut rows = Vec::new();
+    for lane in Lane::INTERP {
         for storm in [false, true] {
-            let mut cell_sha: Option<String> = None;
-            for shards in SHARD_COUNTS {
-                let cfg = config(shards, storm, false);
-                let report = run_config(backend, &cfg);
-                assert_eq!(report.packets, FULL_PACKETS);
+            let runs = sweep(lane, storm, false, &SHARD_COUNTS);
+            for (shards, [r, _]) in SHARD_COUNTS.into_iter().zip(&runs) {
+                let (s, m) = (&r.stats, &r.metrics);
+                assert_eq!(s.runs(), FULL_PACKETS);
                 assert!(
-                    report.tenants_loaded >= 500,
+                    s.attached >= 500,
                     "fleet fell below 500 loaded tenants: {}",
-                    report.tenants_loaded
+                    s.attached
                 );
-                match &cell_sha {
-                    None => cell_sha = Some(report.churn_sha256.clone()),
-                    Some(sha) => {
-                        if *sha != report.churn_sha256 {
-                            eprintln!(
-                                "FAIL: churn SHA diverged at {shards} shards (backend={} storm={storm})",
-                                backend.name()
-                            );
-                            std::process::exit(1);
-                        }
-                    }
-                }
-                println!(
-                    "{:>8} shards={} storm={:<5} tenants={} events={} ok={} kill={} refused={} p50={}ns p99={}ns host_pps={:.0}",
-                    backend.name(),
-                    shards,
-                    storm,
-                    report.tenants_loaded,
-                    report.churn_events,
-                    report.ok,
-                    report.killed,
-                    report.refused,
-                    report.cost.percentile(50),
-                    report.cost.percentile(99),
-                    report.packets_per_host_cpu_sec(),
-                );
-                rows.push(Row {
-                    backend: backend.name(),
-                    shards,
-                    faults: if storm { "storm" } else { "none" },
-                    tenants: FULL_TENANTS,
-                    report,
-                });
+                // Storm rows must show the breaker working: kills and
+                // refusals, but only where the storm aimed (the scenario's
+                // tests pin the targeting).
+                s.assert_storm(storm);
+                rows.push(cli::progress(
+                    Obj::new()
+                        .str("scenario", "churn")
+                        .str("backend", lane.backend())
+                        .num("shards", shards)
+                        .str("faults", if storm { "storm" } else { "none" })
+                        .num("tenants", FULL_TENANTS)
+                        .num("tenants_loaded", s.attached)
+                        .num("packets", FULL_PACKETS)
+                        .num("churn_events", s.events)
+                        .num("upgrades", s.upgrades)
+                        .num("reloads", s.reloads)
+                        .num("ok", s.ok)
+                        .num("killed", s.killed)
+                        .num("refused", s.refused)
+                        .num("errors", s.errors)
+                        .num("quarantine_trips", m.quarantine_trips)
+                        .num("tenant_loads", m.tenant_loads)
+                        .num("tenant_swaps", m.tenant_swaps)
+                        .num("tenant_unloads", m.tenant_unloads)
+                        .num("injected", r.injected())
+                        .num("p50_cost_ns", r.cost.percentile(50))
+                        .num("p99_cost_ns", r.cost.percentile(99))
+                        .num("mean_cost_ns", r.cost.mean())
+                        .num("sim_elapsed_ns", r.sim_elapsed_ns)
+                        .num("host_cpu_ns", r.host_cpu_ns)
+                        .fixed("host_pps", r.per_host_cpu_sec(FULL_PACKETS), 0)
+                        .str("churn_sha256", &r.canonical_sha256()),
+                ));
             }
         }
     }
-
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"seed\": {SEED},");
-    let _ = writeln!(json, "  \"packets\": {FULL_PACKETS},");
-    let _ = writeln!(json, "  \"churn_every\": {FULL_CHURN_EVERY},");
-    json.push_str("  \"rows\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        let r = &row.report;
-        let _ = write!(
-            json,
-            "    {{\"scenario\": \"churn\", \"backend\": \"{}\", \"shards\": {}, \"faults\": \"{}\", \"tenants\": {}, \"tenants_loaded\": {}, \"packets\": {}, \"churn_events\": {}, \"upgrades\": {}, \"reloads\": {}, \"ok\": {}, \"killed\": {}, \"refused\": {}, \"errors\": {}, \"quarantine_trips\": {}, \"tenant_loads\": {}, \"tenant_swaps\": {}, \"tenant_unloads\": {}, \"injected\": {}, \"p50_cost_ns\": {}, \"p99_cost_ns\": {}, \"mean_cost_ns\": {}, \"sim_elapsed_ns\": {}, \"host_cpu_ns\": {}, \"host_pps\": {:.0}, \"churn_sha256\": \"{}\"}}",
-            row.backend,
-            row.shards,
-            row.faults,
-            row.tenants,
-            r.tenants_loaded,
-            r.packets,
-            r.churn_events,
-            r.upgrades,
-            r.reloads,
-            r.ok,
-            r.killed,
-            r.refused,
-            r.errors,
-            r.metrics.quarantine_trips,
-            r.metrics.tenant_loads,
-            r.metrics.tenant_swaps,
-            r.metrics.tenant_unloads,
-            r.injected,
-            r.cost.percentile(50),
-            r.cost.percentile(99),
-            r.cost.mean(),
-            r.sim_elapsed_ns,
-            r.host_cpu_ns,
-            r.packets_per_host_cpu_sec(),
-            r.churn_sha256,
-        );
-        json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(out, json).unwrap_or_else(|e| panic!("write {out}: {e}"));
-    println!(
-        "wrote {out} ({} rows) in {:.1}s",
-        rows.len(),
-        started.elapsed().as_secs_f64()
-    );
-
-    // Storm rows must show the breaker working: kills and refusals, but
-    // only where the storm aimed (the engine's tests pin the targeting).
-    for row in &rows {
-        if row.faults == "storm" {
-            assert!(row.report.killed > 0, "storm row without kills");
-            assert!(row.report.refused > 0, "storm row without refusals");
-        } else {
-            assert_eq!(row.report.killed, 0, "quiet row with kills");
-            assert_eq!(row.report.refused, 0, "quiet row with refusals");
-        }
-    }
+    let header = Obj::new()
+        .num("seed", SEED)
+        .num("packets", FULL_PACKETS)
+        .num("churn_every", FULL_CHURN_EVERY);
+    cli::write_report(out, &header, "rows", &rows);
 }
 
 fn smoke() {
-    let mut failed = false;
-    for backend in Backend::ALL {
-        let cfg = config(2, true, true);
-        let a = run_churn(backend, &cfg).expect("churn run");
-        let b = run_churn(backend, &cfg).expect("churn run");
-        let reference = run_churn(backend, &config(1, true, true)).expect("churn run");
-        println!(
-            "CHURN_SHA256 backend={} shards=2 {}",
-            backend.name(),
-            a.churn_sha256
-        );
-        println!(
-            "CHURN_SHA256 backend={} shards=2 {}",
-            backend.name(),
-            b.churn_sha256
-        );
-        println!(
-            "CHURN_SHA256 backend={} shards=1 {}",
-            backend.name(),
-            reference.churn_sha256
-        );
-        println!(
-            "MERGED_AUDIT_SHA256 backend={} shards=2 {}",
-            backend.name(),
-            audit_sha256(&a)
-        );
-        println!(
-            "MERGED_AUDIT_SHA256 backend={} shards=2 {}",
-            backend.name(),
-            audit_sha256(&b)
-        );
-        if a.churn_sha256 != b.churn_sha256 || a.merged_fingerprint != b.merged_fingerprint {
-            eprintln!("FAIL: replay diverged for backend={}", backend.name());
-            failed = true;
-        }
-        if reference.churn_sha256 != a.churn_sha256 {
-            eprintln!(
-                "FAIL: churn SHA not shard-count invariant for backend={}",
-                backend.name()
+    for lane in Lane::INTERP {
+        let backend = lane.backend();
+        let runs = sweep(lane, true, true, &[2, 1]);
+        let (two, one) = (&runs[0], &runs[1][0]);
+        for (shards, r) in [(2, &two[0]), (2, &two[1]), (1, one)] {
+            println!(
+                "CHURN_SHA256 backend={backend} shards={shards} {}",
+                r.canonical_sha256()
             );
-            failed = true;
         }
-        if a.tenants_loaded != SMOKE_TENANTS as u64 {
-            eprintln!(
-                "FAIL: backend={} ended with {} of {SMOKE_TENANTS} tenants attached",
-                backend.name(),
-                a.tenants_loaded
+        for r in two {
+            println!(
+                "MERGED_AUDIT_SHA256 backend={backend} shards=2 {}",
+                r.audit_sha256()
             );
-            failed = true;
         }
-        if a.killed == 0 || a.refused == 0 {
-            eprintln!(
-                "FAIL: backend={} storm produced no kills/refusals",
-                backend.name()
-            );
-            failed = true;
+        let s = &one.stats;
+        if s.attached != SMOKE_TENANTS as u64 {
+            cli::fail(&format!(
+                "backend={backend} ended with {} of {SMOKE_TENANTS} tenants attached",
+                s.attached
+            ));
         }
-    }
-    if failed {
-        std::process::exit(1);
+        if s.killed == 0 || s.refused == 0 {
+            cli::fail(&format!(
+                "backend={backend} storm produced no kills/refusals"
+            ));
+        }
     }
     println!(
-        "churn smoke OK ({SMOKE_PACKETS} packets x {SMOKE_TENANTS} tenants x 2 backends, storm armed)"
+        "churn smoke OK ({SMOKE_PACKETS} packets x {SMOKE_TENANTS} tenants x {} backends, storm armed)",
+        Lane::INTERP.len()
     );
 }
 
 fn main() {
-    let mut smoke_mode = false;
-    let mut out = "BENCH_churn.json".to_string();
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => smoke_mode = true,
-            "--out" => out = it.next().expect("--out requires a value"),
-            other => {
-                eprintln!("churn: unknown argument {other}");
-                eprintln!("usage: churn [--smoke] [--out <path>]");
-                std::process::exit(2);
-            }
-        }
-    }
-    if smoke_mode {
-        smoke();
-    } else {
-        full(&out);
-    }
+    cli::main("churn", "BENCH_churn.json", Some(smoke), full);
 }

@@ -1,38 +1,34 @@
 //! Hook-point diversity benchmark: kprobe, LSM, and sched-ext.
 //!
-//! Drives each hook-family scenario ([`bench::hooks`]) through the
-//! multi-tenant control plane over 1/2/4/8 tenant-steered shards for all
-//! three backends, with hot upgrades interleaved — with and without the
-//! seeded quarantine storm — and additionally through the JIT lanes of
-//! the verified-eBPF and sandbox backends. Results land in
-//! `BENCH_hooks.json` (one row per scenario × backend × lane × shard
+//! Drives each hook family ([`bench::hooks`]) through the multi-tenant
+//! control plane over 1/2/4/8 tenant-steered shards for all three
+//! backends, with hot upgrades interleaved — with and without the seeded
+//! quarantine storm — and additionally through the JIT lanes of the
+//! verified-eBPF and sandbox backends. Results land in
+//! `BENCH_hooks.json` (one row per family × backend × lane × shard
 //! count × fault mode).
 //!
 //! Determinism checks gate every configuration:
 //!
 //! - the **hooks SHA** (canonical per-item log, cost-free by
 //!   construction) must be byte-identical across all shard counts of one
-//!   `(scenario, backend, storm)` cell;
+//!   `(family, backend, storm)` cell;
 //! - fault-free cells must agree across *backends and JIT lanes* — the
 //!   cross-dialect differential check; and
-//! - the **merged audit fingerprint** must replay byte-identically when
-//!   the same configuration runs twice.
+//! - every artifact must replay byte-identically when the same
+//!   configuration runs twice.
 //!
-//! `--smoke` runs reduced batches (2 shards, storm armed, all scenarios
+//! `--smoke` runs reduced batches (2 shards, storm armed, all families
 //! and backends, plus a 1-shard reference and a fault-free JIT lane
 //! compare), prints the `HOOKS_SHA256` lines CI compares, and exits
 //! nonzero on any divergence.
 
-use std::fmt::Write as _;
-use std::time::Instant;
-
-use bench::dispatch::Backend;
-use bench::hooks::{run_hooks, HooksConfig, HooksReport, Scenario};
-use signing::sha256;
-
-fn audit_sha256(report: &HooksReport) -> String {
-    sha256::to_hex(&sha256::digest(report.merged_fingerprint.as_bytes()))
-}
+use analysis::json::Obj;
+use bench::cli;
+use bench::engine::{self, RunReport};
+use bench::fleet::{Fleet, FleetStats};
+use bench::hooks::{HookFamily, HooksConfig};
+use bench::Lane;
 
 const SEED: u64 = 42;
 const FULL_TENANTS: u32 = 64;
@@ -43,344 +39,183 @@ const SMOKE_ITEMS: u64 = 240;
 const SMOKE_UPGRADE_EVERY: u64 = 12;
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-fn config(scenario: Scenario, shards: usize, storm: bool, jit: bool, smoke: bool) -> HooksConfig {
-    if smoke {
-        HooksConfig {
-            scenario,
+fn config(family: HookFamily, shards: usize, storm: bool, smoke: bool) -> HooksConfig {
+    let (tenants, items, upgrade_every, storm_victims) = if smoke {
+        (SMOKE_TENANTS, SMOKE_ITEMS, SMOKE_UPGRADE_EVERY, 3)
+    } else {
+        (FULL_TENANTS, FULL_ITEMS, FULL_UPGRADE_EVERY, 8)
+    };
+    HooksConfig {
+        family,
+        fleet: Fleet {
             shards,
             seed: SEED,
-            tenants: SMOKE_TENANTS,
-            items: SMOKE_ITEMS,
-            upgrade_every: SMOKE_UPGRADE_EVERY,
+            tenants,
+            items,
             storm_armed: storm,
-            storm_victims: 3,
-            jit,
-        }
-    } else {
-        HooksConfig {
-            scenario,
-            shards,
-            seed: SEED,
-            tenants: FULL_TENANTS,
-            items: FULL_ITEMS,
-            upgrade_every: FULL_UPGRADE_EVERY,
-            storm_armed: storm,
-            storm_victims: 8,
-            jit,
-        }
+            storm_victims,
+        },
+        upgrade_every,
     }
 }
 
-struct Row {
-    scenario: &'static str,
-    backend: &'static str,
-    lane: &'static str,
-    shards: usize,
-    faults: &'static str,
-    report: HooksReport,
+/// Sweeps one `(family, lane, storm)` cell over `shard_counts`.
+fn sweep(
+    family: HookFamily,
+    lane: Lane,
+    storm: bool,
+    smoke: bool,
+    shard_counts: &[usize],
+) -> Vec<[RunReport<FleetStats>; 2]> {
+    let what = format!(
+        "scenario={} lane={} storm={storm}",
+        family.name(),
+        lane.name()
+    );
+    cli::sweep(&what, shard_counts, |shards| {
+        engine::run(&config(family, shards, storm, smoke), lane)
+    })
 }
 
-/// Runs one configuration twice; returns the faster run, aborting if the
-/// replays diverge in either artifact.
-fn run_config(backend: Backend, cfg: &HooksConfig) -> HooksReport {
-    let first = run_hooks(backend, cfg).expect("hooks run");
-    let second = run_hooks(backend, cfg).expect("hooks run");
-    if first.merged_fingerprint != second.merged_fingerprint
-        || first.hooks_sha256 != second.hooks_sha256
-    {
-        eprintln!(
-            "FAIL: nondeterministic replay for scenario={} backend={} shards={} storm={}",
-            cfg.scenario.name(),
-            backend.name(),
-            cfg.shards,
-            cfg.storm_armed
-        );
-        std::process::exit(1);
-    }
-    if second.host_cpu_ns < first.host_cpu_ns {
-        second
-    } else {
-        first
-    }
-}
-
-fn push_row(
-    rows: &mut Vec<Row>,
-    scenario: Scenario,
-    backend: Backend,
-    lane: &'static str,
+/// One report row, after checking the storm and hook-family invariants.
+fn row(
+    family: HookFamily,
+    lane: Lane,
     shards: usize,
     storm: bool,
-    report: HooksReport,
-) {
-    rows.push(Row {
-        scenario: scenario.name(),
-        backend: backend.name(),
-        lane,
-        shards,
-        faults: if storm { "storm" } else { "none" },
-        report,
-    });
+    r: &RunReport<FleetStats>,
+) -> Obj {
+    let (s, m) = (&r.stats, &r.metrics);
+    // Storm rows must show the breaker and fallback machinery working.
+    s.assert_storm(storm);
+    match family {
+        HookFamily::Kprobe => assert!(m.probe_fires > 0, "kprobe row without fires"),
+        HookFamily::Lsm => assert!(m.policy_denies > 0, "lsm row without denies"),
+        HookFamily::Sched => assert!(m.sched_picks > 0, "sched row without picks"),
+    }
+    // Hook cells burn ~1ms of host CPU each, so their throughput is
+    // run-to-run noise; it is emitted under an ungated name and the
+    // regress gate rides on the deterministic sim metrics.
+    cli::progress(
+        Obj::new()
+            .str("scenario", family.name())
+            .str("backend", lane.backend())
+            .str("lane", if lane.is_jit() { "jit" } else { "interp" })
+            .num("shards", shards)
+            .str("faults", if storm { "storm" } else { "none" })
+            .num("tenants", FULL_TENANTS)
+            .num("items", FULL_ITEMS)
+            .num("runs", s.runs())
+            .num("upgrades", s.upgrades)
+            .num("ok", s.ok)
+            .num("killed", s.killed)
+            .num("refused", s.refused)
+            .num("errors", s.errors)
+            .num("probe_fires", m.probe_fires)
+            .num("policy_denies", m.policy_denies)
+            .num("sched_picks", m.sched_picks)
+            .num("sched_fallbacks", m.sched_fallbacks)
+            .num("hist_samples", s.hist_samples)
+            .num("quarantine_trips", m.quarantine_trips)
+            .num("injected", r.injected())
+            .num("p50_cost_ns", r.cost.percentile(50))
+            .num("p99_cost_ns", r.cost.percentile(99))
+            .num("mean_cost_ns", r.cost.mean())
+            .num("sim_elapsed_ns", r.sim_elapsed_ns)
+            .num("host_cpu_ns", r.host_cpu_ns)
+            .fixed("host_runs_per_cpu_sec", r.per_host_cpu_sec(s.runs()), 0)
+            .str("hooks_sha256", &r.canonical_sha256()),
+    )
 }
 
 fn full(out: &str) {
-    let started = Instant::now();
-    let mut rows: Vec<Row> = Vec::new();
-
-    for scenario in Scenario::ALL {
-        // Fault-free logs must agree across every backend and lane.
-        let mut quiet_sha: Option<String> = None;
-        for backend in Backend::ALL {
-            for storm in [false, true] {
-                let mut cell_sha: Option<String> = None;
-                for shards in SHARD_COUNTS {
-                    let cfg = config(scenario, shards, storm, false, false);
-                    let report = run_config(backend, &cfg);
-                    assert_eq!(report.items, FULL_ITEMS);
-                    match &cell_sha {
-                        None => cell_sha = Some(report.hooks_sha256.clone()),
-                        Some(sha) => {
-                            if *sha != report.hooks_sha256 {
-                                eprintln!(
-                                    "FAIL: hooks SHA diverged at {shards} shards (scenario={} backend={} storm={storm})",
-                                    scenario.name(),
-                                    backend.name()
-                                );
-                                std::process::exit(1);
-                            }
-                        }
-                    }
-                    println!(
-                        "{:>6} {:>8} shards={} storm={:<5} runs={} ok={} kill={} refused={} fires={} denies={} picks={} fallbacks={} p50={}ns p99={}ns",
-                        scenario.name(),
-                        backend.name(),
-                        shards,
-                        storm,
-                        report.runs,
-                        report.ok,
-                        report.killed,
-                        report.refused,
-                        report.probe_fires,
-                        report.policy_denies,
-                        report.sched_picks,
-                        report.sched_fallbacks,
-                        report.cost.percentile(50),
-                        report.cost.percentile(99),
-                    );
-                    push_row(
-                        &mut rows, scenario, backend, "interp", shards, storm, report,
-                    );
-                }
-                if !storm {
-                    match &quiet_sha {
-                        None => quiet_sha = cell_sha.clone(),
-                        Some(sha) => {
-                            if cell_sha.as_deref() != Some(sha.as_str()) {
-                                eprintln!(
-                                    "FAIL: fault-free hooks SHA diverged across backends (scenario={} backend={})",
-                                    scenario.name(),
-                                    backend.name()
-                                );
-                                std::process::exit(1);
-                            }
-                        }
-                    }
-                }
+    let mut rows = Vec::new();
+    for family in HookFamily::ALL {
+        // Fault-free logs must agree across every lane: the interpreted
+        // lanes over the full shard grid, the JIT lanes at 2 shards.
+        let mut quiet_log: Option<String> = None;
+        let mut cells = Vec::new();
+        for lane in Lane::INTERP {
+            cells.push((lane, false, &SHARD_COUNTS[..]));
+            cells.push((lane, true, &SHARD_COUNTS[..]));
+        }
+        for lane in [Lane::EbpfJit, Lane::SandboxJit] {
+            cells.push((lane, false, &[2][..]));
+        }
+        for (lane, storm, shard_counts) in cells {
+            let runs = sweep(family, lane, storm, false, shard_counts);
+            let log = &runs[0][0].canonical_log;
+            if !storm && quiet_log.get_or_insert_with(|| log.clone()) != log {
+                cli::fail(&format!(
+                    "fault-free hooks log diverged across lanes (scenario={} lane={})",
+                    family.name(),
+                    lane.name()
+                ));
+            }
+            for (&shards, [r, _]) in shard_counts.iter().zip(&runs) {
+                rows.push(row(family, lane, shards, storm, r));
             }
         }
-        // JIT lanes: same bytecode through the compiler instead of the
-        // interpreter must reproduce the fault-free log byte-for-byte.
-        for backend in [Backend::Ebpf, Backend::Sandbox] {
-            let cfg = config(scenario, 2, false, true, false);
-            let report = run_config(backend, &cfg);
-            if quiet_sha.as_deref() != Some(report.hooks_sha256.as_str()) {
-                eprintln!(
-                    "FAIL: JIT lane diverged from the interpreter (scenario={} backend={})",
-                    scenario.name(),
-                    backend.name()
-                );
-                std::process::exit(1);
-            }
-            push_row(&mut rows, scenario, backend, "jit", 2, false, report);
-        }
     }
-
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"seed\": {SEED},");
-    let _ = writeln!(json, "  \"items\": {FULL_ITEMS},");
-    let _ = writeln!(json, "  \"upgrade_every\": {FULL_UPGRADE_EVERY},");
-    json.push_str("  \"rows\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        let r = &row.report;
-        // Hook cells burn ~1ms of host CPU each, so their throughput is
-        // run-to-run noise; it is emitted under an ungated name and the
-        // regress gate rides on the 546 deterministic sim metrics.
-        let _ = write!(
-            json,
-            "    {{\"scenario\": \"{}\", \"backend\": \"{}\", \"lane\": \"{}\", \"shards\": {}, \"faults\": \"{}\", \"tenants\": {}, \"items\": {}, \"runs\": {}, \"upgrades\": {}, \"ok\": {}, \"killed\": {}, \"refused\": {}, \"errors\": {}, \"probe_fires\": {}, \"policy_denies\": {}, \"sched_picks\": {}, \"sched_fallbacks\": {}, \"hist_samples\": {}, \"quarantine_trips\": {}, \"injected\": {}, \"p50_cost_ns\": {}, \"p99_cost_ns\": {}, \"mean_cost_ns\": {}, \"sim_elapsed_ns\": {}, \"host_cpu_ns\": {}, \"host_runs_per_cpu_sec\": {:.0}, \"hooks_sha256\": \"{}\"}}",
-            row.scenario,
-            row.backend,
-            row.lane,
-            row.shards,
-            row.faults,
-            FULL_TENANTS,
-            r.items,
-            r.runs,
-            r.upgrades,
-            r.ok,
-            r.killed,
-            r.refused,
-            r.errors,
-            r.probe_fires,
-            r.policy_denies,
-            r.sched_picks,
-            r.sched_fallbacks,
-            r.hist_samples,
-            r.metrics.quarantine_trips,
-            r.injected,
-            r.cost.percentile(50),
-            r.cost.percentile(99),
-            r.cost.mean(),
-            r.sim_elapsed_ns,
-            r.host_cpu_ns,
-            r.runs_per_host_cpu_sec(),
-            r.hooks_sha256,
-        );
-        json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(out, json).unwrap_or_else(|e| panic!("write {out}: {e}"));
-    println!(
-        "wrote {out} ({} rows) in {:.1}s",
-        rows.len(),
-        started.elapsed().as_secs_f64()
-    );
-
-    // Storm rows must show the breaker and fallback machinery working.
-    for row in &rows {
-        if row.faults == "storm" {
-            assert!(row.report.killed > 0, "storm row without kills");
-            assert!(row.report.refused > 0, "storm row without refusals");
-        } else {
-            assert_eq!(row.report.killed, 0, "quiet row with kills");
-            assert_eq!(row.report.refused, 0, "quiet row with refusals");
-        }
-        match row.scenario {
-            "kprobe" => assert!(row.report.probe_fires > 0, "kprobe row without fires"),
-            "lsm" => assert!(row.report.policy_denies > 0, "lsm row without denies"),
-            "sched" => assert!(row.report.sched_picks > 0, "sched row without picks"),
-            _ => unreachable!(),
-        }
-    }
+    let header = Obj::new()
+        .num("seed", SEED)
+        .num("items", FULL_ITEMS)
+        .num("upgrade_every", FULL_UPGRADE_EVERY);
+    cli::write_report(out, &header, "rows", &rows);
 }
 
 fn smoke() {
-    let mut failed = false;
-    for scenario in Scenario::ALL {
-        let mut quiet_sha: Option<String> = None;
-        for backend in Backend::ALL {
-            let cfg = config(scenario, 2, true, false, true);
-            let a = run_hooks(backend, &cfg).expect("hooks run");
-            let b = run_hooks(backend, &cfg).expect("hooks run");
-            let reference =
-                run_hooks(backend, &config(scenario, 1, true, false, true)).expect("hooks run");
-            for r in [&a, &b, &reference] {
+    for family in HookFamily::ALL {
+        let mut quiet_log: Option<String> = None;
+        for lane in Lane::INTERP {
+            let runs = sweep(family, lane, true, true, &[2, 1]);
+            let (two, one) = (&runs[0], &runs[1][0]);
+            for (shards, r) in [(2, &two[0]), (2, &two[1]), (1, one)] {
                 println!(
-                    "HOOKS_SHA256 scenario={} backend={} shards={} {}",
-                    scenario.name(),
-                    backend.name(),
-                    r.shards,
-                    r.hooks_sha256
+                    "HOOKS_SHA256 scenario={} backend={} shards={shards} {}",
+                    family.name(),
+                    lane.backend(),
+                    r.canonical_sha256()
                 );
             }
             println!(
                 "HOOKS_AUDIT_SHA256 scenario={} backend={} shards=2 {}",
-                scenario.name(),
-                backend.name(),
-                audit_sha256(&a)
+                family.name(),
+                lane.backend(),
+                two[0].audit_sha256()
             );
-            if a.hooks_sha256 != b.hooks_sha256 || a.merged_fingerprint != b.merged_fingerprint {
-                eprintln!(
-                    "FAIL: replay diverged for scenario={} backend={}",
-                    scenario.name(),
-                    backend.name()
-                );
-                failed = true;
+            if one.stats.killed == 0 || one.stats.refused == 0 {
+                cli::fail(&format!(
+                    "scenario={} backend={} storm produced no kills/refusals",
+                    family.name(),
+                    lane.backend()
+                ));
             }
-            if reference.hooks_sha256 != a.hooks_sha256 {
-                eprintln!(
-                    "FAIL: hooks SHA not shard-count invariant for scenario={} backend={}",
-                    scenario.name(),
-                    backend.name()
-                );
-                failed = true;
-            }
-            if a.killed == 0 || a.refused == 0 {
-                eprintln!(
-                    "FAIL: scenario={} backend={} storm produced no kills/refusals",
-                    scenario.name(),
-                    backend.name()
-                );
-                failed = true;
-            }
-
             // Fault-free cross-dialect and JIT-lane differential checks.
-            let quiet =
-                run_hooks(backend, &config(scenario, 2, false, false, true)).expect("hooks run");
-            match &quiet_sha {
-                None => quiet_sha = Some(quiet.hooks_sha256.clone()),
-                Some(sha) => {
-                    if *sha != quiet.hooks_sha256 {
-                        eprintln!(
-                            "FAIL: fault-free log diverged across backends (scenario={} backend={})",
-                            scenario.name(),
-                            backend.name()
-                        );
-                        failed = true;
-                    }
-                }
-            }
-            if backend != Backend::SafeExt {
-                let jit =
-                    run_hooks(backend, &config(scenario, 2, false, true, true)).expect("hooks run");
-                if jit.hooks_sha256 != quiet.hooks_sha256 {
-                    eprintln!(
-                        "FAIL: JIT lane diverged from the interpreter (scenario={} backend={})",
-                        scenario.name(),
-                        backend.name()
-                    );
-                    failed = true;
+            for lane in std::iter::once(lane).chain(lane.jit()) {
+                let quiet = cli::ok(
+                    engine::run(&config(family, 2, false, true), lane),
+                    lane.name(),
+                );
+                if *quiet_log.get_or_insert_with(|| quiet.canonical_log.clone())
+                    != quiet.canonical_log
+                {
+                    cli::fail(&format!(
+                        "fault-free log diverged across lanes (scenario={} lane={})",
+                        family.name(),
+                        lane.name()
+                    ));
                 }
             }
         }
     }
-    if failed {
-        std::process::exit(1);
-    }
     println!(
-        "hooks smoke OK ({SMOKE_ITEMS} items x {SMOKE_TENANTS} tenants x 3 scenarios x 3 backends, storm armed)"
+        "hooks smoke OK ({SMOKE_ITEMS} items x {SMOKE_TENANTS} tenants x {} scenarios x {} backends, storm armed)",
+        HookFamily::ALL.len(),
+        Lane::INTERP.len()
     );
 }
 
 fn main() {
-    let mut smoke_mode = false;
-    let mut out = "BENCH_hooks.json".to_string();
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => smoke_mode = true,
-            "--out" => out = it.next().expect("--out requires a value"),
-            other => {
-                eprintln!("hooks: unknown argument {other}");
-                eprintln!("usage: hooks [--smoke] [--out <path>]");
-                std::process::exit(2);
-            }
-        }
-    }
-    if smoke_mode {
-        smoke();
-    } else {
-        full(&out);
-    }
+    cli::main("hooks", "BENCH_hooks.json", Some(smoke), full);
 }

@@ -1,30 +1,29 @@
 //! Flow-realistic network benchmark.
 //!
 //! Drives a deterministic traffic mix (elephant/mouse flows, a SYN
-//! flood, malformed frames) through the flow-steered net engine for both
-//! scenarios (SYN-flood filter, L4 load balancer), all three backends
-//! (eBPF interpreter, safe-ext runtime, SFI sandbox), 1/2/4/8 shards, with and without a
-//! fault plan armed — and writes the results to `BENCH_net.json` in the
-//! repository root.
+//! flood, malformed frames) through the flow-steered net scenario for
+//! both sample extensions (SYN-flood filter, L4 load balancer), all three
+//! backends (eBPF compiled lane, safe-ext runtime, SFI sandbox compiled
+//! lane), 1/2/4/8 shards, with and without a fault plan armed — and
+//! writes the results to `BENCH_net.json` in the repository root.
 //!
-//! Every configuration is run twice and must replay with a
-//! byte-identical merged audit stream; on top of that, the canonical
-//! per-packet record log must be byte-identical *across shard counts*
-//! within each `(scenario, backend, fault)` cell — including the
-//! fault-armed cells. Either divergence exits nonzero.
+//! Every configuration is run twice and must replay byte-identically;
+//! on top of that, the canonical per-packet record log must be
+//! byte-identical *across shard counts* within each
+//! `(scenario, backend, fault)` cell — including the fault-armed cells.
+//! Either divergence exits nonzero.
 //!
 //! `--smoke` runs a reduced grid (1 vs 2 shards, all backends,
 //! SYN-filter scenario, faults armed) for CI, printing the canonical and
 //! merged-audit hashes of each run.
 
-use std::fmt::Write as _;
-use std::time::Instant;
-
-use bench::dispatch::Backend;
-use bench::netflows::{run_net_batched, NetConfig, NetDispatchReport, NetScenario};
+use analysis::json::Obj;
+use bench::cli;
+use bench::engine::{sha256_hex, RunReport};
+use bench::netflows::{run_net_batched, NetConfig, NetScenario, NetStats};
+use bench::Lane;
 use kernel_sim::net::traffic::{generate, Frame, TrafficConfig};
 use kernel_sim::FaultPlanConfig;
-use signing::sha256;
 
 const SEED: u64 = 42;
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -42,271 +41,128 @@ fn full_traffic() -> Vec<Frame> {
     )
 }
 
-fn hex(s: &str) -> String {
-    sha256::to_hex(&sha256::digest(s.as_bytes()))
-}
-
-struct Row {
-    scenario: &'static str,
-    backend: &'static str,
-    shards: usize,
-    faults: bool,
-    packets: u64,
-    drop: u64,
-    pass: u64,
-    tx: u64,
-    aborted: u64,
-    injected: u64,
-    flood_dropped: u64,
-    sim_elapsed_ns: u64,
-    sim_pps: f64,
-    speedup: f64,
-    host_elapsed_ns: u64,
-    host_cpu_ns: u64,
-    host_pps: f64,
-    canonical_sha256: String,
-    flow_log_sha256: String,
-    merged_audit_sha256: String,
-    backend_counts: [u64; 4],
-}
-
-/// Runs one configuration twice, checking replay determinism; returns
-/// the faster run.
-fn run_config(
-    backend: Backend,
+/// Sweeps one `(scenario, lane, faults)` cell over `shard_counts`.
+fn sweep(
+    lane: Lane,
     scenario: NetScenario,
-    shards: usize,
     faults: bool,
+    shard_counts: &[usize],
     frames: &[Frame],
-) -> NetDispatchReport {
-    let cfg = NetConfig {
-        shards,
-        seed: SEED,
-        fault: faults.then(FaultPlanConfig::default),
-        scenario,
-    };
-    let first = run_net_batched(backend, &cfg, frames).expect("net dispatch");
-    let second = run_net_batched(backend, &cfg, frames).expect("net dispatch");
-    if first.merged_fingerprint != second.merged_fingerprint {
-        eprintln!(
-            "FAIL: nondeterministic merged audit for scenario={} backend={} shards={shards} faults={faults}",
-            scenario.name(),
-            backend.name()
-        );
-        std::process::exit(1);
-    }
-    // Keep the run with the lower host critical path: host_cpu_ns is
-    // the gated capacity metric, so report its best observation.
-    if second.host_cpu_ns < first.host_cpu_ns {
-        second
-    } else {
-        first
-    }
+) -> Vec<[RunReport<NetStats>; 2]> {
+    let what = format!(
+        "scenario={} backend={} faults={faults}",
+        scenario.name(),
+        lane.backend()
+    );
+    cli::sweep(&what, shard_counts, |shards| {
+        let cfg = NetConfig {
+            shards,
+            seed: SEED,
+            fault: faults.then(FaultPlanConfig::default),
+            scenario,
+        };
+        run_net_batched(lane, &cfg, frames)
+    })
 }
 
 fn full(out: &str) {
     let frames = full_traffic();
-    let started = Instant::now();
-    let mut rows: Vec<Row> = Vec::new();
-    let mut failed = false;
+    let mut rows = Vec::new();
+    let mut failures = Vec::new();
 
     for scenario in [NetScenario::SynFilter, NetScenario::LoadBalancer] {
-        for backend in Backend::ALL {
+        for lane in Lane::FASTEST {
             for faults in [false, true] {
-                let mut cell_canonical: Option<(String, String)> = None;
-                let mut base_sim_pps = 0.0f64;
-                for shards in SHARD_COUNTS {
-                    let report = run_config(backend, scenario, shards, faults, &frames);
-                    assert_eq!(report.packets(), frames.len() as u64);
-                    let canonical = hex(&report.canonical_log);
-                    let flow_log = hex(&report.sorted_flow_log);
-                    // The shard-count-invariance bar: every shard count in
-                    // this (scenario, backend, fault) cell must produce the
-                    // same canonical record log and flow-transition multiset.
-                    match &cell_canonical {
-                        None => cell_canonical = Some((canonical.clone(), flow_log.clone())),
-                        Some((c, f)) => {
-                            if *c != canonical || *f != flow_log {
-                                eprintln!(
-                                    "FAIL: canonical log diverged at shards={shards} for scenario={} backend={} faults={faults}",
-                                    scenario.name(),
-                                    backend.name()
-                                );
-                                failed = true;
-                            }
-                        }
-                    }
-                    let sim_pps = report.packets_per_sim_sec();
-                    if shards == 1 {
-                        base_sim_pps = sim_pps;
-                    }
+                let runs = sweep(lane, scenario, faults, &SHARD_COUNTS, &frames);
+                let base_sim_pps = runs[0][0].per_sim_sec(frames.len() as u64);
+                for (shards, [report, _]) in SHARD_COUNTS.into_iter().zip(&runs) {
+                    let packets = report.items();
+                    assert_eq!(packets, frames.len() as u64);
+                    let sim_pps = report.per_sim_sec(packets);
                     let speedup = if base_sim_pps > 0.0 {
                         sim_pps / base_sim_pps
                     } else {
                         0.0
                     };
-                    let rx = report.rx_totals();
-                    let cv = report.class_verdicts();
-                    println!(
-                        "{:>10} {:>8} faults={:<5} shards={} drop={} pass={} tx={} aborted={} injected={} sim={:.2}ms speedup={:.2}x",
-                        scenario.name(),
-                        backend.name(),
-                        faults,
-                        shards,
-                        rx.drop,
-                        rx.pass,
-                        rx.tx,
-                        rx.aborted,
-                        report.injected(),
-                        report.sim_elapsed_ns as f64 / 1e6,
-                        speedup,
-                    );
-                    rows.push(Row {
-                        scenario: scenario.name(),
-                        backend: backend.name(),
-                        shards,
-                        faults,
-                        packets: report.packets(),
-                        drop: rx.drop,
-                        pass: rx.pass,
-                        tx: rx.tx,
-                        aborted: rx.aborted,
-                        injected: report.injected(),
-                        flood_dropped: cv[2][1],
-                        sim_elapsed_ns: report.sim_elapsed_ns,
-                        sim_pps,
-                        speedup,
-                        host_elapsed_ns: report.elapsed_ns,
-                        host_cpu_ns: report.host_cpu_ns,
-                        host_pps: report.packets_per_host_cpu_sec(),
-                        canonical_sha256: canonical,
-                        flow_log_sha256: flow_log,
-                        merged_audit_sha256: hex(&report.merged_fingerprint),
-                        backend_counts: report.backend_counts(),
-                    });
+                    let rx = report.stats.rx;
+                    let flood_dropped = report.stats.class_verdicts[2][1];
+                    // Fault-free runs must keep every shard kernel pristine
+                    // and the SYN filter must actually defend: most flood
+                    // SYNs dropped.
+                    if !faults && rx.aborted != 0 {
+                        failures.push(format!(
+                            "{} aborted runs without faults ({}/{}/{shards} shards)",
+                            rx.aborted,
+                            scenario.name(),
+                            lane.backend()
+                        ));
+                    }
+                    if !faults && scenario == NetScenario::SynFilter && flood_dropped == 0 {
+                        failures.push("syn-filter dropped no flood frames".to_string());
+                    }
+                    rows.push(cli::progress(
+                        Obj::new()
+                            .str("scenario", scenario.name())
+                            .str("backend", lane.backend())
+                            .num("shards", shards)
+                            .num("faults", faults)
+                            .num("packets", packets)
+                            .num("drop", rx.drop)
+                            .num("pass", rx.pass)
+                            .num("tx", rx.tx)
+                            .num("aborted", rx.aborted)
+                            .num("injected", report.stats.injected)
+                            .num("flood_dropped", flood_dropped)
+                            .num("sim_elapsed_ns", report.sim_elapsed_ns)
+                            .fixed("sim_pps", sim_pps, 0)
+                            .fixed("speedup_vs_1shard", speedup, 3)
+                            .num("host_elapsed_ns", report.elapsed_ns)
+                            .num("host_cpu_ns", report.host_cpu_ns)
+                            .fixed("host_pps", report.per_host_cpu_sec(packets), 0)
+                            .str("canonical_sha256", &report.canonical_sha256())
+                            .str(
+                                "flow_log_sha256",
+                                &sha256_hex(&report.stats.flow_log.join("\n")),
+                            )
+                            .str("merged_audit_sha256", &report.audit_sha256())
+                            .nums("backend_counts", report.stats.backend_counts),
+                    ));
                 }
             }
         }
     }
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"seed\": {SEED},");
-    let _ = writeln!(json, "  \"frames\": {},", frames.len());
-    json.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"scenario\": \"{}\", \"backend\": \"{}\", \"shards\": {}, \"faults\": {}, \"packets\": {}, \"drop\": {}, \"pass\": {}, \"tx\": {}, \"aborted\": {}, \"injected\": {}, \"flood_dropped\": {}, \"sim_elapsed_ns\": {}, \"sim_pps\": {:.0}, \"speedup_vs_1shard\": {:.3}, \"host_elapsed_ns\": {}, \"host_cpu_ns\": {}, \"host_pps\": {:.0}, \"canonical_sha256\": \"{}\", \"flow_log_sha256\": \"{}\", \"merged_audit_sha256\": \"{}\", \"backend_counts\": [{}, {}, {}, {}]}}",
-            r.scenario,
-            r.backend,
-            r.shards,
-            r.faults,
-            r.packets,
-            r.drop,
-            r.pass,
-            r.tx,
-            r.aborted,
-            r.injected,
-            r.flood_dropped,
-            r.sim_elapsed_ns,
-            r.sim_pps,
-            r.speedup,
-            r.host_elapsed_ns,
-            r.host_cpu_ns,
-            r.host_pps,
-            r.canonical_sha256,
-            r.flow_log_sha256,
-            r.merged_audit_sha256,
-            r.backend_counts[0],
-            r.backend_counts[1],
-            r.backend_counts[2],
-            r.backend_counts[3],
-        );
-        json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(out, json).unwrap_or_else(|e| panic!("write {out}: {e}"));
-    println!(
-        "wrote {out} ({} rows) in {:.1}s",
-        rows.len(),
-        started.elapsed().as_secs_f64()
-    );
-
-    // Fault-free runs must keep every shard kernel pristine and the SYN
-    // filter must actually defend: most flood SYNs dropped.
-    for r in rows.iter().filter(|r| !r.faults) {
-        if r.aborted != 0 {
-            eprintln!(
-                "FAIL: {} aborted runs without faults ({}/{}/{} shards)",
-                r.aborted, r.scenario, r.backend, r.shards
-            );
-            failed = true;
-        }
-        if r.scenario == "syn-filter" && r.flood_dropped == 0 {
-            eprintln!("FAIL: syn-filter dropped no flood frames");
-            failed = true;
-        }
-    }
-    if failed {
-        std::process::exit(1);
+    let header = Obj::new().num("seed", SEED).num("frames", frames.len());
+    cli::write_report(out, &header, "rows", &rows);
+    if !failures.is_empty() {
+        cli::fail(&failures.join("; "));
     }
 }
 
 fn smoke() {
     let frames = generate(&TrafficConfig::smoke(), SEED);
-    let mut failed = false;
-    for backend in Backend::ALL {
-        let mut canonicals = Vec::new();
-        for shards in [1usize, 2] {
-            let report = run_config(backend, NetScenario::SynFilter, shards, true, &frames);
-            let hash = hex(&report.canonical_log);
+    for lane in Lane::FASTEST {
+        let runs = sweep(lane, NetScenario::SynFilter, true, &[1, 2], &frames);
+        for (shards, [report, _]) in [1, 2].into_iter().zip(&runs) {
             println!(
-                "NET_CANONICAL_SHA256 backend={} shards={shards} {hash}",
-                backend.name()
+                "NET_CANONICAL_SHA256 backend={} shards={shards} {}",
+                lane.backend(),
+                report.canonical_sha256()
             );
             println!(
                 "NET_MERGED_AUDIT_SHA256 backend={} shards={shards} {}",
-                backend.name(),
-                hex(&report.merged_fingerprint)
+                lane.backend(),
+                report.audit_sha256()
             );
-            canonicals.push(hash);
         }
-        if canonicals[0] != canonicals[1] {
-            eprintln!(
-                "FAIL: canonical log diverged between 1 and 2 shards for backend={}",
-                backend.name()
-            );
-            failed = true;
-        }
-    }
-    if failed {
-        std::process::exit(1);
     }
     println!(
-        "net smoke OK ({} frames x 2 backends x 2 shard counts, faults armed)",
-        frames.len()
+        "net smoke OK ({} frames x {} backends x 2 shard counts, faults armed)",
+        frames.len(),
+        Lane::FASTEST.len()
     );
 }
 
 fn main() {
-    let mut smoke_mode = false;
-    let mut out = "BENCH_net.json".to_string();
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => smoke_mode = true,
-            "--out" => out = it.next().expect("--out requires a value"),
-            other => {
-                eprintln!("netbench: unknown argument {other}");
-                eprintln!("usage: netbench [--smoke] [--out <path>]");
-                std::process::exit(2);
-            }
-        }
-    }
-    if smoke_mode {
-        smoke();
-    } else {
-        full(&out);
-    }
+    cli::main("netbench", "BENCH_net.json", Some(smoke), full);
 }

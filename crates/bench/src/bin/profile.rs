@@ -1,12 +1,11 @@
 //! Span-trace profiling benchmark.
 //!
-//! Runs the deterministic packet batch through the sharded dispatch
-//! engine with tracing enabled for all three backends (eBPF
-//! interpreter, safe-ext runtime, and the SFI sandbox) at 1/2/4/8
-//! shards, folds the per-CPU span streams
-//! into per-stage self/total cost tables, and writes the comparison to
-//! `BENCH_profile.json` plus a flamegraph collapsed-stack export
-//! (`BENCH_profile_flame.txt`).
+//! Runs the deterministic packet batch through the dispatch scenario with
+//! tracing enabled for all three backends (eBPF interpreter, safe-ext
+//! runtime, and the SFI sandbox) at 1/2/4/8 shards, folds the per-CPU
+//! span streams into per-stage self/total cost tables, and writes the
+//! comparison to `BENCH_profile.json` plus a flamegraph collapsed-stack
+//! export (`BENCH_profile_flame.txt`).
 //!
 //! Three contracts are asserted on every run:
 //!
@@ -15,19 +14,22 @@
 //!    virtual clock), so profiling overhead in simulated cost is 0.
 //! 2. **Shard invariance** — the canonical trace hash (`TRACE_SHA256`)
 //!    is identical at every shard count for a given backend.
-//! 3. **Backend-internal invariance** — the eBPF canonical hash is
-//!    identical under the interpreter and the JIT identity transform.
+//! 3. **Lane invariance** — each bytecode backend's canonical hash is
+//!    identical under its interpreter and its JIT lane, and the JIT lane
+//!    has zero observer effect too.
 //!
 //! `--smoke` runs a reduced configuration and prints `TRACE_SHA256`
 //! lines for CI to double-run and compare byte-for-byte.
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
+use analysis::json::Obj;
 use analysis::profile::Profile;
-use bench::dispatch::{make_packets, run_batched, Backend, DispatchConfig, DispatchReport};
+use bench::cli;
+use bench::dispatch::{make_packets, run_batched, DispatchConfig, DispatchStats};
+use bench::engine::RunReport;
+use bench::Lane;
 use kernel_sim::trace::TraceEvent;
-use signing::sha256;
 
 const SEED: u64 = 42;
 const FULL_BATCH: usize = 4096;
@@ -35,205 +37,161 @@ const SMOKE_BATCH: usize = 256;
 const FULL_SHARDS: [usize; 4] = [1, 2, 4, 8];
 const SMOKE_SHARDS: [usize; 2] = [1, 2];
 
-fn trace_sha256(report: &DispatchReport) -> String {
-    sha256::to_hex(&sha256::digest(report.canonical_trace.as_bytes()))
-}
-
+/// One traced configuration of the sweep.
 struct Row {
-    backend: &'static str,
+    lane: Lane,
     shards: usize,
-    packets: u64,
-    sim_elapsed_ns: u64,
-    trace_events: usize,
-    trace_sha256: String,
+    report: RunReport<DispatchStats>,
     profile: Profile,
+    trace_events: usize,
 }
 
-/// Runs one configuration untraced and traced, asserting the zero
-/// observer effect, and returns the traced report.
-fn run_traced(backend: Backend, shards: usize, jit: bool, batch: &[Vec<u8>]) -> DispatchReport {
-    let untraced = run_batched(
-        backend,
-        &DispatchConfig {
-            shards,
-            seed: SEED,
-            jit,
-            ..Default::default()
-        },
-        batch,
-    )
-    .expect("dispatch");
-    let traced = run_batched(
-        backend,
-        &DispatchConfig {
-            shards,
-            seed: SEED,
-            jit,
-            trace: true,
-            ..Default::default()
-        },
-        batch,
-    )
-    .expect("dispatch");
-    if traced.sim_elapsed_ns != untraced.sim_elapsed_ns {
-        eprintln!(
-            "FAIL: tracing perturbed simulated cost for backend={} shards={shards}: \
-             untraced {} ns, traced {} ns",
-            backend.name(),
-            untraced.sim_elapsed_ns,
-            traced.sim_elapsed_ns
-        );
-        std::process::exit(1);
+fn config(shards: usize, trace: bool) -> DispatchConfig {
+    DispatchConfig {
+        shards,
+        seed: SEED,
+        trace,
+        ..Default::default()
     }
-    if traced.merged_fingerprint != untraced.merged_fingerprint {
-        eprintln!(
-            "FAIL: tracing perturbed the merged audit for backend={} shards={shards}",
-            backend.name()
-        );
-        std::process::exit(1);
+}
+
+/// Fails unless `traced` matches an untraced run of `lane` at `shards` in
+/// simulated cost and merged audit: the zero observer effect.
+fn check_unperturbed(
+    lane: Lane,
+    shards: usize,
+    traced: &RunReport<DispatchStats>,
+    batch: &[Vec<u8>],
+) {
+    let what = format!("lane={lane:?} shards={shards}");
+    let untraced = cli::ok(run_batched(lane, &config(shards, false), batch), &what);
+    if traced.sim_elapsed_ns != untraced.sim_elapsed_ns
+        || traced.merged_fingerprint != untraced.merged_fingerprint
+    {
+        cli::fail(&format!(
+            "tracing perturbed simulated cost or audit for {what}"
+        ));
     }
-    traced
 }
 
-fn fold(report: &DispatchReport) -> (Profile, usize) {
-    let tagged: Vec<(usize, Vec<TraceEvent>)> = report
-        .shards
-        .iter()
-        .map(|s| (s.shard, s.trace.clone()))
-        .collect();
-    let events = tagged.iter().map(|(_, t)| t.len()).sum();
-    (Profile::fold_shards(&tagged), events)
-}
-
-/// Runs `backend` across `shard_counts`, asserting the canonical hash is
-/// shard-count invariant; returns one row per shard count.
-fn sweep(backend: Backend, shard_counts: &[usize], batch: &[Vec<u8>]) -> Vec<Row> {
+/// Runs `lane` traced across `shard_counts` (each twice; the canonical
+/// trace must not vary with shard count), checks the zero observer effect
+/// against an untraced run and, for a bytecode lane, the same canonical
+/// trace and zero observer effect under its JIT twin. One row per shard
+/// count.
+fn sweep(lane: Lane, shard_counts: &[usize], batch: &[Vec<u8>]) -> Vec<Row> {
+    let what = format!("backend={}", lane.backend());
+    let runs = cli::sweep(&what, shard_counts, |n| {
+        run_batched(lane, &config(n, true), batch)
+    });
     let mut rows = Vec::new();
-    let mut canonical: Option<String> = None;
-    for &shards in shard_counts {
-        let report = run_traced(backend, shards, false, batch);
-        let hash = trace_sha256(&report);
-        match &canonical {
-            None => canonical = Some(hash.clone()),
-            Some(expect) if *expect != hash => {
-                eprintln!(
-                    "FAIL: canonical trace hash varies with shard count for backend={}: \
-                     {expect} at {} shard(s) vs {hash} at {shards}",
-                    backend.name(),
-                    shard_counts[0]
-                );
-                std::process::exit(1);
-            }
-            Some(_) => {}
-        }
-        let (profile, events) = fold(&report);
+    for (&shards, [report, _]) in shard_counts.iter().zip(runs) {
+        check_unperturbed(lane, shards, &report, batch);
+        let tagged: Vec<(usize, Vec<TraceEvent>)> = report
+            .shards
+            .iter()
+            .map(|s| (s.shard, s.trace.clone()))
+            .collect();
         rows.push(Row {
-            backend: backend.name(),
+            lane,
             shards,
-            packets: report.packets(),
-            sim_elapsed_ns: report.sim_elapsed_ns,
-            trace_events: events,
-            trace_sha256: hash,
-            profile,
+            profile: Profile::fold_shards(&tagged),
+            trace_events: tagged.iter().map(|(_, t)| t.len()).sum(),
+            report,
         });
     }
     // Interpreter vs JIT: the identity transform must not move a single
-    // canonical trace line. Both compiled lanes (verified eBPF and the
-    // sandboxed dialect) carry this contract.
-    if matches!(backend, Backend::Ebpf | Backend::Sandbox) {
-        let jit = run_traced(backend, shard_counts[0], true, batch);
-        let jit_hash = trace_sha256(&jit);
-        if Some(&jit_hash) != canonical.as_ref() {
-            eprintln!(
-                "FAIL: canonical trace hash differs between interpreter and JIT: \
-                 {} vs {jit_hash}",
-                canonical.unwrap_or_default()
-            );
-            std::process::exit(1);
+    // canonical trace line.
+    if let Some(jit) = lane.jit() {
+        let compiled = cli::ok(
+            run_batched(jit, &config(shard_counts[0], true), batch),
+            &what,
+        );
+        if compiled.canonical_trace != rows[0].report.canonical_trace {
+            cli::fail(&format!(
+                "canonical trace differs between {lane:?} and {jit:?}"
+            ));
         }
+        check_unperturbed(jit, shard_counts[0], &compiled, batch);
+    }
+    for r in &rows {
+        println!(
+            "TRACE_SHA256 backend={} shards={} {}",
+            lane.backend(),
+            r.shards,
+            r.report.trace_sha256()
+        );
     }
     rows
 }
 
-fn write_reports(rows: &[Row], batch: usize, out: &str) {
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"seed\": {SEED},");
-    let _ = writeln!(json, "  \"batch\": {batch},");
-    json.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"backend\": \"{}\", \"shards\": {}, \"packets\": {}, \"sim_elapsed_ns\": {}, \"trace_events\": {}, \"trace_sha256\": \"{}\", \"stages\": [",
-            r.backend, r.shards, r.packets, r.sim_elapsed_ns, r.trace_events, r.trace_sha256
-        );
-        for (j, (label, cost)) in r.profile.stages.iter().enumerate() {
-            let _ = write!(
-                json,
-                "{}{{\"stage\": \"{label}\", \"count\": {}, \"total_ns\": {}, \"self_ns\": {}}}",
-                if j == 0 { "" } else { ", " },
-                cost.count,
-                cost.total_ns,
-                cost.self_ns
-            );
-        }
-        json.push_str("]}");
-        json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(out, json).unwrap_or_else(|e| panic!("write {out}: {e}"));
+fn write_reports(rows: &[Row], out: &str) {
+    let objs: Vec<Obj> = rows
+        .iter()
+        .map(|r| {
+            let stages: Vec<Obj> = r
+                .profile
+                .stages
+                .iter()
+                .map(|(label, cost)| {
+                    Obj::new()
+                        .str("stage", label)
+                        .num("count", cost.count)
+                        .num("total_ns", cost.total_ns)
+                        .num("self_ns", cost.self_ns)
+                })
+                .collect();
+            Obj::new()
+                .str("backend", r.lane.backend())
+                .num("shards", r.shards)
+                .num("packets", r.report.items())
+                .num("sim_elapsed_ns", r.report.sim_elapsed_ns)
+                .num("trace_events", r.trace_events)
+                .str("trace_sha256", &r.report.trace_sha256())
+                .objs("stages", &stages)
+        })
+        .collect();
+    let header = Obj::new().num("seed", SEED).num("batch", FULL_BATCH);
+    cli::write_report(out, &header, "rows", &objs);
 
     // Flamegraph collapsed stacks for the 1-shard run of each backend,
-    // frames prefixed with the backend so both fit one flamegraph.
+    // frames prefixed with the backend so all fit one flamegraph.
     let flame_path = format!("{}_flame.txt", out.strip_suffix(".json").unwrap_or(out));
     let mut flame = String::new();
     for r in rows.iter().filter(|r| r.shards == 1) {
         for line in r.profile.render_collapsed().lines() {
-            let _ = writeln!(flame, "{};{line}", r.backend);
+            let _ = writeln!(flame, "{};{line}", r.lane.backend());
         }
     }
     std::fs::write(&flame_path, flame).unwrap_or_else(|e| panic!("write {flame_path}: {e}"));
-    println!("wrote {out} ({} rows) and {flame_path}", rows.len());
+    println!("wrote {flame_path}");
 }
 
 fn full(out: &str) {
     let batch = make_packets(FULL_BATCH);
-    let started = Instant::now();
     let mut rows = Vec::new();
-    for backend in Backend::ALL {
-        let swept = sweep(backend, &FULL_SHARDS, &batch);
+    for lane in Lane::INTERP {
+        let swept = sweep(lane, &FULL_SHARDS, &batch);
         println!(
             "== {} (1 shard, {} packets, {} trace events) ==\n{}",
-            backend.name(),
-            swept[0].packets,
+            lane.backend(),
+            swept[0].report.items(),
             swept[0].trace_events,
             swept[0].profile.render_table()
         );
-        for r in &swept {
-            println!(
-                "TRACE_SHA256 backend={} shards={} {}",
-                r.backend, r.shards, r.trace_sha256
-            );
-        }
         rows.extend(swept);
     }
-    write_reports(&rows, FULL_BATCH, out);
+    write_reports(&rows, out);
     println!(
-        "profile: {} configurations in {:.1}s (overhead 0 ns by construction, asserted)",
-        rows.len(),
-        started.elapsed().as_secs_f64()
+        "profile: {} configurations (overhead 0 ns by construction, asserted)",
+        rows.len()
     );
 }
 
 fn smoke() {
     let batch = make_packets(SMOKE_BATCH);
-    for backend in Backend::ALL {
-        for r in sweep(backend, &SMOKE_SHARDS, &batch) {
-            println!(
-                "TRACE_SHA256 backend={} shards={} {}",
-                r.backend, r.shards, r.trace_sha256
-            );
-        }
+    for lane in Lane::INTERP {
+        sweep(lane, &SMOKE_SHARDS, &batch);
     }
     println!(
         "profile smoke OK ({SMOKE_BATCH} packets, shard-invariant, jit-invariant, 0 overhead)"
@@ -241,23 +199,5 @@ fn smoke() {
 }
 
 fn main() {
-    let mut smoke_mode = false;
-    let mut out = "BENCH_profile.json".to_string();
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => smoke_mode = true,
-            "--out" => out = it.next().expect("--out requires a value"),
-            other => {
-                eprintln!("profile: unknown argument {other}");
-                eprintln!("usage: profile [--smoke] [--out <path>]");
-                std::process::exit(2);
-            }
-        }
-    }
-    if smoke_mode {
-        smoke();
-    } else {
-        full(&out);
-    }
+    cli::main("profile", "BENCH_profile.json", Some(smoke), full);
 }

@@ -1,10 +1,10 @@
 //! Sharded-dispatch throughput benchmark.
 //!
-//! Drives a fixed deterministic packet batch through the sharded dispatch
-//! engine at 1/2/4/8 shards for all three backends (eBPF compiled lane,
-//! safe-ext runtime, SFI sandbox), verifies every configuration replays with a
-//! byte-identical merged audit stream, and writes the results to
-//! `BENCH_throughput.json` in the repository root.
+//! Drives a fixed deterministic packet batch through the dispatch
+//! scenario at 1/2/4/8 shards for all three backends (eBPF compiled lane,
+//! safe-ext runtime, SFI sandbox compiled lane), verifies every
+//! configuration replays with a byte-identical merged audit stream, and
+//! writes the results to `BENCH_throughput.json` in the repository root.
 //!
 //! Scaling is reported twice:
 //!
@@ -16,250 +16,134 @@
 //!   provides a single core (where wall-clock cannot). Host wall-clock
 //!   is recorded alongside for reference (`host_wall_pps`).
 //!
-//! The eBPF rows run the compiled lane (`Vm::load_jit`); it is
-//! observationally identical to the interpreter, so the merged audit
-//! hashes must not move when toggling it.
+//! The compiled lanes are observationally identical to their
+//! interpreters, so the merged audit hashes must not move between them.
 //!
 //! `--smoke` runs a reduced configuration (2 shards, small batch, all
 //! backends, two runs each) for CI: it prints the merged-audit SHA-256 of
 //! each run and exits nonzero if the two same-seed runs diverge.
 
-use std::fmt::Write as _;
-use std::time::Instant;
-
-use bench::dispatch::{make_packets, run_batched, Backend, DispatchConfig, DispatchReport};
-use signing::sha256;
+use analysis::json::Obj;
+use bench::cli;
+use bench::dispatch::{make_packets, run_batched, DispatchConfig, DispatchStats};
+use bench::engine::RunReport;
+use bench::Lane;
 
 const SEED: u64 = 42;
 const FULL_BATCH: usize = 20_000;
 const SMOKE_BATCH: usize = 512;
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-fn audit_sha256(report: &DispatchReport) -> String {
-    sha256::to_hex(&sha256::digest(report.merged_fingerprint.as_bytes()))
-}
-
-struct Row {
-    backend: &'static str,
-    shards: usize,
-    packets: u64,
-    sim_elapsed_ns: u64,
-    sim_pps: f64,
-    speedup: f64,
-    host_elapsed_ns: u64,
-    host_wall_pps: f64,
-    host_cpu_ns: u64,
-    host_pps: f64,
-    audit_sha256: String,
-    helper_calls: u64,
-    run_cost_mean: u64,
-    run_cost_p99: u64,
-}
-
-/// Runs one configuration twice; returns the faster run plus its audit
-/// hash, aborting if the two same-seed runs diverge.
-fn run_config(backend: Backend, shards: usize, batch: &[Vec<u8>]) -> (DispatchReport, String) {
-    let cfg = DispatchConfig {
-        shards,
-        seed: SEED,
-        // eBPF and sandbox run the compiled lane; audit bytes must not
-        // move relative to their interpreters.
-        jit: matches!(backend, Backend::Ebpf | Backend::Sandbox),
-        ..Default::default()
-    };
-    let first = run_batched(backend, &cfg, batch).expect("dispatch");
-    let second = run_batched(backend, &cfg, batch).expect("dispatch");
-    if first.merged_fingerprint != second.merged_fingerprint {
-        eprintln!(
-            "FAIL: nondeterministic merged audit for backend={} shards={shards}",
-            backend.name()
-        );
-        std::process::exit(1);
-    }
-    let hash = audit_sha256(&first);
-    // Keep the run with the lower host critical path: host_cpu_ns is
-    // the gated capacity metric, so report its best observation.
-    let best = if second.host_cpu_ns < first.host_cpu_ns {
-        second
-    } else {
-        first
-    };
-    (best, hash)
+/// Sweeps one lane over `shard_counts`, each run twice.
+fn sweep(
+    lane: Lane,
+    shard_counts: &[usize],
+    batch: &[Vec<u8>],
+) -> Vec<[RunReport<DispatchStats>; 2]> {
+    cli::sweep(
+        &format!("backend={}", lane.backend()),
+        shard_counts,
+        |shards| {
+            let cfg = DispatchConfig {
+                shards,
+                seed: SEED,
+                ..Default::default()
+            };
+            run_batched(lane, &cfg, batch)
+        },
+    )
 }
 
 fn full(out: &str) {
     let batch = make_packets(FULL_BATCH);
-    let started = Instant::now();
-    let mut rows: Vec<Row> = Vec::new();
-
-    for backend in Backend::ALL {
-        let mut base_sim_pps = 0.0f64;
-        for shards in SHARD_COUNTS {
-            let (report, hash) = run_config(backend, shards, &batch);
-            assert_eq!(report.packets(), FULL_BATCH as u64);
-            assert_eq!(report.errors(), 0, "clean run expected without faults");
-            let sim_pps = report.packets_per_sim_sec();
-            if shards == 1 {
-                base_sim_pps = sim_pps;
-            }
+    let mut rows = Vec::new();
+    let mut failures = Vec::new();
+    for lane in Lane::FASTEST {
+        let runs = sweep(lane, &SHARD_COUNTS, &batch);
+        let base_sim_pps = runs[0][0].per_sim_sec(FULL_BATCH as u64);
+        let mut host_pps = Vec::new();
+        for (shards, [report, _]) in SHARD_COUNTS.into_iter().zip(&runs) {
+            let packets = report.items();
+            assert_eq!(packets, FULL_BATCH as u64);
+            assert_eq!(report.stats.errors, 0, "clean run expected without faults");
             // Speedup is measured in simulated time: each shard runs on
             // its own simulated CPU, so the batch completes when the
-            // busiest shard's virtual clock does. Host wall-clock is
-            // recorded alongside but depends on the host's core count.
+            // busiest shard's virtual clock does.
+            let sim_pps = report.per_sim_sec(packets);
             let speedup = if base_sim_pps > 0.0 {
                 sim_pps / base_sim_pps
             } else {
                 0.0
             };
-            println!(
-                "{:>8} shards={} packets={} sim={:.2}ms sim_pps={:.0} speedup={:.2}x host_cpu={:.2}ms host_pps={:.0} wall={:.2}ms",
-                backend.name(),
-                shards,
-                report.packets(),
-                report.sim_elapsed_ns as f64 / 1e6,
-                sim_pps,
-                speedup,
-                report.host_cpu_ns as f64 / 1e6,
-                report.packets_per_host_cpu_sec(),
-                report.elapsed_ns as f64 / 1e6,
-            );
-            rows.push(Row {
-                backend: backend.name(),
-                shards,
-                packets: report.packets(),
-                sim_elapsed_ns: report.sim_elapsed_ns,
-                sim_pps,
-                speedup,
-                host_elapsed_ns: report.elapsed_ns,
-                host_wall_pps: report.packets_per_sec(),
-                host_cpu_ns: report.host_cpu_ns,
-                host_pps: report.packets_per_host_cpu_sec(),
-                audit_sha256: hash,
-                helper_calls: report.metrics.helper_calls,
-                run_cost_mean: report.metrics.run_cost.mean(),
-                run_cost_p99: report.metrics.run_cost.percentile(99),
-            });
+            // The acceptance bar: every multi-shard configuration beats
+            // its backend's 1-shard baseline in simulated time.
+            if shards > 1 && speedup <= 1.0 {
+                failures.push(format!(
+                    "{} at {shards} shards did not beat its 1-shard baseline",
+                    lane.backend()
+                ));
+            }
+            host_pps.push(report.per_host_cpu_sec(packets));
+            let m = &report.metrics;
+            rows.push(cli::progress(
+                Obj::new()
+                    .str("backend", lane.backend())
+                    .num("shards", shards)
+                    .num("packets", packets)
+                    .num("sim_elapsed_ns", report.sim_elapsed_ns)
+                    .fixed("sim_pps", sim_pps, 0)
+                    .fixed("speedup_vs_1shard", speedup, 3)
+                    .num("host_elapsed_ns", report.elapsed_ns)
+                    .fixed("host_wall_pps", report.per_wall_sec(packets), 0)
+                    .num("host_cpu_ns", report.host_cpu_ns)
+                    .fixed("host_pps", report.per_host_cpu_sec(packets), 0)
+                    .str("merged_audit_sha256", &report.audit_sha256())
+                    .num("helper_calls", m.helper_calls)
+                    .num("run_cost_mean", m.run_cost.mean())
+                    .num("run_cost_p99", m.run_cost.percentile(99)),
+            ));
+        }
+        // Host capacity must scale too: host_pps strictly increasing in
+        // shard count within one run of this binary. Thread-CPU time is
+        // stable enough for this whenever sharding divides the work.
+        if host_pps.windows(2).any(|w| w[1] <= w[0]) {
+            failures.push(format!(
+                "host_pps not monotonically increasing for {}: {host_pps:?}",
+                lane.backend()
+            ));
         }
     }
-
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"seed\": {SEED},");
-    let _ = writeln!(json, "  \"batch\": {FULL_BATCH},");
-    json.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"backend\": \"{}\", \"shards\": {}, \"packets\": {}, \"sim_elapsed_ns\": {}, \"sim_pps\": {:.0}, \"speedup_vs_1shard\": {:.3}, \"host_elapsed_ns\": {}, \"host_wall_pps\": {:.0}, \"host_cpu_ns\": {}, \"host_pps\": {:.0}, \"merged_audit_sha256\": \"{}\", \"helper_calls\": {}, \"run_cost_mean\": {}, \"run_cost_p99\": {}}}",
-            r.backend,
-            r.shards,
-            r.packets,
-            r.sim_elapsed_ns,
-            r.sim_pps,
-            r.speedup,
-            r.host_elapsed_ns,
-            r.host_wall_pps,
-            r.host_cpu_ns,
-            r.host_pps,
-            r.audit_sha256,
-            r.helper_calls,
-            r.run_cost_mean,
-            r.run_cost_p99
-        );
-        json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(out, json).unwrap_or_else(|e| panic!("write {out}: {e}"));
-    println!(
-        "wrote {out} ({} rows) in {:.1}s",
-        rows.len(),
-        started.elapsed().as_secs_f64()
-    );
-
-    // The acceptance bar: every multi-shard configuration must beat the
-    // 1-shard baseline of its backend in simulated time.
-    let scaled = rows.iter().all(|r| r.shards == 1 || r.speedup > 1.0);
-    if !scaled {
-        eprintln!("FAIL: a multi-shard configuration did not beat its 1-shard baseline");
-        std::process::exit(1);
-    }
-    // And host capacity must scale too: host_pps strictly increasing in
-    // shard count within each backend. Thread-CPU time is stable enough
-    // for this to hold whenever sharding genuinely divides the work.
-    for backend in ["ebpf", "safe-ext", "sandbox"] {
-        let pps: Vec<f64> = rows
-            .iter()
-            .filter(|r| r.backend == backend)
-            .map(|r| r.host_pps)
-            .collect();
-        if pps.windows(2).any(|w| w[1] <= w[0]) {
-            eprintln!("FAIL: host_pps not monotonically increasing for {backend}: {pps:?}");
-            std::process::exit(1);
-        }
+    let header = Obj::new().num("seed", SEED).num("batch", FULL_BATCH);
+    cli::write_report(out, &header, "rows", &rows);
+    if !failures.is_empty() {
+        cli::fail(&failures.join("; "));
     }
 }
 
 fn smoke() {
     let batch = make_packets(SMOKE_BATCH);
-    let mut failed = false;
-    for backend in Backend::ALL {
-        let cfg = DispatchConfig {
-            shards: 2,
-            seed: SEED,
-            jit: matches!(backend, Backend::Ebpf | Backend::Sandbox),
-            ..Default::default()
-        };
-        let a = run_batched(backend, &cfg, &batch).expect("dispatch");
-        let b = run_batched(backend, &cfg, &batch).expect("dispatch");
-        let (ha, hb) = (audit_sha256(&a), audit_sha256(&b));
-        println!(
-            "MERGED_AUDIT_SHA256 backend={} shards=2 {ha}",
-            backend.name()
-        );
-        println!(
-            "MERGED_AUDIT_SHA256 backend={} shards=2 {hb}",
-            backend.name()
-        );
-        if ha != hb {
-            eprintln!(
-                "FAIL: nondeterministic merged audit for backend={} shards=2",
-                backend.name()
+    for lane in Lane::FASTEST {
+        for report in &sweep(lane, &[2], &batch)[0] {
+            println!(
+                "MERGED_AUDIT_SHA256 backend={} shards=2 {}",
+                lane.backend(),
+                report.audit_sha256()
             );
-            failed = true;
-        }
-        if a.packets() != SMOKE_BATCH as u64 {
-            eprintln!(
-                "FAIL: backend={} processed {} of {SMOKE_BATCH} packets",
-                backend.name(),
-                a.packets()
-            );
-            failed = true;
-        }
-    }
-    if failed {
-        std::process::exit(1);
-    }
-    println!("throughput smoke OK ({SMOKE_BATCH} packets x 3 backends x 2 runs)");
-}
-
-fn main() {
-    let mut smoke_mode = false;
-    let mut out = "BENCH_throughput.json".to_string();
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => smoke_mode = true,
-            "--out" => out = it.next().expect("--out requires a value"),
-            other => {
-                eprintln!("throughput: unknown argument {other}");
-                eprintln!("usage: throughput [--smoke] [--out <path>]");
-                std::process::exit(2);
+            if report.items() != SMOKE_BATCH as u64 {
+                cli::fail(&format!(
+                    "backend={} processed {} of {SMOKE_BATCH} packets",
+                    lane.backend(),
+                    report.items()
+                ));
             }
         }
     }
-    if smoke_mode {
-        smoke();
-    } else {
-        full(&out);
-    }
+    println!(
+        "throughput smoke OK ({SMOKE_BATCH} packets x {} backends x 2 runs)",
+        Lane::FASTEST.len()
+    );
+}
+
+fn main() {
+    cli::main("throughput", "BENCH_throughput.json", Some(smoke), full);
 }

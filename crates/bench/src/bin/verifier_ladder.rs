@@ -9,24 +9,15 @@
 //! the program families and artifact bytes, so the CI regress stage
 //! holds them to ±10%.
 
-use std::fmt::Write as _;
-
+use analysis::json::Obj;
+use bench::cli;
 use bench::ladder::run_ladder;
 
 fn main() {
-    let mut out = "BENCH_verifier.json".to_string();
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--out" => out = it.next().expect("--out requires a value"),
-            other => {
-                eprintln!("verifier_ladder: unknown argument {other}");
-                eprintln!("usage: verifier_ladder [--out <path>]");
-                std::process::exit(2);
-            }
-        }
-    }
+    cli::main("verifier_ladder", "BENCH_verifier.json", None, full);
+}
 
+fn full(out: &str) {
     let rows = run_ladder();
     for r in &rows {
         println!(
@@ -36,30 +27,24 @@ fn main() {
             r.sandbox_aborted,
         );
     }
-
-    let mut json = String::new();
-    json.push_str("{\n  \"ladder\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"feature\": \"{}\", \"programs\": {}, \"accepted\": {}, \"rejected\": {}, \"states_explored\": {}, \"insns_processed\": {}, \"reject_rate\": {:.4}, \"verify_sim_ns\": {}, \"safe_ext_load_sim_ns\": {}, \"sandbox_load_sim_ns\": {}, \"sandbox_ok\": {}, \"sandbox_trapped\": {}, \"sandbox_aborted\": {}}}",
-            r.feature,
-            r.programs,
-            r.accepted,
-            r.rejected,
-            r.states_explored,
-            r.insns_processed,
-            r.reject_rate,
-            r.verify_sim_ns,
-            r.safe_ext_load_sim_ns,
-            r.sandbox_load_sim_ns,
-            r.sandbox_ok,
-            r.sandbox_trapped,
-            r.sandbox_aborted
-        );
-        json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(&out, json).unwrap_or_else(|e| panic!("write {out}: {e}"));
-    println!("wrote {out} ({} rows)", rows.len());
+    let objs: Vec<Obj> = rows
+        .iter()
+        .map(|r| {
+            Obj::new()
+                .str("feature", r.feature)
+                .num("programs", r.programs)
+                .num("accepted", r.accepted)
+                .num("rejected", r.rejected)
+                .num("states_explored", r.states_explored)
+                .num("insns_processed", r.insns_processed)
+                .fixed("reject_rate", r.reject_rate, 4)
+                .num("verify_sim_ns", r.verify_sim_ns)
+                .num("safe_ext_load_sim_ns", r.safe_ext_load_sim_ns)
+                .num("sandbox_load_sim_ns", r.sandbox_load_sim_ns)
+                .num("sandbox_ok", r.sandbox_ok)
+                .num("sandbox_trapped", r.sandbox_trapped)
+                .num("sandbox_aborted", r.sandbox_aborted)
+        })
+        .collect();
+    cli::write_report(out, &Obj::new(), "ladder", &objs);
 }

@@ -1,6 +1,6 @@
 //! Control-plane churn under traffic: the multi-tenant benchmark.
 //!
-//! Every other engine in this crate loads one program and feeds it
+//! The dispatch and net scenarios load one program per shard and feed it
 //! packets. This one exercises the [`tenancy`] control plane the way the
 //! paper's fleet argument says production does: hundreds of tenants stay
 //! attached while packets flow, and interleaved with the packet stream the
@@ -16,96 +16,42 @@
 //! (`idx|P|tenant|verdict|cost_ns`) and one per control-plane event
 //! (`idx|E|tenant|kind|outcome`), sorted by global index with events
 //! ordering before the same-index packet. Its SHA-256 is byte-identical
-//! at any shard count, storm armed or not, because every source of
-//! nondeterminism is pinned:
+//! at any shard count, storm armed or not: tenant steering and per-item
+//! fault plans ([`crate::fleet`]) pin every source of nondeterminism, and
+//! `cost_ns` is the virtual-clock advance across one run, which depends
+//! only on that run's execution path.
 //!
-//! - **Tenant steering.** Packets *and* churn events route to
-//!   `shard = mix(tenant) % shards`, so each tenant's state machine
-//!   (attachment version, breaker counters, probe cadence, map contents)
-//!   sees exactly the same global-order subsequence at any shard count.
-//! - **Per-item fault plans.** When the storm is armed, every item re-arms
-//!   a fresh [`FaultPlan`] seeded by its global index — injection
-//!   decisions are a pure function of `(seed, idx)`, never of what else
-//!   shares the shard.
-//! - **Costs are deltas.** `cost_ns` is the virtual-clock advance across
-//!   one run, which depends only on that run's execution path.
-//!
-//! The merged audit fingerprint is *replay* determinism only (same config
-//! twice → same bytes); it legitimately differs across shard counts, as
-//! in [`crate::dispatch`].
-
-use std::time::Instant;
+//! The merged audit fingerprint is replay determinism only (same config
+//! twice → same bytes); it legitimately differs across shard counts.
 
 use ebpf::asm::Asm;
-use ebpf::helpers::{self, HelperRegistry};
+use ebpf::helpers;
 use ebpf::insn::*;
-use ebpf::maps::{MapDef, MapFd, MapRegistry};
+use ebpf::maps::{MapDef, MapError, MapFd};
 use ebpf::program::{ProgType, Program};
-use kernel_sim::audit::{merged_fingerprint, AuditEvent, EventKind};
-use kernel_sim::percpu::CpuInfo;
-use kernel_sim::{FaultPlan, FaultPlanConfig, HistSketch, HistSnapshot, Kernel, MetricsSnapshot};
 use safe_ext::Extension;
-use signing::sha256;
-use tenancy::{
-    storm_fault_config, ProgramSpec, RunVerdict, Storm, TenantBudget, TenantId, TenantRegistry,
-};
+use tenancy::{HookInput, TenantId, TenantRegistry};
 
-use crate::dispatch::{make_packets, run_sharded, splitmix64, Backend, DispatchError};
-use crate::hostclock::thread_cpu_ns;
-use crate::spsc;
+use crate::dispatch::make_packets;
+use crate::engine::{splitmix64, Record, Scenario, Shard, ShardOut};
+use crate::fleet::{tenant_of, tenant_shard, Fleet, FleetShard, FleetStats};
+use crate::Lane;
 
 /// The single attachment point every tenant uses.
 pub const POINT: &str = "pkt";
 
+/// Gives the churn storm its own victim draw.
+pub const STORM_SALT: u64 = 0x5707_6d5a_1f5c_3a11;
+
 /// Churn benchmark configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct ChurnConfig {
-    /// Worker shards (1 = the sequential baseline).
-    pub shards: usize,
-    /// Master seed: tenant assignment, churn schedule, storm selection,
-    /// and fault plans all derive from it.
-    pub seed: u64,
-    /// Concurrently loaded tenants (each holds one map + one program).
-    pub tenants: u32,
-    /// Packets in the batch.
-    pub packets: u64,
+    /// The fleet; its items are the packets in the batch, and each tenant
+    /// holds one map and one program.
+    pub fleet: Fleet,
     /// One control-plane event fires before every `churn_every`-th packet
     /// (0 disables churn).
     pub churn_every: u64,
-    /// Arm the seeded quarantine storm.
-    pub storm_armed: bool,
-    /// How many victim tenants the storm picks.
-    pub storm_victims: u32,
-}
-
-impl ChurnConfig {
-    /// The storm's packet-index window: the middle half of the batch, so
-    /// victims demonstrably serve before it and recover after it.
-    pub fn storm_window(&self) -> (u64, u64) {
-        (self.packets / 4, self.packets - self.packets / 4)
-    }
-
-    /// The armed storm, if any.
-    pub fn storm(&self) -> Option<Storm> {
-        self.storm_armed.then(|| {
-            Storm::seeded(
-                self.seed ^ 0x5707_6d5a_1f5c_3a11,
-                self.tenants,
-                self.storm_victims,
-                self.storm_window(),
-            )
-        })
-    }
-}
-
-/// The tenant packet `idx` belongs to: a pure function of `(seed, idx)`.
-pub fn tenant_of(seed: u64, idx: u64, tenants: u32) -> TenantId {
-    (splitmix64(seed ^ idx.wrapping_mul(0x2545_f491_4f6c_dd1d)) % tenants.max(1) as u64) as TenantId
-}
-
-/// The shard a tenant (and everything belonging to it) is steered to.
-pub fn tenant_shard(tenant: TenantId, shards: usize) -> usize {
-    (splitmix64(0xc2b2_ae3d_27d4_eb4f ^ tenant as u64) % shards.max(1) as u64) as usize
 }
 
 /// What a control-plane event does to its tenant.
@@ -149,12 +95,16 @@ pub fn churn_schedule(cfg: &ChurnConfig) -> Vec<ChurnEvent> {
     let mut k = 0u64;
     loop {
         let idx = (k + 1) * cfg.churn_every;
-        if idx >= cfg.packets {
+        if idx >= cfg.fleet.items {
             return out;
         }
         out.push(ChurnEvent {
             idx,
-            tenant: tenant_of(cfg.seed ^ 0x94d0_49bb_1331_11eb, idx, cfg.tenants),
+            tenant: tenant_of(
+                cfg.fleet.seed ^ 0x94d0_49bb_1331_11eb,
+                idx,
+                cfg.fleet.tenants,
+            ),
             kind: if k % 3 == 2 {
                 ChurnKind::Reload
             } else {
@@ -170,21 +120,18 @@ fn item_fault_seed(seed: u64, idx: u64) -> u64 {
     splitmix64(seed ^ idx.wrapping_mul(0xd6e8_feb8_6659_fd93) ^ 0x165a_15c4_0e3b_7bed)
 }
 
-/// One canonical-log record, tagged for the cross-shard merge sort.
-struct ChurnRecord {
-    idx: u64,
-    /// Events sort before the same-index packet.
-    is_packet: bool,
-    verdict: Option<RunVerdict>,
-    line: String,
-}
-
-enum ChurnItem {
+/// One unit of churn work.
+pub enum ChurnItem {
+    /// A packet for `tenant`.
     Packet {
+        /// Global packet index.
         idx: u64,
+        /// The tenant it belongs to.
         tenant: TenantId,
+        /// The payload.
         payload: Vec<u8>,
     },
+    /// A control-plane event.
     Event(ChurnEvent),
 }
 
@@ -231,373 +178,173 @@ fn counter_ext(tenant: TenantId, fd: MapFd, version: u32) -> Extension {
     )
 }
 
-fn spec_for(backend: Backend, tenant: TenantId, fd: MapFd, version: u32) -> ProgramSpec {
-    match backend {
-        Backend::Ebpf => ProgramSpec::Ebpf(counter_prog(fd, version)),
-        Backend::SafeExt => ProgramSpec::Safe(counter_ext(tenant, fd, version)),
-        // The same bytecode as the verified lane, loaded unverified into
-        // the tenant's SFI domain.
-        Backend::Sandbox => ProgramSpec::Sandbox(counter_prog(fd, version)),
-    }
-}
-
 /// Creates a resident tenant's counter map and attaches its v1 program.
-fn setup_tenant(reg: &mut TenantRegistry<'_>, backend: Backend, tenant: TenantId) -> MapFd {
+fn setup_tenant(reg: &mut TenantRegistry<'_>, lane: Lane, tenant: TenantId) -> MapFd {
     let fd = reg
         .create_map(tenant, MapDef::array(&format!("ctr{tenant}"), 8, 4))
         .expect("tenant counter map fits the budget");
-    reg.attach(tenant, POINT, spec_for(backend, tenant, fd, 1))
-        .expect("v1 attach");
+    let spec = lane.spec(|| counter_prog(fd, 1), || counter_ext(tenant, fd, 1));
+    reg.attach(tenant, POINT, spec).expect("v1 attach");
     fd
 }
 
-struct ChurnShardReport {
-    records: Vec<ChurnRecord>,
-    audit: Vec<AuditEvent>,
-    metrics: MetricsSnapshot,
-    cost: HistSnapshot,
-    attached: u64,
-    upgrades: u64,
-    reloads: u64,
-    injected: u64,
-    sim_ns: u64,
-    host_cpu_ns: u64,
-}
+impl Scenario for ChurnConfig {
+    type Item = ChurnItem;
+    type Stats = FleetStats;
 
-fn run_churn_shard(
-    backend: Backend,
-    cfg: &ChurnConfig,
-    storm: &Option<Storm>,
-    shard: usize,
-    rx: spsc::Consumer<ChurnItem>,
-) -> ChurnShardReport {
-    let cpu_t0 = thread_cpu_ns();
-    let kernel = Kernel::with_topology(CpuInfo::pinned(cfg.shards.max(1), shard));
-    let maps = MapRegistry::default();
-    let helpers = HelperRegistry::standard();
-    let mut reg = TenantRegistry::new(&kernel, &maps, &helpers);
-
-    // Every shard registers the whole fleet in the same order (ids must be
-    // dense and globally consistent), but only steered-here tenants get a
-    // map and an attachment.
-    let mut fds: Vec<MapFd> = vec![0; cfg.tenants as usize];
-    for t in 0..cfg.tenants {
-        reg.register(&format!("tenant{t}"), TenantBudget::small())
-            .expect("fresh registry");
-        if tenant_shard(t, cfg.shards) == shard {
-            fds[t as usize] = setup_tenant(&mut reg, backend, t);
-        }
+    fn shards(&self) -> usize {
+        self.fleet.shards
     }
 
-    let quiet = FaultPlanConfig::quiet();
-    let hist = HistSketch::new();
-    let mut records = Vec::new();
-    let (mut upgrades, mut reloads) = (0u64, 0u64);
-    for item in rx {
-        match item {
-            ChurnItem::Packet {
-                idx,
-                tenant,
-                payload,
-            } => {
-                if storm.is_some() {
-                    // Fresh per-item plan: injection decisions are a pure
-                    // function of the global index, not of shard cohabitants.
-                    let fc = match storm {
-                        Some(s) if s.targets(tenant, idx) => storm_fault_config(),
-                        _ => quiet,
-                    };
-                    kernel
-                        .arm_fault_plan(FaultPlan::with_config(item_fault_seed(cfg.seed, idx), fc));
-                }
-                let out = reg
-                    .run_packet(tenant, POINT, &payload)
-                    .expect("resident tenant serves its own packets");
-                hist.record(out.cost_ns);
-                records.push(ChurnRecord {
+    fn items(&self, shards: usize) -> impl Iterator<Item = (usize, ChurnItem)> {
+        let schedule = churn_schedule(self);
+        let mut items = Vec::with_capacity(self.fleet.items as usize + schedule.len());
+        let mut events = schedule.into_iter().peekable();
+        for (i, payload) in make_packets(self.fleet.items as usize)
+            .into_iter()
+            .enumerate()
+        {
+            let idx = i as u64;
+            while let Some(ev) = events.next_if(|ev| ev.idx == idx) {
+                items.push((tenant_shard(ev.tenant, shards), ChurnItem::Event(ev)));
+            }
+            let tenant = tenant_of(self.fleet.seed, idx, self.fleet.tenants);
+            items.push((
+                tenant_shard(tenant, shards),
+                ChurnItem::Packet {
                     idx,
-                    is_packet: true,
-                    verdict: Some(out.verdict),
-                    line: format!("{idx}|P|{tenant}|{}|{}", out.verdict.label(), out.cost_ns),
-                });
-            }
-            ChurnItem::Event(ev) => {
-                if storm.is_some() {
-                    // Control-plane ops always run under a quiet plan so
-                    // leftover storm state can't leak into an RCU drain.
-                    kernel.arm_fault_plan(FaultPlan::with_config(
-                        item_fault_seed(cfg.seed, ev.idx) ^ 1,
-                        quiet,
-                    ));
-                }
-                let t = ev.tenant;
-                let outcome = match ev.kind {
-                    ChurnKind::Upgrade => {
-                        let next = reg.version(t, POINT).expect("attached") + 1;
-                        match reg.upgrade(t, POINT, spec_for(backend, t, fds[t as usize], next)) {
-                            Ok(()) => {
-                                upgrades += 1;
-                                format!("v{next}")
-                            }
-                            Err(e) => format!("err:{e}"),
-                        }
-                    }
-                    ChurnKind::Reload => match reg.unload_tenant(t) {
-                        Ok(()) => {
-                            fds[t as usize] = setup_tenant(&mut reg, backend, t);
-                            reloads += 1;
-                            "v1".to_string()
-                        }
-                        Err(e) => format!("err:{e}"),
-                    },
-                };
-                records.push(ChurnRecord {
-                    idx: ev.idx,
-                    is_packet: false,
-                    verdict: None,
-                    line: format!("{}|E|{t}|{}|{outcome}", ev.idx, ev.kind.name()),
-                });
-            }
+                    tenant,
+                    payload,
+                },
+            ));
         }
+        items.into_iter()
     }
 
-    // Pin the shard's outcome into its audit stream so the merged
-    // fingerprint is content-bearing even for quiet batches.
-    kernel.audit.record(
-        kernel.clock.now_ns(),
-        EventKind::Info,
-        format!(
-            "churn shard {shard}: tenants={} attached={} records={} upgrades={upgrades} reloads={reloads}",
-            reg.tenant_count(),
-            reg.attached_count(),
-            records.len(),
-        ),
-    );
-    ChurnShardReport {
-        records,
-        audit: kernel.audit.snapshot(),
-        metrics: kernel.metrics.snapshot(),
-        cost: hist.snapshot(),
-        attached: reg.attached_count() as u64,
-        upgrades,
-        reloads,
-        injected: kernel
-            .inject
-            .get()
-            .map(|plane| plane.total_injected())
-            .unwrap_or(0),
-        sim_ns: kernel.clock.now_ns(),
-        host_cpu_ns: thread_cpu_ns().saturating_sub(cpu_t0),
-    }
-}
-
-/// The merged churn run: canonical log, tail latency, control-plane
-/// counters.
-pub struct ChurnReport {
-    /// Shards the batch ran on.
-    pub shards: usize,
-    /// Packet runs (equals the config's packet count).
-    pub packets: u64,
-    /// Control-plane events applied.
-    pub churn_events: u64,
-    /// Attachments live at the end of the batch, summed over shards: the
-    /// "concurrently loaded tenants" figure.
-    pub tenants_loaded: u64,
-    /// Verdict tallies over all packet runs.
-    pub ok: u64,
-    /// Runs refused at admission (tripped breaker).
-    pub refused: u64,
-    /// Runs killed (watchdog or abort; counts toward breakers).
-    pub killed: u64,
-    /// Ordinary errors (safe dialect only).
-    pub errors: u64,
-    /// Hot upgrades / full reloads that succeeded.
-    pub upgrades: u64,
-    /// Unload-and-reload events that succeeded.
-    pub reloads: u64,
-    /// Total fault-plane injections.
-    pub injected: u64,
-    /// The canonical churn log (see module docs).
-    pub canonical_log: String,
-    /// SHA-256 of the canonical log: the shard-count-invariant artifact.
-    pub churn_sha256: String,
-    /// Merged audit fingerprint: replay determinism only.
-    pub merged_fingerprint: String,
-    /// Per-run cost histogram over every packet run.
-    pub cost: HistSnapshot,
-    /// Merged kernel metrics (tenant_loads/swaps/unloads, trips, ...).
-    pub metrics: MetricsSnapshot,
-    /// Max shard virtual time.
-    pub sim_elapsed_ns: u64,
-    /// Max shard host CPU time.
-    pub host_cpu_ns: u64,
-    /// Wall-clock for the whole batch.
-    pub elapsed_ns: u64,
-}
-
-impl ChurnReport {
-    /// Packets per second of host CPU time on the busiest shard.
-    pub fn packets_per_host_cpu_sec(&self) -> f64 {
-        if self.host_cpu_ns == 0 {
-            0.0
-        } else {
-            self.packets as f64 * 1e9 / self.host_cpu_ns as f64
-        }
-    }
-}
-
-/// Runs the churn benchmark: `cfg.packets` packets through `cfg.tenants`
-/// resident tenants over `cfg.shards` tenant-steered shards, with the
-/// churn schedule (and optionally the storm) interleaved.
-pub fn run_churn(backend: Backend, cfg: &ChurnConfig) -> Result<ChurnReport, DispatchError> {
-    let shards = cfg.shards.max(1);
-    let storm = cfg.storm();
-    let started = Instant::now();
-
-    let payloads = make_packets(cfg.packets as usize);
-    let schedule = churn_schedule(cfg);
-    let mut items: Vec<(usize, ChurnItem)> = Vec::with_capacity(payloads.len() + schedule.len());
-    let mut next_event = 0usize;
-    for (i, payload) in payloads.into_iter().enumerate() {
-        let idx = i as u64;
-        while next_event < schedule.len() && schedule[next_event].idx == idx {
-            let ev = schedule[next_event];
-            items.push((tenant_shard(ev.tenant, shards), ChurnItem::Event(ev)));
-            next_event += 1;
-        }
-        let tenant = tenant_of(cfg.seed, idx, cfg.tenants);
-        items.push((
-            tenant_shard(tenant, shards),
-            ChurnItem::Packet {
-                idx,
-                tenant,
-                payload,
+    fn run_shard(
+        &self,
+        lane: Lane,
+        shard: &Shard,
+        feed: impl Iterator<Item = ChurnItem>,
+    ) -> Result<ShardOut<FleetStats>, MapError> {
+        let seed = self.fleet.seed;
+        let mut fds: Vec<MapFd> = vec![0; self.fleet.tenants as usize];
+        let mut fs = FleetShard::boot(
+            &self.fleet,
+            self.fleet.storm(STORM_SALT),
+            shard,
+            |reg, t| {
+                fds[t as usize] = setup_tenant(reg, lane, t);
             },
-        ));
-    }
-
-    let reports = run_sharded(shards, items.into_iter(), |shard, rx| {
-        run_churn_shard(backend, cfg, &storm, shard, rx)
-    })?;
-    let elapsed_ns = started.elapsed().as_nanos() as u64;
-
-    let tagged: Vec<(usize, Vec<AuditEvent>)> = reports
-        .iter()
-        .enumerate()
-        .map(|(shard, r)| (shard, r.audit.clone()))
-        .collect();
-    let merged = merged_fingerprint(&tagged);
-
-    let mut all: Vec<&ChurnRecord> = reports.iter().flat_map(|r| &r.records).collect();
-    all.sort_by_key(|r| (r.idx, r.is_packet));
-    let canonical_log = all
-        .iter()
-        .map(|r| r.line.as_str())
-        .collect::<Vec<_>>()
-        .join("\n");
-    let churn_sha256 = sha256::to_hex(&sha256::digest(canonical_log.as_bytes()));
-
-    let (mut ok, mut refused, mut killed, mut errors) = (0u64, 0u64, 0u64, 0u64);
-    for r in &all {
-        match r.verdict {
-            Some(RunVerdict::Ok(_)) => ok += 1,
-            Some(RunVerdict::Refused) => refused += 1,
-            Some(RunVerdict::Killed) => killed += 1,
-            Some(RunVerdict::Error) => errors += 1,
-            None => {}
+        );
+        let mut records = Vec::new();
+        for item in feed {
+            match item {
+                ChurnItem::Packet {
+                    idx,
+                    tenant,
+                    payload,
+                } => {
+                    fs.arm(item_fault_seed(seed, idx), |s| s.targets(tenant, idx));
+                    let out = fs.run(tenant, POINT, HookInput::Packet(&payload));
+                    records.push(Record {
+                        idx,
+                        rank: 1,
+                        line: format!("{idx}|P|{tenant}|{}|{}", out.verdict.label(), out.cost_ns),
+                    });
+                }
+                ChurnItem::Event(ev) => {
+                    fs.arm(item_fault_seed(seed, ev.idx) ^ 1, |_| false);
+                    let t = ev.tenant;
+                    let outcome = match ev.kind {
+                        ChurnKind::Upgrade => fs.upgrade(t, POINT, |next| {
+                            let fd = fds[t as usize];
+                            lane.spec(|| counter_prog(fd, next), || counter_ext(t, fd, next))
+                        }),
+                        ChurnKind::Reload => {
+                            fs.stats.events += 1;
+                            match fs.reg.unload_tenant(t) {
+                                Ok(()) => {
+                                    fds[t as usize] = setup_tenant(&mut fs.reg, lane, t);
+                                    fs.stats.reloads += 1;
+                                    "v1".to_string()
+                                }
+                                Err(e) => format!("err:{e}"),
+                            }
+                        }
+                    };
+                    records.push(Record {
+                        idx: ev.idx,
+                        rank: 0,
+                        line: format!("{}|E|{t}|{}|{outcome}", ev.idx, ev.kind.name()),
+                    });
+                }
+            }
         }
+        let summary = format!(
+            "churn shard {}: tenants={} attached={} records={} upgrades={} reloads={}",
+            shard.id,
+            fs.reg.tenant_count(),
+            fs.reg.attached_count(),
+            records.len(),
+            fs.stats.upgrades,
+            fs.stats.reloads,
+        );
+        Ok(ShardOut {
+            stats: fs.finish(),
+            records,
+            summary,
+            trace: Vec::new(),
+        })
     }
-
-    let mut metrics = MetricsSnapshot::default();
-    let mut cost = HistSnapshot::default();
-    for r in &reports {
-        metrics.merge(&r.metrics);
-        cost.merge(&r.cost);
-    }
-
-    Ok(ChurnReport {
-        shards,
-        packets: cfg.packets,
-        churn_events: schedule.len() as u64,
-        tenants_loaded: reports.iter().map(|r| r.attached).sum(),
-        ok,
-        refused,
-        killed,
-        errors,
-        upgrades: reports.iter().map(|r| r.upgrades).sum(),
-        reloads: reports.iter().map(|r| r.reloads).sum(),
-        injected: reports.iter().map(|r| r.injected).sum(),
-        canonical_log,
-        churn_sha256,
-        merged_fingerprint: merged,
-        cost,
-        metrics,
-        sim_elapsed_ns: reports.iter().map(|r| r.sim_ns).max().unwrap_or(0),
-        host_cpu_ns: reports.iter().map(|r| r.host_cpu_ns).max().unwrap_or(0),
-        elapsed_ns,
-    })
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::engine;
 
-    fn small(shards: usize, storm: bool) -> ChurnConfig {
+    /// The scenario's small test configuration.
+    pub(crate) fn small(shards: usize, storm: bool) -> ChurnConfig {
         ChurnConfig {
-            shards,
-            seed: 0xc0ffee,
-            tenants: 12,
-            packets: 360,
+            fleet: Fleet {
+                shards,
+                seed: 0xc0ffee,
+                tenants: 12,
+                items: 360,
+                storm_armed: storm,
+                storm_victims: 3,
+            },
             churn_every: 11,
-            storm_armed: storm,
-            storm_victims: 3,
         }
     }
 
     #[test]
-    fn churn_sha_invariant_across_shard_counts() {
-        for backend in Backend::ALL {
+    fn every_packet_runs_and_every_scheduled_event_applies() {
+        for lane in Lane::ALL {
             for storm in [false, true] {
-                let runs: Vec<ChurnReport> = [1usize, 2, 4, 8]
-                    .iter()
-                    .map(|&s| run_churn(backend, &small(s, storm)).unwrap())
-                    .collect();
-                for r in &runs[1..] {
-                    assert_eq!(
-                        runs[0].canonical_log, r.canonical_log,
-                        "{backend:?} storm={storm}: canonical log diverged at {} shards",
-                        r.shards
-                    );
-                    assert_eq!(runs[0].churn_sha256, r.churn_sha256);
-                }
-                assert_eq!(runs[0].packets, 360);
-                assert!(runs[0].churn_events > 0);
-                assert_eq!(runs[0].upgrades + runs[0].reloads, runs[0].churn_events);
+                let cfg = small(1, storm);
+                let scheduled = churn_schedule(&cfg).len() as u64;
+                let s = engine::run(&cfg, lane).unwrap().stats;
+                assert_eq!(s.runs(), 360, "{lane:?} storm={storm}: every packet runs");
+                assert!(scheduled > 0);
+                assert_eq!(s.events, scheduled, "{lane:?} storm={storm}: events lost");
+                assert_eq!(s.upgrades + s.reloads, scheduled, "{lane:?} storm={storm}");
             }
-        }
-    }
-
-    #[test]
-    fn merged_fingerprint_replays_byte_identical() {
-        for storm in [false, true] {
-            let a = run_churn(Backend::Ebpf, &small(2, storm)).unwrap();
-            let b = run_churn(Backend::Ebpf, &small(2, storm)).unwrap();
-            assert_eq!(a.merged_fingerprint, b.merged_fingerprint);
-            assert_eq!(a.churn_sha256, b.churn_sha256);
         }
     }
 
     #[test]
     fn storm_kills_only_victims_and_they_recover() {
-        for backend in Backend::ALL {
+        for lane in Lane::ALL {
             let cfg = small(4, true);
-            let storm = cfg.storm().unwrap();
-            let report = run_churn(backend, &cfg).unwrap();
-            assert!(report.killed > 0, "{backend:?}: storm never killed");
-            assert!(report.refused > 0, "{backend:?}: breakers never tripped");
+            let storm = cfg.fleet.storm(STORM_SALT).unwrap();
+            let report = engine::run(&cfg, lane).unwrap();
+            assert!(report.stats.killed > 0, "{lane:?}: storm never killed");
+            assert!(report.stats.refused > 0, "{lane:?}: breakers never tripped");
             assert!(report.metrics.quarantine_trips > 0);
 
-            let (_, window_end) = cfg.storm_window();
+            let (_, window_end) = cfg.fleet.storm_window();
             let mut recovered = false;
             for line in report.canonical_log.lines() {
                 let mut parts = line.split('|');
@@ -610,7 +357,7 @@ mod tests {
                 if verdict == "kill" || verdict == "refused" {
                     assert!(
                         storm.is_victim(tenant),
-                        "{backend:?}: bystander tenant {tenant} hit at idx {idx}: {verdict}"
+                        "{lane:?}: bystander tenant {tenant} hit at idx {idx}: {verdict}"
                     );
                 }
                 if verdict.starts_with("ok") && storm.is_victim(tenant) && idx > window_end {
@@ -619,7 +366,7 @@ mod tests {
             }
             assert!(
                 recovered,
-                "{backend:?}: no victim served again after the storm window"
+                "{lane:?}: no victim served again after the storm window"
             );
         }
     }
@@ -627,17 +374,23 @@ mod tests {
     #[test]
     fn fleet_scales_to_hundreds_of_tenants() {
         let cfg = ChurnConfig {
-            shards: 2,
-            seed: 9,
-            tenants: 512,
-            packets: 1024,
+            fleet: Fleet {
+                shards: 2,
+                seed: 9,
+                tenants: 512,
+                items: 1024,
+                storm_armed: false,
+                storm_victims: 0,
+            },
             churn_every: 16,
-            storm_armed: false,
-            storm_victims: 0,
         };
-        let report = run_churn(Backend::SafeExt, &cfg).unwrap();
-        assert_eq!(report.tenants_loaded, 512);
-        assert_eq!(report.ok, 1024, "quiet fleet: every packet serves");
+        let report = engine::run(&cfg, Lane::SafeExt).unwrap();
+        assert_eq!(report.stats.attached, 512);
+        assert_eq!(
+            report.stats.upgrades + report.stats.reloads,
+            churn_schedule(&cfg).len() as u64
+        );
+        assert_eq!(report.stats.ok, 1024, "quiet fleet: every packet serves");
         assert!(report.cost.count == 1024);
     }
 }

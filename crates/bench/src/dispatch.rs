@@ -1,96 +1,36 @@
-//! Sharded multi-core dispatch engine.
+//! The proto-count dispatch scenario: a packet filter counting protocol
+//! classes in a per-CPU array map, over index-steered shards.
 //!
-//! Drives batched packet workloads through N worker shards concurrently,
-//! each shard pinned to a simulated CPU id, through either extension
-//! framework (the eBPF interpreter baseline or the safe-ext runtime).
-//!
-//! # Determinism under parallelism
-//!
-//! The engine must keep the soak-replay contract — byte-identical audit
-//! streams for a fixed seed — while actually running on multiple host
-//! threads. Three design decisions make that hold regardless of thread
-//! scheduling:
-//!
-//! 1. **Share-nothing shards.** Every shard owns a private [`Kernel`]
-//!    (so a private virtual clock, audit log, and fault plane). A shared
-//!    clock would order audit timestamps by host scheduling; private
-//!    clocks order them by each shard's own deterministic execution.
-//! 2. **Seeded shard assignment.** Packet `i` goes to
-//!    [`shard_of`]`(seed, i, shards)` — a pure function — and each
-//!    shard's ring preserves the main thread's send order, so each
-//!    shard sees a deterministic packet subsequence.
-//! 3. **Merge in shard-id order.** Per-shard audit buffers are merged by
-//!    [`kernel_sim::audit::merged_fingerprint`], which sorts by shard id
-//!    rather than by completion order.
-//!
-//! Consequently `(backend, seed, shard_count, batch)` fully determines
-//! the merged audit stream; the throughput harness and CI assert this by
-//! hashing two runs of the same configuration.
-//!
-//! Each shard's kernel is booted with `nr_cpus = shards` and pinned to
-//! CPU `shard`, and the workload counts packets in a **per-CPU** array
-//! map — so the per-CPU map paths (`elem_addr(index, cpu)` with a
-//! nonzero cpu) are exercised exactly as on a multi-core kernel, and
-//! shard counts can be recovered per CPU slot afterwards.
+//! Packet `i` goes to [`shard_of`]`(seed, i, shards)`, a pure function,
+//! and each shard arms one fault plan seeded by [`shard_fault_seed`].
+//! `(lane, seed, shard_count, batch)` therefore fully determines the
+//! merged audit stream; with tracing on, each packet is one trace task,
+//! so the canonical trace is shard-count-invariant as well. The filter
+//! counts in a **per-CPU** map, so the per-CPU map paths
+//! (`elem_addr(index, cpu)` with a nonzero cpu) run exactly as on a
+//! multi-core kernel and shard counts can be recovered per CPU slot.
 
-use std::any::Any;
-use std::fmt;
-use std::sync::Arc;
-use std::time::Instant;
-
-use ebpf::helpers::HelperRegistry;
-use ebpf::interp::{SandboxConfig, Vm};
-use ebpf::jit::JitConfig;
-use ebpf::maps::{MapDef, MapError, MapRegistry};
+use ebpf::maps::{MapDef, MapError};
 use ebpf::program::ProgType;
-use kernel_sim::audit::{merged_fingerprint, AuditEvent, EventKind};
-use kernel_sim::percpu::CpuInfo;
-use kernel_sim::trace::{self, SpanKind, TraceEvent};
-use kernel_sim::{FaultPlan, FaultPlanConfig, Kernel, MetricsSnapshot};
-use safe_ext::{ExtInput, Extension, Quarantine, Runtime};
+use kernel_sim::trace::{SpanKind, TraceEvent};
+use kernel_sim::{FaultPlan, FaultPlanConfig};
+use safe_ext::Extension;
 
-use crate::hostclock::thread_cpu_ns;
-use crate::spsc;
-use crate::workloads;
+use crate::engine::{self, splitmix64, DispatchError, RunReport, Scenario, Shard, ShardOut};
+use crate::{workloads, Lane};
 
 /// Number of protocol classes the dispatch workload tallies (packet byte
 /// 0 masked to two bits).
 pub const PROTO_CLASSES: usize = 4;
 
-/// Which extension framework processes the batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// The eBPF interpreter baseline.
-    Ebpf,
-    /// The safe-Rust extension runtime.
-    SafeExt,
-    /// The SFI sandbox lane: the same eBPF bytecode run *unverified*
-    /// inside a protection domain — masked bounds checks on every
-    /// access, domain-switch costs at entry/exit and helper boundaries,
-    /// traps (not oopses) on violations.
-    Sandbox,
-}
+/// Consecutive kills before the safe runtime's breaker quarantines a
+/// shard's filter.
+const QUARANTINE_THRESHOLD: u32 = 3;
 
-impl Backend {
-    /// Every backend, in canonical report order. Differential tests and
-    /// the benchmark binaries iterate this so a new backend is picked up
-    /// everywhere at once.
-    pub const ALL: [Backend; 3] = [Backend::Ebpf, Backend::SafeExt, Backend::Sandbox];
-
-    /// Short stable name used in reports and JSON.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Backend::Ebpf => "ebpf",
-            Backend::SafeExt => "safe-ext",
-            Backend::Sandbox => "sandbox",
-        }
-    }
-}
-
-/// Engine configuration.
-#[derive(Debug, Clone)]
+/// Dispatch configuration.
+#[derive(Debug, Clone, Default)]
 pub struct DispatchConfig {
-    /// Number of worker shards (at least 1); also the simulated CPU count.
+    /// Number of worker shards (0 means 1); also the simulated CPU count.
     pub shards: usize,
     /// Master seed: drives packet->shard assignment and, when fault
     /// injection is enabled, every shard's fault plan.
@@ -98,220 +38,32 @@ pub struct DispatchConfig {
     /// Fault-plan configuration to arm on every shard's kernel, or `None`
     /// to run without injection.
     pub fault: Option<FaultPlanConfig>,
-    /// Consecutive-kill threshold for the safe runtime's circuit breaker.
-    pub quarantine_threshold: u32,
     /// Enable per-CPU span tracing on every shard kernel. Recording
     /// never advances the virtual clock, so the simulated cost of a
     /// traced batch is identical to an untraced one.
     pub trace: bool,
-    /// For [`Backend::Ebpf`]: run the workload through the compiled
-    /// lane ([`ebpf::interp::Vm::load_jit`] — lowered basic-block IR
-    /// with folded fuel checks and resolved call sites) instead of the
-    /// instruction-at-a-time interpreter. Observationally identical:
-    /// audit streams, trace hashes, and simulated costs do not change.
-    pub jit: bool,
 }
 
-/// Typed failure of a sharded run. Historically a worker panic or a map
-/// lookup failure aborted the whole process via `expect`; soak and fuzz
-/// callers need the batch to fail, not the harness.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DispatchError {
-    /// A shard worker thread panicked; `msg` carries the panic payload.
-    ShardPanicked {
-        /// Which shard died.
-        shard: usize,
-        /// The panic message, when the payload was a string.
-        msg: String,
-    },
-    /// Recovering a shard's results hit a typed map error (map vanished,
-    /// index out of range, memory fault).
-    Map {
-        /// Which shard was being recovered.
-        shard: usize,
-        /// The underlying map error.
-        err: MapError,
-    },
-}
-
-impl fmt::Display for DispatchError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DispatchError::ShardPanicked { shard, msg } => {
-                write!(f, "shard {shard} panicked: {msg}")
-            }
-            DispatchError::Map { shard, err } => {
-                write!(f, "shard {shard} result recovery failed: {err:?}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for DispatchError {}
-
-/// Renders a panic payload for [`DispatchError::ShardPanicked`].
-fn panic_msg(payload: Box<dyn Any + Send>) -> String {
-    match payload.downcast::<String>() {
-        Ok(s) => *s,
-        Err(payload) => match payload.downcast::<&'static str>() {
-            Ok(s) => (*s).to_string(),
-            Err(_) => "non-string panic payload".to_string(),
-        },
-    }
-}
-
-impl Default for DispatchConfig {
-    fn default() -> Self {
-        Self {
-            shards: 1,
-            seed: 1,
-            fault: None,
-            quarantine_threshold: 3,
-            trace: false,
-            jit: false,
-        }
-    }
-}
-
-/// What one shard did with its packet subsequence.
-#[derive(Debug, Clone)]
-pub struct ShardReport {
-    /// Shard index == the simulated CPU the shard was pinned to.
-    pub shard: usize,
-    /// Packets this shard processed.
-    pub packets: u64,
+/// Per-shard dispatch tallies.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DispatchStats {
     /// Runs that returned a value (accepted the packet).
     pub accepted: u64,
     /// Runs that aborted or errored.
     pub errors: u64,
-    /// Faults injected into this shard's kernel.
-    pub injected: u64,
-    /// Per-protocol counts recovered from the shard's per-CPU map,
-    /// summed over CPU slots.
+    /// Per-protocol counts recovered from the per-CPU map, summed over
+    /// CPU slots.
     pub proto_counts: [u64; PROTO_CLASSES],
-    /// The shard kernel's full audit snapshot.
-    pub audit: Vec<AuditEvent>,
-    /// The shard kernel's trace-event snapshot (empty unless
-    /// [`DispatchConfig::trace`] was set).
-    pub trace: Vec<TraceEvent>,
-    /// The shard kernel's metrics snapshot.
-    pub metrics: MetricsSnapshot,
-    /// The shard's virtual-clock reading after the batch: how long the
-    /// simulated CPU was busy. Deterministic for a fixed seed.
-    pub sim_ns: u64,
-    /// Host CPU time the shard's worker thread consumed, nanoseconds
-    /// ([`thread_cpu_ns`]); time parked on the feed ring costs nothing.
-    /// Host-dependent; informational and for capacity metrics only.
-    pub host_cpu_ns: u64,
-    /// Whether the shard kernel finished pristine (no oops, leak, stall).
-    pub pristine: bool,
 }
 
-/// The merged outcome of one batched dispatch.
-#[derive(Debug, Clone)]
-pub struct DispatchReport {
-    /// Per-shard reports, in shard-id order.
-    pub shards: Vec<ShardReport>,
-    /// Canonical merge of all per-shard audit streams; byte-identical
-    /// across runs of the same `(backend, seed, shard_count, batch)`.
-    pub merged_fingerprint: String,
-    /// Merge of the per-CPU trace streams in shard-id order (absolute
-    /// timestamps); byte-identical across replays of one configuration.
-    /// Empty unless [`DispatchConfig::trace`] was set.
-    pub trace_fingerprint: String,
-    /// The shard-count-invariant canonical trace: per-task events with
-    /// task-relative timestamps, sorted by global packet index — the
-    /// `TRACE_SHA256` contract. Empty unless [`DispatchConfig::trace`]
-    /// was set.
-    pub canonical_trace: String,
-    /// Sum of all shard metrics.
-    pub metrics: MetricsSnapshot,
-    /// Host wall-clock time for the whole batch, nanoseconds. Noisy and
-    /// host-dependent; informational only.
-    pub elapsed_ns: u64,
-    /// The busiest shard's host CPU time, nanoseconds: the batch's host
-    /// critical path. Unlike wall-clock this shows parallel capacity
-    /// even when CI provides a single core, because each shard is billed
-    /// only for cycles it actually executed.
-    pub host_cpu_ns: u64,
-    /// Simulated elapsed time: the busiest shard's virtual-clock advance.
-    /// Shards run on distinct simulated CPUs, so the batch is done when
-    /// the slowest shard is — this is the deterministic scaling metric.
-    pub sim_elapsed_ns: u64,
-}
-
-impl DispatchReport {
-    /// Total packets processed across shards.
-    pub fn packets(&self) -> u64 {
-        self.shards.iter().map(|s| s.packets).sum()
-    }
-
-    /// Total accepted packets across shards.
-    pub fn accepted(&self) -> u64 {
-        self.shards.iter().map(|s| s.accepted).sum()
-    }
-
-    /// Total errored runs across shards.
-    pub fn errors(&self) -> u64 {
-        self.shards.iter().map(|s| s.errors).sum()
-    }
-
-    /// Total injected faults across shards.
-    pub fn injected(&self) -> u64 {
-        self.shards.iter().map(|s| s.injected).sum()
-    }
-
-    /// Per-protocol totals across shards.
-    pub fn proto_counts(&self) -> [u64; PROTO_CLASSES] {
-        let mut out = [0u64; PROTO_CLASSES];
-        for s in &self.shards {
-            for (a, b) in out.iter_mut().zip(&s.proto_counts) {
-                *a += b;
-            }
-        }
-        out
-    }
-
-    /// Packets per host-second over the whole batch (wall clock).
-    pub fn packets_per_sec(&self) -> f64 {
-        if self.elapsed_ns == 0 {
-            0.0
-        } else {
-            self.packets() as f64 * 1e9 / self.elapsed_ns as f64
+impl engine::Stats for DispatchStats {
+    fn merge(&mut self, other: &Self) {
+        self.accepted += other.accepted;
+        self.errors += other.errors;
+        for (a, b) in self.proto_counts.iter_mut().zip(&other.proto_counts) {
+            *a += b;
         }
     }
-
-    /// Packets per second of host CPU time on the busiest shard: the
-    /// batch's parallel host capacity. This is the host-side scaling
-    /// metric — it grows with shard count whenever sharding genuinely
-    /// divides the work, regardless of how many cores the host exposes.
-    pub fn packets_per_host_cpu_sec(&self) -> f64 {
-        if self.host_cpu_ns == 0 {
-            0.0
-        } else {
-            self.packets() as f64 * 1e9 / self.host_cpu_ns as f64
-        }
-    }
-
-    /// Packets per *simulated* second: throughput of the modelled
-    /// multi-core machine. Deterministic for a fixed `(seed, shards,
-    /// batch)`, so this is what scaling claims are made from.
-    pub fn packets_per_sim_sec(&self) -> f64 {
-        if self.sim_elapsed_ns == 0 {
-            0.0
-        } else {
-            self.packets() as f64 * 1e9 / self.sim_elapsed_ns as f64
-        }
-    }
-}
-
-/// splitmix64: the finalizer used to derive per-packet and per-shard
-/// streams from the master seed.
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// The shard packet `index` is dispatched to: a pure function of
@@ -343,279 +95,9 @@ pub fn make_packets(n: usize) -> Vec<Vec<u8>> {
         .collect()
 }
 
-/// The generic sharded-execution scaffold shared by the proto-count
-/// dispatch engine and the net-flow engine ([`crate::netflows`]): spawns
-/// one worker per shard inside a thread scope, feeds `items` (already
-/// tagged with their target shard) in iteration order through batched
-/// SPSC rings — so each shard's ring sees the global order restricted to
-/// that shard, independent of thread scheduling — and returns the
-/// per-shard results in shard-id order.
-///
-/// Worker panics are contained: every shard is joined explicitly, a dead
-/// shard's ring drops further feed silently, and the first panic comes
-/// back as [`DispatchError::ShardPanicked`] instead of tearing down the
-/// process.
-pub(crate) fn run_sharded<T, R, F>(
-    shards: usize,
-    items: impl Iterator<Item = (usize, T)>,
-    worker: F,
-) -> Result<Vec<R>, DispatchError>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, spsc::Consumer<T>) -> R + Sync,
-{
-    let shards = shards.max(1);
-    let mut producers = Vec::with_capacity(shards);
-    let mut consumers = Vec::with_capacity(shards);
-    for _ in 0..shards {
-        let (tx, rx) = spsc::ring::<T>(spsc::DEFAULT_SLOTS, spsc::DEFAULT_BATCH);
-        producers.push(tx);
-        consumers.push(rx);
-    }
-    std::thread::scope(|scope| {
-        let worker = &worker;
-        let handles: Vec<_> = consumers
-            .into_iter()
-            .enumerate()
-            .map(|(shard, rx)| scope.spawn(move || worker(shard, rx)))
-            .collect();
-        for (shard, item) in items {
-            producers[shard].send(item);
-        }
-        drop(producers);
-        let mut reports = Vec::with_capacity(shards);
-        let mut failure: Option<DispatchError> = None;
-        for (shard, handle) in handles.into_iter().enumerate() {
-            // join() consumes the panic payload, so the scope won't
-            // re-raise it; surface the first one as a typed error.
-            match handle.join() {
-                Ok(report) => reports.push(report),
-                Err(payload) => {
-                    let msg = panic_msg(payload);
-                    failure.get_or_insert(DispatchError::ShardPanicked { shard, msg });
-                }
-            }
-        }
-        match failure {
-            Some(err) => Err(err),
-            None => Ok(reports),
-        }
-    })
-}
-
-/// One shard's private world: kernel (pinned CPU), maps, and the per-CPU
-/// proto-count map the workload writes into.
-struct ShardEnv {
-    kernel: Kernel,
-    maps: MapRegistry,
-    counts_fd: u32,
-}
-
-impl ShardEnv {
-    fn boot(cfg: &DispatchConfig, shard: usize) -> Self {
-        let kernel = Kernel::with_topology(CpuInfo::pinned(cfg.shards, shard));
-        let maps = MapRegistry::default();
-        let counts_fd = maps
-            .create(
-                &kernel,
-                MapDef::percpu_array("proto-counts", 8, PROTO_CLASSES as u32),
-            )
-            .expect("map creation");
-        // Arm after setup so injection timelines start at the same point
-        // on every shard, as the soak harness does.
-        if let Some(fault) = &cfg.fault {
-            kernel.arm_fault_plan(FaultPlan::with_config(
-                shard_fault_seed(cfg.seed, shard),
-                *fault,
-            ));
-        }
-        if cfg.trace {
-            kernel.enable_tracing();
-        }
-        Self {
-            kernel,
-            maps,
-            counts_fd,
-        }
-    }
-
-    /// Sums the per-CPU map's slots for each protocol class. The shard
-    /// only ever ran pinned, so all counts sit in its own CPU slot, but
-    /// summing every slot asserts nothing leaked into foreign slots.
-    /// A vanished map or out-of-range slot comes back as the matching
-    /// typed [`MapError`] rather than a panic.
-    fn proto_counts(&self) -> Result<[u64; PROTO_CLASSES], MapError> {
-        let map = self.maps.get(self.counts_fd).ok_or(MapError::NotFound)?;
-        let mut out = [0u64; PROTO_CLASSES];
-        for cpu in 0..self.kernel.cpus.nr_cpus() {
-            for (proto, total) in out.iter_mut().enumerate() {
-                let addr = map
-                    .elem_addr(proto as u32, cpu)
-                    .ok_or(MapError::IndexOutOfRange)?;
-                *total += self.kernel.mem.read_u64(addr).unwrap_or(0);
-            }
-        }
-        Ok(out)
-    }
-
-    fn finish(
-        self,
-        shard: usize,
-        packets: u64,
-        accepted: u64,
-        errors: u64,
-        mut trace_log: Vec<TraceEvent>,
-        host_cpu_ns: u64,
-    ) -> Result<ShardReport, MapError> {
-        let proto_counts = self.proto_counts()?;
-        // A per-shard summary event makes the merged fingerprint
-        // content-bearing even for fault-free batches: it pins the
-        // shard's packet subsequence, outcomes, per-CPU counts, and
-        // final virtual time, so any divergence in routing, execution,
-        // or timing shows up as a byte difference.
-        self.kernel.audit.record(
-            self.kernel.clock.now_ns(),
-            EventKind::Info,
-            format!(
-                "dispatch shard {shard}: packets={packets} accepted={accepted} \
-                 errors={errors} proto_counts={proto_counts:?}"
-            ),
-        );
-        let injected = self
-            .kernel
-            .inject
-            .get()
-            .map(|plane| plane.total_injected())
-            .unwrap_or(0);
-        // Final drain catches any untasked events recorded after the
-        // last per-packet flush.
-        trace_log.extend(self.kernel.trace.take());
-        assert_eq!(
-            self.kernel.trace.dropped(),
-            0,
-            "trace ring overflowed on shard {shard}; span balance is void"
-        );
-        Ok(ShardReport {
-            shard,
-            packets,
-            accepted,
-            errors,
-            injected,
-            proto_counts,
-            sim_ns: self.kernel.clock.now_ns(),
-            host_cpu_ns,
-            pristine: self.kernel.health().pristine(),
-            audit: self.kernel.audit.snapshot(),
-            trace: trace_log,
-            metrics: self.kernel.metrics.snapshot(),
-        })
-    }
-}
-
-fn run_shard_ebpf(
-    cfg: &DispatchConfig,
-    shard: usize,
-    rx: spsc::Consumer<(u64, &[u8])>,
-) -> Result<ShardReport, DispatchError> {
-    let cpu_t0 = thread_cpu_ns();
-    let env = ShardEnv::boot(cfg, shard);
-    let helpers = HelperRegistry::standard();
-    let mut vm = Vm::new(&env.kernel, &env.maps, &helpers);
-    let prog = workloads::packet_filter(env.counts_fd);
-    let id = if cfg.jit {
-        // The compiled lane: lowered IR with folded fuel checks and
-        // resolved helper call sites. Observationally identical to the
-        // interpreter, so traces, costs, and audit bytes don't move.
-        vm.load_jit(prog, JitConfig::default())
-            .expect("workload lowers")
-            .0
-    } else {
-        vm.load(prog)
-    };
-    let (mut packets, mut accepted, mut errors) = (0u64, 0u64, 0u64);
-    let mut trace_log: Vec<TraceEvent> = Vec::new();
-    for (index, payload) in rx {
-        packets += 1;
-        env.kernel.trace.begin_task(index);
-        let dispatch_span = env
-            .kernel
-            .trace
-            .span(SpanKind::Dispatch, payload.len() as u64);
-        let outcome = vm.run_packet(id, payload).result;
-        drop(dispatch_span);
-        env.kernel.trace.end_task();
-        // Per-packet ring drain: batch size is then unbounded by the
-        // ring capacity, mirroring a real per-CPU ringbuf flush.
-        if cfg.trace {
-            trace_log.extend(env.kernel.trace.take());
-        }
-        match outcome {
-            Ok(_) => accepted += 1,
-            Err(_) => errors += 1,
-        }
-    }
-    let host_cpu_ns = thread_cpu_ns().saturating_sub(cpu_t0);
-    env.finish(shard, packets, accepted, errors, trace_log, host_cpu_ns)
-        .map_err(|err| DispatchError::Map { shard, err })
-}
-
-fn run_shard_sandbox(
-    cfg: &DispatchConfig,
-    shard: usize,
-    rx: spsc::Consumer<(u64, &[u8])>,
-) -> Result<ShardReport, DispatchError> {
-    let cpu_t0 = thread_cpu_ns();
-    let env = ShardEnv::boot(cfg, shard);
-    let helpers = HelperRegistry::standard();
-    let mut vm = Vm::new(&env.kernel, &env.maps, &helpers);
-    let prog = workloads::packet_filter(env.counts_fd);
-    // Unverified load into an SFI domain; the same workload bytecode as
-    // the eBPF lane, but every access is mask-checked at run time and
-    // each run (plus each helper call) pays its domain crossings.
-    let id = if cfg.jit {
-        vm.load_sandboxed_jit(prog, SandboxConfig::default(), JitConfig::default())
-            .expect("workload lowers")
-            .0
-    } else {
-        vm.load_sandboxed(prog, SandboxConfig::default())
-    };
-    let (mut packets, mut accepted, mut errors) = (0u64, 0u64, 0u64);
-    let mut trace_log: Vec<TraceEvent> = Vec::new();
-    for (index, payload) in rx {
-        packets += 1;
-        env.kernel.trace.begin_task(index);
-        let dispatch_span = env
-            .kernel
-            .trace
-            .span(SpanKind::Dispatch, payload.len() as u64);
-        let outcome = vm.run_packet(id, payload).result;
-        drop(dispatch_span);
-        env.kernel.trace.end_task();
-        if cfg.trace {
-            trace_log.extend(env.kernel.trace.take());
-        }
-        match outcome {
-            Ok(_) => accepted += 1,
-            Err(_) => errors += 1,
-        }
-    }
-    let host_cpu_ns = thread_cpu_ns().saturating_sub(cpu_t0);
-    env.finish(shard, packets, accepted, errors, trace_log, host_cpu_ns)
-        .map_err(|err| DispatchError::Map { shard, err })
-}
-
-fn run_shard_safe(
-    cfg: &DispatchConfig,
-    shard: usize,
-    rx: spsc::Consumer<(u64, &[u8])>,
-) -> Result<ShardReport, DispatchError> {
-    let cpu_t0 = thread_cpu_ns();
-    let env = ShardEnv::boot(cfg, shard);
-    let quarantine = Arc::new(Quarantine::new(cfg.quarantine_threshold));
-    let runtime = Runtime::new(&env.kernel, &env.maps).with_quarantine(quarantine);
-    let counts_fd = env.counts_fd;
-    let ext = Extension::new("dispatch-filter", ProgType::SocketFilter, move |ctx| {
+/// The safe-dialect mirror of [`workloads::packet_filter`].
+fn filter_ext(counts_fd: u32) -> Extension {
+    Extension::new("dispatch-filter", ProgType::SocketFilter, move |ctx| {
         let pkt = ctx.packet()?;
         if pkt.len() < 2 {
             return Ok(0);
@@ -624,97 +106,134 @@ fn run_shard_safe(
         // Per-CPU slot: the handle resolves the current (pinned) CPU.
         ctx.percpu_array(counts_fd)?.fetch_add_u64(proto, 0, 1)?;
         Ok(pkt.len() as u64)
-    });
-    let (mut packets, mut accepted, mut errors) = (0u64, 0u64, 0u64);
-    let mut trace_log: Vec<TraceEvent> = Vec::new();
-    for (index, payload) in rx {
-        packets += 1;
-        env.kernel.trace.begin_task(index);
-        let dispatch_span = env
-            .kernel
-            .trace
-            .span(SpanKind::Dispatch, payload.len() as u64);
-        let outcome = runtime.run(&ext, ExtInput::Packet(payload.to_vec())).result;
-        drop(dispatch_span);
-        env.kernel.trace.end_task();
-        if cfg.trace {
-            trace_log.extend(env.kernel.trace.take());
-        }
-        match outcome {
-            Ok(_) => accepted += 1,
-            Err(_) => errors += 1,
+    })
+}
+
+/// Sums the per-CPU map's slots for each protocol class. The shard only
+/// ever ran pinned, so all counts sit in its own CPU slot, but summing
+/// every slot asserts nothing leaked into foreign slots.
+fn proto_counts(shard: &Shard, fd: u32) -> Result<[u64; PROTO_CLASSES], MapError> {
+    let mut out = [0u64; PROTO_CLASSES];
+    for cpu in 0..shard.kernel.cpus.nr_cpus() {
+        let counts: [u64; PROTO_CLASSES] = shard.counters(fd, cpu)?;
+        for (total, n) in out.iter_mut().zip(counts) {
+            *total += n;
         }
     }
-    let host_cpu_ns = thread_cpu_ns().saturating_sub(cpu_t0);
-    env.finish(shard, packets, accepted, errors, trace_log, host_cpu_ns)
-        .map_err(|err| DispatchError::Map { shard, err })
+    Ok(out)
+}
+
+struct Batch<'a> {
+    cfg: &'a DispatchConfig,
+    packets: &'a [Vec<u8>],
+}
+
+impl<'a> Scenario for Batch<'a> {
+    type Item = (u64, &'a [u8]);
+    type Stats = DispatchStats;
+
+    fn shards(&self) -> usize {
+        self.cfg.shards
+    }
+
+    fn items(&self, shards: usize) -> impl Iterator<Item = (usize, Self::Item)> {
+        // Payloads are fed by reference: the per-run copy happens on the
+        // worker thread, keeping the feeder off the host critical path.
+        let seed = self.cfg.seed;
+        self.packets
+            .iter()
+            .enumerate()
+            .map(move |(i, pkt)| (shard_of(seed, i as u64, shards), (i as u64, &pkt[..])))
+    }
+
+    fn run_shard(
+        &self,
+        lane: Lane,
+        shard: &Shard,
+        feed: impl Iterator<Item = Self::Item>,
+    ) -> Result<ShardOut<DispatchStats>, MapError> {
+        let kernel = &shard.kernel;
+        let counts_fd = shard
+            .maps
+            .create(
+                kernel,
+                MapDef::percpu_array("proto-counts", 8, PROTO_CLASSES as u32),
+            )
+            .expect("map creation");
+        // Arm after setup so injection timelines start at the same point
+        // on every shard, as the soak harness does.
+        if let Some(fault) = &self.cfg.fault {
+            kernel.arm_fault_plan(FaultPlan::with_config(
+                shard_fault_seed(self.cfg.seed, shard.id),
+                *fault,
+            ));
+        }
+        if self.cfg.trace {
+            kernel.enable_tracing();
+        }
+        let prog = lane.load(
+            shard,
+            || workloads::packet_filter(counts_fd),
+            || filter_ext(counts_fd),
+            Some(QUARANTINE_THRESHOLD),
+        );
+        let mut out = ShardOut::<DispatchStats>::default();
+        for (index, payload) in feed {
+            kernel.trace.begin_task(index);
+            let span = kernel.trace.span(SpanKind::Dispatch, payload.len() as u64);
+            let outcome = prog(payload);
+            drop(span);
+            kernel.trace.end_task();
+            match outcome {
+                Some(_) => out.stats.accepted += 1,
+                None => out.stats.errors += 1,
+            }
+            // Per-packet ring drain: the batch is never bounded by the
+            // ring's capacity, as with a per-CPU ringbuf flush.
+            if self.cfg.trace {
+                drain_trace(shard, &mut out.trace);
+            }
+        }
+        out.stats.proto_counts = proto_counts(shard, counts_fd)?;
+        drain_trace(shard, &mut out.trace);
+        let s = &out.stats;
+        out.summary = format!(
+            "dispatch shard {}: packets={} accepted={} errors={} proto_counts={:?}",
+            shard.id,
+            s.accepted + s.errors,
+            s.accepted,
+            s.errors,
+            s.proto_counts
+        );
+        Ok(out)
+    }
+}
+
+/// Moves the shard tracer's buffered events into `trace`. An overflowed
+/// ring voids span balance, so it fails the shard.
+fn drain_trace(shard: &Shard, trace: &mut Vec<TraceEvent>) {
+    let tracer = &shard.kernel.trace;
+    assert_eq!(
+        tracer.dropped(),
+        0,
+        "trace ring overflowed on shard {}; span balance is void",
+        shard.id
+    );
+    trace.extend(tracer.take());
 }
 
 /// Dispatches `packets` over `cfg.shards` concurrent shards through
-/// `backend` and merges the results deterministically.
+/// `lane` and merges the results deterministically.
 ///
-/// Shard panics and map-recovery failures come back as
-/// [`DispatchError`] instead of aborting the process.
+/// # Errors
+///
+/// A shard panic or map-recovery failure.
 pub fn run_batched(
-    backend: Backend,
+    lane: Lane,
     cfg: &DispatchConfig,
     packets: &[Vec<u8>],
-) -> Result<DispatchReport, DispatchError> {
-    let shards = cfg.shards.max(1);
-    let started = Instant::now();
-
-    // Feed the batch in global order; per-shard arrival order is the
-    // global order restricted to the shard, independent of scheduling.
-    // Payloads are fed by reference: the per-run copy happens on the
-    // worker thread, keeping the feeder off the host critical path.
-    let items = packets
-        .iter()
-        .enumerate()
-        .map(|(i, pkt)| (shard_of(cfg.seed, i as u64, shards), (i as u64, &pkt[..])));
-    // Exhaustive on purpose: a new backend must fail to compile here
-    // rather than silently fall through to a default lane.
-    let reports = run_sharded(shards, items, |shard, rx| match backend {
-        Backend::Ebpf => run_shard_ebpf(cfg, shard, rx),
-        Backend::SafeExt => run_shard_safe(cfg, shard, rx),
-        Backend::Sandbox => run_shard_sandbox(cfg, shard, rx),
-    })?;
-    let reports = reports.into_iter().collect::<Result<Vec<_>, _>>()?;
-
-    let elapsed_ns = started.elapsed().as_nanos() as u64;
-
-    let tagged: Vec<(usize, Vec<AuditEvent>)> =
-        reports.iter().map(|r| (r.shard, r.audit.clone())).collect();
-    let merged = merged_fingerprint(&tagged);
-
-    let (trace_fp, canonical_trace) = if cfg.trace {
-        let tagged_traces: Vec<(usize, Vec<TraceEvent>)> =
-            reports.iter().map(|r| (r.shard, r.trace.clone())).collect();
-        (
-            trace::merged_fingerprint(&tagged_traces),
-            trace::canonical_fingerprint(&tagged_traces),
-        )
-    } else {
-        (String::new(), String::new())
-    };
-
-    let mut metrics = MetricsSnapshot::default();
-    for r in &reports {
-        metrics.merge(&r.metrics);
-    }
-
-    let sim_elapsed_ns = reports.iter().map(|r| r.sim_ns).max().unwrap_or(0);
-    let host_cpu_ns = reports.iter().map(|r| r.host_cpu_ns).max().unwrap_or(0);
-
-    Ok(DispatchReport {
-        shards: reports,
-        merged_fingerprint: merged,
-        trace_fingerprint: trace_fp,
-        canonical_trace,
-        metrics,
-        elapsed_ns,
-        host_cpu_ns,
-        sim_elapsed_ns,
-    })
+) -> Result<RunReport<DispatchStats>, DispatchError> {
+    engine::run(&Batch { cfg, packets }, lane)
 }
 
 #[cfg(test)]
@@ -740,152 +259,5 @@ mod tests {
             seen[shard_of(7, idx, 8)] += 1;
         }
         assert!(seen.iter().all(|&n| n > 0), "some shard starved: {seen:?}");
-    }
-
-    #[test]
-    fn worker_panic_surfaces_as_typed_error() {
-        // Shard 1 dies mid-run; the feeder must keep draining (its ring
-        // degrades to dropping), the other shards finish, and the panic
-        // comes back as a typed error instead of aborting the process.
-        let items = (0..1000usize).map(|i| (i % 3, i as u64));
-        let err = run_sharded(3, items, |shard, rx: spsc::Consumer<u64>| {
-            let mut sum = 0u64;
-            for item in rx {
-                if shard == 1 && item >= 100 {
-                    panic!("shard exploded on item {item}");
-                }
-                sum += item;
-            }
-            sum
-        })
-        .expect_err("the panicking shard must fail the run");
-        match err {
-            DispatchError::ShardPanicked { shard, msg } => {
-                assert_eq!(shard, 1);
-                assert!(msg.contains("shard exploded"), "payload lost: {msg}");
-            }
-            other => panic!("expected ShardPanicked, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn jit_lane_matches_interpreter_fingerprint() {
-        // Flipping the compiled lane on must not change a single audit
-        // byte, canonical trace, or simulated cost.
-        let batch = make_packets(96);
-        for shards in [1usize, 4] {
-            let base_cfg = DispatchConfig {
-                shards,
-                seed: 12,
-                trace: true,
-                jit: false,
-                ..Default::default()
-            };
-            let jit_cfg = DispatchConfig {
-                jit: true,
-                ..base_cfg.clone()
-            };
-            let base = run_batched(Backend::Ebpf, &base_cfg, &batch).expect("dispatch");
-            let jit = run_batched(Backend::Ebpf, &jit_cfg, &batch).expect("dispatch");
-            assert_eq!(
-                base.merged_fingerprint, jit.merged_fingerprint,
-                "{shards} shards: compiled lane changed the merged audit"
-            );
-            assert_eq!(
-                base.canonical_trace, jit.canonical_trace,
-                "{shards} shards: compiled lane changed the trace"
-            );
-            assert_eq!(base.sim_elapsed_ns, jit.sim_elapsed_ns);
-            assert_eq!(base.metrics, jit.metrics);
-        }
-    }
-
-    #[test]
-    fn single_shard_batch_counts_protocols() {
-        let cfg = DispatchConfig {
-            shards: 1,
-            seed: 9,
-            ..Default::default()
-        };
-        let batch = make_packets(64);
-        for backend in Backend::ALL {
-            let report = run_batched(backend, &cfg, &batch).expect("dispatch");
-            assert_eq!(report.packets(), 64, "{backend:?}");
-            assert_eq!(report.errors(), 0, "{backend:?}");
-            // make_packets round-robins protocol classes.
-            assert_eq!(report.proto_counts(), [16, 16, 16, 16], "{backend:?}");
-            assert!(report.shards[0].pristine);
-            assert_eq!(report.metrics.packets, 64);
-            assert_eq!(report.metrics.runs, 64);
-        }
-    }
-
-    #[test]
-    fn totals_invariant_across_shard_counts() {
-        let batch = make_packets(96);
-        for backend in Backend::ALL {
-            let totals: Vec<_> = [1usize, 2, 4]
-                .iter()
-                .map(|&shards| {
-                    let cfg = DispatchConfig {
-                        shards,
-                        seed: 5,
-                        ..Default::default()
-                    };
-                    let r = run_batched(backend, &cfg, &batch).expect("dispatch");
-                    (r.packets(), r.accepted(), r.proto_counts())
-                })
-                .collect();
-            assert_eq!(totals[0], totals[1], "{backend:?}");
-            assert_eq!(totals[1], totals[2], "{backend:?}");
-        }
-    }
-
-    #[test]
-    fn simulated_time_scales_with_shards() {
-        let batch = make_packets(256);
-        for backend in Backend::ALL {
-            let sim_ns: Vec<u64> = [1usize, 4]
-                .iter()
-                .map(|&shards| {
-                    let cfg = DispatchConfig {
-                        shards,
-                        seed: 3,
-                        ..Default::default()
-                    };
-                    run_batched(backend, &cfg, &batch)
-                        .expect("dispatch")
-                        .sim_elapsed_ns
-                })
-                .collect();
-            // Four simulated CPUs split the work, so the busiest shard's
-            // clock advances far less than the lone shard's.
-            assert!(
-                sim_ns[1] * 2 < sim_ns[0],
-                "{backend:?}: 4-shard sim time {} not < half of 1-shard {}",
-                sim_ns[1],
-                sim_ns[0]
-            );
-        }
-    }
-
-    #[test]
-    fn merged_fingerprint_replays_byte_identical() {
-        let batch = make_packets(48);
-        for backend in Backend::ALL {
-            let cfg = DispatchConfig {
-                shards: 4,
-                seed: 11,
-                fault: Some(FaultPlanConfig::default()),
-                ..Default::default()
-            };
-            let a = run_batched(backend, &cfg, &batch).expect("dispatch");
-            let b = run_batched(backend, &cfg, &batch).expect("dispatch");
-            assert_eq!(
-                a.merged_fingerprint, b.merged_fingerprint,
-                "{backend:?}: replay diverged"
-            );
-            assert_eq!(a.injected(), b.injected());
-        }
     }
 }

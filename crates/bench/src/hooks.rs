@@ -2,12 +2,12 @@
 //!
 //! The paper's fleet argument is not only about packet filters: real
 //! deployments attach extensions at observability hooks, policy hooks,
-//! and scheduler hooks. This engine drives one scenario per hook family
-//! through the full multi-tenant control plane ([`tenancy`]) on all
-//! three backends, with the same breaker, storm, and hot-upgrade
-//! machinery as [`crate::churn`]:
+//! and scheduler hooks. This scenario drives one workload per hook
+//! family through the full multi-tenant control plane ([`tenancy`]) on
+//! every lane, with the same breaker, storm, and hot-upgrade machinery as
+//! [`crate::churn`] ([`crate::fleet`]):
 //!
-//! - **Kprobe** ([`Scenario::Kprobe`]): each work item performs a seeded
+//! - **Kprobe** ([`HookFamily::Kprobe`]): each work item performs a seeded
 //!   mix of kernel-sim substrate operations (lock acquire, refcount
 //!   drop, skb alloc/free, RCU grace period) with tracing enabled, then
 //!   drains the trace ring and maps its instants to probe fires via
@@ -16,12 +16,12 @@
 //!   ctx-supplied value into the per-CPU log2 histograms
 //!   (`bpf_hist_record` / [`safe_ext`]'s `hist_record`) and returns
 //!   `version * 256 + bucket`.
-//! - **LSM** ([`Scenario::Lsm`]): each item gates one simulated
+//! - **LSM** ([`HookFamily::Lsm`]): each item gates one simulated
 //!   operation (map-create, prog-load, fd-access) through the tenant's
 //!   policy program. Deny verdicts — including *fail-closed* denials
 //!   when the policy program itself is killed or quarantined — are
 //!   audited as [`EventKind::PolicyDenied`] and counted.
-//! - **Sched** ([`Scenario::Sched`]): each item builds a seeded
+//! - **Sched** ([`HookFamily::Sched`]): each item builds a seeded
 //!   [`SchedBoard`] and runs a burst of pick-next-task decisions through
 //!   the tenant's scheduler program; a killed, refused, or
 //!   out-of-contract pick falls back to the default (min-vruntime)
@@ -39,36 +39,29 @@
 //! bucket (log2 of a ctx value, never shard-local histogram state);
 //! trace instants carry operation codes, never per-kernel ids.
 
-use std::time::Instant;
-
 use ebpf::asm::Asm;
-use ebpf::helpers::{self, HelperRegistry};
+use ebpf::helpers;
 use ebpf::insn::*;
-use ebpf::maps::MapRegistry;
+use ebpf::maps::MapError;
 use ebpf::program::{ProgType, Program};
-use kernel_sim::audit::{merged_fingerprint, AuditEvent, EventKind};
+use kernel_sim::audit::EventKind;
 use kernel_sim::hooks::{LSM_ALLOW, LSM_DENY};
-use kernel_sim::percpu::CpuInfo;
-use kernel_sim::refcount::ObjKind;
-use kernel_sim::{
-    FaultPlan, FaultPlanConfig, HistSketch, HistSnapshot, Kernel, LsmHook, Metrics,
-    MetricsSnapshot, ProbePoint, SchedBoard, SchedChoice,
-};
+use kernel_sim::locks::LockId;
+use kernel_sim::refcount::{ObjId, ObjKind};
+use kernel_sim::{LsmHook, Metrics, ProbePoint, SchedBoard, SchedChoice};
 use safe_ext::Extension;
-use signing::sha256;
-use tenancy::{
-    storm_fault_config, HookInput, ProgramSpec, RunVerdict, Storm, TenantBudget, TenantId,
-    TenantRegistry,
-};
+use tenancy::{HookInput, RunVerdict, TenantId};
 
-use crate::churn::{tenant_of, tenant_shard};
-use crate::dispatch::{run_sharded, splitmix64, Backend, DispatchError};
-use crate::hostclock::thread_cpu_ns;
-use crate::spsc;
+use crate::engine::{splitmix64, Record, Scenario, Shard, ShardOut};
+use crate::fleet::{tenant_of, tenant_shard, Fleet, FleetShard, FleetStats};
+use crate::Lane;
+
+/// Gives the hooks storm its own victim draw.
+pub const STORM_SALT: u64 = 0x6b8b_4567_327b_23c6;
 
 /// Which hook family a run exercises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scenario {
+pub enum HookFamily {
     /// Observability: trace-fed probe fires into per-CPU histograms.
     Kprobe,
     /// Policy: allow/deny gating of simulated kernel operations.
@@ -77,25 +70,25 @@ pub enum Scenario {
     Sched,
 }
 
-impl Scenario {
+impl HookFamily {
     /// All hook families.
-    pub const ALL: [Scenario; 3] = [Scenario::Kprobe, Scenario::Lsm, Scenario::Sched];
+    pub const ALL: [HookFamily; 3] = [HookFamily::Kprobe, HookFamily::Lsm, HookFamily::Sched];
 
     /// Stable name for logs and JSON rows.
     pub fn name(&self) -> &'static str {
         match self {
-            Scenario::Kprobe => "kprobe",
-            Scenario::Lsm => "lsm",
-            Scenario::Sched => "sched",
+            HookFamily::Kprobe => "kprobe",
+            HookFamily::Lsm => "lsm",
+            HookFamily::Sched => "sched",
         }
     }
 
-    /// The attachment point tenants use for this scenario.
+    /// The attachment point tenants use for this family.
     pub fn point(&self) -> &'static str {
         match self {
-            Scenario::Kprobe => "probe",
-            Scenario::Lsm => "policy",
-            Scenario::Sched => "sched",
+            HookFamily::Kprobe => "probe",
+            HookFamily::Lsm => "policy",
+            HookFamily::Sched => "sched",
         }
     }
 }
@@ -104,46 +97,12 @@ impl Scenario {
 #[derive(Debug, Clone, Copy)]
 pub struct HooksConfig {
     /// The hook family to run.
-    pub scenario: Scenario,
-    /// Worker shards (1 = the sequential baseline).
-    pub shards: usize,
-    /// Master seed: tenant steering, item content, storm selection, and
-    /// fault plans all derive from it.
-    pub seed: u64,
-    /// Concurrently attached tenants.
-    pub tenants: u32,
-    /// Work items in the batch.
-    pub items: u64,
+    pub family: HookFamily,
+    /// The fleet; its items are work items.
+    pub fleet: Fleet,
     /// A hot upgrade fires before every `upgrade_every`-th item
     /// (0 disables upgrades).
     pub upgrade_every: u64,
-    /// Arm the seeded quarantine storm.
-    pub storm_armed: bool,
-    /// How many victim tenants the storm picks.
-    pub storm_victims: u32,
-    /// Run the eBPF and sandbox lanes through the JIT instead of the
-    /// interpreter ([`ProgramSpec::EbpfJit`] / [`ProgramSpec::SandboxJit`]);
-    /// the safe dialect ignores this. The canonical log must not change.
-    pub jit: bool,
-}
-
-impl HooksConfig {
-    /// The storm's item-index window: the middle half of the batch.
-    pub fn storm_window(&self) -> (u64, u64) {
-        (self.items / 4, self.items - self.items / 4)
-    }
-
-    /// The armed storm, if any.
-    pub fn storm(&self) -> Option<Storm> {
-        self.storm_armed.then(|| {
-            Storm::seeded(
-                self.seed ^ 0x6b8b_4567_327b_23c6,
-                self.tenants,
-                self.storm_victims,
-                self.storm_window(),
-            )
-        })
-    }
 }
 
 /// The per-item fault-plan seed (items and events share the stream).
@@ -193,7 +152,7 @@ fn probe_ext(tenant: TenantId, version: u32) -> Extension {
 /// The LSM policy program: denies iff `(subject ^ attr) & 7 == 7` (a
 /// deterministic one-in-eight). Both exits return constants, so the
 /// verifier proves the `[0, 1]` LSM return contract. Versions are not
-/// encoded in the return value (the contract forbids it); the engine
+/// encoded in the return value (the contract forbids it); the scenario
 /// logs the serving version from the control plane instead.
 fn policy_prog(_version: u32) -> Program {
     let insns = Asm::new()
@@ -279,78 +238,42 @@ fn sched_ext_prog(tenant: TenantId, version: u32) -> Extension {
     )
 }
 
-/// The `(backend, jit)` lane's program spec for one tenant at `version`.
-fn spec_for(
-    backend: Backend,
-    jit: bool,
-    scenario: Scenario,
-    tenant: TenantId,
-    version: u32,
-) -> ProgramSpec {
-    let prog = || match scenario {
-        Scenario::Kprobe => probe_prog(version),
-        Scenario::Lsm => policy_prog(version),
-        Scenario::Sched => sched_prog(version),
-    };
-    match (backend, jit) {
-        (Backend::Ebpf, false) => ProgramSpec::Ebpf(prog()),
-        (Backend::Ebpf, true) => ProgramSpec::EbpfJit(prog()),
-        (Backend::Sandbox, false) => ProgramSpec::Sandbox(prog()),
-        (Backend::Sandbox, true) => ProgramSpec::SandboxJit(prog()),
-        (Backend::SafeExt, _) => ProgramSpec::Safe(match scenario {
-            Scenario::Kprobe => probe_ext(tenant, version),
-            Scenario::Lsm => policy_ext(tenant, version),
-            Scenario::Sched => sched_ext_prog(tenant, version),
-        }),
+impl HookFamily {
+    /// The family's eBPF program at `version`.
+    fn program(self, version: u32) -> Program {
+        match self {
+            HookFamily::Kprobe => probe_prog(version),
+            HookFamily::Lsm => policy_prog(version),
+            HookFamily::Sched => sched_prog(version),
+        }
     }
-}
 
-/// One canonical-log record, tagged for the cross-shard merge sort.
-struct HookRecord {
-    idx: u64,
-    /// Events sort before the same-index work item.
-    is_work: bool,
-    line: String,
-}
-
-enum HookItem {
-    Work { idx: u64, tenant: TenantId },
-    Upgrade { idx: u64, tenant: TenantId },
-}
-
-/// Per-run verdict tallies.
-#[derive(Default)]
-struct Tally {
-    ok: u64,
-    refused: u64,
-    killed: u64,
-    errors: u64,
-}
-
-impl Tally {
-    fn note(&mut self, v: &RunVerdict) {
-        match v {
-            RunVerdict::Ok(_) => self.ok += 1,
-            RunVerdict::Refused => self.refused += 1,
-            RunVerdict::Killed => self.killed += 1,
-            RunVerdict::Error => self.errors += 1,
+    /// The family's safe-dialect mirror for `tenant` at `version`.
+    fn extension(self, tenant: TenantId, version: u32) -> Extension {
+        match self {
+            HookFamily::Kprobe => probe_ext(tenant, version),
+            HookFamily::Lsm => policy_ext(tenant, version),
+            HookFamily::Sched => sched_ext_prog(tenant, version),
         }
     }
 }
 
-struct HooksShardReport {
-    records: Vec<HookRecord>,
-    audit: Vec<AuditEvent>,
-    metrics: MetricsSnapshot,
-    cost: HistSnapshot,
-    tally: Tally,
-    attached: u64,
-    upgrades: u64,
-    injected: u64,
-    /// Samples held by this shard's hook histograms, summed over slots.
-    hist_count: u64,
-    sim_ns: u64,
-    host_cpu_ns: u64,
+/// One unit of hooks work.
+pub enum HookItem {
+    /// A work item for `tenant`.
+    Work {
+        /// Global item index.
+        idx: u64,
+        /// The tenant it belongs to.
+        tenant: TenantId,
+    },
+    /// A hot upgrade of `tenant`, before item `idx`.
+    Upgrade {
+        /// Global index of the item the upgrade precedes.
+        idx: u64,
+        /// The tenant it targets.
+        tenant: TenantId,
+    },
 }
 
 /// The label a run verdict contributes to a canonical log element. `Ok`
@@ -365,519 +288,329 @@ fn verdict_label(v: &RunVerdict) -> String {
     }
 }
 
-#[allow(clippy::too_many_lines)]
-fn run_hooks_shard(
-    backend: Backend,
-    cfg: &HooksConfig,
-    storm: &Option<Storm>,
-    shard: usize,
-    rx: spsc::Consumer<HookItem>,
-) -> HooksShardReport {
-    let cpu_t0 = thread_cpu_ns();
-    let kernel = Kernel::with_topology(CpuInfo::pinned(cfg.shards.max(1), shard));
-    let maps = MapRegistry::default();
-    let helpers = HelperRegistry::standard();
-    let mut reg = TenantRegistry::new(&kernel, &maps, &helpers);
-    let point = cfg.scenario.point();
+/// Substrate fixtures the kprobe op mix runs against.
+struct Fixtures {
+    lock: LockId,
+    obj: ObjId,
+}
 
-    // Every shard registers the whole fleet (ids must be dense and
-    // globally consistent), but only steered-here tenants attach.
-    for t in 0..cfg.tenants {
-        reg.register(&format!("tenant{t}"), TenantBudget::small())
-            .expect("fresh registry");
-        if tenant_shard(t, cfg.shards) == shard {
-            reg.attach(t, point, spec_for(backend, cfg.jit, cfg.scenario, t, 1))
-                .expect("v1 attach");
+impl HooksConfig {
+    /// Kprobe item: a seeded mix of substrate ops with tracing on, then
+    /// one probe run per trace instant that maps to a probe point.
+    fn kprobe(&self, fs: &mut FleetShard<'_>, fx: &Fixtures, idx: u64, tenant: TenantId) -> String {
+        let kernel = &fs.shard().kernel;
+        let seed = self.fleet.seed;
+        let h = item_hash(seed, idx);
+        // Substrate ops run under a quiet plan: the storm aims at
+        // extension runs, not at the kernel primitives that *generate*
+        // the probe stream.
+        fs.arm(item_fault_seed(seed, idx) ^ 2, |_| false);
+        kernel.trace.enable();
+        kernel.trace.clear();
+        {
+            let _rcu = kernel.rcu.read_lock();
+            // Unconditional refcount cycle: every item fires at least the
+            // ref-drop probe.
+            kernel.refs.get(fx.obj).expect("fixture object");
+            kernel.refs.put(fx.obj).expect("fixture object");
+            if h & 1 == 0 {
+                kernel
+                    .locks
+                    .acquire(tenant as u64, fx.lock)
+                    .expect("free lock");
+                kernel
+                    .locks
+                    .release(tenant as u64, fx.lock)
+                    .expect("held lock");
+            }
         }
+        if h & 2 == 0 {
+            let payload = [(idx & 0xff) as u8; 8];
+            let skb = kernel
+                .objects
+                .create_skb(&kernel.mem, &payload)
+                .expect("skb fits");
+            kernel
+                .objects
+                .free_skb(&kernel.mem, skb.id)
+                .expect("skb just created");
+        }
+        if h.is_multiple_of(5) {
+            kernel.rcu.synchronize(&kernel.audit).expect("no readers");
+        }
+        let events = kernel.trace.take();
+        kernel.trace.disable();
+        let fires: Vec<ProbePoint> = events
+            .iter()
+            .filter_map(ProbePoint::from_trace)
+            .take(6)
+            .collect();
+
+        fs.arm(item_fault_seed(seed, idx), |s| s.targets(tenant, idx));
+        let mut parts = Vec::with_capacity(fires.len());
+        for (ord, probe) in fires.iter().enumerate() {
+            let value = (probe.id() + 1) * 64 + (splitmix64(h ^ (ord as u64) << 16) & 63);
+            let regs = [probe.id(), value, ord as u64, idx, 0, 0, 0, 0];
+            let out = fs.run(tenant, self.family.point(), HookInput::Kprobe(regs));
+            Metrics::bump(&kernel.metrics.probe_fires, 1);
+            parts.push(format!("{}:{}", probe.label(), verdict_label(&out.verdict)));
+        }
+        format!("{idx}|K|{tenant}|{}", parts.join(","))
     }
 
-    // Substrate fixtures the kprobe scenario's op mix runs against.
-    let lock = kernel.locks.create("hooks-probe");
-    let obj = kernel.refs.register(ObjKind::Other, 1);
+    /// LSM item: one policy decision; anything but an allow denies, and a
+    /// killed, refused or erroring policy program denies fail-closed.
+    fn lsm(&self, fs: &mut FleetShard<'_>, idx: u64, tenant: TenantId) -> String {
+        let kernel = &fs.shard().kernel;
+        let h = item_hash(self.fleet.seed, idx);
+        let point = self.family.point();
+        fs.arm(item_fault_seed(self.fleet.seed, idx), |s| {
+            s.targets(tenant, idx)
+        });
+        let hook = LsmHook::from_id(idx % 3).expect("dense hook ids");
+        let subject = h & 0xffff;
+        let attr = (h >> 16) & 0xffff;
+        let out = fs.run(
+            tenant,
+            point,
+            HookInput::Lsm([hook.id(), subject, attr, idx]),
+        );
+        let verdict = match out.verdict {
+            RunVerdict::Ok(LSM_ALLOW) => "allow",
+            RunVerdict::Ok(_) => "deny",
+            _ => "deny-closed",
+        };
+        if verdict != "allow" {
+            Metrics::bump(&kernel.metrics.policy_denies, 1);
+            kernel.audit.record(
+                kernel.clock.now_ns(),
+                EventKind::PolicyDenied,
+                format!(
+                    "lsm: tenant {tenant} {} denied ({verdict}) subject={subject:#x}",
+                    hook.label()
+                ),
+            );
+        }
+        let version = fs.reg.version(tenant, point).unwrap_or(0);
+        format!("{idx}|L|{tenant}|{}|{verdict}|v{version}", hook.label())
+    }
 
-    let quiet = FaultPlanConfig::quiet();
-    let hist = HistSketch::new();
-    let mut records = Vec::new();
-    let mut tally = Tally::default();
-    let mut upgrades = 0u64;
-    for item in rx {
-        match item {
-            HookItem::Work { idx, tenant } => {
-                let h = item_hash(cfg.seed, idx);
-                let line = match cfg.scenario {
-                    Scenario::Kprobe => {
-                        // Substrate ops run under a quiet plan: the storm
-                        // aims at extension runs, not at the kernel
-                        // primitives that *generate* the probe stream.
-                        if storm.is_some() {
-                            kernel.arm_fault_plan(FaultPlan::with_config(
-                                item_fault_seed(cfg.seed, idx) ^ 2,
-                                quiet,
-                            ));
-                        }
-                        kernel.trace.enable();
-                        kernel.trace.clear();
-                        {
-                            let _rcu = kernel.rcu.read_lock();
-                            // Unconditional refcount cycle: every item
-                            // fires at least the ref-drop probe.
-                            kernel.refs.get(obj).expect("fixture object");
-                            kernel.refs.put(obj).expect("fixture object");
-                            if h & 1 == 0 {
-                                kernel
-                                    .locks
-                                    .acquire(tenant as u64, lock)
-                                    .expect("free lock");
-                                kernel
-                                    .locks
-                                    .release(tenant as u64, lock)
-                                    .expect("held lock");
-                            }
-                        }
-                        if h & 2 == 0 {
-                            let payload = [(idx & 0xff) as u8; 8];
-                            let skb = kernel
-                                .objects
-                                .create_skb(&kernel.mem, &payload)
-                                .expect("skb fits");
-                            kernel
-                                .objects
-                                .free_skb(&kernel.mem, skb.id)
-                                .expect("skb just created");
-                        }
-                        if h.is_multiple_of(5) {
-                            kernel.rcu.synchronize(&kernel.audit).expect("no readers");
-                        }
-                        let events = kernel.trace.take();
-                        kernel.trace.disable();
-                        let fires: Vec<ProbePoint> = events
-                            .iter()
-                            .filter_map(ProbePoint::from_trace)
-                            .take(6)
-                            .collect();
-
-                        if storm.is_some() {
-                            let fc = match storm {
-                                Some(s) if s.targets(tenant, idx) => storm_fault_config(),
-                                _ => quiet,
-                            };
-                            kernel.arm_fault_plan(FaultPlan::with_config(
-                                item_fault_seed(cfg.seed, idx),
-                                fc,
-                            ));
-                        }
-                        let mut parts = Vec::with_capacity(fires.len());
-                        for (ord, probe) in fires.iter().enumerate() {
-                            let value =
-                                (probe.id() + 1) * 64 + (splitmix64(h ^ (ord as u64) << 16) & 63);
-                            let regs = [probe.id(), value, ord as u64, idx, 0, 0, 0, 0];
-                            let out = reg
-                                .run_input(tenant, point, HookInput::Kprobe(regs))
-                                .expect("resident tenant");
-                            Metrics::bump(&kernel.metrics.probe_fires, 1);
-                            hist.record(out.cost_ns);
-                            tally.note(&out.verdict);
-                            parts.push(format!(
-                                "{}:{}",
-                                probe.label(),
-                                verdict_label(&out.verdict)
-                            ));
-                        }
-                        format!("{idx}|K|{tenant}|{}", parts.join(","))
-                    }
-                    Scenario::Lsm => {
-                        if storm.is_some() {
-                            let fc = match storm {
-                                Some(s) if s.targets(tenant, idx) => storm_fault_config(),
-                                _ => quiet,
-                            };
-                            kernel.arm_fault_plan(FaultPlan::with_config(
-                                item_fault_seed(cfg.seed, idx),
-                                fc,
-                            ));
-                        }
-                        let hook = LsmHook::from_id(idx % 3).expect("dense hook ids");
-                        let subject = h & 0xffff;
-                        let attr = (h >> 16) & 0xffff;
-                        let out = reg
-                            .run_input(
-                                tenant,
-                                point,
-                                HookInput::Lsm([hook.id(), subject, attr, idx]),
-                            )
-                            .expect("resident tenant");
-                        hist.record(out.cost_ns);
-                        tally.note(&out.verdict);
-                        let verdict = match out.verdict {
-                            RunVerdict::Ok(LSM_ALLOW) => "allow",
-                            // Any other return is a deny; a killed,
-                            // refused, or erroring policy program denies
-                            // fail-closed.
-                            RunVerdict::Ok(_) => "deny",
-                            _ => "deny-closed",
-                        };
-                        if verdict != "allow" {
-                            Metrics::bump(&kernel.metrics.policy_denies, 1);
-                            kernel.audit.record(
-                                kernel.clock.now_ns(),
-                                EventKind::PolicyDenied,
-                                format!(
-                                    "lsm: tenant {tenant} {} denied ({verdict}) subject={subject:#x}",
-                                    hook.label()
-                                ),
-                            );
-                        }
-                        let version = reg.version(tenant, point).unwrap_or(0);
-                        format!("{idx}|L|{tenant}|{}|{verdict}|v{version}", hook.label())
-                    }
-                    Scenario::Sched => {
-                        if storm.is_some() {
-                            let fc = match storm {
-                                Some(s) if s.targets(tenant, idx) => storm_fault_config(),
-                                _ => quiet,
-                            };
-                            kernel.arm_fault_plan(FaultPlan::with_config(
-                                item_fault_seed(cfg.seed, idx),
-                                fc,
-                            ));
-                        }
-                        let mut board = SchedBoard::seeded(
-                            cfg.seed ^ idx.wrapping_mul(0xff51_afd7_ed55_8ccd),
-                            tenant as u64 & 3,
-                            2 + (h % 7) as usize,
-                        );
-                        let mut parts = Vec::with_capacity(4);
-                        for _ in 0..4 {
-                            let cand = board.candidates();
-                            let out = reg
-                                .run_input(tenant, point, HookInput::Sched(cand.ctx()))
-                                .expect("resident tenant");
-                            Metrics::bump(&kernel.metrics.sched_picks, 1);
-                            hist.record(out.cost_ns);
-                            tally.note(&out.verdict);
-                            let part = match &out.verdict {
-                                RunVerdict::Ok(ret) => match SchedChoice::from_ret(*ret) {
-                                    Some(SchedChoice::Default) => {
-                                        format!("d{}", board.apply(&cand, SchedChoice::Default))
-                                    }
-                                    Some(choice) => format!("e{}", board.apply(&cand, choice)),
-                                    None => {
-                                        Metrics::bump(&kernel.metrics.sched_fallbacks, 1);
-                                        format!("f{}", board.apply_fallback(&cand))
-                                    }
-                                },
-                                _ => {
-                                    Metrics::bump(&kernel.metrics.sched_fallbacks, 1);
-                                    format!("f{}", board.apply_fallback(&cand))
-                                }
-                            };
-                            parts.push(part);
-                        }
-                        let version = reg.version(tenant, point).unwrap_or(0);
-                        format!("{idx}|S|{tenant}|v{version}|{}", parts.join(","))
-                    }
-                };
-                records.push(HookRecord {
-                    idx,
-                    is_work: true,
-                    line,
-                });
-            }
-            HookItem::Upgrade { idx, tenant } => {
-                if storm.is_some() {
-                    // Control-plane ops always run under a quiet plan so
-                    // leftover storm state can't leak into an RCU drain.
-                    kernel.arm_fault_plan(FaultPlan::with_config(
-                        item_fault_seed(cfg.seed, idx) ^ 1,
-                        quiet,
-                    ));
+    /// Sched item: a burst of four pick-next-task decisions on a seeded
+    /// board; a killed, refused or out-of-contract pick falls back to the
+    /// default policy.
+    fn sched(&self, fs: &mut FleetShard<'_>, idx: u64, tenant: TenantId) -> String {
+        let kernel = &fs.shard().kernel;
+        let seed = self.fleet.seed;
+        let h = item_hash(seed, idx);
+        let point = self.family.point();
+        fs.arm(item_fault_seed(seed, idx), |s| s.targets(tenant, idx));
+        let mut board = SchedBoard::seeded(
+            seed ^ idx.wrapping_mul(0xff51_afd7_ed55_8ccd),
+            tenant as u64 & 3,
+            2 + (h % 7) as usize,
+        );
+        let mut parts = Vec::with_capacity(4);
+        for _ in 0..4 {
+            let cand = board.candidates();
+            let out = fs.run(tenant, point, HookInput::Sched(cand.ctx()));
+            Metrics::bump(&kernel.metrics.sched_picks, 1);
+            let choice = match out.verdict {
+                RunVerdict::Ok(ret) => SchedChoice::from_ret(ret),
+                _ => None,
+            };
+            parts.push(match choice {
+                Some(SchedChoice::Default) => {
+                    format!("d{}", board.apply(&cand, SchedChoice::Default))
                 }
-                let next = reg.version(tenant, point).expect("attached") + 1;
-                let outcome = match reg.upgrade(
-                    tenant,
-                    point,
-                    spec_for(backend, cfg.jit, cfg.scenario, tenant, next),
-                ) {
-                    Ok(()) => {
-                        upgrades += 1;
-                        format!("v{next}")
-                    }
-                    Err(e) => format!("err:{e}"),
-                };
-                records.push(HookRecord {
-                    idx,
-                    is_work: false,
-                    line: format!("{idx}|E|{tenant}|upgrade|{outcome}"),
-                });
+                Some(choice) => format!("e{}", board.apply(&cand, choice)),
+                None => {
+                    Metrics::bump(&kernel.metrics.sched_fallbacks, 1);
+                    format!("f{}", board.apply_fallback(&cand))
+                }
+            });
+        }
+        let version = fs.reg.version(tenant, point).unwrap_or(0);
+        format!("{idx}|S|{tenant}|v{version}|{}", parts.join(","))
+    }
+}
+
+impl Scenario for HooksConfig {
+    type Item = HookItem;
+    type Stats = FleetStats;
+
+    fn shards(&self) -> usize {
+        self.fleet.shards
+    }
+
+    fn items(&self, shards: usize) -> impl Iterator<Item = (usize, HookItem)> {
+        let Fleet { seed, tenants, .. } = self.fleet;
+        let every = self.upgrade_every;
+        (0..self.fleet.items).flat_map(move |idx| {
+            let upgrade = (every != 0 && idx != 0 && idx % every == 0).then(|| {
+                let tenant = tenant_of(seed ^ 0xa24b_aed4_963e_e407, idx, tenants);
+                (
+                    tenant_shard(tenant, shards),
+                    HookItem::Upgrade { idx, tenant },
+                )
+            });
+            let tenant = tenant_of(seed, idx, tenants);
+            upgrade.into_iter().chain(std::iter::once((
+                tenant_shard(tenant, shards),
+                HookItem::Work { idx, tenant },
+            )))
+        })
+    }
+
+    fn run_shard(
+        &self,
+        lane: Lane,
+        shard: &Shard,
+        feed: impl Iterator<Item = HookItem>,
+    ) -> Result<ShardOut<FleetStats>, MapError> {
+        let family = self.family;
+        let point = family.point();
+        let spec = |tenant, version| {
+            lane.spec(
+                || family.program(version),
+                || family.extension(tenant, version),
+            )
+        };
+        let mut fs = FleetShard::boot(
+            &self.fleet,
+            self.fleet.storm(STORM_SALT),
+            shard,
+            |reg, t| {
+                reg.attach(t, point, spec(t, 1)).expect("v1 attach");
+            },
+        );
+        let kernel = &shard.kernel;
+        let fx = Fixtures {
+            lock: kernel.locks.create("hooks-probe"),
+            obj: kernel.refs.register(ObjKind::Other, 1),
+        };
+        let mut records = Vec::new();
+        for item in feed {
+            match item {
+                HookItem::Work { idx, tenant } => {
+                    let line = match family {
+                        HookFamily::Kprobe => self.kprobe(&mut fs, &fx, idx, tenant),
+                        HookFamily::Lsm => self.lsm(&mut fs, idx, tenant),
+                        HookFamily::Sched => self.sched(&mut fs, idx, tenant),
+                    };
+                    records.push(Record { idx, rank: 1, line });
+                }
+                HookItem::Upgrade { idx, tenant } => {
+                    fs.arm(item_fault_seed(self.fleet.seed, idx) ^ 1, |_| false);
+                    let outcome = fs.upgrade(tenant, point, |next| spec(tenant, next));
+                    records.push(Record {
+                        idx,
+                        rank: 0,
+                        line: format!("{idx}|E|{tenant}|upgrade|{outcome}"),
+                    });
+                }
             }
         }
-    }
-
-    kernel.audit.record(
-        kernel.clock.now_ns(),
-        EventKind::Info,
-        format!(
-            "hooks shard {shard}: scenario={} tenants={} attached={} records={} upgrades={upgrades}",
-            cfg.scenario.name(),
-            reg.tenant_count(),
-            reg.attached_count(),
+        let summary = format!(
+            "hooks shard {}: scenario={} tenants={} attached={} records={} upgrades={}",
+            shard.id,
+            family.name(),
+            fs.reg.tenant_count(),
+            fs.reg.attached_count(),
             records.len(),
-        ),
-    );
-    let hist_count = (0..kernel_sim::hooks::HIST_SLOTS)
-        .map(|slot| kernel.hooks.merged(slot).count)
-        .sum();
-    HooksShardReport {
-        records,
-        audit: kernel.audit.snapshot(),
-        metrics: kernel.metrics.snapshot(),
-        cost: hist.snapshot(),
-        tally,
-        attached: reg.attached_count() as u64,
-        upgrades,
-        injected: kernel
-            .inject
-            .get()
-            .map(|plane| plane.total_injected())
-            .unwrap_or(0),
-        hist_count,
-        sim_ns: kernel.clock.now_ns(),
-        host_cpu_ns: thread_cpu_ns().saturating_sub(cpu_t0),
+            fs.stats.upgrades,
+        );
+        fs.stats.hist_samples = (0..kernel_sim::hooks::HIST_SLOTS)
+            .map(|slot| kernel.hooks.merged(slot).count)
+            .sum();
+        Ok(ShardOut {
+            stats: fs.finish(),
+            records,
+            summary,
+            trace: Vec::new(),
+        })
     }
-}
-
-/// The merged hooks run: canonical log, verdict tallies, hook counters.
-pub struct HooksReport {
-    /// The hook family that ran.
-    pub scenario: Scenario,
-    /// Shards the batch ran on.
-    pub shards: usize,
-    /// Work items in the batch.
-    pub items: u64,
-    /// Extension runs (fires + policy decisions + picks).
-    pub runs: u64,
-    /// Hot upgrades applied.
-    pub upgrades: u64,
-    /// Attachments live at the end of the batch, summed over shards.
-    pub tenants_loaded: u64,
-    /// Runs that returned a value.
-    pub ok: u64,
-    /// Runs refused at admission (tripped breaker).
-    pub refused: u64,
-    /// Runs killed (watchdog or abort; counts toward breakers).
-    pub killed: u64,
-    /// Ordinary errors (safe dialect only).
-    pub errors: u64,
-    /// Probe fires delivered (kprobe scenario).
-    pub probe_fires: u64,
-    /// Policy denials, fail-closed included (LSM scenario).
-    pub policy_denies: u64,
-    /// Scheduler picks requested (sched scenario).
-    pub sched_picks: u64,
-    /// Picks that fell back to the default policy (sched scenario).
-    pub sched_fallbacks: u64,
-    /// Samples in the per-CPU hook histograms, summed over shards and
-    /// slots (kprobe scenario; shard-local, *not* in the canonical log).
-    pub hist_samples: u64,
-    /// Total fault-plane injections.
-    pub injected: u64,
-    /// The canonical hooks log (see module docs).
-    pub canonical_log: String,
-    /// SHA-256 of the canonical log: shard-count-invariant always, and
-    /// backend- and JIT-lane-invariant when fault-free.
-    pub hooks_sha256: String,
-    /// Merged audit fingerprint: replay determinism only.
-    pub merged_fingerprint: String,
-    /// Per-run cost histogram over every extension run.
-    pub cost: HistSnapshot,
-    /// Merged kernel metrics.
-    pub metrics: MetricsSnapshot,
-    /// Max shard virtual time.
-    pub sim_elapsed_ns: u64,
-    /// Max shard host CPU time.
-    pub host_cpu_ns: u64,
-    /// Wall-clock for the whole batch.
-    pub elapsed_ns: u64,
-}
-
-impl HooksReport {
-    /// Extension runs per second of host CPU time on the busiest shard.
-    pub fn runs_per_host_cpu_sec(&self) -> f64 {
-        if self.host_cpu_ns == 0 {
-            0.0
-        } else {
-            self.runs as f64 * 1e9 / self.host_cpu_ns as f64
-        }
-    }
-}
-
-/// Runs one hooks scenario: `cfg.items` work items through `cfg.tenants`
-/// resident tenants over `cfg.shards` tenant-steered shards, with hot
-/// upgrades (and optionally the storm) interleaved.
-pub fn run_hooks(backend: Backend, cfg: &HooksConfig) -> Result<HooksReport, DispatchError> {
-    let shards = cfg.shards.max(1);
-    let storm = cfg.storm();
-    let started = Instant::now();
-
-    let mut items: Vec<(usize, HookItem)> = Vec::with_capacity(cfg.items as usize);
-    for idx in 0..cfg.items {
-        if cfg.upgrade_every != 0 && idx != 0 && idx % cfg.upgrade_every == 0 {
-            let tenant = tenant_of(cfg.seed ^ 0xa24b_aed4_963e_e407, idx, cfg.tenants);
-            items.push((
-                tenant_shard(tenant, shards),
-                HookItem::Upgrade { idx, tenant },
-            ));
-        }
-        let tenant = tenant_of(cfg.seed, idx, cfg.tenants);
-        items.push((tenant_shard(tenant, shards), HookItem::Work { idx, tenant }));
-    }
-
-    let reports = run_sharded(shards, items.into_iter(), |shard, rx| {
-        run_hooks_shard(backend, cfg, &storm, shard, rx)
-    })?;
-    let elapsed_ns = started.elapsed().as_nanos() as u64;
-
-    let tagged: Vec<(usize, Vec<AuditEvent>)> = reports
-        .iter()
-        .enumerate()
-        .map(|(shard, r)| (shard, r.audit.clone()))
-        .collect();
-    let merged = merged_fingerprint(&tagged);
-
-    let mut all: Vec<&HookRecord> = reports.iter().flat_map(|r| &r.records).collect();
-    all.sort_by_key(|r| (r.idx, r.is_work));
-    let canonical_log = all
-        .iter()
-        .map(|r| r.line.as_str())
-        .collect::<Vec<_>>()
-        .join("\n");
-    let hooks_sha256 = sha256::to_hex(&sha256::digest(canonical_log.as_bytes()));
-
-    let mut metrics = MetricsSnapshot::default();
-    let mut cost = HistSnapshot::default();
-    let mut tally = Tally::default();
-    for r in &reports {
-        metrics.merge(&r.metrics);
-        cost.merge(&r.cost);
-        tally.ok += r.tally.ok;
-        tally.refused += r.tally.refused;
-        tally.killed += r.tally.killed;
-        tally.errors += r.tally.errors;
-    }
-
-    Ok(HooksReport {
-        scenario: cfg.scenario,
-        shards,
-        items: cfg.items,
-        runs: tally.ok + tally.refused + tally.killed + tally.errors,
-        upgrades: reports.iter().map(|r| r.upgrades).sum(),
-        tenants_loaded: reports.iter().map(|r| r.attached).sum(),
-        ok: tally.ok,
-        refused: tally.refused,
-        killed: tally.killed,
-        errors: tally.errors,
-        probe_fires: metrics.probe_fires,
-        policy_denies: metrics.policy_denies,
-        sched_picks: metrics.sched_picks,
-        sched_fallbacks: metrics.sched_fallbacks,
-        hist_samples: reports.iter().map(|r| r.hist_count).sum(),
-        injected: reports.iter().map(|r| r.injected).sum(),
-        canonical_log,
-        hooks_sha256,
-        merged_fingerprint: merged,
-        cost,
-        metrics,
-        sim_elapsed_ns: reports.iter().map(|r| r.sim_ns).max().unwrap_or(0),
-        host_cpu_ns: reports.iter().map(|r| r.host_cpu_ns).max().unwrap_or(0),
-        elapsed_ns,
-    })
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::engine::{self, RunReport};
 
-    fn small(scenario: Scenario, shards: usize, storm: bool) -> HooksConfig {
+    /// The scenario's small test configuration.
+    pub(crate) fn small(family: HookFamily, shards: usize, storm: bool) -> HooksConfig {
         HooksConfig {
-            scenario,
-            shards,
-            seed: 0x600c5,
-            tenants: 10,
-            items: 240,
+            family,
+            fleet: Fleet {
+                shards,
+                seed: 0x600c5,
+                tenants: 10,
+                items: 240,
+                storm_armed: storm,
+                storm_victims: 3,
+            },
             upgrade_every: 17,
-            storm_armed: storm,
-            storm_victims: 3,
-            jit: false,
         }
     }
 
-    #[test]
-    fn hooks_sha_invariant_across_shard_counts() {
-        for scenario in Scenario::ALL {
-            for backend in Backend::ALL {
-                for storm in [false, true] {
-                    let runs: Vec<HooksReport> = [1usize, 2, 4, 8]
-                        .iter()
-                        .map(|&s| run_hooks(backend, &small(scenario, s, storm)).unwrap())
-                        .collect();
-                    for r in &runs[1..] {
-                        assert_eq!(
-                            runs[0].canonical_log, r.canonical_log,
-                            "{scenario:?}/{backend:?} storm={storm}: log diverged at {} shards",
-                            r.shards
-                        );
-                    }
-                    assert!(runs[0].runs > 0);
-                    assert!(runs[0].upgrades > 0);
-                }
-            }
-        }
+    fn run(lane: Lane, cfg: &HooksConfig) -> RunReport<FleetStats> {
+        engine::run(cfg, lane).unwrap()
     }
 
     #[test]
     fn fault_free_log_is_backend_and_jit_invariant() {
-        for scenario in Scenario::ALL {
-            let reference = run_hooks(Backend::Ebpf, &small(scenario, 2, false)).unwrap();
-            for backend in [Backend::SafeExt, Backend::Sandbox] {
-                let r = run_hooks(backend, &small(scenario, 2, false)).unwrap();
+        for family in HookFamily::ALL {
+            let reference = run(Lane::Ebpf, &small(family, 2, false));
+            for lane in Lane::ALL {
+                let r = run(lane, &small(family, 2, false));
                 assert_eq!(
                     reference.canonical_log, r.canonical_log,
-                    "{scenario:?}: {backend:?} diverged from the verified eBPF lane"
+                    "{family:?}: {lane:?} diverged from the verified eBPF lane"
                 );
             }
-            for backend in [Backend::Ebpf, Backend::Sandbox] {
-                let mut cfg = small(scenario, 2, false);
-                cfg.jit = true;
-                let r = run_hooks(backend, &cfg).unwrap();
-                assert_eq!(
-                    reference.hooks_sha256, r.hooks_sha256,
-                    "{scenario:?}: {backend:?} JIT lane diverged from the interpreter"
-                );
+        }
+    }
+
+    #[test]
+    fn every_scheduled_upgrade_applies_quiet_and_under_storm() {
+        for family in HookFamily::ALL {
+            for lane in Lane::ALL {
+                for storm in [false, true] {
+                    let cfg = small(family, 1, storm);
+                    let scheduled = (cfg.fleet.items - 1) / cfg.upgrade_every;
+                    let s = run(lane, &cfg).stats;
+                    let at = format!("{family:?}/{lane:?} storm={storm}");
+                    assert!(s.runs() > 0, "{at}: nothing ran");
+                    assert_eq!(s.events, scheduled, "{at}: upgrade events lost");
+                    assert_eq!(s.upgrades, scheduled, "{at}: hot upgrades failed");
+                }
             }
         }
     }
 
     #[test]
     fn kprobe_histograms_absorb_every_fire() {
-        let r = run_hooks(Backend::SafeExt, &small(Scenario::Kprobe, 2, false)).unwrap();
-        assert!(r.probe_fires > 0);
+        let r = run(Lane::SafeExt, &small(HookFamily::Kprobe, 2, false));
+        assert!(r.metrics.probe_fires > 0);
         assert_eq!(
-            r.hist_samples, r.ok,
+            r.stats.hist_samples, r.stats.ok,
             "every successful probe run records exactly one histogram sample"
         );
-        assert_eq!(r.probe_fires, r.runs);
+        assert_eq!(r.metrics.probe_fires, r.stats.runs());
     }
 
     #[test]
     fn lsm_denies_are_audited_and_fail_closed_under_storm() {
-        let quiet = run_hooks(Backend::Ebpf, &small(Scenario::Lsm, 2, false)).unwrap();
-        assert!(quiet.policy_denies > 0, "deny residue never hit");
-        assert!(quiet.killed == 0 && quiet.refused == 0);
+        let quiet = run(Lane::Ebpf, &small(HookFamily::Lsm, 2, false));
+        assert!(quiet.metrics.policy_denies > 0, "deny residue never hit");
+        assert!(quiet.stats.killed == 0 && quiet.stats.refused == 0);
 
-        let storm = run_hooks(Backend::Ebpf, &small(Scenario::Lsm, 2, true)).unwrap();
-        assert!(storm.killed > 0, "storm never killed a policy program");
+        let storm = run(Lane::Ebpf, &small(HookFamily::Lsm, 2, true));
         assert!(
-            storm.policy_denies > quiet.policy_denies,
+            storm.stats.killed > 0,
+            "storm never killed a policy program"
+        );
+        assert!(
+            storm.metrics.policy_denies > quiet.metrics.policy_denies,
             "killed policy programs must deny fail-closed"
         );
         assert!(storm
@@ -888,24 +621,20 @@ mod tests {
 
     #[test]
     fn sched_falls_back_when_the_extension_is_killed() {
-        let quiet = run_hooks(Backend::SafeExt, &small(Scenario::Sched, 2, false)).unwrap();
-        assert!(quiet.sched_picks > 0);
-        assert_eq!(quiet.sched_fallbacks, 0, "quiet picks never fall back");
+        let quiet = run(Lane::SafeExt, &small(HookFamily::Sched, 2, false));
+        assert!(quiet.metrics.sched_picks > 0);
+        assert_eq!(
+            quiet.metrics.sched_fallbacks, 0,
+            "quiet picks never fall back"
+        );
 
-        let storm = run_hooks(Backend::SafeExt, &small(Scenario::Sched, 2, true)).unwrap();
-        assert!(storm.killed > 0, "storm never killed a sched program");
-        assert!(storm.sched_fallbacks > 0, "kills must fall back to default");
-        assert_eq!(storm.sched_picks, storm.runs);
+        let storm = run(Lane::SafeExt, &small(HookFamily::Sched, 2, true));
+        assert!(storm.stats.killed > 0, "storm never killed a sched program");
+        assert!(
+            storm.metrics.sched_fallbacks > 0,
+            "kills must fall back to default"
+        );
+        assert_eq!(storm.metrics.sched_picks, storm.stats.runs());
         assert!(storm.canonical_log.lines().any(|l| l.contains("f")));
-    }
-
-    #[test]
-    fn merged_fingerprint_replays_byte_identical() {
-        for scenario in Scenario::ALL {
-            let a = run_hooks(Backend::Sandbox, &small(scenario, 2, true)).unwrap();
-            let b = run_hooks(Backend::Sandbox, &small(scenario, 2, true)).unwrap();
-            assert_eq!(a.merged_fingerprint, b.merged_fingerprint);
-            assert_eq!(a.hooks_sha256, b.hooks_sha256);
-        }
     }
 }

@@ -1,5 +1,5 @@
-//! Flow-steered sharded network engine: XDP-style sample extensions in
-//! both frameworks, driven over the simulated network stack.
+//! The flow-steered network scenario: XDP-style sample extensions in
+//! both dialects, driven over the simulated network stack.
 //!
 //! Two scenarios, each implemented twice with identical semantics — once
 //! as eBPF assembly (run by the interpreter) and once as a safe-Rust
@@ -18,64 +18,45 @@
 //!
 //! # Determinism contract
 //!
-//! The proto-count engine ([`crate::dispatch`]) guarantees *replay*
-//! determinism: the merged audit fingerprint is a pure function of
-//! `(backend, seed, shard_count, batch)`. This engine keeps that and adds
-//! a stronger, *shard-count-invariant* artifact: the canonical per-packet
-//! record log (`idx|class|verdict|ct|cost_ns|injected`, sorted by global
-//! packet index) is byte-identical at any shard count — including with a
-//! fault plan armed. Four decisions make that hold:
+//! The canonical per-packet record log
+//! (`idx|class|verdict|ct|cost_ns|injected`, sorted by global packet
+//! index) is byte-identical at any shard count, fault plan armed or not:
 //!
 //! 1. **RSS flow steering.** Packets are routed to shards by a hash of
-//!    the `(src_ip, dst_ip, proto)` 2-tuple ([`steer_shard`]), not by
-//!    packet index — so every packet of a flow, and every flow of a
-//!    source IP, lands on the same shard at any shard count. All
-//!    cross-packet extension state (conntrack entries, per-source SYN
-//!    budgets) is therefore partition-local and sees the same
-//!    subsequence regardless of the partition count. Frames that do not
-//!    parse are steered by a hash of their raw bytes; the generator
-//!    gives them unique source addresses, so they share state with
-//!    nothing.
-//! 2. **Per-packet fault arming.** When a fault plan is armed, the
-//!    engine re-arms the shard kernel before *every packet* with a seed
-//!    derived from the packet's global index ([`packet_fault_seed`]), so
-//!    injection decisions are a pure function of the packet, not of
-//!    which shard ran it or what ran before it on that shard.
-//! 3. **Per-packet virtual cost.** `cost_ns` is the shard clock's
-//!    advance across the one run, which depends only on the packet's own
-//!    execution path (instructions, helper traffic, injected delays).
+//!    the `(src_ip, dst_ip, proto)` 2-tuple ([`steer_shard`]), so every
+//!    packet of a flow, and every flow of a source IP, lands on the same
+//!    shard at any shard count; conntrack entries and per-source SYN
+//!    budgets are partition-local. Frames that do not parse are steered
+//!    by a hash of their raw bytes; the generator gives them unique
+//!    source addresses, so they share state with nothing.
+//! 2. **Per-packet fault arming.** The shard kernel is re-armed before
+//!    *every packet* with a seed derived from the packet's global index
+//!    ([`packet_fault_seed`]).
+//! 3. **Per-packet virtual cost.** `cost_ns` is the shard clock's advance
+//!    across the one run.
 //! 4. **No cross-flow capacity pressure.** Shard conntrack tables are
 //!    sized ([`kernel_sim::net::DEFAULT_CONNTRACK_CAPACITY`]) so
-//!    canonical workloads never evict, and the engine runs without the
-//!    quarantine circuit breaker — both mechanisms couple unrelated
-//!    flows through shard-global state and would break invariance.
+//!    canonical workloads never evict, and no quarantine breaker runs —
+//!    both would couple unrelated flows through shard-global state.
 //!
-//! The per-shard audit streams still carry timestamps and per-shard
-//! summaries, so [`NetDispatchReport::merged_fingerprint`] is *replay*
-//! deterministic (same config → same bytes) but differs across shard
-//! counts, exactly as in [`crate::dispatch`].
-
-use std::time::Instant;
+//! The merged audit fingerprint is replay-deterministic only; it differs
+//! across shard counts.
 
 use ebpf::asm::Asm;
-use ebpf::helpers::{self, HelperRegistry};
+use ebpf::helpers;
 use ebpf::insn::*;
-use ebpf::interp::{CtxInput, SandboxConfig, Vm};
-use ebpf::jit::JitConfig;
 use ebpf::maps::{MapDef, MapError, MapRegistry};
 use ebpf::program::{ProgType, Program};
-use kernel_sim::audit::{merged_fingerprint, AuditEvent, EventKind};
-use kernel_sim::net::conntrack::CtState;
 use kernel_sim::net::hook::{RxSnapshot, XdpAction};
 use kernel_sim::net::packet::parse_frame;
-use kernel_sim::net::traffic::{Frame, FrameClass};
-use kernel_sim::percpu::CpuInfo;
-use kernel_sim::{FaultPlan, FaultPlanConfig, Kernel, MetricsSnapshot};
-use safe_ext::{ExtInput, Extension, Runtime};
+use kernel_sim::net::traffic::Frame;
+use kernel_sim::{FaultPlan, FaultPlanConfig, Kernel};
+use safe_ext::Extension;
 
-use crate::dispatch::{run_sharded, splitmix64, Backend, DispatchError};
-use crate::hostclock::thread_cpu_ns;
-use crate::spsc;
+use crate::engine::{
+    self, splitmix64, DispatchError, Record, RunReport, Scenario, Shard, ShardOut,
+};
+use crate::Lane;
 
 /// Half-open connections a single source may hold before its SYNs drop.
 pub const SYN_HALFOPEN_THRESHOLD: u64 = 4;
@@ -455,7 +436,7 @@ pub fn packet_fault_seed(seed: u64, index: u64) -> u64 {
     splitmix64(seed ^ index.wrapping_mul(0x2545_f491_4f6c_dd1d))
 }
 
-/// Engine configuration.
+/// Net configuration.
 #[derive(Debug, Clone)]
 pub struct NetConfig {
     /// Worker shard count (also the simulated CPU count).
@@ -480,399 +461,162 @@ impl NetConfig {
     }
 }
 
-/// One packet's canonical outcome record. The full sorted record log is
-/// the engine's shard-count-invariant artifact.
-#[derive(Debug, Clone)]
-pub struct PacketRecord {
-    /// Global index in the generated frame sequence.
-    pub idx: u64,
-    /// Ground-truth workload class.
-    pub class: FrameClass,
-    /// The extension's verdict (aborted runs record [`XdpAction::Aborted`]).
-    pub verdict: XdpAction,
-    /// Conntrack state of the frame's flow after this packet, if the
-    /// frame parses and the flow is tracked.
-    pub ct: Option<CtState>,
-    /// Virtual-clock advance across this packet's run.
-    pub cost_ns: u64,
-    /// Faults injected during this packet's run.
-    pub injected: u64,
-}
-
-impl PacketRecord {
-    /// The record's canonical line: `idx|class|verdict|ct|cost_ns|injected`.
-    pub fn line(&self) -> String {
-        format!(
-            "{}|{}|{}|{}|{}|{}",
-            self.idx,
-            self.class.name(),
-            self.verdict.name(),
-            self.ct.map_or("-", |s| s.name()),
-            self.cost_ns,
-            self.injected
-        )
-    }
-}
-
-/// What one shard did with its flow subsequence.
-#[derive(Debug, Clone)]
-pub struct NetShardReport {
-    /// Shard index == the simulated CPU the shard was pinned to.
-    pub shard: usize,
-    /// Frames this shard processed.
-    pub packets: u64,
+/// Per-shard net tallies.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct NetStats {
     /// Per-verdict counters from the shard's RX hook.
     pub rx: RxSnapshot,
-    /// Faults injected across the shard's packets.
+    /// Faults injected across the shard's packets (each packet arms a
+    /// fresh plan, so this sums them).
     pub injected: u64,
-    /// Per-packet records, in the shard's processing order.
-    pub records: Vec<PacketRecord>,
-    /// The shard conntrack table's timestamp-free flow log.
-    pub flow_log: String,
     /// Per-backend pick totals (load-balancer scenario; zeros otherwise).
     pub backend_counts: [u64; LB_BACKENDS],
-    /// The shard kernel's full audit snapshot.
-    pub audit: Vec<AuditEvent>,
-    /// The shard kernel's metrics snapshot.
-    pub metrics: MetricsSnapshot,
-    /// The shard's virtual-clock reading after the batch.
-    pub sim_ns: u64,
-    /// Host CPU time the shard's worker thread consumed, nanoseconds;
-    /// parked ring waits cost nothing. Host-dependent, capacity only.
-    pub host_cpu_ns: u64,
-    /// Whether the shard kernel finished pristine.
-    pub pristine: bool,
+    /// `class -> verdict -> count`, indexed by `FrameClass` order
+    /// (elephant, mouse, synflood, malformed) and XDP action code.
+    pub class_verdicts: [[u64; 5]; 4],
+    /// The conntrack flow-log lines; sorted once merged, a canonical
+    /// multiset of flow transitions that is shard-count-invariant.
+    pub flow_log: Vec<String>,
 }
 
-/// The merged outcome of one batched net run.
-#[derive(Debug, Clone)]
-pub struct NetDispatchReport {
-    /// Per-shard reports, in shard-id order.
-    pub shards: Vec<NetShardReport>,
-    /// Canonical merge of per-shard audit streams: replay-deterministic
-    /// for a fixed `(backend, scenario, seed, shard_count, batch)`.
-    pub merged_fingerprint: String,
-    /// All packet records sorted by global index, one canonical line per
-    /// packet — byte-identical at any shard count, faults armed or not.
-    pub canonical_log: String,
-    /// Every shard's conntrack flow-log lines, sorted: a canonical
-    /// multiset of flow transitions, also shard-count-invariant.
-    pub sorted_flow_log: String,
-    /// Sum of all shard metrics.
-    pub metrics: MetricsSnapshot,
-    /// Host wall-clock for the batch (informational only).
-    pub elapsed_ns: u64,
-    /// Busiest shard's host CPU time: the host critical path, which
-    /// shows parallel capacity even on a single-core host.
-    pub host_cpu_ns: u64,
-    /// Busiest shard's virtual-clock advance: the deterministic scaling
-    /// metric.
-    pub sim_elapsed_ns: u64,
-}
-
-impl NetDispatchReport {
-    /// Total frames processed.
-    pub fn packets(&self) -> u64 {
-        self.shards.iter().map(|s| s.packets).sum()
-    }
-
-    /// Per-verdict totals across shards.
-    pub fn rx_totals(&self) -> RxSnapshot {
-        let mut out = RxSnapshot::default();
-        for s in &self.shards {
-            out.aborted += s.rx.aborted;
-            out.drop += s.rx.drop;
-            out.pass += s.rx.pass;
-            out.tx += s.rx.tx;
-            out.redirect += s.rx.redirect;
+impl engine::Stats for NetStats {
+    fn merge(&mut self, other: &Self) {
+        self.rx.aborted += other.rx.aborted;
+        self.rx.drop += other.rx.drop;
+        self.rx.pass += other.rx.pass;
+        self.rx.tx += other.rx.tx;
+        self.rx.redirect += other.rx.redirect;
+        self.injected += other.injected;
+        for (a, b) in self.backend_counts.iter_mut().zip(&other.backend_counts) {
+            *a += b;
         }
-        out
-    }
-
-    /// Total injected faults across shards.
-    pub fn injected(&self) -> u64 {
-        self.shards.iter().map(|s| s.injected).sum()
-    }
-
-    /// Per-backend pick totals across shards (load balancer).
-    pub fn backend_counts(&self) -> [u64; LB_BACKENDS] {
-        let mut out = [0u64; LB_BACKENDS];
-        for s in &self.shards {
-            for (a, b) in out.iter_mut().zip(&s.backend_counts) {
+        for (row, other_row) in self.class_verdicts.iter_mut().zip(&other.class_verdicts) {
+            for (a, b) in row.iter_mut().zip(other_row) {
                 *a += b;
             }
         }
-        out
+        self.flow_log.extend_from_slice(&other.flow_log);
+        self.flow_log.sort_unstable();
+    }
+}
+
+struct Flows<'a> {
+    cfg: &'a NetConfig,
+    frames: &'a [Frame],
+}
+
+impl<'a> Scenario for Flows<'a> {
+    type Item = (u64, &'a Frame);
+    type Stats = NetStats;
+
+    fn shards(&self) -> usize {
+        self.cfg.shards
     }
 
-    /// `class -> verdict -> count` over the whole batch, indexed by
-    /// [`FrameClass`] order (elephant, mouse, synflood, malformed) and
-    /// XDP action code.
-    pub fn class_verdicts(&self) -> [[u64; 5]; 4] {
-        let mut out = [[0u64; 5]; 4];
-        for s in &self.shards {
-            for r in &s.records {
-                let class = match r.class {
-                    FrameClass::Elephant => 0,
-                    FrameClass::Mouse => 1,
-                    FrameClass::SynFlood => 2,
-                    FrameClass::Malformed => 3,
-                };
-                out[class][r.verdict.code() as usize] += 1;
+    fn items(&self, shards: usize) -> impl Iterator<Item = (usize, Self::Item)> {
+        let seed = self.cfg.seed;
+        self.frames
+            .iter()
+            .enumerate()
+            .map(move |(i, frame)| (steer_shard(seed, &frame.bytes, shards), (i as u64, frame)))
+    }
+
+    fn run_shard(
+        &self,
+        lane: Lane,
+        shard: &Shard,
+        feed: impl Iterator<Item = Self::Item>,
+    ) -> Result<ShardOut<NetStats>, MapError> {
+        let kernel = &shard.kernel;
+        let scenario = self.cfg.scenario;
+        let fd = scenario.setup(kernel, &shard.maps);
+        // No quarantine circuit breaker: its consecutive-abort counter is
+        // shard-global cross-flow state, which would make verdicts depend
+        // on which flows share a shard.
+        let prog = lane.load(
+            shard,
+            || scenario.program(fd),
+            || scenario.extension(fd),
+            None,
+        );
+        let mut stats = NetStats::default();
+        let mut records = Vec::new();
+        for (idx, frame) in feed {
+            if let Some(fault) = &self.cfg.fault {
+                kernel.arm_fault_plan(FaultPlan::with_config(
+                    packet_fault_seed(self.cfg.seed, idx),
+                    *fault,
+                ));
             }
+            let injected_before = shard.injected();
+            let t0 = kernel.clock.now_ns();
+            let verdict = prog(&frame.bytes).map_or(XdpAction::Aborted, XdpAction::from_code);
+            kernel.net.rx.record(verdict);
+            let cost_ns = kernel.clock.now_ns() - t0;
+            let injected = shard.injected() - injected_before;
+            stats.injected += injected;
+            stats.class_verdicts[frame.class as usize][verdict.code() as usize] += 1;
+            let ct = parse_frame(&frame.bytes)
+                .ok()
+                .and_then(|pkt| kernel.net.conntrack.lookup(pkt.flow_key()));
+            records.push(Record {
+                idx,
+                rank: 0,
+                line: format!(
+                    "{idx}|{}|{}|{}|{cost_ns}|{injected}",
+                    frame.class.name(),
+                    verdict.name(),
+                    ct.map_or("-", |s| s.name()),
+                ),
+            });
         }
-        out
+        stats.rx = kernel.net.rx.snapshot();
+        if scenario == NetScenario::LoadBalancer {
+            stats.backend_counts = shard.counters(fd, 0)?;
+        }
+        stats.flow_log = kernel
+            .net
+            .conntrack
+            .flow_log_fingerprint()
+            .lines()
+            .map(str::to_string)
+            .collect();
+        Ok(ShardOut {
+            summary: format!(
+                "net shard {}: scenario={} packets={} drop={} pass={} tx={} aborted={}",
+                shard.id,
+                scenario.name(),
+                records.len(),
+                stats.rx.drop,
+                stats.rx.pass,
+                stats.rx.tx,
+                stats.rx.aborted,
+            ),
+            stats,
+            records,
+            trace: Vec::new(),
+        })
     }
-
-    /// Frames per simulated second on the modelled machine.
-    pub fn packets_per_sim_sec(&self) -> f64 {
-        if self.sim_elapsed_ns == 0 {
-            0.0
-        } else {
-            self.packets() as f64 * 1e9 / self.sim_elapsed_ns as f64
-        }
-    }
-
-    /// Frames per second of host CPU time on the busiest shard: the
-    /// host-side parallel-capacity metric.
-    pub fn packets_per_host_cpu_sec(&self) -> f64 {
-        if self.host_cpu_ns == 0 {
-            0.0
-        } else {
-            self.packets() as f64 * 1e9 / self.host_cpu_ns as f64
-        }
-    }
-}
-
-fn total_injected(kernel: &Kernel) -> u64 {
-    kernel
-        .inject
-        .get()
-        .map(|plane| plane.total_injected())
-        .unwrap_or(0)
-}
-
-/// Runs one shard's subsequence through `run` (a backend-specific
-/// single-packet executor), collecting the canonical records. Map
-/// errors while recovering backend counts come back typed instead of
-/// panicking the worker.
-#[allow(clippy::too_many_arguments)]
-fn drive_shard<F>(
-    kernel: &Kernel,
-    maps: &MapRegistry,
-    cfg: &NetConfig,
-    shard: usize,
-    fd: u32,
-    rx: spsc::Consumer<(u64, &Frame)>,
-    cpu_t0: u64,
-    mut run: F,
-) -> Result<NetShardReport, MapError>
-where
-    F: FnMut(Vec<u8>) -> Option<u64>,
-{
-    let mut records = Vec::new();
-    let mut injected_total = 0u64;
-    for (idx, frame) in rx {
-        // Fresh per-packet fault plan: injection decisions become a pure
-        // function of the packet's global index.
-        if let Some(fault) = &cfg.fault {
-            kernel.arm_fault_plan(FaultPlan::with_config(
-                packet_fault_seed(cfg.seed, idx),
-                *fault,
-            ));
-        }
-        let injected_before = total_injected(kernel);
-        let t0 = kernel.clock.now_ns();
-        let verdict = match run(frame.bytes.clone()) {
-            Some(code) => XdpAction::from_code(code),
-            None => XdpAction::Aborted,
-        };
-        kernel.net.rx.record(verdict);
-        let cost_ns = kernel.clock.now_ns() - t0;
-        let injected = total_injected(kernel) - injected_before;
-        injected_total += injected;
-        let ct = parse_frame(&frame.bytes)
-            .ok()
-            .and_then(|pkt| kernel.net.conntrack.lookup(pkt.flow_key()));
-        records.push(PacketRecord {
-            idx,
-            class: frame.class,
-            verdict,
-            ct,
-            cost_ns,
-            injected,
-        });
-    }
-
-    let rx_snap = kernel.net.rx.snapshot();
-    let backend_counts = match cfg.scenario {
-        NetScenario::LoadBalancer => {
-            let map = maps.get(fd).ok_or(MapError::NotFound)?;
-            let mut out = [0u64; LB_BACKENDS];
-            for (i, slot) in out.iter_mut().enumerate() {
-                let addr = map
-                    .elem_addr(i as u32, 0)
-                    .ok_or(MapError::IndexOutOfRange)?;
-                *slot = kernel.mem.read_u64(addr).unwrap_or(0);
-            }
-            out
-        }
-        NetScenario::SynFilter => [0u64; LB_BACKENDS],
-    };
-    // Pin the shard's outcome into its audit stream so the merged
-    // fingerprint is content-bearing even for fault-free batches.
-    kernel.audit.record(
-        kernel.clock.now_ns(),
-        EventKind::Info,
-        format!(
-            "net shard {shard}: scenario={} packets={} drop={} pass={} tx={} aborted={}",
-            cfg.scenario.name(),
-            records.len(),
-            rx_snap.drop,
-            rx_snap.pass,
-            rx_snap.tx,
-            rx_snap.aborted,
-        ),
-    );
-    Ok(NetShardReport {
-        shard,
-        packets: records.len() as u64,
-        rx: rx_snap,
-        injected: injected_total,
-        records,
-        flow_log: kernel.net.conntrack.flow_log_fingerprint(),
-        backend_counts,
-        sim_ns: kernel.clock.now_ns(),
-        host_cpu_ns: thread_cpu_ns().saturating_sub(cpu_t0),
-        pristine: kernel.health().pristine(),
-        audit: kernel.audit.snapshot(),
-        metrics: kernel.metrics.snapshot(),
-    })
-}
-
-fn run_net_shard(
-    backend: Backend,
-    cfg: &NetConfig,
-    shard: usize,
-    rx: spsc::Consumer<(u64, &Frame)>,
-) -> Result<NetShardReport, DispatchError> {
-    let cpu_t0 = thread_cpu_ns();
-    let kernel = Kernel::with_topology(CpuInfo::pinned(cfg.shards.max(1), shard));
-    let maps = MapRegistry::default();
-    let fd = cfg.scenario.setup(&kernel, &maps);
-    match backend {
-        Backend::Ebpf => {
-            let helpers = HelperRegistry::standard();
-            let mut vm = Vm::new(&kernel, &maps, &helpers);
-            // The compiled lane: observationally identical to the
-            // interpreter (canonical logs, cost_ns, and audit bytes are
-            // pinned by the shard-invariance tests), just faster.
-            let (id, _stats) = vm
-                .load_jit(cfg.scenario.program(fd), JitConfig::default())
-                .expect("scenario program lowers");
-            drive_shard(&kernel, &maps, cfg, shard, fd, rx, cpu_t0, |bytes| {
-                vm.run(id, CtxInput::Packet(bytes)).result.ok()
-            })
-        }
-        Backend::SafeExt => {
-            // No quarantine circuit breaker here: its consecutive-abort
-            // counter is shard-global cross-flow state, which would make
-            // verdicts depend on which flows share a shard.
-            let runtime = Runtime::new(&kernel, &maps);
-            let ext = cfg.scenario.extension(fd);
-            drive_shard(&kernel, &maps, cfg, shard, fd, rx, cpu_t0, |bytes| {
-                runtime.run(&ext, ExtInput::Packet(bytes)).result.ok()
-            })
-        }
-        Backend::Sandbox => {
-            // The same scenario bytecode as the eBPF lane, loaded
-            // unverified into an SFI domain. Verdicts and flow logs must
-            // match the verified lane on well-behaved programs; only the
-            // simulated cost differs (domain crossings).
-            let helpers = HelperRegistry::standard();
-            let mut vm = Vm::new(&kernel, &maps, &helpers);
-            let (id, _stats) = vm
-                .load_sandboxed_jit(
-                    cfg.scenario.program(fd),
-                    SandboxConfig::default(),
-                    JitConfig::default(),
-                )
-                .expect("scenario program lowers");
-            drive_shard(&kernel, &maps, cfg, shard, fd, rx, cpu_t0, |bytes| {
-                vm.run(id, CtxInput::Packet(bytes)).result.ok()
-            })
-        }
-    }
-    .map_err(|err| DispatchError::Map { shard, err })
 }
 
 /// Dispatches `frames` over `cfg.shards` flow-steered shards through
-/// `backend` and merges the results deterministically.
+/// `lane` and merges the results deterministically.
 ///
-/// Shard panics and map-recovery failures come back as
-/// [`DispatchError`] instead of aborting the process.
+/// # Errors
+///
+/// A shard panic or map-recovery failure.
 pub fn run_net_batched(
-    backend: Backend,
+    lane: Lane,
     cfg: &NetConfig,
     frames: &[Frame],
-) -> Result<NetDispatchReport, DispatchError> {
-    let shards = cfg.shards.max(1);
-    let started = Instant::now();
-
-    // Frames are fed by reference; each worker clones only the payload
-    // bytes it actually runs, keeping the feeder thread cheap.
-    let items = frames.iter().enumerate().map(|(i, frame)| {
-        (
-            steer_shard(cfg.seed, &frame.bytes, shards),
-            (i as u64, frame),
-        )
-    });
-    let reports = run_sharded(shards, items, |shard, rx| {
-        run_net_shard(backend, cfg, shard, rx)
-    })?;
-    let reports = reports.into_iter().collect::<Result<Vec<_>, _>>()?;
-
-    let elapsed_ns = started.elapsed().as_nanos() as u64;
-
-    let tagged: Vec<(usize, Vec<AuditEvent>)> =
-        reports.iter().map(|r| (r.shard, r.audit.clone())).collect();
-    let merged = merged_fingerprint(&tagged);
-
-    let mut all_records: Vec<&PacketRecord> = reports.iter().flat_map(|r| &r.records).collect();
-    all_records.sort_by_key(|r| r.idx);
-    let canonical_log = all_records
-        .iter()
-        .map(|r| r.line())
-        .collect::<Vec<_>>()
-        .join("\n");
-
-    let mut flow_lines: Vec<&str> = reports.iter().flat_map(|r| r.flow_log.lines()).collect();
-    flow_lines.sort_unstable();
-    let sorted_flow_log = flow_lines.join("\n");
-
-    let mut metrics = MetricsSnapshot::default();
-    for r in &reports {
-        metrics.merge(&r.metrics);
-    }
-    let sim_elapsed_ns = reports.iter().map(|r| r.sim_ns).max().unwrap_or(0);
-    let host_cpu_ns = reports.iter().map(|r| r.host_cpu_ns).max().unwrap_or(0);
-
-    Ok(NetDispatchReport {
-        shards: reports,
-        merged_fingerprint: merged,
-        canonical_log,
-        sorted_flow_log,
-        metrics,
-        elapsed_ns,
-        host_cpu_ns,
-        sim_elapsed_ns,
-    })
+) -> Result<RunReport<NetStats>, DispatchError> {
+    engine::run(&Flows { cfg, frames }, lane)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kernel_sim::net::packet::{build_tcp_frame, parse_frame, FlowKey, IPPROTO_TCP, TCP_SYN};
+    use kernel_sim::net::packet::{build_tcp_frame, FlowKey, IPPROTO_TCP, TCP_SYN};
     use kernel_sim::net::traffic::{generate, TrafficConfig};
 
     fn smoke_frames(seed: u64) -> Vec<Frame> {
@@ -926,15 +670,15 @@ mod tests {
     #[test]
     fn syn_filter_drops_flood_not_legit_traffic() {
         let frames = generate(&TrafficConfig::default(), 11);
-        for backend in Backend::ALL {
+        for lane in Lane::ALL {
             let cfg = NetConfig::new(NetScenario::SynFilter, 1, 11);
-            let report = run_net_batched(backend, &cfg, &frames).expect("net dispatch");
-            let cv = report.class_verdicts();
+            let report = run_net_batched(lane, &cfg, &frames).expect("net dispatch");
+            let cv = report.stats.class_verdicts;
             // Flood: some SYNs pass (filling budgets), the bulk drops.
-            assert!(cv[2][1] > 0, "{backend:?}: no flood frames dropped");
+            assert!(cv[2][1] > 0, "{lane:?}: no flood frames dropped");
             // Legit TCP/UDP traffic is never dropped.
-            assert_eq!(cv[0][1], 0, "{backend:?}: elephant dropped");
-            assert_eq!(cv[1][1], 0, "{backend:?}: mouse dropped");
+            assert_eq!(cv[0][1], 0, "{lane:?}: elephant dropped");
+            assert_eq!(cv[1][1], 0, "{lane:?}: mouse dropped");
             assert!(report.shards[0].pristine);
         }
     }
@@ -943,113 +687,40 @@ mod tests {
     fn backends_agree_on_verdicts_fault_free() {
         let frames = smoke_frames(5);
         let cfg = NetConfig::new(NetScenario::SynFilter, 1, 5);
-        let ebpf = run_net_batched(Backend::Ebpf, &cfg, &frames).expect("net dispatch");
-        let safe = run_net_batched(Backend::SafeExt, &cfg, &frames).expect("net dispatch");
-        let sandbox = run_net_batched(Backend::Sandbox, &cfg, &frames).expect("net dispatch");
-        // Cost differs (the frameworks charge time differently, and the
+        let run = |lane| run_net_batched(lane, &cfg, &frames).expect("net dispatch");
+        let ebpf = run(Lane::Ebpf);
+        // Cost differs (the dialects charge time differently, and the
         // sandbox pays domain crossings), but the verdict/ct stream and
-        // the flow transition log must match three ways.
+        // the flow transition log must match across every lane.
         let strip = |log: &str| {
             log.lines()
                 .map(|l| l.rsplitn(3, '|').nth(2).unwrap().to_string())
                 .collect::<Vec<_>>()
         };
-        assert_eq!(strip(&ebpf.canonical_log), strip(&safe.canonical_log));
-        assert_eq!(strip(&ebpf.canonical_log), strip(&sandbox.canonical_log));
-        assert_eq!(ebpf.sorted_flow_log, safe.sorted_flow_log);
-        assert_eq!(ebpf.sorted_flow_log, sandbox.sorted_flow_log);
-    }
-
-    #[test]
-    fn canonical_log_invariant_across_shard_counts() {
-        let frames = smoke_frames(7);
-        for scenario in [NetScenario::SynFilter, NetScenario::LoadBalancer] {
-            for backend in Backend::ALL {
-                let runs: Vec<_> = [1usize, 2, 4]
-                    .iter()
-                    .map(|&shards| {
-                        let cfg = NetConfig::new(scenario, shards, 7);
-                        run_net_batched(backend, &cfg, &frames).expect("net dispatch")
-                    })
-                    .collect();
-                for r in &runs[1..] {
-                    assert_eq!(
-                        runs[0].canonical_log, r.canonical_log,
-                        "{scenario:?}/{backend:?}: canonical log diverged"
-                    );
-                    assert_eq!(runs[0].sorted_flow_log, r.sorted_flow_log);
-                    assert_eq!(runs[0].backend_counts(), r.backend_counts());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn canonical_log_invariant_under_faults() {
-        let frames = smoke_frames(13);
-        for backend in Backend::ALL {
-            let runs: Vec<_> = [1usize, 2, 4]
-                .iter()
-                .map(|&shards| {
-                    let cfg = NetConfig {
-                        shards,
-                        seed: 13,
-                        fault: Some(FaultPlanConfig::default()),
-                        scenario: NetScenario::SynFilter,
-                    };
-                    run_net_batched(backend, &cfg, &frames).expect("net dispatch")
-                })
-                .collect();
-            for r in &runs[1..] {
-                assert_eq!(
-                    runs[0].canonical_log, r.canonical_log,
-                    "{backend:?}: canonical log diverged under faults"
-                );
-            }
-            assert!(
-                runs[0].injected() > 0,
-                "{backend:?}: storm injected nothing"
-            );
-        }
-    }
-
-    #[test]
-    fn merged_fingerprint_replays_byte_identical() {
-        let frames = smoke_frames(17);
-        for backend in Backend::ALL {
-            let cfg = NetConfig {
-                shards: 4,
-                seed: 17,
-                fault: Some(FaultPlanConfig::default()),
-                scenario: NetScenario::LoadBalancer,
-            };
-            let a = run_net_batched(backend, &cfg, &frames).expect("net dispatch");
-            let b = run_net_batched(backend, &cfg, &frames).expect("net dispatch");
-            assert_eq!(
-                a.merged_fingerprint, b.merged_fingerprint,
-                "{backend:?}: replay diverged"
-            );
-            assert_eq!(a.injected(), b.injected());
+        for lane in Lane::ALL {
+            let other = run(lane);
+            assert_eq!(strip(&ebpf.canonical_log), strip(&other.canonical_log));
+            assert_eq!(ebpf.stats.flow_log, other.stats.flow_log);
         }
     }
 
     #[test]
     fn lb_balances_and_transmits() {
         let frames = smoke_frames(19);
-        for backend in Backend::ALL {
+        for lane in Lane::ALL {
             let cfg = NetConfig::new(NetScenario::LoadBalancer, 1, 19);
-            let report = run_net_batched(backend, &cfg, &frames).expect("net dispatch");
-            let rx = report.rx_totals();
-            assert!(rx.tx > 0, "{backend:?}: nothing transmitted");
-            let counts = report.backend_counts();
+            let report = run_net_batched(lane, &cfg, &frames).expect("net dispatch");
+            let rx = report.stats.rx;
+            assert!(rx.tx > 0, "{lane:?}: nothing transmitted");
+            let counts = report.stats.backend_counts;
             assert_eq!(
                 counts.iter().sum::<u64>(),
                 rx.tx,
-                "{backend:?}: backend picks != tx verdicts"
+                "{lane:?}: backend picks != tx verdicts"
             );
             assert!(
                 counts.iter().filter(|&&c| c > 0).count() > 1,
-                "{backend:?}: all flows hashed to one backend: {counts:?}"
+                "{lane:?}: all flows hashed to one backend: {counts:?}"
             );
         }
     }

@@ -9,21 +9,25 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 
-use bench::churn::{churn_schedule, run_churn, ChurnConfig, ChurnKind};
-use bench::dispatch::Backend;
+use bench::churn::{churn_schedule, ChurnConfig, ChurnKind};
+use bench::engine;
+use bench::fleet::Fleet;
+use bench::Lane;
 use tenancy::TenantId;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 fn cfg(seed: u64, tenants: u32, packets: u64, churn_every: u64, shards: usize) -> ChurnConfig {
     ChurnConfig {
-        shards,
-        seed,
-        tenants,
-        packets,
+        fleet: Fleet {
+            shards,
+            seed,
+            tenants,
+            items: packets,
+            storm_armed: false,
+            storm_victims: 0,
+        },
         churn_every,
-        storm_armed: false,
-        storm_victims: 0,
     }
 }
 
@@ -82,13 +86,13 @@ proptest! {
         churn_every in 3u64..15,
         ebpf in any::<bool>(),
     ) {
-        let backend = if ebpf { Backend::Ebpf } else { Backend::SafeExt };
+        let lane = if ebpf { Lane::Ebpf } else { Lane::SafeExt };
         let packets = 192u64;
         let mut logs = Vec::new();
         for shards in SHARD_COUNTS {
             let c = cfg(seed, tenants, packets, churn_every, shards);
-            let report = run_churn(backend, &c).unwrap();
-            prop_assert_eq!(report.ok, packets, "quiet run: every packet serves");
+            let report = engine::run(&c, lane).unwrap();
+            prop_assert_eq!(report.stats.ok, packets, "quiet run: every packet serves");
             logs.push(report.canonical_log);
         }
         for log in &logs[1..] {
@@ -104,13 +108,16 @@ proptest! {
 /// reload for one tenant, verified line by line against the replay.
 #[test]
 fn version_replay_matches_on_a_fixed_schedule() {
-    for backend in [Backend::Ebpf, Backend::SafeExt] {
+    for lane in [Lane::Ebpf, Lane::SafeExt] {
         let c = cfg(7, 3, 60, 5, 2);
         let schedule = churn_schedule(&c);
         assert!(schedule.iter().any(|e| e.kind == ChurnKind::Upgrade));
         assert!(schedule.iter().any(|e| e.kind == ChurnKind::Reload));
-        let report = run_churn(backend, &c).unwrap();
-        assert_eq!(report.upgrades + report.reloads, schedule.len() as u64);
+        let report = engine::run(&c, lane).unwrap();
+        assert_eq!(
+            report.stats.upgrades + report.stats.reloads,
+            schedule.len() as u64
+        );
         assert_versions_partition(&report.canonical_log, 3);
     }
 }

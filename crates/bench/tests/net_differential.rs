@@ -13,8 +13,9 @@
 //! the cross-dialect contract is the timestamp-free one — identical
 //! verdicts, identical conntrack flow logs, identical conntrack stats.
 
-use bench::dispatch::Backend;
-use bench::netflows::{run_net_batched, NetConfig, NetScenario};
+use bench::engine::Shard;
+use bench::netflows::NetScenario;
+use bench::Lane;
 use ebpf::asm::Asm;
 use ebpf::helpers::{
     HelperRegistry, BPF_CT_LOOKUP, BPF_CT_OBSERVE, BPF_XDP_LOAD_BYTES, BPF_XDP_STORE_BYTES,
@@ -26,10 +27,8 @@ use ebpf::maps::MapRegistry;
 use ebpf::program::{ProgType, Program};
 use kernel_sim::net::packet::{build_tcp_frame, FlowKey, IPPROTO_TCP, TCP_ACK, TCP_SYN};
 use kernel_sim::net::traffic::{generate, TrafficConfig};
-use kernel_sim::FaultPlanConfig;
 use kernel_sim::Kernel;
 use safe_ext::{ExtError, ExtInput, Extension, Runtime};
-use signing::sha256;
 
 fn key() -> FlowKey {
     FlowKey {
@@ -51,86 +50,25 @@ struct PathOutcome {
     pristine: bool,
 }
 
-/// Runs `frames` through `prog` (optionally JIT-compiled first) on a
-/// fresh kernel.
-fn run_ebpf(scenario: NetScenario, frames: &[Vec<u8>], jit: bool) -> PathOutcome {
-    let kernel = Kernel::new();
-    let maps = MapRegistry::default();
-    let fd = scenario.setup(&kernel, &maps);
-    let prog = if jit {
-        jit_compile(&scenario.program(fd), JitConfig::default())
+/// Runs `frames` through `scenario` on `lane` on a fresh one-CPU shard.
+/// With `translate`, the bytecode first goes through the JIT's validating
+/// translation (`jit_compile`) and the result is loaded on `lane`.
+fn run_lane(scenario: NetScenario, frames: &[Vec<u8>], lane: Lane, translate: bool) -> PathOutcome {
+    let shard = Shard::boot(1, 0);
+    let kernel = &shard.kernel;
+    let fd = scenario.setup(kernel, &shard.maps);
+    let prog = || {
+        let prog = scenario.program(fd);
+        if !translate {
+            return prog;
+        }
+        jit_compile(&prog, JitConfig::default())
             .expect("net programs validate")
             .0
-    } else {
-        scenario.program(fd)
     };
-    let helpers = HelperRegistry::standard();
-    let mut vm = Vm::new(&kernel, &maps, &helpers);
-    let id = vm.load(prog);
-    let verdicts = frames
-        .iter()
-        .map(|bytes| vm.run(id, CtxInput::Packet(bytes.clone())).result.ok())
-        .collect();
+    let run = lane.load(&shard, prog, || scenario.extension(fd), None);
     PathOutcome {
-        verdicts,
-        audit_fingerprint: kernel.audit.fingerprint(),
-        flow_log: kernel.net.conntrack.flow_log_fingerprint(),
-        ct_stats: kernel.net.conntrack.stats(),
-        pristine: kernel.health().pristine(),
-    }
-}
-
-/// Runs `frames` through the scenario program loaded unverified into an
-/// SFI sandbox domain on a fresh kernel.
-fn run_sandbox(scenario: NetScenario, frames: &[Vec<u8>], jit: bool) -> PathOutcome {
-    let kernel = Kernel::new();
-    let maps = MapRegistry::default();
-    let fd = scenario.setup(&kernel, &maps);
-    let helpers = HelperRegistry::standard();
-    let mut vm = Vm::new(&kernel, &maps, &helpers);
-    let id = if jit {
-        vm.load_sandboxed_jit(
-            scenario.program(fd),
-            SandboxConfig::default(),
-            JitConfig::default(),
-        )
-        .expect("net programs lower")
-        .0
-    } else {
-        vm.load_sandboxed(scenario.program(fd), SandboxConfig::default())
-    };
-    let verdicts = frames
-        .iter()
-        .map(|bytes| vm.run(id, CtxInput::Packet(bytes.clone())).result.ok())
-        .collect();
-    PathOutcome {
-        verdicts,
-        audit_fingerprint: kernel.audit.fingerprint(),
-        flow_log: kernel.net.conntrack.flow_log_fingerprint(),
-        ct_stats: kernel.net.conntrack.stats(),
-        pristine: kernel.health().pristine(),
-    }
-}
-
-/// Runs `frames` through the scenario's safe-ext mirror on a fresh
-/// kernel.
-fn run_safe(scenario: NetScenario, frames: &[Vec<u8>]) -> PathOutcome {
-    let kernel = Kernel::new();
-    let maps = MapRegistry::default();
-    let fd = scenario.setup(&kernel, &maps);
-    let runtime = Runtime::new(&kernel, &maps);
-    let ext = scenario.extension(fd);
-    let verdicts = frames
-        .iter()
-        .map(|bytes| {
-            runtime
-                .run(&ext, ExtInput::Packet(bytes.clone()))
-                .result
-                .ok()
-        })
-        .collect();
-    PathOutcome {
-        verdicts,
+        verdicts: frames.iter().map(|bytes| run(bytes)).collect(),
         audit_fingerprint: kernel.audit.fingerprint(),
         flow_log: kernel.net.conntrack.flow_log_fingerprint(),
         ct_stats: kernel.net.conntrack.stats(),
@@ -153,18 +91,21 @@ fn traffic() -> Vec<Vec<u8>> {
 fn scenarios_agree_across_all_three_backends() {
     let frames = traffic();
     for scenario in [NetScenario::SynFilter, NetScenario::LoadBalancer] {
-        let interp = run_ebpf(scenario, &frames, false);
-        let jit = run_ebpf(scenario, &frames, true);
-        let safe = run_safe(scenario, &frames);
-        let sandbox = run_sandbox(scenario, &frames, false);
-        let sandbox_jit = run_sandbox(scenario, &frames, true);
+        let interp = run_lane(scenario, &frames, Lane::Ebpf, false);
+        let jit = run_lane(scenario, &frames, Lane::Ebpf, true);
+        let compiled = run_lane(scenario, &frames, Lane::EbpfJit, false);
+        let safe = run_lane(scenario, &frames, Lane::SafeExt, false);
+        let sandbox = run_lane(scenario, &frames, Lane::Sandbox, false);
+        let sandbox_jit = run_lane(scenario, &frames, Lane::SandboxJit, false);
 
-        assert_eq!(
-            interp.audit_fingerprint,
-            jit.audit_fingerprint,
-            "{}: interp/JIT audit streams diverged",
-            scenario.name()
-        );
+        for other in [&jit, &compiled] {
+            assert_eq!(
+                interp.audit_fingerprint,
+                other.audit_fingerprint,
+                "{}: interp/JIT audit streams diverged",
+                scenario.name()
+            );
+        }
         // The sandbox dialect has its own cost model (domain crossings),
         // but within the dialect interp vs JIT is byte-identical.
         assert_eq!(
@@ -183,44 +124,6 @@ fn scenarios_agree_across_all_three_backends() {
         assert_eq!(interp.ct_stats, sandbox.ct_stats, "{}", scenario.name());
         assert!(interp.pristine && jit.pristine && safe.pristine);
         assert!(sandbox.pristine && sandbox_jit.pristine);
-    }
-}
-
-/// The sharded sandbox lane is as deterministic as the verified one:
-/// for each scenario, fault storm armed or not, the canonical per-packet
-/// log hashes byte-identically at 1, 2, 4, and 8 shards — the SFI lane
-/// introduces no shard-count- or schedule-dependent behaviour.
-#[test]
-fn sandbox_canonical_sha_is_shard_invariant_with_and_without_faults() {
-    let frames = generate(&TrafficConfig::smoke(), 7);
-    for scenario in [NetScenario::SynFilter, NetScenario::LoadBalancer] {
-        for fault in [None, Some(FaultPlanConfig::default())] {
-            let mut canonical: Option<String> = None;
-            for shards in [1usize, 2, 4, 8] {
-                let report = run_net_batched(
-                    Backend::Sandbox,
-                    &NetConfig {
-                        shards,
-                        seed: 7,
-                        fault,
-                        scenario,
-                    },
-                    &frames,
-                )
-                .expect("dispatch");
-                let sha = sha256::to_hex(&sha256::digest(report.canonical_log.as_bytes()));
-                match &canonical {
-                    None => canonical = Some(sha),
-                    Some(expect) => assert_eq!(
-                        *expect,
-                        sha,
-                        "{}: sandbox canonical SHA varies with shard count (faults: {})",
-                        scenario.name(),
-                        fault.is_some()
-                    ),
-                }
-            }
-        }
     }
 }
 

@@ -8,17 +8,18 @@
 //! interleaving executed the run; and tracing itself never perturbs
 //! simulated cost or audits.
 
-use bench::dispatch::{make_packets, run_batched, Backend, DispatchConfig};
+use bench::dispatch::{make_packets, run_batched, DispatchConfig};
+use bench::Lane;
 use kernel_sim::FaultPlanConfig;
 use signing::sha256;
 
-const BOTH: [Backend; 2] = [Backend::Ebpf, Backend::SafeExt];
+const BOTH: [Lane; 2] = [Lane::Ebpf, Lane::SafeExt];
 
-fn trace_hash(backend: Backend, cfg: &DispatchConfig, batch: &[Vec<u8>]) -> String {
-    let report = run_batched(backend, cfg, batch).expect("dispatch");
+fn trace_hash(lane: Lane, cfg: &DispatchConfig, batch: &[Vec<u8>]) -> String {
+    let report = run_batched(lane, cfg, batch).expect("dispatch");
     assert!(
         !report.canonical_trace.is_empty(),
-        "{backend:?}: traced run produced an empty canonical trace"
+        "{lane:?}: traced run produced an empty canonical trace"
     );
     sha256::to_hex(&sha256::digest(report.canonical_trace.as_bytes()))
 }
@@ -26,7 +27,7 @@ fn trace_hash(backend: Backend, cfg: &DispatchConfig, batch: &[Vec<u8>]) -> Stri
 #[test]
 fn canonical_trace_hash_is_shard_count_invariant() {
     let batch = make_packets(96);
-    for backend in BOTH {
+    for lane in BOTH {
         let mut seen: Option<String> = None;
         for shards in [1usize, 4] {
             let cfg = DispatchConfig {
@@ -35,11 +36,11 @@ fn canonical_trace_hash_is_shard_count_invariant() {
                 trace: true,
                 ..Default::default()
             };
-            let hash = trace_hash(backend, &cfg, &batch);
+            let hash = trace_hash(lane, &cfg, &batch);
             if let Some(prev) = &seen {
                 assert_eq!(
                     *prev, hash,
-                    "{backend:?}: canonical trace changed between 1 and {shards} shards"
+                    "{lane:?}: canonical trace changed between 1 and {shards} shards"
                 );
             }
             seen = Some(hash);
@@ -49,28 +50,40 @@ fn canonical_trace_hash_is_shard_count_invariant() {
 
 #[test]
 fn canonical_trace_hash_is_identical_interp_vs_jit() {
+    // A compiled lane must not change a single audit byte, canonical
+    // trace line, or simulated cost relative to its interpreter.
     let batch = make_packets(96);
-    let interp = DispatchConfig {
-        shards: 2,
-        seed: 7,
-        trace: true,
-        ..Default::default()
-    };
-    let jit = DispatchConfig {
-        jit: true,
-        ..interp.clone()
-    };
-    assert_eq!(
-        trace_hash(Backend::Ebpf, &interp, &batch),
-        trace_hash(Backend::Ebpf, &jit, &batch),
-        "JIT identity transform moved a canonical trace line"
-    );
+    for shards in [1usize, 2, 4] {
+        let cfg = DispatchConfig {
+            shards,
+            seed: 7,
+            trace: true,
+            ..Default::default()
+        };
+        for lane in [Lane::Ebpf, Lane::Sandbox] {
+            let jit_lane = lane.jit().expect("bytecode lane");
+            let base = run_batched(lane, &cfg, &batch).expect("dispatch");
+            let jit = run_batched(jit_lane, &cfg, &batch).expect("dispatch");
+            assert!(!base.canonical_trace.is_empty(), "{lane:?}: empty trace");
+            assert_eq!(
+                base.trace_sha256(),
+                jit.trace_sha256(),
+                "{shards} shards: {jit_lane:?} moved a canonical trace line"
+            );
+            assert_eq!(
+                base.merged_fingerprint, jit.merged_fingerprint,
+                "{shards} shards: {jit_lane:?} changed the merged audit"
+            );
+            assert_eq!(base.sim_elapsed_ns, jit.sim_elapsed_ns);
+            assert_eq!(base.metrics, jit.metrics);
+        }
+    }
 }
 
 #[test]
 fn fault_armed_trace_is_stable_and_distinct_from_fault_free() {
     let batch = make_packets(96);
-    for backend in BOTH {
+    for lane in BOTH {
         let clean = DispatchConfig {
             shards: 2,
             seed: 21,
@@ -81,16 +94,16 @@ fn fault_armed_trace_is_stable_and_distinct_from_fault_free() {
             fault: Some(FaultPlanConfig::default()),
             ..clean.clone()
         };
-        let clean_hash = trace_hash(backend, &clean, &batch);
-        let faulty_a = trace_hash(backend, &faulty, &batch);
-        let faulty_b = trace_hash(backend, &faulty, &batch);
+        let clean_hash = trace_hash(lane, &clean, &batch);
+        let faulty_a = trace_hash(lane, &faulty, &batch);
+        let faulty_b = trace_hash(lane, &faulty, &batch);
         assert_eq!(
             faulty_a, faulty_b,
-            "{backend:?}: fault-armed trace diverged between same-seed runs"
+            "{lane:?}: fault-armed trace diverged between same-seed runs"
         );
         assert_ne!(
             clean_hash, faulty_a,
-            "{backend:?}: fault plan left no mark on the trace (injected \
+            "{lane:?}: fault plan left no mark on the trace (injected \
              delays must shift task-relative timestamps)"
         );
     }
@@ -99,7 +112,7 @@ fn fault_armed_trace_is_stable_and_distinct_from_fault_free() {
 #[test]
 fn tracing_never_perturbs_simulated_cost_or_audits() {
     let batch = make_packets(128);
-    for backend in BOTH {
+    for lane in Lane::ALL {
         for fault in [None, Some(FaultPlanConfig::default())] {
             let untraced_cfg = DispatchConfig {
                 shards: 2,
@@ -111,15 +124,15 @@ fn tracing_never_perturbs_simulated_cost_or_audits() {
                 trace: true,
                 ..untraced_cfg.clone()
             };
-            let untraced = run_batched(backend, &untraced_cfg, &batch).expect("dispatch");
-            let traced = run_batched(backend, &traced_cfg, &batch).expect("dispatch");
+            let untraced = run_batched(lane, &untraced_cfg, &batch).expect("dispatch");
+            let traced = run_batched(lane, &traced_cfg, &batch).expect("dispatch");
             assert_eq!(
                 untraced.sim_elapsed_ns, traced.sim_elapsed_ns,
-                "{backend:?}: tracing changed simulated cost"
+                "{lane:?}: tracing changed simulated cost"
             );
             assert_eq!(
                 untraced.merged_fingerprint, traced.merged_fingerprint,
-                "{backend:?}: tracing changed the merged audit"
+                "{lane:?}: tracing changed the merged audit"
             );
             assert!(untraced.canonical_trace.is_empty());
         }
@@ -129,17 +142,17 @@ fn tracing_never_perturbs_simulated_cost_or_audits() {
 #[test]
 fn untraced_runs_record_no_events() {
     let batch = make_packets(64);
-    for backend in BOTH {
+    for lane in BOTH {
         let cfg = DispatchConfig {
             shards: 2,
             seed: 3,
             ..Default::default()
         };
-        let report = run_batched(backend, &cfg, &batch).expect("dispatch");
+        let report = run_batched(lane, &cfg, &batch).expect("dispatch");
         for shard in &report.shards {
             assert!(
                 shard.trace.is_empty(),
-                "{backend:?}: shard {} recorded {} events with tracing off",
+                "{lane:?}: shard {} recorded {} events with tracing off",
                 shard.shard,
                 shard.trace.len()
             );

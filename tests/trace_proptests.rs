@@ -8,7 +8,8 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use bench::dispatch::{make_packets, run_batched, Backend, DispatchConfig};
+use bench::dispatch::{make_packets, run_batched, DispatchConfig};
+use bench::Lane;
 use ebpf::maps::MapRegistry;
 use ebpf::program::ProgType;
 use kernel_sim::trace::{SpanKind, SpanPhase, TraceEvent};
@@ -135,12 +136,12 @@ proptest! {
         packets in 1usize..80,
         shards in 1usize..6,
         seed in any::<u64>(),
-        backend_ix in 0usize..3,
+        lane_ix in 0usize..5,
     ) {
-        let backend = Backend::ALL[backend_ix];
+        let lane = Lane::ALL[lane_ix];
         let batch = make_packets(packets);
         let cfg = DispatchConfig { shards, seed, trace: true, ..Default::default() };
-        let report = run_batched(backend, &cfg, &batch).expect("dispatch");
+        let report = run_batched(lane, &cfg, &batch).expect("dispatch");
         for shard in &report.shards {
             check_stream(&shard.trace)?;
         }
