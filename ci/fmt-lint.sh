@@ -32,10 +32,13 @@ say "feature matrix: cargo check -p ebpf --features bug-replicas"
 cargo check -p ebpf --features bug-replicas
 
 # Sandbox row: the SFI lane's structural invariants (mask closure,
-# inner windows inside the domain) re-validated on every check, with the
-# behavioural sandbox suite run under them.
-say "feature matrix: cargo test -p ebpf --features sandbox-strict --test sandbox"
-cargo test -q -p ebpf --features sandbox-strict --test sandbox
+# inner windows inside the domain) re-validated on every check. One ctx
+# builder and one helper dispatcher serve every bytecode lane, so every
+# ebpf suite runs under them, plus the sandbox property tests.
+say "feature matrix: cargo test -p ebpf --features sandbox-strict"
+cargo test -q -p ebpf --features sandbox-strict
+say "feature matrix: sandbox proptests under ebpf/sandbox-strict"
+cargo test -q --features ebpf/sandbox-strict --test sandbox_proptests
 
 # Ladder feature matrix: each verifier feature-growth rung (bpf2bpf,
 # tail calls, spin locks, ringbuf reservations) keeps its focused

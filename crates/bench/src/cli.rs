@@ -9,19 +9,20 @@ use crate::engine::{DispatchError, RunReport};
 /// `full(out)`; without a `smoke`, `--smoke` is rejected too. Anything
 /// else prints usage and exits 2.
 pub fn main(bin: &str, default_out: &str, smoke: Option<fn()>, full: fn(&str)) {
+    let usage = |msg: &str| -> ! {
+        eprintln!("{bin}: {msg}");
+        let flag = if smoke.is_some() { "[--smoke] " } else { "" };
+        eprintln!("usage: {bin} {flag}[--out <path>]");
+        std::process::exit(2);
+    };
     let mut out = default_out.to_string();
     let mut smoke_run = None;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--smoke" if smoke.is_some() => smoke_run = smoke,
-            "--out" => out = it.next().expect("--out requires a value"),
-            other => {
-                eprintln!("{bin}: unknown argument {other}");
-                let flag = if smoke.is_some() { "[--smoke] " } else { "" };
-                eprintln!("usage: {bin} {flag}[--out <path>]");
-                std::process::exit(2);
-            }
+            "--out" => out = it.next().unwrap_or_else(|| usage("--out requires a value")),
+            other => usage(&format!("unknown argument {other}")),
         }
     }
     match smoke_run {

@@ -97,12 +97,11 @@ pub enum CtxInput {
 impl CtxInput {
     fn as_ref(&self) -> CtxRef<'_> {
         match self {
-            CtxInput::None => CtxRef::None,
+            CtxInput::None => CtxRef::Words(&[]),
             CtxInput::Packet(payload) => CtxRef::Packet(payload),
-            CtxInput::Kprobe(regs) => CtxRef::Kprobe(regs),
-            CtxInput::Tracepoint(fields) => CtxRef::Tracepoint(fields),
-            CtxInput::Lsm(fields) => CtxRef::Lsm(fields),
-            CtxInput::Sched(fields) => CtxRef::Sched(fields),
+            CtxInput::Kprobe(regs) => CtxRef::Words(regs),
+            CtxInput::Tracepoint(fields) | CtxInput::Lsm(fields) => CtxRef::Words(fields),
+            CtxInput::Sched(fields) => CtxRef::Words(fields),
         }
     }
 }
@@ -112,12 +111,10 @@ impl CtxInput {
 /// without allocating a per-packet buffer first.
 #[derive(Debug, Clone, Copy)]
 enum CtxRef<'a> {
-    None,
+    /// Builds an skb and points the ctx at its payload.
     Packet(&'a [u8]),
-    Kprobe(&'a [u64; 8]),
-    Tracepoint(&'a [u64; 4]),
-    Lsm(&'a [u64; 4]),
-    Sched(&'a [u64; 6]),
+    /// Copied into the ctx as consecutive little-endian words.
+    Words(&'a [u64]),
 }
 
 /// Why a run failed.
@@ -286,47 +283,34 @@ pub struct Vm<'a> {
     programs: Vec<Option<LoadedProg>>,
 }
 
-/// A loaded program in one of the two execution forms. Tail calls may
-/// cross freely between forms: the prog-array slot only stores an id.
-enum LoadedProg {
-    /// Raw bytecode, decoded on every execution.
-    Interp {
-        prog: Program,
-        /// Set when the text ends mid-LDDW: the run is rejected up front,
-        /// mirroring the JIT lane's compile-time `TruncatedLddw`.
-        truncated: Option<usize>,
-        /// Present when the program was loaded *unverified* into a
-        /// sandbox protection domain.
-        sandbox: Option<SandboxConfig>,
-    },
-    /// Lowered by [`jit_lower`], executed by the compiled lane.
-    Jit(Box<JitLoaded>),
-}
-
-impl LoadedProg {
-    fn prog(&self) -> &Program {
-        match self {
-            LoadedProg::Interp { prog, .. } => prog,
-            LoadedProg::Jit(j) => &j.prog,
-        }
-    }
+/// A loaded program in either execution form. Tail calls may cross
+/// freely between forms: the prog-array slot only stores an id.
+struct LoadedProg {
+    /// The *original* program: error paths and audit records name it
+    /// identically in both forms.
+    prog: Program,
+    /// Set when the text ends mid-LDDW: the run is rejected up front,
+    /// mirroring the JIT lane's compile-time `TruncatedLddw` (so it is
+    /// never set on a lowered program).
+    truncated: Option<usize>,
+    /// Present when the program was loaded *unverified* into a sandbox
+    /// protection domain.
+    sandbox: Option<SandboxConfig>,
+    /// The compiled form; `None` decodes `prog` on every execution.
+    /// Boxed to keep the program table's slots, tombstones included,
+    /// small.
+    jit: Option<Box<JitCode>>,
 }
 
 /// A program lowered for the compiled lane: the IR, the fuel chunk
 /// table, and every helper call site resolved to a direct function
 /// pointer (the runtime table walk is paid once, at load).
-struct JitLoaded {
-    /// The *original* program: error paths and audit records must name
-    /// it exactly as the interpreter would.
-    prog: Program,
+struct JitCode {
     ops: Vec<LowOp>,
     chunk: Vec<u32>,
     /// Per-slot resolved helper: `Some((imp, ret))` for `LowOp::Call`
     /// slots whose id is registered, `None` otherwise.
     calls: Vec<Option<(HelperImpl, RetType)>>,
-    /// Present when the program was loaded unverified into a sandbox
-    /// protection domain (the ops then carry masked memory ops).
-    sandbox: Option<SandboxConfig>,
 }
 
 /// Size of each run's protection domain: the context structure at offset
@@ -561,14 +545,7 @@ impl<'a> Vm<'a> {
     /// Loads a program for interpretation, returning its index (usable in
     /// prog-array maps).
     pub fn load(&mut self, prog: Program) -> u32 {
-        let id = self.programs.len() as u32;
-        let truncated = truncated_lddw(&prog.insns);
-        self.programs.push(Some(LoadedProg::Interp {
-            prog,
-            truncated,
-            sandbox: None,
-        }));
-        id
+        self.push(prog, None, None)
     }
 
     /// Loads a program **unverified** into a sandbox protection domain
@@ -579,14 +556,7 @@ impl<'a> Vm<'a> {
     /// aborting the run without an oops — instead of being rejected up
     /// front.
     pub fn load_sandboxed(&mut self, prog: Program, sandbox: SandboxConfig) -> u32 {
-        let id = self.programs.len() as u32;
-        let truncated = truncated_lddw(&prog.insns);
-        self.programs.push(Some(LoadedProg::Interp {
-            prog,
-            truncated,
-            sandbox: Some(sandbox),
-        }));
-        id
+        self.push(prog, Some(sandbox), None)
     }
 
     /// Lowers a program through the JIT and loads the compiled form,
@@ -646,15 +616,33 @@ impl<'a> Vm<'a> {
                 _ => None,
             })
             .collect();
-        let id = self.programs.len() as u32;
-        self.programs.push(Some(LoadedProg::Jit(Box::new(JitLoaded {
-            prog,
+        let jit = JitCode {
             ops: lowered.ops,
             chunk: lowered.chunk,
             calls,
+        };
+        Ok((self.push(prog, sandbox, Some(Box::new(jit))), lowered.stats))
+    }
+
+    fn push(
+        &mut self,
+        prog: Program,
+        sandbox: Option<SandboxConfig>,
+        jit: Option<Box<JitCode>>,
+    ) -> u32 {
+        let id = self.programs.len() as u32;
+        // Lowering has already refused mid-LDDW text.
+        let truncated = match jit {
+            Some(_) => None,
+            None => truncated_lddw(&prog.insns),
+        };
+        self.programs.push(Some(LoadedProg {
+            truncated,
+            prog,
             sandbox,
-        }))));
-        Ok((id, lowered.stats))
+            jit,
+        }));
+        id
     }
 
     /// Number of loaded programs (tombstoned slots excluded).
@@ -717,31 +705,16 @@ impl<'a> Vm<'a> {
         let Some(loaded) = self.programs.get(prog_id as usize).and_then(Option::as_ref) else {
             return Self::aborted(ExecError::NoSuchProgram { id: prog_id });
         };
-        if let LoadedProg::Interp {
-            truncated: Some(pc),
-            ..
-        } = loaded
-        {
+        if let Some(pc) = loaded.truncated {
             // The JIT lane rejects mid-LDDW text at compile time; the
             // interpreter lane rejects it identically before running.
-            return Self::aborted(ExecError::TruncatedLddw { pc: *pc });
+            return Self::aborted(ExecError::TruncatedLddw { pc });
         }
-        let prog = loaded.prog();
-        let sandbox = match loaded {
-            LoadedProg::Interp { sandbox, .. } => *sandbox,
-            LoadedProg::Jit(j) => j.sandbox,
-        };
-        let (ctx_addr, ctx_region, skb, dom) = if let Some(sb) = sandbox {
-            match self.build_sandbox_ctx(prog.prog_type, input, sb) {
+        let (ctx_addr, skb, dom) =
+            match self.build_ctx(loaded.prog.prog_type, input, loaded.sandbox) {
                 Ok(parts) => parts,
                 Err(fault) => return Self::aborted(ExecError::Fault { fault, pc: 0 }),
-            }
-        } else {
-            match self.build_ctx(prog.prog_type, input) {
-                Ok((ctx, region, skb)) => (ctx, region, skb, None),
-                Err(fault) => return Self::aborted(ExecError::Fault { fault, pc: 0 }),
-            }
-        };
+            };
 
         let mut st = St {
             regs: [0; 11],
@@ -773,18 +746,14 @@ impl<'a> Vm<'a> {
         let mut current = loaded;
         let result;
         loop {
-            let step = match current {
-                LoadedProg::Interp { prog, .. } => self.exec_function(prog, &mut st, 0, ctx_addr),
-                LoadedProg::Jit(j) => self.exec_function_jit(j, &mut st, 0, ctx_addr),
-            };
-            match step {
+            match self.exec_function(current, &mut st, 0, ctx_addr) {
                 Ok(FnExit::Return(v)) => {
                     result = Ok(v);
                     break;
                 }
                 Ok(FnExit::TailCall(next)) => {
                     match self.programs.get(next as usize).and_then(Option::as_ref) {
-                        Some(LoadedProg::Interp {
+                        Some(LoadedProg {
                             truncated: Some(pc),
                             ..
                         }) => {
@@ -819,7 +788,7 @@ impl<'a> Vm<'a> {
         drop(rcu_guard);
 
         let leak_report = st.exec.finish(self.kernel);
-        let _ = self.kernel.mem.unmap(ctx_region);
+        let _ = self.kernel.mem.unmap(ctx_addr);
         // Free the packet skb: without this every packet run leaked its
         // payload region and skb-table entry, so long batches grew the
         // address-space map without bound (and every later memory access
@@ -851,114 +820,69 @@ impl<'a> Vm<'a> {
         }
     }
 
+    /// Maps the run's ctx region and fills it from `input`. A sandboxed
+    /// run maps its whole protection domain instead (accounted against
+    /// the configured quota domain) with the ctx as its first bump
+    /// allocation — at the base, so the domain region doubles as the ctx
+    /// region for the common unmap path — and the packet payload granted
+    /// as a kernel window. On failure nothing stays mapped.
     fn build_ctx(
         &self,
         prog_type: ProgType,
         input: CtxRef<'_>,
-    ) -> Result<(Addr, Addr, Option<SkBuff>), Fault> {
-        let layout = prog_type.ctx_layout();
-        let ctx = self
-            .kernel
-            .mem
-            .map("prog-ctx", layout.size as u64, Perms::rw())?;
-        let mut skb = None;
-        match input {
-            CtxRef::Packet(payload) => {
-                let sk_buff = self.kernel.objects.create_skb(&self.kernel.mem, payload)?;
-                let mut fields = [0u8; 24];
-                fields[..8].copy_from_slice(&sk_buff.data.to_le_bytes());
-                fields[8..16].copy_from_slice(&sk_buff.data_end().to_le_bytes());
-                fields[16..].copy_from_slice(&(sk_buff.len as u64).to_le_bytes());
-                self.kernel.mem.write_from(ctx, &fields)?;
-                skb = Some(sk_buff);
+        sandbox: Option<SandboxConfig>,
+    ) -> Result<(Addr, Option<SkBuff>, Option<DomainRun>), Fault> {
+        let size = prog_type.ctx_layout().size as u64;
+        let ctx = match sandbox {
+            Some(sb) => self.kernel.mem.map_aligned_in_domain(
+                "sandbox-domain",
+                SANDBOX_DOMAIN_BYTES,
+                Perms::rw(),
+                sb.account_domain,
+            )?,
+            None => self.kernel.mem.map("prog-ctx", size, Perms::rw())?,
+        };
+        let mut dom = sandbox.map(|sb| {
+            let domain = SandboxDomain::new(ctx, SANDBOX_DOMAIN_BYTES)
+                .expect("aligned power-of-two domain geometry");
+            let mut run = DomainRun::new(domain, sb.costs);
+            run.alloc(size).expect("ctx layout fits the domain");
+            run
+        });
+        let skb = self.fill_ctx(ctx, input).inspect_err(|_| {
+            let _ = self.kernel.mem.unmap(ctx);
+        })?;
+        if let (Some(run), Some(skb)) = (dom.as_mut(), skb) {
+            if skb.len > 0 {
+                run.grant(skb.data, skb.len as u64);
             }
-            CtxRef::Kprobe(regs) => {
-                for (i, r) in regs.iter().enumerate() {
-                    self.kernel.mem.write_u64(ctx + i as u64 * 8, *r)?;
-                }
-            }
-            CtxRef::Tracepoint(fields) => {
-                for (i, v) in fields.iter().enumerate() {
-                    self.kernel.mem.write_u64(ctx + i as u64 * 8, *v)?;
-                }
-            }
-            CtxRef::Lsm(fields) => {
-                for (i, v) in fields.iter().enumerate() {
-                    self.kernel.mem.write_u64(ctx + i as u64 * 8, *v)?;
-                }
-            }
-            CtxRef::Sched(fields) => {
-                for (i, v) in fields.iter().enumerate() {
-                    self.kernel.mem.write_u64(ctx + i as u64 * 8, *v)?;
-                }
-            }
-            CtxRef::None => {}
         }
-        Ok((ctx, ctx, skb))
+        Ok((ctx, skb, dom))
     }
 
-    /// The sandbox lane's context build: maps the per-run protection
-    /// domain (accounted against the configured quota domain),
-    /// bump-allocates the context structure at its base — so the domain
-    /// region doubles as the ctx region for the common unmap path — and
-    /// grants the packet payload as a kernel window.
-    #[allow(clippy::type_complexity)]
-    fn build_sandbox_ctx(
-        &self,
-        prog_type: ProgType,
-        input: CtxRef<'_>,
-        sandbox: SandboxConfig,
-    ) -> Result<(Addr, Addr, Option<SkBuff>, Option<DomainRun>), Fault> {
-        let base = self.kernel.mem.map_aligned_in_domain(
-            "sandbox-domain",
-            SANDBOX_DOMAIN_BYTES,
-            Perms::rw(),
-            sandbox.account_domain,
-        )?;
-        let dom = SandboxDomain::new(base, SANDBOX_DOMAIN_BYTES)
-            .expect("aligned power-of-two domain geometry");
-        let mut run = DomainRun::new(dom, sandbox.costs);
-        let layout = prog_type.ctx_layout();
-        let ctx = run
-            .alloc(layout.size as u64)
-            .expect("ctx layout fits the domain");
-        let mut skb = None;
+    /// Writes `input` into the ctx at `ctx`. A packet first gets its
+    /// skb, which the ctx then describes as `{data, data_end, len}`.
+    fn fill_ctx(&self, ctx: Addr, input: CtxRef<'_>) -> Result<Option<SkBuff>, Fault> {
+        let mem = &self.kernel.mem;
         match input {
             CtxRef::Packet(payload) => {
-                let sk_buff = self.kernel.objects.create_skb(&self.kernel.mem, payload)?;
+                let skb = self.kernel.objects.create_skb(mem, payload)?;
                 let mut fields = [0u8; 24];
-                fields[..8].copy_from_slice(&sk_buff.data.to_le_bytes());
-                fields[8..16].copy_from_slice(&sk_buff.data_end().to_le_bytes());
-                fields[16..].copy_from_slice(&(sk_buff.len as u64).to_le_bytes());
-                self.kernel.mem.write_from(ctx, &fields)?;
-                if sk_buff.len > 0 {
-                    run.grant(sk_buff.data, sk_buff.len as u64);
-                }
-                skb = Some(sk_buff);
+                fields[..8].copy_from_slice(&skb.data.to_le_bytes());
+                fields[8..16].copy_from_slice(&skb.data_end().to_le_bytes());
+                fields[16..].copy_from_slice(&(skb.len as u64).to_le_bytes());
+                // Every ctx layout holds these 24 bytes, so this write
+                // cannot fail and strand the skb.
+                mem.write_from(ctx, &fields)?;
+                Ok(Some(skb))
             }
-            CtxRef::Kprobe(regs) => {
-                for (i, r) in regs.iter().enumerate() {
-                    self.kernel.mem.write_u64(ctx + i as u64 * 8, *r)?;
+            CtxRef::Words(words) => {
+                for (i, w) in words.iter().enumerate() {
+                    mem.write_u64(ctx + i as u64 * 8, *w)?;
                 }
+                Ok(None)
             }
-            CtxRef::Tracepoint(fields) => {
-                for (i, v) in fields.iter().enumerate() {
-                    self.kernel.mem.write_u64(ctx + i as u64 * 8, *v)?;
-                }
-            }
-            CtxRef::Lsm(fields) => {
-                for (i, v) in fields.iter().enumerate() {
-                    self.kernel.mem.write_u64(ctx + i as u64 * 8, *v)?;
-                }
-            }
-            CtxRef::Sched(fields) => {
-                for (i, v) in fields.iter().enumerate() {
-                    self.kernel.mem.write_u64(ctx + i as u64 * 8, *v)?;
-                }
-            }
-            CtxRef::None => {}
         }
-        Ok((ctx, base, skb, Some(run)))
     }
 
     fn charge(&self, st: &mut St, pc: usize) -> Result<(), ExecError> {
@@ -976,9 +900,11 @@ impl<'a> Vm<'a> {
         Ok(())
     }
 
+    /// One call frame — depth accounting plus a fresh 512-byte stack —
+    /// around the body loop of the program's execution form.
     fn exec_function(
         &self,
-        prog: &Program,
+        p: &LoadedProg,
         st: &mut St,
         entry: usize,
         ctx_addr: Addr,
@@ -992,12 +918,39 @@ impl<'a> Vm<'a> {
         let saved_r10 = st.regs[10];
         st.regs[10] = frame + BPF_STACK_SIZE;
 
-        let out = self.exec_body(prog, st, entry, ctx_addr);
+        let out = match &p.jit {
+            Some(j) => self.exec_body_jit(p, j, st, entry, ctx_addr),
+            None => self.exec_body(p, st, entry, ctx_addr),
+        };
 
         st.regs[10] = saved_r10;
         self.release_frame(st, frame);
         st.depth -= 1;
         out
+    }
+
+    /// A bpf2bpf call at `pc`: r6-r9 survive it, r1-r5 come back
+    /// scratched, and a tail call inside the callee is an error.
+    fn exec_call(
+        &self,
+        p: &LoadedProg,
+        st: &mut St,
+        target: usize,
+        pc: usize,
+        ctx_addr: Addr,
+    ) -> Result<(), ExecError> {
+        let saved: [u64; 4] = [st.regs[6], st.regs[7], st.regs[8], st.regs[9]];
+        match self.exec_function(p, st, target, ctx_addr)? {
+            FnExit::Return(v) => {
+                st.regs[0] = v;
+                st.regs[6..10].copy_from_slice(&saved);
+                for r in 1..=5 {
+                    st.regs[r] = 0;
+                }
+                Ok(())
+            }
+            FnExit::TailCall(_) => Err(ExecError::TailCallInSubprog { pc }),
+        }
     }
 
     /// A fresh 512-byte stack frame: a mapped kernel region in the
@@ -1039,11 +992,12 @@ impl<'a> Vm<'a> {
     #[allow(clippy::too_many_lines)]
     fn exec_body(
         &self,
-        prog: &Program,
+        p: &LoadedProg,
         st: &mut St,
         entry: usize,
         ctx_addr: Addr,
     ) -> Result<FnExit, ExecError> {
+        let prog = &p.prog;
         let insns = &prog.insns;
         let len = insns.len();
         let mut pc = entry;
@@ -1059,24 +1013,12 @@ impl<'a> Vm<'a> {
             match insn.class() {
                 BPF_ALU64 | BPF_ALU => {
                     if insn.op() == BPF_END {
-                        let width = insn.imm;
                         let v = st.regs[insn.dst as usize];
-                        let out = match (insn.is_src_reg(), width) {
-                            // to_le on a little-endian model: truncate.
-                            (false, 16) => v & 0xffff,
-                            (false, 32) => v & 0xffff_ffff,
-                            (false, 64) => v,
-                            // to_be: byte-swap within the width.
-                            (true, 16) => (v as u16).swap_bytes() as u64,
-                            (true, 32) => (v as u32).swap_bytes() as u64,
-                            (true, 64) => v.swap_bytes(),
-                            _ => return Err(ExecError::BadInstruction { pc }),
-                        };
-                        st.regs[insn.dst as usize] = out;
+                        st.regs[insn.dst as usize] = endian(v, insn.is_src_reg(), insn.imm)
+                            .ok_or(ExecError::BadInstruction { pc })?;
                         pc += 1;
                         continue;
                     }
-                    let is64 = insn.class() == BPF_ALU64;
                     let src_val = if insn.op() == BPF_NEG {
                         0
                     } else if insn.is_src_reg() {
@@ -1085,7 +1027,7 @@ impl<'a> Vm<'a> {
                         insn.imm as i64 as u64
                     };
                     let dst_val = st.regs[insn.dst as usize];
-                    let result = if is64 {
+                    let result = if insn.class() == BPF_ALU64 {
                         alu64(insn.op(), dst_val, src_val)
                             .ok_or(ExecError::BadInstruction { pc })?
                     } else {
@@ -1171,29 +1113,10 @@ impl<'a> Vm<'a> {
                                 if target < 0 || target >= len as i64 {
                                     return Err(ExecError::ControlFlowEscape { pc, target });
                                 }
-                                let saved: [u64; 4] =
-                                    [st.regs[6], st.regs[7], st.regs[8], st.regs[9]];
-                                match self.exec_function(prog, st, target as usize, ctx_addr)? {
-                                    FnExit::Return(v) => {
-                                        st.regs[0] = v;
-                                        st.regs[6..10].copy_from_slice(&saved);
-                                        for r in 1..=5 {
-                                            st.regs[r] = 0;
-                                        }
-                                    }
-                                    FnExit::TailCall(_) => {
-                                        return Err(ExecError::TailCallInSubprog { pc })
-                                    }
-                                }
+                                self.exec_call(p, st, target as usize, pc, ctx_addr)?;
                                 pc += 1;
                             } else {
-                                match self.exec_helper_call(
-                                    prog,
-                                    st,
-                                    insn.imm as u32,
-                                    pc,
-                                    ctx_addr,
-                                )? {
+                                match self.exec_helper_call(p, st, insn.imm as u32, pc, ctx_addr)? {
                                     Some(exit) => return Ok(exit),
                                     None => pc += 1,
                                 }
@@ -1292,14 +1215,18 @@ impl<'a> Vm<'a> {
         Ok(())
     }
 
+    /// The helper-call ABI of both execution forms. Only resolving the
+    /// helper differs: the interpreter walks the registry, the compiled
+    /// form reads the call-site table resolved at load.
     fn exec_helper_call(
         &self,
-        prog: &Program,
+        p: &LoadedProg,
         st: &mut St,
         id: u32,
         pc: usize,
         ctx_addr: Addr,
     ) -> Result<Option<FnExit>, ExecError> {
+        let prog = &p.prog;
         st.helper_calls += 1;
         // One span per dispatch, whatever the outcome: the tail-call and
         // loop pseudo-helpers, injected transient failures, and real
@@ -1351,7 +1278,7 @@ impl<'a> Vm<'a> {
                 for i in 0..nr {
                     st.regs[1] = i;
                     st.regs[2] = cb_ctx;
-                    let ret = match self.exec_function(prog, st, cb_pc, ctx_addr)? {
+                    let ret = match self.exec_function(p, st, cb_pc, ctx_addr)? {
                         FnExit::Return(v) => v,
                         FnExit::TailCall(_) => return Err(ExecError::TailCallInSubprog { pc }),
                     };
@@ -1377,10 +1304,9 @@ impl<'a> Vm<'a> {
                     .dom
                     .as_ref()
                     .map(|d| DomainExit::leave(self.kernel, d.costs));
-                let ret_type = if st.dom.is_some() {
-                    self.helpers.get(id).map(|h| h.spec.ret)
-                } else {
-                    None
+                let resolved = match &p.jit {
+                    Some(j) => j.calls[pc],
+                    None => self.helpers.get(id).map(|h| (h.imp, h.spec.ret)),
                 };
                 // Fault plane: a transient helper failure is decided before
                 // dispatch and surfaces to the program as an error return
@@ -1389,8 +1315,8 @@ impl<'a> Vm<'a> {
                 // through the same kernel-level plane the FaultConfig bug
                 // replicas live beside.
                 if let Some(plane) = self.kernel.inject.get() {
-                    if self.helpers.get(id).is_some() && plane.helper_should_fail(id) {
-                        let ret = match self.helpers.get(id).map(|h| h.spec.ret) {
+                    if resolved.is_some() && plane.helper_should_fail(id) {
+                        let ret = match resolved.map(|(_, ret)| ret) {
                             Some(RetType::Integer) => neg_errno(EAGAIN),
                             _ => 0,
                         };
@@ -1401,6 +1327,9 @@ impl<'a> Vm<'a> {
                         return Ok(None);
                     }
                 }
+                let Some((imp, ret_type)) = resolved else {
+                    return Err(ExecError::UnknownHelper { id, pc });
+                };
                 let args = [st.regs[1], st.regs[2], st.regs[3], st.regs[4], st.regs[5]];
                 let mut hctx = HelperCtx {
                     kernel: self.kernel,
@@ -1411,7 +1340,7 @@ impl<'a> Vm<'a> {
                     skb: st.skb,
                     run: &mut st.run,
                 };
-                match self.helpers.call(id, &mut hctx, args) {
+                match imp(&mut hctx, args) {
                     Ok(v) => {
                         st.regs[0] = v;
                         for r in 1..=5 {
@@ -1488,32 +1417,6 @@ impl<'a> Vm<'a> {
         Ok(())
     }
 
-    /// The compiled lane's counterpart of [`Self::exec_function`]: same
-    /// depth accounting and per-call 512-byte stack frame.
-    fn exec_function_jit(
-        &self,
-        j: &JitLoaded,
-        st: &mut St,
-        entry: usize,
-        ctx_addr: Addr,
-    ) -> Result<FnExit, ExecError> {
-        if st.depth >= self.config.max_call_depth {
-            return Err(ExecError::CallDepthExceeded { pc: entry });
-        }
-        st.depth += 1;
-        st.max_depth = st.max_depth.max(st.depth);
-        let frame = self.alloc_frame(st, entry)?;
-        let saved_r10 = st.regs[10];
-        st.regs[10] = frame + BPF_STACK_SIZE;
-
-        let out = self.exec_body_jit(j, st, entry, ctx_addr);
-
-        st.regs[10] = saved_r10;
-        self.release_frame(st, frame);
-        st.depth -= 1;
-        out
-    }
-
     /// Executes lowered ops. Fuel is prepaid per chunk: at each chunk
     /// head the whole straight-line run (through its terminating
     /// effectful op) is charged with one bulk advance, then the pure ops
@@ -1521,14 +1424,15 @@ impl<'a> Vm<'a> {
     #[allow(clippy::too_many_lines)]
     fn exec_body_jit(
         &self,
-        j: &JitLoaded,
+        p: &LoadedProg,
+        j: &JitCode,
         st: &mut St,
         entry: usize,
         ctx_addr: Addr,
     ) -> Result<FnExit, ExecError> {
         let ops = &j.ops;
         let len = ops.len();
-        let prog = &j.prog;
+        let prog = &p.prog;
         let mut pc = entry;
         let mut prepaid: u32 = 0;
         loop {
@@ -1562,16 +1466,8 @@ impl<'a> Vm<'a> {
                 }
                 LowOp::End { dst, swap, width } => {
                     let v = st.regs[dst as usize];
-                    let out = match (swap, width) {
-                        (false, 16) => v & 0xffff,
-                        (false, 32) => v & 0xffff_ffff,
-                        (false, 64) => v,
-                        (true, 16) => (v as u16).swap_bytes() as u64,
-                        (true, 32) => (v as u32).swap_bytes() as u64,
-                        (true, 64) => v.swap_bytes(),
-                        _ => return Err(ExecError::BadInstruction { pc }),
-                    };
-                    st.regs[dst as usize] = out;
+                    st.regs[dst as usize] =
+                        endian(v, swap, width).ok_or(ExecError::BadInstruction { pc })?;
                     pc += 1;
                 }
                 LowOp::Lddw { dst, value } => {
@@ -1673,165 +1569,16 @@ impl<'a> Vm<'a> {
                         pc += 1;
                     }
                 }
-                LowOp::Call { id } => match self.exec_helper_call_jit(j, st, id, pc, ctx_addr)? {
+                LowOp::Call { id } => match self.exec_helper_call(p, st, id, pc, ctx_addr)? {
                     Some(exit) => return Ok(exit),
                     None => pc += 1,
                 },
                 LowOp::CallPseudo { target } => {
-                    let t = match target {
-                        JumpTarget::At(t) => t as usize,
-                        JumpTarget::Escape(target) => {
-                            return Err(ExecError::ControlFlowEscape { pc, target })
-                        }
-                    };
-                    let saved: [u64; 4] = [st.regs[6], st.regs[7], st.regs[8], st.regs[9]];
-                    match self.exec_function_jit(j, st, t, ctx_addr)? {
-                        FnExit::Return(v) => {
-                            st.regs[0] = v;
-                            st.regs[6..10].copy_from_slice(&saved);
-                            for r in 1..=5 {
-                                st.regs[r] = 0;
-                            }
-                        }
-                        FnExit::TailCall(_) => return Err(ExecError::TailCallInSubprog { pc }),
-                    }
+                    self.exec_call(p, st, take_jump(target, pc)?, pc, ctx_addr)?;
                     pc += 1;
                 }
                 LowOp::Exit => return Ok(FnExit::Return(st.regs[0])),
                 LowOp::Bad => return Err(ExecError::BadInstruction { pc }),
-            }
-        }
-    }
-
-    /// The compiled lane's helper dispatch: identical decision sequence
-    /// to [`Self::exec_helper_call`], with the registry walk replaced by
-    /// the call-site cache resolved at load time.
-    fn exec_helper_call_jit(
-        &self,
-        j: &JitLoaded,
-        st: &mut St,
-        id: u32,
-        pc: usize,
-        ctx_addr: Addr,
-    ) -> Result<Option<FnExit>, ExecError> {
-        st.helper_calls += 1;
-        let _helper_span = self
-            .kernel
-            .trace
-            .span(kernel_sim::trace::SpanKind::HelperCall, id as u64);
-        match id {
-            BPF_TAIL_CALL => {
-                if st.depth > 1 {
-                    return Err(ExecError::TailCallInSubprog { pc });
-                }
-                let map = untag(MAP_PTR_TAG, st.regs[2]).and_then(|fd| self.maps.get(fd as u32));
-                let index = st.regs[3] as u32;
-                if st.tail_calls >= self.config.max_tail_calls {
-                    st.regs[0] = neg_errno(EINVAL);
-                    return Ok(None);
-                }
-                match map.and_then(|m| m.prog_slot(index).ok().flatten()) {
-                    Some(next) => {
-                        st.tail_calls += 1;
-                        Ok(Some(FnExit::TailCall(next)))
-                    }
-                    None => {
-                        st.regs[0] = neg_errno(EINVAL);
-                        Ok(None)
-                    }
-                }
-            }
-            BPF_LOOP => {
-                let nr = st.regs[1];
-                if nr > self.config.max_loop_iterations {
-                    st.regs[0] = neg_errno(E2BIG);
-                    return Ok(None);
-                }
-                let cb_pc = match untag(FUNC_PTR_TAG, st.regs[2]) {
-                    Some(target) if (target as usize) < j.ops.len() => target as usize,
-                    _ => {
-                        st.regs[0] = neg_errno(EINVAL);
-                        return Ok(None);
-                    }
-                };
-                let cb_ctx = st.regs[3];
-                let saved: [u64; 4] = [st.regs[6], st.regs[7], st.regs[8], st.regs[9]];
-                let mut performed = 0u64;
-                for i in 0..nr {
-                    st.regs[1] = i;
-                    st.regs[2] = cb_ctx;
-                    let ret = match self.exec_function_jit(j, st, cb_pc, ctx_addr)? {
-                        FnExit::Return(v) => v,
-                        FnExit::TailCall(_) => return Err(ExecError::TailCallInSubprog { pc }),
-                    };
-                    performed += 1;
-                    if ret != 0 {
-                        break;
-                    }
-                }
-                st.regs[6..10].copy_from_slice(&saved);
-                st.regs[0] = performed;
-                for r in 1..=5 {
-                    st.regs[r] = 0;
-                }
-                Ok(None)
-            }
-            _ => {
-                // Same sandbox crossing discipline as the interpreter's
-                // dispatcher: exit charged now, re-entry on every return
-                // path via the guard.
-                let _dom_guard = st
-                    .dom
-                    .as_ref()
-                    .map(|d| DomainExit::leave(self.kernel, d.costs));
-                let resolved = j.calls[pc];
-                if let Some(plane) = self.kernel.inject.get() {
-                    if resolved.is_some() && plane.helper_should_fail(id) {
-                        let ret = match resolved.map(|(_, ret)| ret) {
-                            Some(RetType::Integer) => neg_errno(EAGAIN),
-                            _ => 0,
-                        };
-                        st.regs[0] = ret;
-                        for r in 1..=5 {
-                            st.regs[r] = 0;
-                        }
-                        return Ok(None);
-                    }
-                }
-                let Some((imp, _)) = resolved else {
-                    return Err(ExecError::UnknownHelper { id, pc });
-                };
-                let args = [st.regs[1], st.regs[2], st.regs[3], st.regs[4], st.regs[5]];
-                let mut hctx = HelperCtx {
-                    kernel: self.kernel,
-                    maps: self.maps,
-                    exec: &st.exec,
-                    faults: &self.faults,
-                    prog_type: j.prog.prog_type,
-                    skb: st.skb,
-                    run: &mut st.run,
-                };
-                match imp(&mut hctx, args) {
-                    Ok(v) => {
-                        st.regs[0] = v;
-                        for r in 1..=5 {
-                            st.regs[r] = 0;
-                        }
-                        self.grant_helper_window(st, resolved.map(|(_, ret)| ret), v);
-                        Ok(None)
-                    }
-                    Err(HelperError::Fault(fault)) => Err(self.oops(fault, pc, &j.prog)),
-                    Err(HelperError::Deadlock(_)) => {
-                        self.kernel
-                            .oops(OopsReason::HardLockup, format!("{}:pc{}", j.prog.name, pc));
-                        Err(ExecError::Deadlock { pc })
-                    }
-                    Err(HelperError::UnknownHelper(id)) => Err(ExecError::UnknownHelper { id, pc }),
-                    Err(other) => Err(ExecError::HelperFailure {
-                        msg: other.to_string(),
-                        pc,
-                    }),
-                }
             }
         }
     }
@@ -1882,8 +1629,8 @@ impl<'a> Vm<'a> {
     /// dereferencing them traps here exactly as it faults in the
     /// verified lane, keeping the divergence contract's outcome classes
     /// aligned.
-    fn grant_helper_window(&self, st: &mut St, ret: Option<RetType>, v: u64) {
-        if v == 0 || ret != Some(RetType::MapValueOrNull) {
+    fn grant_helper_window(&self, st: &mut St, ret: RetType, v: u64) {
+        if v == 0 || ret != RetType::MapValueOrNull {
             return;
         }
         if let Some(dom) = st.dom.as_mut() {
@@ -1909,6 +1656,20 @@ fn jump_target(pc: usize, off: i16, len: usize) -> Result<usize, ExecError> {
         return Err(ExecError::ControlFlowEscape { pc, target });
     }
     Ok(target as usize)
+}
+
+/// `BPF_END`: byte-swap `v` within `width` bits (`to_be`), or truncate
+/// it to them (`to_le` on a little-endian model).
+fn endian(v: u64, swap: bool, width: i32) -> Option<u64> {
+    Some(match (swap, width) {
+        (false, 16) => v & 0xffff,
+        (false, 32) => v & 0xffff_ffff,
+        (false, 64) => v,
+        (true, 16) => (v as u16).swap_bytes() as u64,
+        (true, 32) => (v as u32).swap_bytes() as u64,
+        (true, 64) => v.swap_bytes(),
+        _ => return None,
+    })
 }
 
 // The explicit zero checks mirror the kernel's documented div/mod

@@ -10,7 +10,7 @@ use ebpf::jit::JitConfig;
 use ebpf::maps::{MapDef, MapRegistry};
 use ebpf::program::{ProgType, Program};
 use kernel_sim::audit::EventKind;
-use kernel_sim::Kernel;
+use kernel_sim::{FaultPlan, FaultPlanConfig, FaultSite, Kernel};
 
 struct Harness {
     kernel: Kernel,
@@ -429,4 +429,63 @@ fn tagged_sock_pointer_deref_traps_like_the_verified_lane_faults() {
     assert_eq!(h.kernel.audit.count(EventKind::Oops), 0);
     assert_eq!(h.kernel.audit.count(EventKind::DomainTrap), 1);
     assert!(h2.kernel.health().oopses >= 1);
+}
+
+#[test]
+fn failed_skb_allocation_leaves_nothing_mapped() {
+    // A packet run maps its ctx — the whole protection domain when
+    // sandboxed, charged to the account domain — before it allocates the
+    // skb. When that allocation fails, the run must unmap what it has
+    // already mapped, in every bytecode form.
+    const DOMAIN: u32 = 7;
+    fn accounted() -> SandboxConfig {
+        SandboxConfig {
+            account_domain: DOMAIN,
+            ..SandboxConfig::default()
+        }
+    }
+    type Load = fn(&mut Vm<'_>, Program) -> u32;
+    let forms: [(&str, Load); 4] = [
+        ("interp", |vm, p| vm.load(p)),
+        ("jit", |vm, p| {
+            vm.load_jit(p, JitConfig::default()).unwrap().0
+        }),
+        ("sandbox", |vm, p| vm.load_sandboxed(p, accounted())),
+        ("sandbox-jit", |vm, p| {
+            vm.load_sandboxed_jit(p, accounted(), JitConfig::default())
+                .unwrap()
+                .0
+        }),
+    ];
+    let prog = Asm::new()
+        .ldx(BPF_W, Reg::R0, Reg::R1, 16) // len
+        .exit()
+        .build()
+        .unwrap();
+    for (form, load) in forms {
+        let h = Harness::new();
+        let mut vm = h.vm();
+        let id = load(&mut vm, Program::new("len", ProgType::Xdp, prog.clone()));
+        let mapped = || {
+            (
+                h.kernel.mem.bytes_mapped(),
+                h.kernel.mem.domain_bytes(DOMAIN),
+            )
+        };
+        let before = mapped();
+        let plane = h.kernel.arm_fault_plan(FaultPlan::with_config(
+            3,
+            FaultPlanConfig {
+                alloc_fail_rate: 0.3,
+                ..FaultPlanConfig::quiet()
+            },
+        ));
+        let failed = (0..100)
+            .filter(|_| vm.run_packet(id, &[0xab; 60]).result.is_err())
+            .count();
+        h.kernel.disarm_faults();
+        assert!(failed > 0, "{form}: no run met an allocation failure");
+        assert_eq!(failed as u64, plane.injected(FaultSite::Alloc), "{form}");
+        assert_eq!(mapped(), before, "{form}: failed runs left bytes mapped");
+    }
 }

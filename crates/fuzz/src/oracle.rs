@@ -19,6 +19,8 @@
 //! LDDW) still agrees as long as the interpreter refuses it identically
 //! before executing anything.
 
+use std::convert::Infallible;
+
 use ebpf::helpers::HelperRegistry;
 use ebpf::insn::Insn;
 use ebpf::interp::{CtxInput, ExecError, RunResult, SandboxConfig, Vm, VmConfig};
@@ -96,6 +98,26 @@ impl RuntimeClass {
             RuntimeClass::Safe => "safe",
             RuntimeClass::Trap => "trap",
             RuntimeClass::Undecided => "undecided",
+        }
+    }
+
+    /// The class of one run.
+    fn classify(run: &RunResult) -> RuntimeClass {
+        match &run.result {
+            Ok(_) if run.leak_report.clean() => RuntimeClass::Safe,
+            Ok(_) => RuntimeClass::Trap,
+            Err(ExecError::InsnLimit { .. }) => RuntimeClass::Undecided,
+            Err(_) => RuntimeClass::Trap,
+        }
+    }
+
+    /// The class of an input family from its members': a trap anywhere
+    /// decides it, then fuel exhaustion anywhere.
+    fn merge(self, other: RuntimeClass) -> RuntimeClass {
+        match (self, other) {
+            (_, RuntimeClass::Trap) | (RuntimeClass::Trap, _) => RuntimeClass::Trap,
+            (_, RuntimeClass::Undecided) | (RuntimeClass::Undecided, _) => RuntimeClass::Undecided,
+            _ => RuntimeClass::Safe,
         }
     }
 }
@@ -268,63 +290,26 @@ impl Env {
         }
     }
 
-    /// Runs `prog` on one input, returning the result and the kernel's
-    /// full audit fingerprint for the run.
-    fn run(&self, prog: Program, input: CtxInput) -> (RunResult, String) {
+    /// Loads the program under test into a fresh VM with `load`, pins it
+    /// into prog-array slot 0 so generated tail calls have a live target
+    /// (slots 1..3 stay empty), and runs it on `input`. A load error —
+    /// the lowering pass refusing the program — comes back as is.
+    fn run<E>(
+        &self,
+        input: CtxInput,
+        load: impl FnOnce(&mut Vm<'_>) -> Result<u32, E>,
+    ) -> Result<RunResult, E> {
         let mut vm = Vm::new(&self.kernel, &self.maps, &self.helpers).with_config(VmConfig {
             max_insns: Some(FUEL),
             ..VmConfig::default()
         });
-        let id = vm.load(prog);
-        // Pin prog-array slot 0 to the program under test so generated
-        // tail calls have a live target; slots 1..3 stay empty.
+        let id = load(&mut vm)?;
         self.maps
             .get(PROG_FD)
             .expect("prog array exists")
             .update(&self.kernel.mem, &0u32.to_le_bytes(), &id.to_le_bytes(), 0)
             .expect("prog slot update");
-        let result = vm.run(id, input);
-        (result, self.kernel.audit.fingerprint())
-    }
-
-    /// Same as [`Env::run`], but through the sandbox lane: the program
-    /// is loaded **unverified** into an SFI protection domain and every
-    /// memory access is mask-checked at run time. Returns the run plus
-    /// the audit cross-checks — whether the kernel oopsed and whether
-    /// the domain-crossing ledger balanced.
-    fn run_sandboxed(&self, prog: Program, input: CtxInput) -> (RunResult, bool) {
-        let mut vm = Vm::new(&self.kernel, &self.maps, &self.helpers).with_config(VmConfig {
-            max_insns: Some(FUEL),
-            ..VmConfig::default()
-        });
-        let id = vm.load_sandboxed(prog, SandboxConfig::default());
-        self.maps
-            .get(PROG_FD)
-            .expect("prog array exists")
-            .update(&self.kernel.mem, &0u32.to_le_bytes(), &id.to_le_bytes(), 0)
-            .expect("prog slot update");
-        let result = vm.run(id, input);
-        let m = self.kernel.metrics.snapshot();
-        let confined = self.kernel.health().oopses == 0 && m.domain_entries == m.domain_exits;
-        (result, confined)
-    }
-
-    /// Same as [`Env::run`], but through the compiled lane: the program
-    /// is lowered by [`Vm::load_jit`] and executed block-by-block.
-    /// Returns the lowering error when the pass rejects the program.
-    fn run_jit(&self, prog: Program, input: CtxInput) -> Result<(RunResult, String), JitError> {
-        let mut vm = Vm::new(&self.kernel, &self.maps, &self.helpers).with_config(VmConfig {
-            max_insns: Some(FUEL),
-            ..VmConfig::default()
-        });
-        let (id, _stats) = vm.load_jit(prog, JitConfig::default())?;
-        self.maps
-            .get(PROG_FD)
-            .expect("prog array exists")
-            .update(&self.kernel.mem, &0u32.to_le_bytes(), &id.to_le_bytes(), 0)
-            .expect("prog slot update");
-        let result = vm.run(id, input);
-        Ok((result, self.kernel.audit.fingerprint()))
+        Ok(vm.run(id, input))
     }
 }
 
@@ -407,33 +392,35 @@ impl Oracle {
         let mut trap = None;
         let make_prog = || Program::new("fuzz", prog_type, insns.to_vec());
         for input in inputs(prog_type) {
-            let (base, base_fp) = Env::new().run(make_prog(), input.clone());
+            let verified = Env::new();
+            let Ok(base) = verified.run(input.clone(), |vm| {
+                Ok::<_, Infallible>(vm.load(make_prog()))
+            });
             // Third lane: the same program, unverified, inside an SFI
             // domain. Its class and confinement promise are recorded as
             // diagnostics; they never feed the verdict bucket.
-            let (sb, confined) = Env::new().run_sandboxed(make_prog(), input.clone());
-            sandbox_confined &= confined;
-            let sb_this = match &sb.result {
-                Ok(_) if sb.leak_report.clean() => RuntimeClass::Safe,
-                Ok(_) => RuntimeClass::Trap,
-                Err(ExecError::InsnLimit { .. }) => RuntimeClass::Undecided,
-                Err(_) => RuntimeClass::Trap,
-            };
-            sandbox_class = match (sandbox_class, sb_this) {
-                (_, RuntimeClass::Trap) | (RuntimeClass::Trap, _) => RuntimeClass::Trap,
-                (_, RuntimeClass::Undecided) | (RuntimeClass::Undecided, _) => {
-                    RuntimeClass::Undecided
-                }
-                _ => RuntimeClass::Safe,
-            };
-            let same = match Env::new().run_jit(make_prog(), input) {
-                Ok((jit, jit_fp)) => {
+            let sandboxed = Env::new();
+            let Ok(sb) = sandboxed.run(input.clone(), |vm| {
+                Ok::<_, Infallible>(vm.load_sandboxed(make_prog(), SandboxConfig::default()))
+            });
+            let m = sandboxed.kernel.metrics.snapshot();
+            sandbox_confined &=
+                sandboxed.kernel.health().oopses == 0 && m.domain_entries == m.domain_exits;
+            sandbox_class = sandbox_class.merge(RuntimeClass::classify(&sb));
+            let compiled = Env::new();
+            let jit = compiled.run(input, |vm| {
+                vm.load_jit(make_prog(), JitConfig::default())
+                    .map(|(id, _)| id)
+            });
+            jit_agrees &= match jit {
+                Ok(jit) => {
                     base.result == jit.result
                         && base.insns == jit.insns
                         && base.helper_calls == jit.helper_calls
                         && base.max_depth == jit.max_depth
                         && base.printk == jit.printk
-                        && base_fp == jit_fp
+                        && verified.kernel.audit.fingerprint()
+                            == compiled.kernel.audit.fingerprint()
                 }
                 // Lowering refused the program outright. The lanes still
                 // agree when the interpreter refuses the same program at
@@ -444,28 +431,14 @@ impl Oracle {
                 ),
                 Err(JitError::BadBranchTarget { .. }) => false,
             };
-            if !same {
-                jit_agrees = false;
-            }
-            let this = match &base.result {
-                Ok(_) if base.leak_report.clean() => RuntimeClass::Safe,
-                Ok(_) => RuntimeClass::Trap,
-                Err(ExecError::InsnLimit { .. }) => RuntimeClass::Undecided,
-                Err(_) => RuntimeClass::Trap,
-            };
+            let this = RuntimeClass::classify(&base);
             if this == RuntimeClass::Trap && trap.is_none() {
                 trap = Some(match &base.result {
                     Err(e) => format!("{e:?}"),
                     Ok(_) => "leaked refs/locks".to_string(),
                 });
             }
-            class = match (class, this) {
-                (_, RuntimeClass::Trap) | (RuntimeClass::Trap, _) => RuntimeClass::Trap,
-                (_, RuntimeClass::Undecided) | (RuntimeClass::Undecided, _) => {
-                    RuntimeClass::Undecided
-                }
-                _ => RuntimeClass::Safe,
-            };
+            class = class.merge(this);
         }
         RuntimeProbe {
             class,

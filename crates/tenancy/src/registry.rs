@@ -483,48 +483,43 @@ impl<'k> TenantRegistry<'k> {
     }
 
     fn load_spec(&mut self, id: TenantId, spec: ProgramSpec) -> Result<Attached, TenancyError> {
-        match spec {
-            ProgramSpec::Ebpf(prog) => {
-                Verifier::new(self.maps, self.helpers)
-                    .verify(&prog)
-                    .map_err(|e| TenancyError::Verifier(e.to_string()))?;
-                Ok(Attached::Ebpf(self.vm.load(prog)))
-            }
-            ProgramSpec::EbpfJit(prog) => {
-                Verifier::new(self.maps, self.helpers)
-                    .verify(&prog)
-                    .map_err(|e| TenancyError::Verifier(e.to_string()))?;
-                let (prog_id, _) = self
-                    .vm
+        let (prog, sandboxed, jit) = match spec {
+            ProgramSpec::Safe(ext) => return Ok(Attached::Safe(ext)),
+            ProgramSpec::Ebpf(prog) => (prog, false, false),
+            ProgramSpec::EbpfJit(prog) => (prog, false, true),
+            ProgramSpec::Sandbox(prog) => (prog, true, false),
+            ProgramSpec::SandboxJit(prog) => (prog, true, true),
+        };
+        let jit_error = |e| TenancyError::Verifier(format!("jit: {e:?}"));
+        if !sandboxed {
+            Verifier::new(self.maps, self.helpers)
+                .verify(&prog)
+                .map_err(|e| TenancyError::Verifier(e.to_string()))?;
+            let prog_id = if jit {
+                self.vm
                     .load_jit(prog, JitConfig::default())
-                    .map_err(|e| TenancyError::Verifier(format!("jit: {e:?}")))?;
-                Ok(Attached::Ebpf(prog_id))
-            }
-            ProgramSpec::Safe(ext) => Ok(Attached::Safe(ext)),
-            // No verifier: the program is confined at run time by its
-            // SFI domain, whose memory is charged to the tenant.
-            ProgramSpec::Sandbox(prog) => Ok(Attached::Sandbox(self.vm.load_sandboxed(
-                prog,
-                SandboxConfig {
-                    account_domain: Self::domain(id),
-                    ..SandboxConfig::default()
-                },
-            ))),
-            ProgramSpec::SandboxJit(prog) => {
-                let (prog_id, _) = self
-                    .vm
-                    .load_sandboxed_jit(
-                        prog,
-                        SandboxConfig {
-                            account_domain: Self::domain(id),
-                            ..SandboxConfig::default()
-                        },
-                        JitConfig::default(),
-                    )
-                    .map_err(|e| TenancyError::Verifier(format!("jit: {e:?}")))?;
-                Ok(Attached::Sandbox(prog_id))
-            }
+                    .map_err(jit_error)?
+                    .0
+            } else {
+                self.vm.load(prog)
+            };
+            return Ok(Attached::Ebpf(prog_id));
         }
+        // No verifier: the program is confined at run time by its SFI
+        // domain, whose memory is charged to the tenant.
+        let sandbox = SandboxConfig {
+            account_domain: Self::domain(id),
+            ..SandboxConfig::default()
+        };
+        let prog_id = if jit {
+            self.vm
+                .load_sandboxed_jit(prog, sandbox, JitConfig::default())
+                .map_err(jit_error)?
+                .0
+        } else {
+            self.vm.load_sandboxed(prog, sandbox)
+        };
+        Ok(Attached::Sandbox(prog_id))
     }
 
     fn unload_attached(&mut self, attached: Attached) {

@@ -10,7 +10,7 @@ use ebpf::insn::Reg;
 use ebpf::maps::{MapDef, MapError, MapRegistry};
 use ebpf::program::{ProgType, Program};
 use kernel_sim::mem::Fault;
-use kernel_sim::{FaultPlan, Kernel};
+use kernel_sim::{FaultPlan, FaultPlanConfig, Kernel};
 use safe_ext::{ExtError, Extension, Quarantine};
 use tenancy::{
     storm_fault_config, ProgramSpec, RunVerdict, Storm, TenancyError, TenantBudget, TenantRegistry,
@@ -488,4 +488,37 @@ fn sandbox_domain_quota_limits_attached_domains() {
     reg.detach(id, "a").unwrap();
     reg.attach(id, "d", ProgramSpec::Sandbox(const_prog(5)))
         .unwrap();
+}
+
+#[test]
+fn small_sandbox_tenant_serves_again_once_faults_stop() {
+    // Each sandboxed run maps an 8 KiB protection domain charged to the
+    // tenant; a small budget holds two. A run whose skb allocation fails
+    // must give its domain back, or two such runs leave the tenant over
+    // quota — every later run killed — long after the faults stop.
+    let (kernel, maps, helpers) = world();
+    let mut reg = TenantRegistry::new(&kernel, &maps, &helpers);
+    let id = reg.register("t0", TenantBudget::small()).unwrap();
+    reg.attach(id, "xdp", ProgramSpec::Sandbox(const_prog(7)))
+        .unwrap();
+    kernel.arm_fault_plan(FaultPlan::with_config(
+        2,
+        FaultPlanConfig {
+            alloc_fail_rate: 0.5,
+            ..FaultPlanConfig::quiet()
+        },
+    ));
+    for _ in 0..4 {
+        reg.run_packet(id, "xdp", &[0u8; 8]).unwrap();
+    }
+    kernel.disarm_faults();
+    let verdicts: Vec<RunVerdict> = (0..12)
+        .map(|_| reg.run_packet(id, "xdp", &[0u8; 8]).unwrap().verdict)
+        .collect();
+    // The faults tripped the breaker: its cooldown refuses eight runs,
+    // then the half-open probe and every run after it are served.
+    let mut expected = vec![RunVerdict::Refused; 8];
+    expected.extend([RunVerdict::Ok(7); 4]);
+    assert_eq!(verdicts, expected);
+    assert_eq!(reg.mem_bytes(id), 0);
 }

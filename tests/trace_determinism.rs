@@ -51,28 +51,42 @@ fn canonical_trace_hash_is_shard_count_invariant() {
 #[test]
 fn canonical_trace_hash_is_identical_interp_vs_jit() {
     // A compiled lane must not change a single audit byte, canonical
-    // trace line, or simulated cost relative to its interpreter.
+    // trace line, or simulated cost relative to its interpreter — also
+    // when the fault plane injects transient helper and allocation
+    // failures into both.
     let batch = make_packets(96);
-    for shards in [1usize, 2, 4] {
+    for (shards, armed) in [1usize, 2, 4]
+        .into_iter()
+        .flat_map(|n| [(n, false), (n, true)])
+    {
         let cfg = DispatchConfig {
             shards,
             seed: 7,
             trace: true,
-            ..Default::default()
+            fault: armed.then(FaultPlanConfig::default),
         };
         for lane in [Lane::Ebpf, Lane::Sandbox] {
             let jit_lane = lane.jit().expect("bytecode lane");
             let base = run_batched(lane, &cfg, &batch).expect("dispatch");
             let jit = run_batched(jit_lane, &cfg, &batch).expect("dispatch");
             assert!(!base.canonical_trace.is_empty(), "{lane:?}: empty trace");
+            if armed {
+                // The helper dispatcher's transient-failure branch ran, so
+                // the asserts below compare it interp vs JIT.
+                assert!(
+                    base.merged_fingerprint
+                        .contains("inject: transient failure of helper"),
+                    "{shards} shards: {lane:?} injected no helper failure"
+                );
+            }
             assert_eq!(
                 base.trace_sha256(),
                 jit.trace_sha256(),
-                "{shards} shards: {jit_lane:?} moved a canonical trace line"
+                "{shards} shards, armed={armed}: {jit_lane:?} moved a canonical trace line"
             );
             assert_eq!(
                 base.merged_fingerprint, jit.merged_fingerprint,
-                "{shards} shards: {jit_lane:?} changed the merged audit"
+                "{shards} shards, armed={armed}: {jit_lane:?} changed the merged audit"
             );
             assert_eq!(base.sim_elapsed_ns, jit.sim_elapsed_ns);
             assert_eq!(base.metrics, jit.metrics);
