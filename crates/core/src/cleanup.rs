@@ -7,9 +7,12 @@
 //! destructors of allocated resources are invoked to release the
 //! resources." Crucially, the destructors live in the *trusted kernel
 //! crate* — they are the enum arms of [`Resource`] below, not user code —
-//! so cleanup cannot fail and needs no ABI unwinder. The registry is a
-//! fixed-capacity array (per the paper's suggestion of pool/per-CPU
-//! storage) so no dynamic allocation happens on the termination path.
+//! so cleanup cannot fail and needs no ABI unwinder. The registry is
+//! bounded (per the paper's suggestion of pool/per-CPU storage): it holds
+//! at most `capacity` entries, and a full registry refuses the
+//! acquisition rather than growing past the bound. Its storage is
+//! allocated as resources are registered, so a run that holds nothing
+//! allocates nothing.
 
 use ebpf::maps::{MapFd, MapRegistry};
 use kernel_sim::{
@@ -49,7 +52,7 @@ struct Entry {
     resource: Resource,
 }
 
-/// The fixed-capacity cleanup registry.
+/// The bounded cleanup registry.
 #[derive(Debug)]
 pub struct CleanupRegistry {
     entries: Mutex<Vec<Entry>>,
@@ -64,11 +67,12 @@ impl Default for CleanupRegistry {
 }
 
 impl CleanupRegistry {
-    /// Creates a registry with room for `capacity` outstanding resources;
-    /// the backing storage is allocated once, up front.
+    /// Creates a registry that holds at most `capacity` outstanding
+    /// resources. Nothing is allocated here: the backing storage grows on
+    /// demand, up to that limit.
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
-            entries: Mutex::new(Vec::with_capacity(capacity)),
+            entries: Mutex::new(Vec::new()),
             capacity,
             next_ticket: Mutex::new(0),
         }

@@ -17,7 +17,7 @@
 //!   [`SysBpfRequest`] replaces `bpf_sys_bpf`'s raw union, making the
 //!   CVE-2022-2785 NULL-in-union attack inexpressible.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::sync::{
     atomic::{AtomicBool, Ordering},
     Arc,
@@ -36,7 +36,7 @@ use kernel_sim::{
 use crate::{
     cleanup::{CleanupRegistry, Resource, Ticket},
     error::ExtError,
-    pool::Pool,
+    pool::{Pool, PoolGuard},
 };
 
 /// Input handed to an extension run.
@@ -95,7 +95,9 @@ pub struct ExtCtx<'k> {
     pub(crate) exec: ExecCtx,
     pub(crate) cleanup: CleanupRegistry,
     pub(crate) meter: Meter,
-    pub(crate) pool: Pool,
+    /// Built on the run's first [`Self::scratch`] call.
+    pool: OnceCell<Pool>,
+    pool_blocks: usize,
     depth: Cell<u32>,
     max_depth: u32,
     pub(crate) skb: Option<SkBuff>,
@@ -113,7 +115,7 @@ impl<'k> ExtCtx<'k> {
         kernel: &'k Kernel,
         maps: &'k MapRegistry,
         meter: Meter,
-        pool: Pool,
+        pool_blocks: usize,
         cleanup_capacity: usize,
         max_depth: u32,
         skb: Option<SkBuff>,
@@ -133,7 +135,8 @@ impl<'k> ExtCtx<'k> {
             exec: ExecCtx::for_kernel(kernel),
             cleanup: CleanupRegistry::with_capacity(cleanup_capacity),
             meter,
-            pool,
+            pool: OnceCell::new(),
+            pool_blocks,
             depth: Cell::new(0),
             max_depth,
             skb,
@@ -586,10 +589,14 @@ impl<'k> ExtCtx<'k> {
     }
 
     /// Scratch allocation from the pre-allocated pool (§4: dynamic memory
-    /// without a sleeping allocator).
-    pub fn scratch(&self, len: usize) -> Result<crate::pool::PoolGuard<'_>, ExtError> {
+    /// without a sleeping allocator). The run's first call builds its
+    /// pool, fresh and full; a run that never asks never pays for one.
+    pub fn scratch(&self, len: usize) -> Result<PoolGuard<'_>, ExtError> {
         self.charge(2)?;
-        self.pool.alloc_guard(len).ok_or(ExtError::PoolExhausted)
+        self.pool
+            .get_or_init(|| Pool::new(self.pool_blocks))
+            .alloc_guard(len)
+            .ok_or(ExtError::PoolExhausted)
     }
 }
 

@@ -8,6 +8,10 @@
 //! fixed size classes with free lists — allocation and free are O(1),
 //! never call the global allocator, and never sleep. A [`PoolGuard`]
 //! returns its block on drop.
+//!
+//! The runtime gives every run a fresh, full pool, created on the run's
+//! first [`crate::ExtCtx::scratch`] call: a run that never asks for
+//! scratch memory never builds one.
 
 use parking_lot::Mutex;
 
@@ -52,6 +56,9 @@ struct PoolInner {
 }
 
 /// A fixed-size-class arena allocator.
+///
+/// Its whole arena is allocated and zeroed in [`Pool::new`], so build one
+/// only when something is about to allocate from it.
 ///
 /// # Examples
 ///

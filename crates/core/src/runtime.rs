@@ -26,7 +26,6 @@ use crate::{
     error::{Abort, ExtError},
     ext::Extension,
     kernel_crate::{ExtCtx, ExtInput, Meter},
-    pool::Pool,
 };
 
 /// Runtime configuration.
@@ -40,9 +39,13 @@ pub struct RuntimeConfig {
     pub time_per_fuel_ns: u64,
     /// Maximum `ExtCtx::frame` nesting depth.
     pub max_stack_depth: u32,
-    /// Cleanup-registry capacity (outstanding resources).
+    /// Cleanup-registry capacity: the most resources a run may hold
+    /// outstanding at once. The registry's storage grows on demand up to
+    /// this limit.
     pub cleanup_capacity: usize,
-    /// Pool blocks per size class.
+    /// Scratch-pool blocks per size class: the limit at which
+    /// `ExtCtx::scratch` reports `PoolExhausted`. Each run gets a fresh,
+    /// full pool, built on the run's first scratch request.
     pub pool_blocks: usize,
     /// PRNG seed.
     pub seed: u64,
@@ -420,7 +423,7 @@ impl<'k> Runtime<'k> {
             self.kernel,
             self.maps,
             meter,
-            Pool::new(self.config.pool_blocks),
+            self.config.pool_blocks,
             self.config.cleanup_capacity,
             self.config.max_stack_depth,
             skb,

@@ -379,8 +379,13 @@ fn scratch_pool_allocation_and_exhaustion() {
             _ => Ok(2),
         }
     });
-    let outcome = h.runtime().with_config(config).run(&ext, ExtInput::None);
-    assert_eq!(outcome.unwrap(), 1);
+    // Each run exhausts a fresh, full pool: nothing carries over from the
+    // first run into the second.
+    let runtime = h.runtime().with_config(config);
+    for run in 0..2 {
+        let outcome = runtime.run(&ext, ExtInput::None);
+        assert_eq!(outcome.unwrap(), 1, "run {run}");
+    }
 }
 
 #[test]

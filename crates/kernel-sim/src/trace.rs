@@ -42,7 +42,7 @@ use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::sync::{
     atomic::{AtomicBool, AtomicU64, Ordering},
-    Arc,
+    Arc, OnceLock,
 };
 
 use parking_lot::Mutex;
@@ -453,37 +453,49 @@ impl Drop for SpanGuard<'_> {
 
 /// Per-subsystem mount point for a shared [`Tracer`], mirroring
 /// [`crate::inject::InjectSlot`]: subsystems constructed before the
-/// kernel's tracer exists (RCU, locks, refcounts) get the tracer armed
-/// into their slot at kernel boot.
+/// kernel's tracer exists (RCU, locks, refcounts, objects) get the tracer
+/// armed into their slot at kernel boot.
+///
+/// A slot is bound to one tracer for its whole life (the kernel's), so
+/// [`Self::get`] is atomic loads only: it takes no lock and touches no
+/// reference count, which matters because RCU, lock, refcount and skb
+/// operations consult their slot with tracing off too.
 #[derive(Debug, Default)]
 pub struct TraceSlot {
     armed: AtomicBool,
-    tracer: Mutex<Option<Arc<Tracer>>>,
+    tracer: OnceLock<Arc<Tracer>>,
 }
 
 impl TraceSlot {
     /// Installs `tracer` and arms the slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot was armed before with a different tracer.
     pub fn arm(&self, tracer: Arc<Tracer>) {
-        *self.tracer.lock() = Some(tracer);
+        let bound = self.tracer.get_or_init(|| Arc::clone(&tracer));
+        assert!(
+            Arc::ptr_eq(bound, &tracer),
+            "a trace slot is bound to one tracer"
+        );
         self.armed.store(true, Ordering::Release);
     }
 
-    /// Disarms the slot and drops its tracer reference.
+    /// Disarms the slot. The tracer stays installed, ready to be re-armed.
     pub fn disarm(&self) {
         self.armed.store(false, Ordering::Release);
-        *self.tracer.lock() = None;
     }
 
     /// The armed tracer if it is armed *and enabled*, else `None` (the
     /// common, near-free case).
     #[inline]
-    pub fn get(&self) -> Option<Arc<Tracer>> {
+    pub fn get(&self) -> Option<&Tracer> {
         if !self.armed.load(Ordering::Acquire) {
             return None;
         }
         self.tracer
-            .lock()
-            .clone()
+            .get()
+            .map(Arc::as_ref)
             .filter(|tracer| tracer.is_enabled())
     }
 }
@@ -691,5 +703,18 @@ mod tests {
         assert!(slot.get().is_some());
         slot.disarm();
         assert!(slot.get().is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "bound to one tracer")]
+    fn slot_rearms_only_with_its_own_tracer() {
+        let slot = TraceSlot::default();
+        let tracer = Arc::new(Tracer::new(VirtualClock::new(), 0));
+        tracer.enable();
+        slot.arm(Arc::clone(&tracer));
+        slot.disarm();
+        slot.arm(Arc::clone(&tracer));
+        assert!(slot.get().is_some(), "re-armed with the same tracer");
+        slot.arm(Arc::new(Tracer::new(VirtualClock::new(), 0)));
     }
 }

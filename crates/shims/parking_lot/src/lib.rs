@@ -33,9 +33,18 @@ pub struct Mutex<T: ?Sized> {
     value: UnsafeCell<T>,
 }
 
-// Same bounds as `std::sync::Mutex`: the lock serialises access, so only
-// `T: Send` is required for the mutex to be shared across threads.
+// SAFETY: sending the mutex to another thread sends both fields.
+// `locked` is an `AtomicBool`, which is `Send`. `value` owns the `T`,
+// which may move to another thread because `T: Send`. (This is the bound
+// the compiler would infer on its own; it is spelled out next to `Sync`.)
 unsafe impl<T: ?Sized + Send> Send for Mutex<T> {}
+// SAFETY: through `&Mutex<T>`, `locked` is touched only by atomic
+// operations, and `value` only through a `MutexGuard`, which exists only
+// while this thread holds `locked` (taken with `Acquire`, released with
+// `Release`). Accesses to `value` from different threads are therefore
+// serialised, never concurrent, and each hands `T` from one thread to the
+// next: that needs `T: Send` and not `T: Sync`, the same bounds as
+// `std::sync::Mutex`.
 unsafe impl<T: ?Sized + Send> Sync for Mutex<T> {}
 
 /// Guard type returned by [`Mutex::lock`].
@@ -127,14 +136,20 @@ impl<T: ?Sized> Deref for MutexGuard<'_, T> {
     type Target = T;
 
     fn deref(&self) -> &T {
-        // Safety: the guard holds the lock, so access is exclusive.
+        // SAFETY: this guard holds `locked` until it drops, so no other
+        // guard exists and nothing else reads or writes `value`. The
+        // returned reference borrows the guard, so it cannot outlive the
+        // lock.
         unsafe { &*self.lock.value.get() }
     }
 }
 
 impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        // Safety: the guard holds the lock, so access is exclusive.
+        // SAFETY: this guard holds `locked` until it drops, so no other
+        // guard exists, and the `&mut self` borrow rules out any other
+        // reference derived from this guard. The returned reference is the
+        // only access to `value` and cannot outlive the lock.
         unsafe { &mut *self.lock.value.get() }
     }
 }

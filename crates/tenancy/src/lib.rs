@@ -23,7 +23,8 @@
 //!   the fd-generation table in [`ebpf::maps`] turns any stale fd into an
 //!   error rather than aliasing).
 //! - **Tenant-scoped quarantine** — the circuit breaker is keyed by
-//!   `tenant/point`, so one misbehaving tenant's breaker trips without
+//!   `tenant/point` (tenant names hold no `/`, so two tenants' keys never
+//!   collide), so one misbehaving tenant's breaker trips without
 //!   disturbing neighbors, and the half-open cooldown probe readmits it
 //!   deterministically once the fault storm passes. [`storm`] derives the
 //!   seeded "quarantine storm" fault configuration that drives targeted

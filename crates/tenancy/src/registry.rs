@@ -65,6 +65,10 @@ pub enum HookInput<'a> {
 pub enum TenancyError {
     /// A tenant with this name already exists.
     DuplicateTenant(String),
+    /// Tenant names may not contain `/`: it separates tenant from point
+    /// in the breaker key, so `a/b` at `c` and `a` at `b/c` would share
+    /// one breaker.
+    InvalidTenantName(String),
     /// No such tenant id.
     UnknownTenant(TenantId),
     /// No such attachment point for this tenant.
@@ -108,6 +112,7 @@ impl std::fmt::Display for TenancyError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TenancyError::DuplicateTenant(n) => write!(f, "tenant {n:?} already registered"),
+            TenancyError::InvalidTenantName(n) => write!(f, "tenant name {n:?} contains '/'"),
             TenancyError::UnknownTenant(id) => write!(f, "no tenant with id {id}"),
             TenancyError::UnknownPoint(p) => write!(f, "no attachment point {p:?}"),
             TenancyError::PointOccupied(p) => write!(f, "attachment point {p:?} occupied"),
@@ -191,6 +196,8 @@ struct Attachment {
     current: Attached,
     /// Bumps on every hot upgrade; v1 is version 1.
     version: u32,
+    /// `tenant/point`, built once at attach; upgrades keep it.
+    breaker_key: Box<str>,
 }
 
 struct Tenant {
@@ -276,9 +283,10 @@ impl<'k> TenantRegistry<'k> {
         self.tenants.iter().map(|t| t.attachments.len()).sum()
     }
 
-    /// The breaker key for a tenant's attachment point.
+    /// The breaker key for a tenant's attachment point. Tenant names hold
+    /// no `/`, so the key's first `/` separates tenant from point.
     pub fn breaker_key(&self, id: TenantId, point: &str) -> Result<String, TenancyError> {
-        Ok(format!("{}/{point}", self.tenant(id)?.name))
+        Ok([self.tenant(id)?.name.as_str(), point].join("/"))
     }
 
     fn tenant(&self, id: TenantId) -> Result<&Tenant, TenancyError> {
@@ -297,8 +305,12 @@ impl<'k> TenantRegistry<'k> {
         id + 1
     }
 
-    /// Registers a tenant and installs its memory quota.
+    /// Registers a tenant and installs its memory quota. Names containing
+    /// `/` are refused (see [`TenancyError::InvalidTenantName`]).
     pub fn register(&mut self, name: &str, budget: TenantBudget) -> Result<TenantId, TenancyError> {
+        if name.contains('/') {
+            return Err(TenancyError::InvalidTenantName(name.to_string()));
+        }
         if self.by_name.contains_key(name) {
             return Err(TenancyError::DuplicateTenant(name.to_string()));
         }
@@ -536,11 +548,11 @@ impl<'k> TenantRegistry<'k> {
         point: &str,
         spec: ProgramSpec,
     ) -> Result<(), TenancyError> {
-        self.tenant(id)?;
         if self.tenant(id)?.attachments.contains_key(point) {
             return Err(TenancyError::PointOccupied(point.to_string()));
         }
         self.check_domain_quota(id, &spec, None)?;
+        let breaker_key = self.breaker_key(id, point)?.into_boxed_str();
         let current = self.load_spec(id, spec)?;
         let tenant = self.tenant_mut(id)?;
         tenant.attachments.insert(
@@ -548,6 +560,7 @@ impl<'k> TenantRegistry<'k> {
             Attachment {
                 current,
                 version: 1,
+                breaker_key,
             },
         );
         Metrics::bump(&self.kernel.metrics.tenant_loads, 1);
@@ -696,8 +709,8 @@ impl<'k> TenantRegistry<'k> {
             .attachments
             .get(point)
             .ok_or_else(|| TenancyError::UnknownPoint(point.to_string()))?;
-        let key = format!("{}/{point}", tenant.name);
-        let admission = self.quarantine.try_admit(&key);
+        let key = &*att.breaker_key;
+        let admission = self.quarantine.try_admit(key);
         if admission == Admission::Refused {
             self.kernel.audit.record(
                 self.kernel.clock.now_ns(),
@@ -730,15 +743,15 @@ impl<'k> TenantRegistry<'k> {
                     // plane can't preempt the run, but a blown virtual-time
                     // deadline still counts as a kill for breaker purposes.
                     Ok(_) if self.kernel.clock.now_ns() - t0 > deadline_ns => {
-                        self.note_tripped(&key);
+                        self.note_tripped(key);
                         RunVerdict::Killed
                     }
                     Ok(v) => {
-                        self.quarantine.note_clean(&key);
+                        self.quarantine.note_clean(key);
                         RunVerdict::Ok(v)
                     }
                     Err(_) => {
-                        self.note_tripped(&key);
+                        self.note_tripped(key);
                         RunVerdict::Killed
                     }
                 }
@@ -756,7 +769,7 @@ impl<'k> TenantRegistry<'k> {
                 };
                 match runtime.run(ext, ext_input).result {
                     Ok(v) => {
-                        self.quarantine.note_clean(&key);
+                        self.quarantine.note_clean(key);
                         RunVerdict::Ok(v)
                     }
                     Err(
@@ -766,11 +779,11 @@ impl<'k> TenantRegistry<'k> {
                         | Abort::StackGuard
                         | Abort::Panic(_),
                     ) => {
-                        self.note_tripped(&key);
+                        self.note_tripped(key);
                         RunVerdict::Killed
                     }
                     Err(_) => {
-                        self.quarantine.note_clean(&key);
+                        self.quarantine.note_clean(key);
                         RunVerdict::Error
                     }
                 }

@@ -308,6 +308,40 @@ fn storm_trips_only_the_targeted_tenants() {
 }
 
 #[test]
+fn slash_in_tenant_name_cannot_alias_another_tenants_breaker() {
+    let (kernel, maps, helpers) = world();
+    let mut reg = TenantRegistry::new(&kernel, &maps, &helpers);
+    let a = reg.register("a", TenantBudget::default()).unwrap();
+    reg.attach(a, "b/c", ProgramSpec::Safe(const_ext("a", 7)))
+        .unwrap();
+
+    // Tenant `a/b` at point `c` would share `a`'s breaker key `a/b/c`, so
+    // three kills of its extension would quarantine `a` as well.
+    let aliased = reg.register("a/b", TenantBudget::default());
+    if let Ok(id) = aliased {
+        reg.attach(
+            id,
+            "c",
+            ProgramSpec::Safe(Extension::new("runaway", ProgType::SocketFilter, |_| {
+                Err(ExtError::DeadlineExceeded)
+            })),
+        )
+        .unwrap();
+        for _ in 0..3 {
+            reg.run_packet(id, "c", &[0u8; 8]).unwrap();
+        }
+    }
+    assert_eq!(
+        reg.run_packet(a, "b/c", &[0u8; 8]).unwrap().verdict,
+        RunVerdict::Ok(7)
+    );
+    assert_eq!(
+        aliased,
+        Err(TenancyError::InvalidTenantName("a/b".to_string()))
+    );
+}
+
+#[test]
 fn quarantined_tenant_recovers_through_half_open_probe() {
     let (kernel, maps, helpers) = world();
     let quarantine = Arc::new(Quarantine::new(2).with_cooldown(3));
