@@ -9,9 +9,6 @@
 #
 # Every run ends with a per-stage wall-clock timing summary, so a slow
 # stage is visible locally before it ever hits hosted CI.
-#
-# Knobs: REGRESS_TOLERANCE (default 0.10) bounds allowed simulated-cost
-# drift in the regress stage.
 set -euo pipefail
 cd "$(dirname "$0")"
 # shellcheck source=ci/lib.sh

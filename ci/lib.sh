@@ -38,9 +38,11 @@ assert_same_hash() {
 
 # gen_reports <dir>
 #
-# Regenerates every committed BENCH_*.json report, with baseline-identical
-# parameters, into <dir>. The one list of report commands: the regress
-# stage and ci/regen-baselines.sh both call it.
+# Regenerates every canonical report, with baseline-identical parameters,
+# into <dir>: the seven BENCH_*.json (each beside its BENCH_*.host.json
+# when it measures the host) and BENCH_profile_flame.txt, which the
+# profile report writes beside itself. The one list of report commands:
+# the regress stage and ci/regen-baselines.sh both call it.
 gen_reports() {
     local dir=$1
     mkdir -p "$dir"

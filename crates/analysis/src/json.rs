@@ -3,12 +3,18 @@
 //!
 //! The workspace is fully offline (no serde). The bench binaries write
 //! their reports with [`Obj`] and [`document`], and [`parse`] reads them
-//! back for the CI perf-regression gate. Both handle exactly the JSON
-//! subset those reports use: objects, arrays, strings without escapes
-//! beyond `\"` and `\\`, numbers, booleans, and null.
+//! back for the CI report gate, which names a differing value by its
+//! path and prints it with `Json`'s `Display`. Both handle exactly the
+//! JSON subset those reports use: objects, arrays, strings without
+//! escapes beyond `\"` and `\\`, numbers, booleans, and null.
 
 use std::collections::BTreeMap;
-use std::fmt::Display;
+use std::fmt::{self, Display};
+
+/// Row members that identify a row, in the order rows carry them. The
+/// report writer copies them into each host-file row, and the report
+/// gate names array rows by them.
+pub const ID_FIELDS: &[&str] = &["scenario", "backend", "feature", "lane", "shards", "faults"];
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -35,42 +41,34 @@ impl Json {
             _ => None,
         }
     }
+}
 
-    /// The array items, if this is an array.
-    pub fn items(&self) -> Option<&[Json]> {
+impl Display for Json {
+    /// Compact JSON on one line, members in key order.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
+            Json::Null => f.write_str("null"),
+            Json::Bool(b) => write!(f, "{b}"),
+            Json::Num(n) => write!(f, "{n}"),
+            Json::Str(s) => f.write_str(&quote(s)),
+            Json::Arr(items) => {
+                let items: Vec<String> = items.iter().map(Json::to_string).collect();
+                write!(f, "[{}]", items.join(", "))
+            }
+            Json::Obj(map) => {
+                let members: Vec<String> = map
+                    .iter()
+                    .map(|(k, v)| format!("{}: {v}", quote(k)))
+                    .collect();
+                write!(f, "{{{}}}", members.join(", "))
+            }
         }
     }
+}
 
-    /// The numeric value, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The string value, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// A stable scalar rendering used to build row keys: strings verbatim,
-    /// numbers minimally formatted, booleans as `true`/`false`.
-    pub fn scalar_key(&self) -> Option<String> {
-        match self {
-            Json::Str(s) => Some(s.clone()),
-            Json::Bool(b) => Some(b.to_string()),
-            Json::Num(n) if n.fract() == 0.0 => Some(format!("{}", *n as i64)),
-            Json::Num(n) => Some(format!("{n}")),
-            _ => None,
-        }
-    }
+/// `s` as a JSON string literal.
+fn quote(s: &str) -> String {
+    format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""))
 }
 
 /// Parses `input` into a [`Json`] value.
@@ -246,10 +244,7 @@ impl Obj {
 
     /// A string member.
     pub fn str(self, key: &'static str, v: &str) -> Self {
-        self.num(
-            key,
-            format!("\"{}\"", v.replace('\\', "\\\\").replace('"', "\\\"")),
-        )
+        self.num(key, quote(v))
     }
 
     /// An array of values rendered by `Display`.
@@ -261,6 +256,16 @@ impl Obj {
     /// An array of objects, each on the same line.
     pub fn objs(self, key: &'static str, items: &[Obj]) -> Self {
         self.nums(key, items.iter().map(Obj::inline))
+    }
+
+    /// The members whose key passes `keep`, in order.
+    pub fn filter(&self, keep: impl Fn(&str) -> bool) -> Obj {
+        Obj(self.0.iter().filter(|(k, _)| keep(k)).cloned().collect())
+    }
+
+    /// Whether the object has no members.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
     }
 
     /// The object on one line: `{"key": value, ...}`.
@@ -305,23 +310,25 @@ mod tests {
   ]
 }"#;
         let v = parse(doc).unwrap();
-        assert_eq!(v.get("seed").unwrap().as_f64(), Some(42.0));
-        let rows = v.get("rows").unwrap().items().unwrap();
+        assert_eq!(v.get("seed"), Some(&Json::Num(42.0)));
+        let Some(Json::Arr(rows)) = v.get("rows") else {
+            panic!("rows is not an array: {v}")
+        };
         assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].get("backend").unwrap().as_str(), Some("ebpf"));
-        assert_eq!(
-            rows[1].get("sim_elapsed_ns").unwrap().as_f64(),
-            Some(50110.5)
-        );
-        assert_eq!(rows[1].get("ok").unwrap(), &Json::Bool(false));
+        assert_eq!(rows[0].get("backend"), Some(&Json::Str("ebpf".into())));
+        assert_eq!(rows[1].get("sim_elapsed_ns"), Some(&Json::Num(50110.5)));
+        assert_eq!(rows[1].get("ok"), Some(&Json::Bool(false)));
     }
 
     #[test]
-    fn scalar_keys_are_stable() {
-        assert_eq!(Json::Num(8.0).scalar_key(), Some("8".into()));
-        assert_eq!(Json::Bool(true).scalar_key(), Some("true".into()));
-        assert_eq!(Json::Str("x".into()).scalar_key(), Some("x".into()));
-        assert_eq!(Json::Arr(vec![]).scalar_key(), None);
+    fn displays_as_compact_json() {
+        let v = parse(r#"{"b": [1, 0.5, null], "a": "q\"x", "c": {"t": true}}"#).unwrap();
+        assert_eq!(
+            v.to_string(),
+            r#"{"a": "q\"x", "b": [1, 0.5, null], "c": {"t": true}}"#
+        );
+        assert_eq!(parse(&v.to_string()).unwrap(), v);
+        assert_eq!(Json::Num(8.0).to_string(), "8");
     }
 
     #[test]
@@ -347,19 +354,19 @@ mod tests {
              \"pps\": 1235, \"counts\": [1, 2], \"stages\": [{\"n\": 3}]}\n  ]\n}\n"
         );
         let v = parse(&text).unwrap();
-        let rows = v.get("rows").unwrap().items().unwrap();
-        assert_eq!(rows[0].get("backend").unwrap().as_str(), Some("a\"b"));
+        let Some(Json::Arr(rows)) = v.get("rows") else {
+            panic!("rows is not an array: {v}")
+        };
+        assert_eq!(rows[0].get("backend"), Some(&Json::Str("a\"b".into())));
     }
 
     #[test]
-    fn real_baselines_parse() {
-        for file in [
-            "../../BENCH_throughput.json",
-            "../../BENCH_net.json",
-            "../../BENCH_fuzz.json",
-        ] {
-            let text = std::fs::read_to_string(file).expect(file);
-            parse(&text).unwrap_or_else(|e| panic!("{file}: {e}"));
-        }
+    fn filter_keeps_member_order() {
+        let row = Obj::new().num("a", 1).num("host_x", 2).num("b", 3);
+        assert_eq!(
+            row.filter(|k| k != "host_x").inline(),
+            r#"{"a": 1, "b": 3}"#
+        );
+        assert!(row.filter(|k| k == "none").is_empty());
     }
 }

@@ -14,10 +14,11 @@
 //!   table rendered from `crates/fuzz` sweep counts;
 //! * [`profile`] — folds `kernel_sim::trace` span streams into
 //!   per-stage self/total cost tables and flamegraph collapsed stacks;
-//! * [`json`] — a minimal offline JSON reader for the committed
-//!   `BENCH_*.json` baselines;
-//! * [`regress`] — the CI perf-regression gate comparing fresh bench
-//!   reports against those baselines.
+//! * [`json`] — a minimal offline JSON writer and reader for the
+//!   `BENCH_*.json` reports;
+//! * [`regress`] — the CI report gate: every canonical report,
+//!   regenerated, must equal its committed copy byte for byte, and a
+//!   mismatch names each differing value.
 //!
 //! # Examples
 //!

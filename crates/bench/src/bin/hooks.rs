@@ -94,8 +94,8 @@ fn row(
         HookFamily::Sched => assert!(m.sched_picks > 0, "sched row without picks"),
     }
     // Hook cells burn ~1ms of host CPU each, so their throughput is
-    // run-to-run noise; it is emitted under an ungated name and the
-    // regress gate rides on the deterministic sim metrics.
+    // run-to-run noise; like every `host_*` member, the report writer
+    // moves it to the ungated host file.
     cli::progress(
         Obj::new()
             .str("scenario", family.name())

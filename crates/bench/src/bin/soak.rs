@@ -294,16 +294,29 @@ fn quarantine_demo_inner(
     Ok(())
 }
 
+/// Parses `[SEEDS] [BASE_SEED]` (defaults 1000 and 1). Anything else
+/// prints usage and exits 2.
+fn parse_args() -> (u64, u64) {
+    let usage = |msg: String| -> ! {
+        eprintln!("soak: {msg}");
+        eprintln!("usage: soak [SEEDS] [BASE_SEED]");
+        std::process::exit(2);
+    };
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(extra) = args.get(2) {
+        usage(format!("unexpected argument {extra}"));
+    }
+    let int = |i: usize, name: &str, default: u64| {
+        args.get(i).map_or(default, |s| {
+            s.parse()
+                .unwrap_or_else(|_| usage(format!("{name} must be an integer, got {s}")))
+        })
+    };
+    (int(0, "SEEDS", 1000), int(1, "BASE_SEED", 1))
+}
+
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let seeds: u64 = args
-        .next()
-        .map(|s| s.parse().expect("SEEDS must be an integer"))
-        .unwrap_or(1000);
-    let base: u64 = args
-        .next()
-        .map(|s| s.parse().expect("BASE_SEED must be an integer"))
-        .unwrap_or(1);
+    let (seeds, base) = parse_args();
 
     println!(
         "soak: {seeds} seeds (base {base}), {PACKETS_PER_SEED} packets/seed, \

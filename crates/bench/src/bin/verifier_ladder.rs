@@ -7,7 +7,7 @@
 //! every program — including the intentional violations — and confines
 //! them at runtime instead). All metrics are deterministic functions of
 //! the program families and artifact bytes, so the CI regress stage
-//! holds them to ±10%.
+//! holds the report byte for byte.
 
 use analysis::json::Obj;
 use bench::cli;

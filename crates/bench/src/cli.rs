@@ -1,7 +1,8 @@
 //! What the report binaries share: one `--smoke`/`--out` parser, one
-//! run-twice-and-compare sweep, and one report writer.
+//! run-twice-and-compare sweep, and one report writer, which keeps host
+//! measurements out of the canonical report.
 
-use analysis::json::{document, Obj};
+use analysis::json::{document, Obj, ID_FIELDS};
 
 use crate::engine::{DispatchError, RunReport};
 
@@ -95,9 +96,53 @@ pub fn progress(row: Obj) -> Obj {
     row
 }
 
-/// Writes a report document to `out`.
+/// Writes a report: every row's canonical members to `out`, and its
+/// `host_*` members with its id members to `<out stem>.host.json`.
+///
+/// This is the one place that knows `host_*` means measured. Every other
+/// member depends only on code and seed, so `out` is byte-identical across
+/// runs and hosts and the report gate compares it exactly. The host file,
+/// written only when some row has host members, is never gated; its
+/// header is the report header plus the host it ran on.
 pub fn write_report(out: &str, header: &Obj, section: &str, rows: &[Obj]) {
-    std::fs::write(out, document(header, section, rows))
-        .unwrap_or_else(|e| panic!("write {out}: {e}"));
+    let measured = |key: &str| key.starts_with("host_");
+    let canonical: Vec<Obj> = rows.iter().map(|r| r.filter(|k| !measured(k))).collect();
+    write(out, &document(header, section, &canonical));
     println!("wrote {out} ({} rows)", rows.len());
+    if rows.iter().all(|r| r.filter(measured).is_empty()) {
+        return;
+    }
+    let host_rows: Vec<Obj> = rows
+        .iter()
+        .map(|r| r.filter(|k| measured(k) || ID_FIELDS.contains(&k)))
+        .collect();
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let profile = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
+    let host_header = header
+        .clone()
+        .num("nproc", nproc)
+        .str("cpu", &cpu_model())
+        .str("profile", profile);
+    let host_out = format!("{}.host.json", out.strip_suffix(".json").unwrap_or(out));
+    write(&host_out, &document(&host_header, section, &host_rows));
+    println!("wrote {host_out} (host measurements)");
+}
+
+fn write(path: &str, text: &str) {
+    std::fs::write(path, text).unwrap_or_else(|e| panic!("write {path}: {e}"));
+}
+
+/// The `/proc/cpuinfo` model name, or `unknown`.
+fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            let line = info.lines().find(|l| l.starts_with("model name"))?;
+            Some(line.split_once(':')?.1.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string())
 }

@@ -10,8 +10,8 @@
 //! bytes — flat, whatever the program uses.
 //!
 //! All reported costs are **simulated**: deterministic functions of the
-//! verifier's counters and the artifact's size, so the regress gate can
-//! hold them to ±10% without host noise.
+//! verifier's counters and the artifact's size, so the regress gate
+//! holds them exactly, with no host noise.
 
 use ebpf::asm::Asm;
 use ebpf::helpers::{self, HelperRegistry};
