@@ -18,10 +18,7 @@
 //!   CVE-2022-2785 NULL-in-union attack inexpressible.
 
 use std::cell::{Cell, OnceCell, RefCell};
-use std::sync::{
-    atomic::{AtomicBool, Ordering},
-    Arc,
-};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use ebpf::maps::{Map, MapFd, MapKind, MapRegistry};
 use kernel_sim::{
@@ -64,24 +61,20 @@ pub(crate) struct Meter {
     pub fuel_used: Cell<u64>,
     pub deadline_ns: u64,
     pub time_per_fuel_ns: u64,
-    pub terminate: Arc<AtomicBool>,
+    /// Set by the host watchdog thread, which borrows it for the run.
+    pub terminate: AtomicBool,
     pub rcu_poll_interval: u64,
     charges: Cell<u64>,
 }
 
 impl Meter {
-    pub(crate) fn new(
-        fuel_budget: u64,
-        deadline_ns: u64,
-        time_per_fuel_ns: u64,
-        terminate: Arc<AtomicBool>,
-    ) -> Self {
+    pub(crate) fn new(fuel_budget: u64, deadline_ns: u64, time_per_fuel_ns: u64) -> Self {
         Meter {
             fuel_budget,
             fuel_used: Cell::new(0),
             deadline_ns,
             time_per_fuel_ns,
-            terminate,
+            terminate: AtomicBool::new(false),
             rcu_poll_interval: 4096,
             charges: Cell::new(0),
         }

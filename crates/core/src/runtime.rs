@@ -412,12 +412,10 @@ impl<'k> Runtime<'k> {
             .kernel
             .trace
             .span(kernel_sim::trace::SpanKind::ProgRun, 0);
-        let terminate = Arc::new(AtomicBool::new(false));
         let meter = Meter::new(
             self.config.fuel,
             self.kernel.clock.now_ns() + self.config.deadline_ns,
             self.config.time_per_fuel_ns,
-            terminate.clone(),
         );
         let ctx = ExtCtx::new(
             self.kernel,
@@ -436,16 +434,15 @@ impl<'k> Runtime<'k> {
         // stall detector would fire.
         let rcu_guard = self.kernel.rcu.read_lock();
 
-        let stop = Arc::new(AtomicBool::new(false));
         let invoke_result = if let Some(ms) = self.config.host_watchdog_ms {
-            let terminate2 = terminate.clone();
-            let stop2 = stop.clone();
+            let terminate = &ctx.meter.terminate;
+            let stop = AtomicBool::new(false);
             crossbeam::thread::scope(|s| {
-                s.spawn(move |_| {
+                s.spawn(|_| {
                     let deadline = std::time::Instant::now() + std::time::Duration::from_millis(ms);
-                    while !stop2.load(Ordering::Relaxed) {
+                    while !stop.load(Ordering::Relaxed) {
                         if std::time::Instant::now() >= deadline {
-                            terminate2.store(true, Ordering::Relaxed);
+                            terminate.store(true, Ordering::Relaxed);
                             break;
                         }
                         std::thread::sleep(std::time::Duration::from_micros(200));

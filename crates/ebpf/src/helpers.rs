@@ -1784,7 +1784,7 @@ fn h_task_storage_get(ctx: &mut HelperCtx<'_>, args: [u64; 5]) -> Result<u64, He
         return Ok(*addr);
     }
     let addr = ctx.kernel.mem.map(
-        &format!("task-storage:{fd}:{pid}"),
+        format_args!("task-storage:{fd}:{pid}"),
         map.def.value_size.max(8) as u64,
         kernel_sim::mem::Perms::rw(),
     )?;

@@ -1634,7 +1634,7 @@ impl<'a> Vm<'a> {
             return;
         }
         if let Some(dom) = st.dom.as_mut() {
-            if let Some((base, len, _, _)) = self.kernel.mem.region_of(v) {
+            if let Some((base, len, _)) = self.kernel.mem.region_of(v) {
                 dom.grant(base, len);
             }
         }

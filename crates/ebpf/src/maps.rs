@@ -206,7 +206,7 @@ impl Map {
                     return Err(MapError::BadDef);
                 }
                 let base = kernel.mem.map_in_domain(
-                    &format!("map:{}", def.name),
+                    format_args!("map:{}", def.name),
                     def.value_size as u64 * def.max_entries as u64,
                     Perms::rw(),
                     domain,
@@ -219,7 +219,7 @@ impl Map {
                 }
                 let nr_cpus = kernel.cpus.nr_cpus();
                 let base = kernel.mem.map_in_domain(
-                    &format!("map:{}", def.name),
+                    format_args!("map:{}", def.name),
                     def.value_size as u64 * def.max_entries as u64 * nr_cpus as u64,
                     Perms::rw(),
                     domain,
@@ -391,7 +391,7 @@ impl Map {
         if value.len() != self.def.value_size as usize {
             return Err(MapError::BadValueSize);
         }
-        let name = self.def.name.clone();
+        let name = &self.def.name;
         let max_entries = self.def.max_entries;
         match &mut *self.inner.lock() {
             MapInner::Array { base } => {
@@ -434,7 +434,7 @@ impl Map {
                     }
                 }
                 let addr = mem.map_in_domain(
-                    &format!("map:{name}:entry"),
+                    format_args!("map:{name}:entry"),
                     value.len() as u64,
                     Perms::rw(),
                     self.domain,
@@ -508,7 +508,7 @@ impl Map {
         if size == 0 {
             return Err(MapError::BadValueSize);
         }
-        let name = self.def.name.clone();
+        let name = &self.def.name;
         let capacity = self.def.max_entries;
         match &mut *self.inner.lock() {
             MapInner::Ring { used, reserved, .. } => {
@@ -519,7 +519,7 @@ impl Map {
                     return Ok(None);
                 }
                 let addr = mem.map_in_domain(
-                    &format!("map:{name}:rec"),
+                    format_args!("map:{name}:rec"),
                     size as u64,
                     Perms::rw(),
                     self.domain,
@@ -838,6 +838,36 @@ mod tests {
         assert_eq!(map.delete(&kernel.mem, &k1), Err(MapError::NotFound));
         // The deleted entry's memory is unmapped: a stale pointer faults.
         assert!(kernel.mem.read_u64(addr).is_err());
+    }
+
+    #[test]
+    fn failed_hash_insert_audits_the_entry_region_name() {
+        let (kernel, reg) = kernel_and_registry();
+        let fd = reg
+            .create(&kernel, MapDef::hash("flows", 4, 24, 4))
+            .unwrap();
+        let map = reg.get(fd).unwrap();
+        kernel.arm_fault_plan(kernel_sim::FaultPlan::with_config(
+            0,
+            kernel_sim::FaultPlanConfig {
+                alloc_fail_burst: 1,
+                ..kernel_sim::FaultPlanConfig::quiet()
+            },
+        ));
+        assert_eq!(
+            map.update(&kernel.mem, &[1, 0, 0, 0], &[0; 24], 0),
+            Err(MapError::Fault(Fault::AllocFailed { len: 24 }))
+        );
+        let events = kernel
+            .audit
+            .of_kind(kernel_sim::audit::EventKind::FaultInjected);
+        let details: Vec<&str> = events.iter().map(|e| e.detail.as_str()).collect();
+        assert_eq!(
+            details,
+            ["inject: transient allocation failure for region `map:flows:entry` (len 24)"]
+        );
+        // The burst is spent: the retry maps the entry.
+        map.update(&kernel.mem, &[1, 0, 0, 0], &[0; 24], 0).unwrap();
     }
 
     #[test]

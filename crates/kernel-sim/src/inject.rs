@@ -254,8 +254,9 @@ impl FaultPlane {
             .record(self.clock.now_ns(), EventKind::FaultInjected, detail);
     }
 
-    /// Decides whether the allocation of `len` bytes for `region` fails.
-    pub fn alloc_should_fail(&self, region: &str, len: u64) -> bool {
+    /// Decides whether the allocation of `len` bytes for `region` fails;
+    /// `region` is rendered only into the audit record of a failure.
+    pub fn alloc_should_fail(&self, region: impl std::fmt::Display, len: u64) -> bool {
         let mut dice = self.dice.lock();
         let hit = if dice.alloc_burst_left > 0 {
             dice.alloc_burst_left -= 1;

@@ -42,6 +42,7 @@ pub mod oops;
 pub mod percpu;
 pub mod rcu;
 pub mod refcount;
+mod table;
 pub mod time;
 pub mod trace;
 

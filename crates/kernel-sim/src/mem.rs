@@ -10,8 +10,11 @@
 //! "verified program crashes the kernel" experiment safely.
 
 use std::collections::BTreeMap;
+use std::fmt::Display;
 
 use parking_lot::Mutex;
+
+use crate::table::AppendTable;
 
 /// A virtual kernel address.
 pub type Addr = u64;
@@ -176,7 +179,6 @@ struct Region {
     /// Accounting domain the region's bytes are charged to (0 = the
     /// unaccounted kernel domain).
     domain: u32,
-    name: String,
     data: Vec<u8>,
 }
 
@@ -195,8 +197,9 @@ const SPARE_REGIONS: usize = 8;
 
 #[derive(Debug, Default)]
 struct MemState {
-    /// Regions keyed by base address.
-    regions: BTreeMap<Addr, Region>,
+    /// Regions keyed by base address. Bases come from `next_base`, which
+    /// only grows, so regions are pushed in address order.
+    regions: AppendTable<Region>,
     next_base: Addr,
     bytes_mapped: u64,
     peak_bytes_mapped: u64,
@@ -205,7 +208,7 @@ struct MemState {
     /// PKRU model: bit k set = writes through key k denied.
     pkey_write_disable: u16,
     /// Recycled region shells: short-lived mappings (per-run contexts,
-    /// skb payloads, stack frames) reuse these name/data allocations
+    /// skb payloads, stack frames) reuse these data allocations
     /// instead of round-tripping the allocator on every packet. Purely
     /// an allocation cache — fresh mappings still get fresh base
     /// addresses and zeroed contents.
@@ -251,7 +254,7 @@ impl KernelMem {
         Self {
             inject: crate::inject::InjectSlot::default(),
             state: Mutex::new(MemState {
-                regions: BTreeMap::new(),
+                regions: AppendTable::default(),
                 next_base: KERNEL_VA_BASE,
                 bytes_mapped: 0,
                 peak_bytes_mapped: 0,
@@ -269,7 +272,10 @@ impl KernelMem {
     ///
     /// Regions are separated by unmapped guard gaps so that a linear overrun
     /// of one region faults instead of silently entering a neighbour.
-    pub fn map(&self, name: &str, len: u64, perms: Perms) -> Result<Addr, Fault> {
+    ///
+    /// The region keeps no name: `name` identifies the allocation to the
+    /// fault plane and is rendered only when an injected failure fires.
+    pub fn map(&self, name: impl Display, len: u64, perms: Perms) -> Result<Addr, Fault> {
         self.map_with_pkey(name, len, perms, 0)
     }
 
@@ -279,19 +285,24 @@ impl KernelMem {
     /// [`KernelMem::set_pkey_rights`]; key 0 is never restricted.
     pub fn map_with_pkey(
         &self,
-        name: &str,
+        name: impl Display,
         len: u64,
         perms: Perms,
         pkey: Pkey,
     ) -> Result<Addr, Fault> {
-        self.map_inner(name, len, perms, pkey, 0, None, 0)
+        self.map_inner(&name, len, perms, pkey, 0, None, 0)
     }
 
     /// Maps a region pre-initialized with `data` — equivalent to
     /// [`KernelMem::map`] followed by a full-region write, in one
     /// address-space transaction.
-    pub fn map_with_data(&self, name: &str, data: &[u8], perms: Perms) -> Result<Addr, Fault> {
-        self.map_inner(name, data.len() as u64, perms, 0, 0, Some(data), 0)
+    pub fn map_with_data(
+        &self,
+        name: impl Display,
+        data: &[u8],
+        perms: Perms,
+    ) -> Result<Addr, Fault> {
+        self.map_inner(&name, data.len() as u64, perms, 0, 0, Some(data), 0)
     }
 
     /// Maps a region whose bytes are charged to accounting `domain`.
@@ -303,12 +314,12 @@ impl KernelMem {
     /// region is unmapped.
     pub fn map_in_domain(
         &self,
-        name: &str,
+        name: impl Display,
         len: u64,
         perms: Perms,
         domain: u32,
     ) -> Result<Addr, Fault> {
-        self.map_inner(name, len, perms, 0, domain, None, 0)
+        self.map_inner(&name, len, perms, 0, domain, None, 0)
     }
 
     /// Maps a `len`-byte region at a `len`-aligned base address, charged
@@ -320,7 +331,7 @@ impl KernelMem {
     /// `base | (addr & (len - 1))` cannot escape a size-aligned region.
     pub fn map_aligned_in_domain(
         &self,
-        name: &str,
+        name: impl Display,
         len: u64,
         perms: Perms,
         domain: u32,
@@ -328,13 +339,13 @@ impl KernelMem {
         if !len.is_power_of_two() {
             return Err(Fault::BadRange { addr: 0, len });
         }
-        self.map_inner(name, len, perms, 0, domain, None, len)
+        self.map_inner(&name, len, perms, 0, domain, None, len)
     }
 
     #[allow(clippy::too_many_arguments)]
     fn map_inner(
         &self,
-        name: &str,
+        name: &dyn Display,
         len: u64,
         perms: Perms,
         pkey: Pkey,
@@ -380,8 +391,6 @@ impl KernelMem {
                 r.perms = perms;
                 r.pkey = pkey;
                 r.domain = domain;
-                r.name.clear();
-                r.name.push_str(name);
                 r.data.clear();
                 r
             }
@@ -390,7 +399,6 @@ impl KernelMem {
                 perms,
                 pkey,
                 domain,
-                name: name.to_string(),
                 data: Vec::new(),
             },
         };
@@ -398,7 +406,7 @@ impl KernelMem {
             Some(bytes) => region.data.extend_from_slice(bytes),
             None => region.data.resize(len as usize, 0),
         }
-        st.regions.insert(base, region);
+        st.regions.push(base, region);
         Ok(base)
     }
 
@@ -420,7 +428,7 @@ impl KernelMem {
     /// Unmaps the region based at `base`; subsequent accesses fault.
     pub fn unmap(&self, base: Addr) -> Result<(), Fault> {
         let mut st = self.state.lock();
-        match st.regions.remove(&base) {
+        match st.regions.remove(base) {
             Some(r) => {
                 st.bytes_mapped -= r.len();
                 if r.domain != 0 {
@@ -464,11 +472,14 @@ impl KernelMem {
             .unwrap_or(0)
     }
 
-    /// Returns the `(base, len, perms, name)` of the region containing
-    /// `addr`, if any.
-    pub fn region_of(&self, addr: Addr) -> Option<(Addr, u64, Perms, String)> {
+    /// Returns the `(base, len, perms)` of the region containing `addr`,
+    /// if any.
+    pub fn region_of(&self, addr: Addr) -> Option<(Addr, u64, Perms)> {
         let st = self.state.lock();
-        find_region(&st, addr).map(|r| (r.base, r.len(), r.perms, r.name.clone()))
+        st.regions
+            .floor(addr)
+            .filter(|r| r.contains(addr))
+            .map(|r| (r.base, r.len(), r.perms))
     }
 
     /// Total bytes currently mapped.
@@ -495,7 +506,9 @@ impl KernelMem {
         }
         let st_pkey_access_disable = st.pkey_access_disable;
         let st_pkey_write_disable = st.pkey_write_disable;
-        let region = match find_region_mut(st, addr) {
+        // A tombstone in the floor slot means unmapped: regions do not
+        // overlap, so no earlier region can reach `addr`.
+        let region = match st.regions.floor_mut(addr).filter(|r| r.contains(addr)) {
             Some(r) => r,
             None => return Err(Fault::Unmapped { addr, len }),
         };
@@ -673,22 +686,6 @@ impl KernelMem {
     }
 }
 
-fn find_region(st: &MemState, addr: Addr) -> Option<&Region> {
-    st.regions
-        .range(..=addr)
-        .next_back()
-        .map(|(_, r)| r)
-        .filter(|r| r.contains(addr))
-}
-
-fn find_region_mut(st: &mut MemState, addr: Addr) -> Option<&mut Region> {
-    st.regions
-        .range_mut(..=addr)
-        .next_back()
-        .map(|(_, r)| r)
-        .filter(|r| r.contains(addr))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -832,11 +829,10 @@ mod tests {
     fn region_of_reports_metadata() {
         let mem = KernelMem::new();
         let a = mem.map("meta", 40, Perms::ro()).unwrap();
-        let (base, len, perms, name) = mem.region_of(a + 10).unwrap();
+        let (base, len, perms) = mem.region_of(a + 10).unwrap();
         assert_eq!(base, a);
         assert_eq!(len, 40);
         assert_eq!(perms, Perms::ro());
-        assert_eq!(name, "meta");
         assert!(mem.region_of(a + 40).is_none());
     }
 

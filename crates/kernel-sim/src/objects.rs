@@ -7,13 +7,14 @@
 //! programs read and write an [`SkBuff`] whose payload lives in checked
 //! kernel memory.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use parking_lot::Mutex;
 
 use crate::{
     mem::{Addr, Fault, KernelMem, Perms},
     refcount::{ObjId, ObjKind, RefTable},
+    table::AppendTable,
     trace::{SpanKind, TraceSlot},
 };
 
@@ -94,9 +95,10 @@ struct ObjState {
     tasks: HashMap<u32, Task>,
     current_pid: Option<u32>,
     sockets: Vec<Socket>,
-    // BTreeMap: ids are sequential, and the table churns once per
-    // packet run — ordered lookups beat hashing for this shape.
-    skbs: BTreeMap<u64, SkBuff>,
+    // Ids come from `next_skb`, which only grows, and the table churns
+    // once per packet run: an append table needs no hashing and no
+    // tree rebalancing for this shape.
+    skbs: AppendTable<SkBuff>,
     next_skb: u64,
 }
 
@@ -202,7 +204,7 @@ impl ObjectTable {
             data,
             len: payload.len() as u32,
         };
-        st.skbs.insert(skb.id, skb);
+        st.skbs.push(skb.id, skb);
         drop(st);
         // The arg is the op code (0 = alloc), not the skb id: ids are
         // per-kernel allocation order and would break shard invariance.
@@ -214,7 +216,7 @@ impl ObjectTable {
 
     /// Looks up an skb by id.
     pub fn skb(&self, id: u64) -> Option<SkBuff> {
-        self.state.lock().skbs.get(&id).copied()
+        self.state.lock().skbs.get(id).copied()
     }
 
     /// Frees an skb and unmaps its payload region.
@@ -223,7 +225,7 @@ impl ObjectTable {
             .state
             .lock()
             .skbs
-            .remove(&id)
+            .remove(id)
             .ok_or(Fault::Unmapped { addr: 0, len: 0 })?;
         mem.unmap(skb.data)?;
         if let Some(tracer) = self.trace.get() {
@@ -293,5 +295,21 @@ mod tests {
         t.free_skb(&mem, skb.id).unwrap();
         assert!(mem.read_u8(skb.data).is_err());
         assert!(t.skb(skb.id).is_none());
+    }
+
+    #[test]
+    fn freeing_a_middle_skb_leaves_its_neighbours_readable() {
+        let mem = KernelMem::new();
+        let t = ObjectTable::default();
+        let skbs: Vec<SkBuff> = (1..=3u8)
+            .map(|b| t.create_skb(&mem, &[b; 4]).unwrap())
+            .collect();
+        t.free_skb(&mem, skbs[1].id).unwrap();
+        assert!(t.skb(skbs[1].id).is_none());
+        assert!(t.free_skb(&mem, skbs[1].id).is_err());
+        for (skb, b) in [(skbs[0], 1u8), (skbs[2], 3)] {
+            assert_eq!(t.skb(skb.id).unwrap().data, skb.data);
+            assert_eq!(mem.read_bytes(skb.data, 4).unwrap(), vec![b; 4]);
+        }
     }
 }
