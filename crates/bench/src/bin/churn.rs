@@ -38,7 +38,7 @@ const SMOKE_CHURN_EVERY: u64 = 6;
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 fn config(shards: usize, storm: bool, smoke: bool) -> ChurnConfig {
-    let (tenants, items, churn_every, storm_victims) = if smoke {
+    let (tenants, items, control_every, storm_victims) = if smoke {
         (SMOKE_TENANTS, SMOKE_PACKETS, SMOKE_CHURN_EVERY, 6)
     } else {
         (FULL_TENANTS, FULL_PACKETS, FULL_CHURN_EVERY, 24)
@@ -49,10 +49,10 @@ fn config(shards: usize, storm: bool, smoke: bool) -> ChurnConfig {
             seed: SEED,
             tenants,
             items,
+            control_every,
             storm_armed: storm,
             storm_victims,
         },
-        churn_every,
     }
 }
 
@@ -113,7 +113,8 @@ fn full(out: &str) {
                         .num("sim_elapsed_ns", r.sim_elapsed_ns)
                         .num("host_cpu_ns", r.host_cpu_ns)
                         .fixed("host_pps", r.per_host_cpu_sec(FULL_PACKETS), 0)
-                        .str("churn_sha256", &r.canonical_sha256()),
+                        .str("churn_sha256", &r.canonical_sha256())
+                        .str("merged_audit_sha256", &r.audit_sha256()),
                 ));
             }
         }

@@ -40,7 +40,7 @@ const SMOKE_UPGRADE_EVERY: u64 = 12;
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 fn config(family: HookFamily, shards: usize, storm: bool, smoke: bool) -> HooksConfig {
-    let (tenants, items, upgrade_every, storm_victims) = if smoke {
+    let (tenants, items, control_every, storm_victims) = if smoke {
         (SMOKE_TENANTS, SMOKE_ITEMS, SMOKE_UPGRADE_EVERY, 3)
     } else {
         (FULL_TENANTS, FULL_ITEMS, FULL_UPGRADE_EVERY, 8)
@@ -52,10 +52,10 @@ fn config(family: HookFamily, shards: usize, storm: bool, smoke: bool) -> HooksC
             seed: SEED,
             tenants,
             items,
+            control_every,
             storm_armed: storm,
             storm_victims,
         },
-        upgrade_every,
     }
 }
 
@@ -124,7 +124,8 @@ fn row(
             .num("sim_elapsed_ns", r.sim_elapsed_ns)
             .num("host_cpu_ns", r.host_cpu_ns)
             .fixed("host_runs_per_cpu_sec", r.per_host_cpu_sec(s.runs()), 0)
-            .str("hooks_sha256", &r.canonical_sha256()),
+            .str("hooks_sha256", &r.canonical_sha256())
+            .str("merged_audit_sha256", &r.audit_sha256()),
     )
 }
 

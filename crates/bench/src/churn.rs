@@ -27,14 +27,14 @@
 use ebpf::asm::Asm;
 use ebpf::helpers;
 use ebpf::insn::*;
-use ebpf::maps::{MapDef, MapError, MapFd};
+use ebpf::maps::{MapDef, MapFd};
 use ebpf::program::{ProgType, Program};
 use safe_ext::Extension;
-use tenancy::{HookInput, TenantId, TenantRegistry};
+use tenancy::{HookInput, TenantId};
 
 use crate::dispatch::make_packets;
-use crate::engine::{splitmix64, Record, Scenario, Shard, ShardOut};
-use crate::fleet::{tenant_of, tenant_shard, Fleet, FleetShard, FleetStats};
+use crate::engine::{splitmix64, DispatchError, Record, Scenario, Shard, ShardOut};
+use crate::fleet::{ControlDraw, Fleet, FleetItem, FleetShard, FleetStats};
 use crate::Lane;
 
 /// The single attachment point every tenant uses.
@@ -43,96 +43,25 @@ pub const POINT: &str = "pkt";
 /// Gives the churn storm its own victim draw.
 pub const STORM_SALT: u64 = 0x5707_6d5a_1f5c_3a11;
 
+/// The churn control plane: tenants drawn with their own salt, and every
+/// third event a full unload/reload, the rest hot upgrades.
+pub const CONTROL: ControlDraw = ControlDraw {
+    salt: 0x94d0_49bb_1331_11eb,
+    reloads: |k| k % 3 == 2,
+};
+
 /// Churn benchmark configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct ChurnConfig {
-    /// The fleet; its items are the packets in the batch, and each tenant
-    /// holds one map and one program.
+    /// The fleet; its items are the packets in the batch, its control
+    /// events hot upgrades and unload/reloads ([`CONTROL`]), and each
+    /// tenant holds one map and one program.
     pub fleet: Fleet,
-    /// One control-plane event fires before every `churn_every`-th packet
-    /// (0 disables churn).
-    pub churn_every: u64,
-}
-
-/// What a control-plane event does to its tenant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChurnKind {
-    /// Hot upgrade the attachment to the next version.
-    Upgrade,
-    /// Unload the tenant entirely (maps included), then reload it at v1.
-    Reload,
-}
-
-impl ChurnKind {
-    /// Stable name for canonical log lines.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ChurnKind::Upgrade => "upgrade",
-            ChurnKind::Reload => "reload",
-        }
-    }
-}
-
-/// One scheduled control-plane event: fires before packet `idx`.
-#[derive(Debug, Clone, Copy)]
-pub struct ChurnEvent {
-    /// Global packet index the event precedes.
-    pub idx: u64,
-    /// The tenant it targets.
-    pub tenant: TenantId,
-    /// What it does.
-    pub kind: ChurnKind,
-}
-
-/// The deterministic churn schedule: an event before every
-/// `churn_every`-th packet, targeting a seeded tenant; every third event
-/// is a full unload/reload, the rest are hot upgrades.
-pub fn churn_schedule(cfg: &ChurnConfig) -> Vec<ChurnEvent> {
-    let mut out = Vec::new();
-    if cfg.churn_every == 0 {
-        return out;
-    }
-    let mut k = 0u64;
-    loop {
-        let idx = (k + 1) * cfg.churn_every;
-        if idx >= cfg.fleet.items {
-            return out;
-        }
-        out.push(ChurnEvent {
-            idx,
-            tenant: tenant_of(
-                cfg.fleet.seed ^ 0x94d0_49bb_1331_11eb,
-                idx,
-                cfg.fleet.tenants,
-            ),
-            kind: if k % 3 == 2 {
-                ChurnKind::Reload
-            } else {
-                ChurnKind::Upgrade
-            },
-        });
-        k += 1;
-    }
 }
 
 /// The per-item fault-plan seed (packets and events share the stream).
 fn item_fault_seed(seed: u64, idx: u64) -> u64 {
     splitmix64(seed ^ idx.wrapping_mul(0xd6e8_feb8_6659_fd93) ^ 0x165a_15c4_0e3b_7bed)
-}
-
-/// One unit of churn work.
-pub enum ChurnItem {
-    /// A packet for `tenant`.
-    Packet {
-        /// Global packet index.
-        idx: u64,
-        /// The tenant it belongs to.
-        tenant: TenantId,
-        /// The payload.
-        payload: Vec<u8>,
-    },
-    /// A control-plane event.
-    Event(ChurnEvent),
 }
 
 /// The per-tenant eBPF workload at `version`: bounds-check, count the
@@ -178,108 +107,56 @@ fn counter_ext(tenant: TenantId, fd: MapFd, version: u32) -> Extension {
     )
 }
 
-/// Creates a resident tenant's counter map and attaches its v1 program.
-fn setup_tenant(reg: &mut TenantRegistry<'_>, lane: Lane, tenant: TenantId) -> MapFd {
-    let fd = reg
-        .create_map(tenant, MapDef::array(&format!("ctr{tenant}"), 8, 4))
-        .expect("tenant counter map fits the budget");
-    let spec = lane.spec(|| counter_prog(fd, 1), || counter_ext(tenant, fd, 1));
-    reg.attach(tenant, POINT, spec).expect("v1 attach");
-    fd
-}
-
 impl Scenario for ChurnConfig {
-    type Item = ChurnItem;
+    type Item = FleetItem<Vec<u8>>;
     type Stats = FleetStats;
 
     fn shards(&self) -> usize {
         self.fleet.shards
     }
 
-    fn items(&self, shards: usize) -> impl Iterator<Item = (usize, ChurnItem)> {
-        let schedule = churn_schedule(self);
-        let mut items = Vec::with_capacity(self.fleet.items as usize + schedule.len());
-        let mut events = schedule.into_iter().peekable();
-        for (i, payload) in make_packets(self.fleet.items as usize)
-            .into_iter()
-            .enumerate()
-        {
-            let idx = i as u64;
-            while let Some(ev) = events.next_if(|ev| ev.idx == idx) {
-                items.push((tenant_shard(ev.tenant, shards), ChurnItem::Event(ev)));
-            }
-            let tenant = tenant_of(self.fleet.seed, idx, self.fleet.tenants);
-            items.push((
-                tenant_shard(tenant, shards),
-                ChurnItem::Packet {
-                    idx,
-                    tenant,
-                    payload,
-                },
-            ));
-        }
-        items.into_iter()
+    fn items(&self, shards: usize) -> impl Iterator<Item = (usize, Self::Item)> {
+        let packets = make_packets(self.fleet.items as usize);
+        self.fleet.stream(shards, CONTROL, packets)
     }
 
     fn run_shard(
         &self,
         lane: Lane,
         shard: &Shard,
-        feed: impl Iterator<Item = ChurnItem>,
-    ) -> Result<ShardOut<FleetStats>, MapError> {
+        feed: impl Iterator<Item = Self::Item>,
+    ) -> Result<ShardOut<FleetStats>, DispatchError> {
         let seed = self.fleet.seed;
+        let storm = self.fleet.storm(STORM_SALT);
+        // A (re)loaded tenant gets a fresh counter map; upgrades keep it.
         let mut fds: Vec<MapFd> = vec![0; self.fleet.tenants as usize];
-        let mut fs = FleetShard::boot(
-            &self.fleet,
-            self.fleet.storm(STORM_SALT),
-            shard,
-            |reg, t| {
-                fds[t as usize] = setup_tenant(reg, lane, t);
-            },
-        );
+        let mut fs = FleetShard::boot(&self.fleet, storm, shard, POINT, move |reg, t, version| {
+            if version == 1 {
+                fds[t as usize] = reg
+                    .create_map(t, MapDef::array(&format!("ctr{t}"), 8, 4))
+                    .expect("tenant counter map fits the budget");
+            }
+            let fd = fds[t as usize];
+            lane.spec(|| counter_prog(fd, version), || counter_ext(t, fd, version))
+        });
         let mut records = Vec::new();
         for item in feed {
-            match item {
-                ChurnItem::Packet {
+            records.push(match item {
+                FleetItem::Work {
                     idx,
                     tenant,
                     payload,
                 } => {
                     fs.arm(item_fault_seed(seed, idx), |s| s.targets(tenant, idx));
-                    let out = fs.run(tenant, POINT, HookInput::Packet(&payload));
-                    records.push(Record {
+                    let out = fs.run(tenant, HookInput::Packet(&payload));
+                    Record {
                         idx,
                         rank: 1,
                         line: format!("{idx}|P|{tenant}|{}|{}", out.verdict.label(), out.cost_ns),
-                    });
+                    }
                 }
-                ChurnItem::Event(ev) => {
-                    fs.arm(item_fault_seed(seed, ev.idx) ^ 1, |_| false);
-                    let t = ev.tenant;
-                    let outcome = match ev.kind {
-                        ChurnKind::Upgrade => fs.upgrade(t, POINT, |next| {
-                            let fd = fds[t as usize];
-                            lane.spec(|| counter_prog(fd, next), || counter_ext(t, fd, next))
-                        }),
-                        ChurnKind::Reload => {
-                            fs.stats.events += 1;
-                            match fs.reg.unload_tenant(t) {
-                                Ok(()) => {
-                                    fds[t as usize] = setup_tenant(&mut fs.reg, lane, t);
-                                    fs.stats.reloads += 1;
-                                    "v1".to_string()
-                                }
-                                Err(e) => format!("err:{e}"),
-                            }
-                        }
-                    };
-                    records.push(Record {
-                        idx: ev.idx,
-                        rank: 0,
-                        line: format!("{}|E|{t}|{}|{outcome}", ev.idx, ev.kind.name()),
-                    });
-                }
-            }
+                FleetItem::Control(ev) => fs.apply(&ev, item_fault_seed(seed, ev.idx)),
+            });
         }
         let summary = format!(
             "churn shard {}: tenants={} attached={} records={} upgrades={} reloads={}",
@@ -312,10 +189,10 @@ pub(crate) mod tests {
                 seed: 0xc0ffee,
                 tenants: 12,
                 items: 360,
+                control_every: 11,
                 storm_armed: storm,
                 storm_victims: 3,
             },
-            churn_every: 11,
         }
     }
 
@@ -324,7 +201,7 @@ pub(crate) mod tests {
         for lane in Lane::ALL {
             for storm in [false, true] {
                 let cfg = small(1, storm);
-                let scheduled = churn_schedule(&cfg).len() as u64;
+                let scheduled = cfg.fleet.schedule(CONTROL).count() as u64;
                 let s = engine::run(&cfg, lane).unwrap().stats;
                 assert_eq!(s.runs(), 360, "{lane:?} storm={storm}: every packet runs");
                 assert!(scheduled > 0);
@@ -379,16 +256,16 @@ pub(crate) mod tests {
                 seed: 9,
                 tenants: 512,
                 items: 1024,
+                control_every: 16,
                 storm_armed: false,
                 storm_victims: 0,
             },
-            churn_every: 16,
         };
         let report = engine::run(&cfg, Lane::SafeExt).unwrap();
         assert_eq!(report.stats.attached, 512);
         assert_eq!(
             report.stats.upgrades + report.stats.reloads,
-            churn_schedule(&cfg).len() as u64
+            cfg.fleet.schedule(CONTROL).count() as u64
         );
         assert_eq!(report.stats.ok, 1024, "quiet fleet: every packet serves");
         assert!(report.cost.count == 1024);

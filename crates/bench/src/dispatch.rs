@@ -10,7 +10,7 @@
 //! (`elem_addr(index, cpu)` with a nonzero cpu) run exactly as on a
 //! multi-core kernel and shard counts can be recovered per CPU slot.
 
-use ebpf::maps::{MapDef, MapError};
+use ebpf::maps::MapDef;
 use ebpf::program::ProgType;
 use kernel_sim::trace::{SpanKind, TraceEvent};
 use kernel_sim::{FaultPlan, FaultPlanConfig};
@@ -112,7 +112,7 @@ fn filter_ext(counts_fd: u32) -> Extension {
 /// Sums the per-CPU map's slots for each protocol class. The shard only
 /// ever ran pinned, so all counts sit in its own CPU slot, but summing
 /// every slot asserts nothing leaked into foreign slots.
-fn proto_counts(shard: &Shard, fd: u32) -> Result<[u64; PROTO_CLASSES], MapError> {
+fn proto_counts(shard: &Shard, fd: u32) -> Result<[u64; PROTO_CLASSES], DispatchError> {
     let mut out = [0u64; PROTO_CLASSES];
     for cpu in 0..shard.kernel.cpus.nr_cpus() {
         let counts: [u64; PROTO_CLASSES] = shard.counters(fd, cpu)?;
@@ -137,8 +137,8 @@ impl<'a> Scenario for Batch<'a> {
     }
 
     fn items(&self, shards: usize) -> impl Iterator<Item = (usize, Self::Item)> {
-        // Payloads are fed by reference: the per-run copy happens on the
-        // worker thread, keeping the feeder off the host critical path.
+        // Payloads are dealt by reference: the per-run copy happens on
+        // the worker thread, so dealing the batch copies no packet bytes.
         let seed = self.cfg.seed;
         self.packets
             .iter()
@@ -151,7 +151,7 @@ impl<'a> Scenario for Batch<'a> {
         lane: Lane,
         shard: &Shard,
         feed: impl Iterator<Item = Self::Item>,
-    ) -> Result<ShardOut<DispatchStats>, MapError> {
+    ) -> Result<ShardOut<DispatchStats>, DispatchError> {
         let kernel = &shard.kernel;
         let counts_fd = shard
             .maps
@@ -188,14 +188,14 @@ impl<'a> Scenario for Batch<'a> {
                 Some(_) => out.stats.accepted += 1,
                 None => out.stats.errors += 1,
             }
-            // Per-packet ring drain: the batch is never bounded by the
-            // ring's capacity, as with a per-CPU ringbuf flush.
+            // Per-packet trace drain: the batch is never bounded by the
+            // trace ring's capacity, as with a per-CPU ringbuf flush.
             if self.cfg.trace {
-                drain_trace(shard, &mut out.trace);
+                drain_trace(shard, &mut out.trace)?;
             }
         }
         out.stats.proto_counts = proto_counts(shard, counts_fd)?;
-        drain_trace(shard, &mut out.trace);
+        drain_trace(shard, &mut out.trace)?;
         let s = &out.stats;
         out.summary = format!(
             "dispatch shard {}: packets={} accepted={} errors={} proto_counts={:?}",
@@ -209,17 +209,23 @@ impl<'a> Scenario for Batch<'a> {
     }
 }
 
-/// Moves the shard tracer's buffered events into `trace`. An overflowed
-/// ring voids span balance, so it fails the shard.
-fn drain_trace(shard: &Shard, trace: &mut Vec<TraceEvent>) {
+/// Moves the shard tracer's buffered events into `trace`.
+///
+/// # Errors
+///
+/// [`DispatchError::TraceOverflow`] when the ring overwrote events since
+/// the last drain: span balance is then void, so the shard fails.
+fn drain_trace(shard: &Shard, trace: &mut Vec<TraceEvent>) -> Result<(), DispatchError> {
     let tracer = &shard.kernel.trace;
-    assert_eq!(
-        tracer.dropped(),
-        0,
-        "trace ring overflowed on shard {}; span balance is void",
-        shard.id
-    );
+    let dropped = tracer.dropped();
+    if dropped != 0 {
+        return Err(DispatchError::TraceOverflow {
+            shard: shard.id,
+            dropped,
+        });
+    }
     trace.extend(tracer.take());
+    Ok(())
 }
 
 /// Dispatches `packets` over `cfg.shards` concurrent shards through
@@ -227,7 +233,7 @@ fn drain_trace(shard: &Shard, trace: &mut Vec<TraceEvent>) {
 ///
 /// # Errors
 ///
-/// A shard panic or map-recovery failure.
+/// A shard panic, a map-recovery failure or a trace ring overflow.
 pub fn run_batched(
     lane: Lane,
     cfg: &DispatchConfig,
@@ -250,6 +256,25 @@ mod tests {
         }
         // Different seeds produce different assignments somewhere.
         assert!((0..1000u64).any(|i| shard_of(1, i, 4) != shard_of(2, i, 4)));
+    }
+
+    #[test]
+    fn trace_ring_overflow_is_a_typed_error() {
+        let shard = Shard::boot(2, 1);
+        let tracer = &shard.kernel.trace;
+        tracer.enable();
+        for arg in 0..=kernel_sim::trace::DEFAULT_RING_CAPACITY as u64 {
+            tracer.instant(SpanKind::Fuel, arg);
+        }
+        let mut trace = Vec::new();
+        assert_eq!(
+            drain_trace(&shard, &mut trace),
+            Err(DispatchError::TraceOverflow {
+                shard: 1,
+                dropped: 1
+            })
+        );
+        assert!(trace.is_empty(), "an overflowed ring must not be merged");
     }
 
     #[test]

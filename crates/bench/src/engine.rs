@@ -4,18 +4,18 @@
 //! they are steered to shards, its fault-seed derivation, its per-item
 //! run and canonical record line, and its per-shard summary text. The
 //! engine does the rest, identically for every scenario and [`Lane`]: it
-//! boots one private [`Shard`] per worker thread, feeds each its items
-//! over a batched SPSC ring, times it, writes its summary audit event,
-//! and merges the shards into one [`RunReport`].
+//! deals the items into one list per shard in one pass, boots one private
+//! [`Shard`] per worker thread, runs it over its list, times it, writes
+//! its summary audit event, and merges the shards into one [`RunReport`].
 //!
 //! Determinism under racing host threads (DESIGN.md §9) rests on four
 //! rules the engine enforces: share-nothing shards (each owns a
 //! [`Kernel`] booted with `nr_cpus = shards`, pinned to its own CPU); an
-//! ordered feed (each ring sees the global item order restricted to its
-//! shard, and steering is a pure function of the item); a merge by shard
-//! id for audits, by task for traces and by `(idx, rank)` for canonical
-//! records, never by completion order; and one content-bearing summary
-//! audit event per shard.
+//! ordered feed (each shard's list is the global item order restricted to
+//! that shard, and steering is a pure function of the item); a merge by
+//! shard id for audits, by task for traces and by `(idx, rank)` for
+//! canonical records, never by completion order; and one content-bearing
+//! summary audit event per shard.
 
 use std::any::Any;
 use std::fmt;
@@ -30,7 +30,6 @@ use kernel_sim::{HistSketch, HistSnapshot, Kernel, MetricsSnapshot};
 use signing::sha256;
 
 use crate::hostclock::thread_cpu_ns;
-use crate::spsc;
 use crate::Lane;
 
 /// Typed failure of a sharded run. Soak and fuzz callers need the batch
@@ -52,6 +51,14 @@ pub enum DispatchError {
         /// The underlying map error.
         err: MapError,
     },
+    /// A shard's trace ring overflowed between drains, so its span
+    /// balance is void.
+    TraceOverflow {
+        /// Which shard's tracer overflowed.
+        shard: usize,
+        /// Events the ring overwrote.
+        dropped: u64,
+    },
 }
 
 impl fmt::Display for DispatchError {
@@ -62,6 +69,9 @@ impl fmt::Display for DispatchError {
             }
             DispatchError::Map { shard, err } => {
                 write!(f, "shard {shard} result recovery failed: {err:?}")
+            }
+            DispatchError::TraceOverflow { shard, dropped } => {
+                write!(f, "shard {shard} trace ring dropped {dropped} events")
             }
         }
     }
@@ -126,17 +136,24 @@ impl Shard {
     ///
     /// # Errors
     ///
-    /// The map vanished, or a slot is out of its range.
-    pub fn counters<const N: usize>(&self, fd: u32, cpu: usize) -> Result<[u64; N], MapError> {
-        let map = self.maps.get(fd).ok_or(MapError::NotFound)?;
-        let mut out = [0u64; N];
-        for (slot, value) in out.iter_mut().enumerate() {
-            let addr = map
-                .elem_addr(slot as u32, cpu)
-                .ok_or(MapError::IndexOutOfRange)?;
-            *value = self.kernel.mem.read_u64(addr).unwrap_or(0);
-        }
-        Ok(out)
+    /// [`DispatchError::Map`]: the map vanished, or a slot is out of its
+    /// range.
+    pub fn counters<const N: usize>(&self, fd: u32, cpu: usize) -> Result<[u64; N], DispatchError> {
+        let read = || {
+            let map = self.maps.get(fd).ok_or(MapError::NotFound)?;
+            let mut out = [0u64; N];
+            for (slot, value) in out.iter_mut().enumerate() {
+                let addr = map
+                    .elem_addr(slot as u32, cpu)
+                    .ok_or(MapError::IndexOutOfRange)?;
+                *value = self.kernel.mem.read_u64(addr).unwrap_or(0);
+            }
+            Ok(out)
+        };
+        read().map_err(|err| DispatchError::Map {
+            shard: self.id,
+            err,
+        })
     }
 
     /// Faults injected so far by the fault plan armed last on the kernel.
@@ -195,13 +212,14 @@ pub trait Scenario: Sync {
     ///
     /// # Errors
     ///
-    /// A typed map error while recovering the shard's results.
+    /// A typed map error while recovering the shard's results, or a trace
+    /// ring overflow.
     fn run_shard(
         &self,
         lane: Lane,
         shard: &Shard,
         feed: impl Iterator<Item = Self::Item>,
-    ) -> Result<ShardOut<Self::Stats>, MapError>;
+    ) -> Result<ShardOut<Self::Stats>, DispatchError>;
 }
 
 /// What one shard did.
@@ -228,8 +246,7 @@ pub struct ShardRun<St> {
     /// simulated CPU was busy. Deterministic for a fixed configuration.
     pub sim_ns: u64,
     /// Host CPU time the shard's worker thread consumed from boot until
-    /// the scenario's shard run returned, nanoseconds; time parked on the
-    /// feed ring costs nothing. Host-dependent.
+    /// the scenario's shard run returned, nanoseconds. Host-dependent.
     pub host_cpu_ns: u64,
     /// Whether the shard kernel finished pristine (no oops, leak, stall).
     pub pristine: bool,
@@ -317,14 +334,13 @@ impl<St> RunReport<St> {
     }
 }
 
-/// The generic sharded-execution scaffold: spawns one worker per shard
-/// inside a thread scope, feeds `items` (already tagged with their target
-/// shard) in iteration order through batched SPSC rings, and returns the
+/// The generic sharded-execution scaffold: deals `items` (already tagged
+/// with their target shard) into one list per shard in iteration order,
+/// spawns one worker per list inside a thread scope, and returns the
 /// per-shard results in shard-id order.
 ///
-/// Worker panics are contained: every shard is joined explicitly, a dead
-/// shard's ring drops further feed silently, and the first panic comes
-/// back as [`DispatchError::ShardPanicked`].
+/// Worker panics are contained: every shard is joined explicitly, and the
+/// first panic comes back as [`DispatchError::ShardPanicked`].
 fn run_sharded<T, R, F>(
     shards: usize,
     items: impl Iterator<Item = (usize, T)>,
@@ -333,28 +349,20 @@ fn run_sharded<T, R, F>(
 where
     T: Send,
     R: Send,
-    F: Fn(usize, spsc::Consumer<T>) -> R + Sync,
+    F: Fn(usize, Vec<T>) -> R + Sync,
 {
-    let shards = shards.max(1);
-    let mut producers = Vec::with_capacity(shards);
-    let mut consumers = Vec::with_capacity(shards);
-    for _ in 0..shards {
-        let (tx, rx) = spsc::ring::<T>(spsc::DEFAULT_SLOTS, spsc::DEFAULT_BATCH);
-        producers.push(tx);
-        consumers.push(rx);
+    let mut feeds: Vec<Vec<T>> = (0..shards.max(1)).map(|_| Vec::new()).collect();
+    for (shard, item) in items {
+        feeds[shard].push(item);
     }
     std::thread::scope(|scope| {
         let worker = &worker;
-        let handles: Vec<_> = consumers
+        let handles: Vec<_> = feeds
             .into_iter()
             .enumerate()
-            .map(|(shard, rx)| scope.spawn(move || worker(shard, rx)))
+            .map(|(shard, feed)| scope.spawn(move || worker(shard, feed)))
             .collect();
-        for (shard, item) in items {
-            producers[shard].send(item);
-        }
-        drop(producers);
-        let mut reports = Vec::with_capacity(shards);
+        let mut reports = Vec::with_capacity(handles.len());
         let mut failure: Option<DispatchError> = None;
         for (shard, handle) in handles.into_iter().enumerate() {
             // join() consumes the panic payload, so the scope won't
@@ -383,15 +391,12 @@ fn run_shard<S: Scenario>(
     lane: Lane,
     shards: usize,
     id: usize,
-    rx: spsc::Consumer<S::Item>,
+    feed: Vec<S::Item>,
 ) -> ShardResult<S::Stats> {
     let cpu_t0 = thread_cpu_ns();
     let shard = Shard::boot(shards, id);
-    let mut items = 0;
-    let feed = rx.inspect(|_| items += 1);
-    let out = scenario
-        .run_shard(lane, &shard, feed)
-        .map_err(|err| DispatchError::Map { shard: id, err })?;
+    let items = feed.len() as u64;
+    let out = scenario.run_shard(lane, &shard, feed.into_iter())?;
     // The bill stops with the scenario's own work (boot, setup, every
     // item, its result readback); the engine's bookkeeping below is free.
     let host_cpu_ns = thread_cpu_ns().saturating_sub(cpu_t0);
@@ -420,12 +425,13 @@ fn run_shard<S: Scenario>(
 ///
 /// # Errors
 ///
-/// A shard panic or a shard's map-recovery failure.
+/// A shard panic, a shard's map-recovery failure or a trace ring
+/// overflow.
 pub fn run<S: Scenario>(scenario: &S, lane: Lane) -> Result<RunReport<S::Stats>, DispatchError> {
     let shards = scenario.shards().max(1);
     let started = Instant::now();
-    let results = run_sharded(shards, scenario.items(shards), |id, rx| {
-        run_shard(scenario, lane, shards, id, rx)
+    let results = run_sharded(shards, scenario.items(shards), |id, feed| {
+        run_shard(scenario, lane, shards, id, feed)
     })?;
     let results = results.into_iter().collect::<Result<Vec<_>, _>>()?;
     let elapsed_ns = started.elapsed().as_nanos() as u64;
@@ -480,14 +486,29 @@ mod tests {
     use crate::netflows::{run_net_batched, NetConfig, NetScenario};
 
     #[test]
+    fn each_shard_is_fed_exactly_its_own_items_in_global_order() {
+        // Uneven steering: shard 0 takes most items, shard 1 every fifth,
+        // shard 2 none at all.
+        let steer = |i: u64| usize::from(i.is_multiple_of(5));
+        let items = (0..1000u64).map(|i| (steer(i), i));
+        let feeds = run_sharded(3, items, |_, feed: Vec<u64>| feed).unwrap();
+        assert_eq!(feeds.len(), 3, "every shard must report");
+        for (shard, feed) in feeds.iter().enumerate() {
+            let own: Vec<u64> = (0..1000).filter(|&i| steer(i) == shard).collect();
+            assert_eq!(feed, &own, "shard {shard} was fed the wrong items");
+        }
+        assert!(feeds[2].is_empty());
+    }
+
+    #[test]
     fn worker_panic_surfaces_as_typed_error() {
-        // Shard 1 dies mid-run; the feeder must keep draining (its ring
-        // degrades to dropping), the other shards finish, and the panic
-        // comes back as a typed error instead of aborting the process.
+        // Shard 1 dies mid-run; the other shards still finish, every
+        // shard is joined, and the panic comes back as a typed error
+        // instead of aborting the process.
         let items = (0..1000usize).map(|i| (i % 3, i as u64));
-        let err = run_sharded(3, items, |shard, rx: spsc::Consumer<u64>| {
+        let err = run_sharded(3, items, |shard, feed: Vec<u64>| {
             let mut sum = 0u64;
-            for item in rx {
+            for item in feed {
                 if shard == 1 && item >= 100 {
                     panic!("shard exploded on item {item}");
                 }

@@ -39,10 +39,11 @@
 //! bucket (log2 of a ctx value, never shard-local histogram state);
 //! trace instants carry operation codes, never per-kernel ids.
 
+use std::iter;
+
 use ebpf::asm::Asm;
 use ebpf::helpers;
 use ebpf::insn::*;
-use ebpf::maps::MapError;
 use ebpf::program::{ProgType, Program};
 use kernel_sim::audit::EventKind;
 use kernel_sim::hooks::{LSM_ALLOW, LSM_DENY};
@@ -52,12 +53,19 @@ use kernel_sim::{LsmHook, Metrics, ProbePoint, SchedBoard, SchedChoice};
 use safe_ext::Extension;
 use tenancy::{HookInput, RunVerdict, TenantId};
 
-use crate::engine::{splitmix64, Record, Scenario, Shard, ShardOut};
-use crate::fleet::{tenant_of, tenant_shard, Fleet, FleetShard, FleetStats};
+use crate::engine::{splitmix64, DispatchError, Record, Scenario, Shard, ShardOut};
+use crate::fleet::{ControlDraw, Fleet, FleetItem, FleetShard, FleetStats};
 use crate::Lane;
 
 /// Gives the hooks storm its own victim draw.
 pub const STORM_SALT: u64 = 0x6b8b_4567_327b_23c6;
+
+/// The hooks control plane: tenants drawn with their own salt, and every
+/// event a hot upgrade.
+pub const CONTROL: ControlDraw = ControlDraw {
+    salt: 0xa24b_aed4_963e_e407,
+    reloads: |_| false,
+};
 
 /// Which hook family a run exercises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,11 +106,9 @@ impl HookFamily {
 pub struct HooksConfig {
     /// The hook family to run.
     pub family: HookFamily,
-    /// The fleet; its items are work items.
+    /// The fleet; its items are work items, its control events hot
+    /// upgrades ([`CONTROL`]).
     pub fleet: Fleet,
-    /// A hot upgrade fires before every `upgrade_every`-th item
-    /// (0 disables upgrades).
-    pub upgrade_every: u64,
 }
 
 /// The per-item fault-plan seed (items and events share the stream).
@@ -258,24 +264,6 @@ impl HookFamily {
     }
 }
 
-/// One unit of hooks work.
-pub enum HookItem {
-    /// A work item for `tenant`.
-    Work {
-        /// Global item index.
-        idx: u64,
-        /// The tenant it belongs to.
-        tenant: TenantId,
-    },
-    /// A hot upgrade of `tenant`, before item `idx`.
-    Upgrade {
-        /// Global index of the item the upgrade precedes.
-        idx: u64,
-        /// The tenant it targets.
-        tenant: TenantId,
-    },
-}
-
 /// The label a run verdict contributes to a canonical log element. `Ok`
 /// embeds the return value (version and bucket for probes); the others
 /// are bare words, because a killed run's return value is garbage.
@@ -351,7 +339,7 @@ impl HooksConfig {
         for (ord, probe) in fires.iter().enumerate() {
             let value = (probe.id() + 1) * 64 + (splitmix64(h ^ (ord as u64) << 16) & 63);
             let regs = [probe.id(), value, ord as u64, idx, 0, 0, 0, 0];
-            let out = fs.run(tenant, self.family.point(), HookInput::Kprobe(regs));
+            let out = fs.run(tenant, HookInput::Kprobe(regs));
             Metrics::bump(&kernel.metrics.probe_fires, 1);
             parts.push(format!("{}:{}", probe.label(), verdict_label(&out.verdict)));
         }
@@ -363,18 +351,13 @@ impl HooksConfig {
     fn lsm(&self, fs: &mut FleetShard<'_>, idx: u64, tenant: TenantId) -> String {
         let kernel = &fs.shard().kernel;
         let h = item_hash(self.fleet.seed, idx);
-        let point = self.family.point();
         fs.arm(item_fault_seed(self.fleet.seed, idx), |s| {
             s.targets(tenant, idx)
         });
         let hook = LsmHook::from_id(idx % 3).expect("dense hook ids");
         let subject = h & 0xffff;
         let attr = (h >> 16) & 0xffff;
-        let out = fs.run(
-            tenant,
-            point,
-            HookInput::Lsm([hook.id(), subject, attr, idx]),
-        );
+        let out = fs.run(tenant, HookInput::Lsm([hook.id(), subject, attr, idx]));
         let verdict = match out.verdict {
             RunVerdict::Ok(LSM_ALLOW) => "allow",
             RunVerdict::Ok(_) => "deny",
@@ -391,7 +374,7 @@ impl HooksConfig {
                 ),
             );
         }
-        let version = fs.reg.version(tenant, point).unwrap_or(0);
+        let version = fs.version(tenant);
         format!("{idx}|L|{tenant}|{}|{verdict}|v{version}", hook.label())
     }
 
@@ -402,7 +385,6 @@ impl HooksConfig {
         let kernel = &fs.shard().kernel;
         let seed = self.fleet.seed;
         let h = item_hash(seed, idx);
-        let point = self.family.point();
         fs.arm(item_fault_seed(seed, idx), |s| s.targets(tenant, idx));
         let mut board = SchedBoard::seeded(
             seed ^ idx.wrapping_mul(0xff51_afd7_ed55_8ccd),
@@ -412,7 +394,7 @@ impl HooksConfig {
         let mut parts = Vec::with_capacity(4);
         for _ in 0..4 {
             let cand = board.candidates();
-            let out = fs.run(tenant, point, HookInput::Sched(cand.ctx()));
+            let out = fs.run(tenant, HookInput::Sched(cand.ctx()));
             Metrics::bump(&kernel.metrics.sched_picks, 1);
             let choice = match out.verdict {
                 RunVerdict::Ok(ret) => SchedChoice::from_ret(ret),
@@ -429,58 +411,40 @@ impl HooksConfig {
                 }
             });
         }
-        let version = fs.reg.version(tenant, point).unwrap_or(0);
+        let version = fs.version(tenant);
         format!("{idx}|S|{tenant}|v{version}|{}", parts.join(","))
     }
 }
 
 impl Scenario for HooksConfig {
-    type Item = HookItem;
+    type Item = FleetItem<()>;
     type Stats = FleetStats;
 
     fn shards(&self) -> usize {
         self.fleet.shards
     }
 
-    fn items(&self, shards: usize) -> impl Iterator<Item = (usize, HookItem)> {
-        let Fleet { seed, tenants, .. } = self.fleet;
-        let every = self.upgrade_every;
-        (0..self.fleet.items).flat_map(move |idx| {
-            let upgrade = (every != 0 && idx != 0 && idx % every == 0).then(|| {
-                let tenant = tenant_of(seed ^ 0xa24b_aed4_963e_e407, idx, tenants);
-                (
-                    tenant_shard(tenant, shards),
-                    HookItem::Upgrade { idx, tenant },
-                )
-            });
-            let tenant = tenant_of(seed, idx, tenants);
-            upgrade.into_iter().chain(std::iter::once((
-                tenant_shard(tenant, shards),
-                HookItem::Work { idx, tenant },
-            )))
-        })
+    fn items(&self, shards: usize) -> impl Iterator<Item = (usize, Self::Item)> {
+        self.fleet.stream(shards, CONTROL, iter::repeat(()))
     }
 
     fn run_shard(
         &self,
         lane: Lane,
         shard: &Shard,
-        feed: impl Iterator<Item = HookItem>,
-    ) -> Result<ShardOut<FleetStats>, MapError> {
+        feed: impl Iterator<Item = Self::Item>,
+    ) -> Result<ShardOut<FleetStats>, DispatchError> {
         let family = self.family;
-        let point = family.point();
-        let spec = |tenant, version| {
-            lane.spec(
-                || family.program(version),
-                || family.extension(tenant, version),
-            )
-        };
         let mut fs = FleetShard::boot(
             &self.fleet,
             self.fleet.storm(STORM_SALT),
             shard,
-            |reg, t| {
-                reg.attach(t, point, spec(t, 1)).expect("v1 attach");
+            family.point(),
+            move |_, tenant, version| {
+                lane.spec(
+                    || family.program(version),
+                    || family.extension(tenant, version),
+                )
             },
         );
         let kernel = &shard.kernel;
@@ -490,25 +454,17 @@ impl Scenario for HooksConfig {
         };
         let mut records = Vec::new();
         for item in feed {
-            match item {
-                HookItem::Work { idx, tenant } => {
+            records.push(match item {
+                FleetItem::Work { idx, tenant, .. } => {
                     let line = match family {
                         HookFamily::Kprobe => self.kprobe(&mut fs, &fx, idx, tenant),
                         HookFamily::Lsm => self.lsm(&mut fs, idx, tenant),
                         HookFamily::Sched => self.sched(&mut fs, idx, tenant),
                     };
-                    records.push(Record { idx, rank: 1, line });
+                    Record { idx, rank: 1, line }
                 }
-                HookItem::Upgrade { idx, tenant } => {
-                    fs.arm(item_fault_seed(self.fleet.seed, idx) ^ 1, |_| false);
-                    let outcome = fs.upgrade(tenant, point, |next| spec(tenant, next));
-                    records.push(Record {
-                        idx,
-                        rank: 0,
-                        line: format!("{idx}|E|{tenant}|upgrade|{outcome}"),
-                    });
-                }
-            }
+                FleetItem::Control(ev) => fs.apply(&ev, item_fault_seed(self.fleet.seed, ev.idx)),
+            });
         }
         let summary = format!(
             "hooks shard {}: scenario={} tenants={} attached={} records={} upgrades={}",
@@ -545,10 +501,10 @@ pub(crate) mod tests {
                 seed: 0x600c5,
                 tenants: 10,
                 items: 240,
+                control_every: 17,
                 storm_armed: storm,
                 storm_victims: 3,
             },
-            upgrade_every: 17,
         }
     }
 
@@ -576,7 +532,7 @@ pub(crate) mod tests {
             for lane in Lane::ALL {
                 for storm in [false, true] {
                     let cfg = small(family, 1, storm);
-                    let scheduled = (cfg.fleet.items - 1) / cfg.upgrade_every;
+                    let scheduled = (cfg.fleet.items - 1) / cfg.fleet.control_every;
                     let s = run(lane, &cfg).stats;
                     let at = format!("{family:?}/{lane:?} storm={storm}");
                     assert!(s.runs() > 0, "{at}: nothing ran");

@@ -1,14 +1,13 @@
 //! Per-thread host CPU clock.
 //!
-//! The dispatch engines report *parallel capacity* — packets divided by
-//! the busiest shard's CPU time — as their host-side scaling metric,
-//! because CI may provide a single core, where wall-clock cannot show
-//! parallel speedup no matter how well the harness shards. Thread CPU
-//! time (`CLOCK_THREAD_CPUTIME_ID`) counts only cycles the calling
-//! thread actually executed: time a worker spends blocked on its ring
-//! (parked, not spinning) costs nothing, so the per-shard figure is the
-//! work the shard did, independent of how the host scheduler interleaved
-//! the shards.
+//! The sharded engine reports *parallel capacity* — items divided by the
+//! busiest shard's CPU time — as its host-side scaling metric, because
+//! CI may provide a single core, where wall-clock cannot show parallel
+//! speedup no matter how well the harness shards. Thread CPU time
+//! (`CLOCK_THREAD_CPUTIME_ID`) counts only cycles the calling thread
+//! actually executed: time a worker spends blocked or descheduled costs
+//! nothing, so the per-shard figure is the work the shard did,
+//! independent of how the host scheduler interleaved the shards.
 //!
 //! Declared directly against the C library so the workspace stays free
 //! of external crates; on non-unix targets the probe degrades to zero

@@ -19,7 +19,6 @@ pub mod hostclock;
 pub mod ladder;
 mod lane;
 pub mod netflows;
-pub mod spsc;
 pub mod workloads;
 
 pub use lane::{Lane, PacketRun};

@@ -45,7 +45,7 @@
 use ebpf::asm::Asm;
 use ebpf::helpers;
 use ebpf::insn::*;
-use ebpf::maps::{MapDef, MapError, MapRegistry};
+use ebpf::maps::{MapDef, MapRegistry};
 use ebpf::program::{ProgType, Program};
 use kernel_sim::net::hook::{RxSnapshot, XdpAction};
 use kernel_sim::net::packet::parse_frame;
@@ -526,7 +526,7 @@ impl<'a> Scenario for Flows<'a> {
         lane: Lane,
         shard: &Shard,
         feed: impl Iterator<Item = Self::Item>,
-    ) -> Result<ShardOut<NetStats>, MapError> {
+    ) -> Result<ShardOut<NetStats>, DispatchError> {
         let kernel = &shard.kernel;
         let scenario = self.cfg.scenario;
         let fd = scenario.setup(kernel, &shard.maps);

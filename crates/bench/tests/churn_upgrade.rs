@@ -9,7 +9,7 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 
-use bench::churn::{churn_schedule, ChurnConfig, ChurnKind};
+use bench::churn::{ChurnConfig, CONTROL};
 use bench::engine;
 use bench::fleet::Fleet;
 use bench::Lane;
@@ -17,17 +17,17 @@ use tenancy::TenantId;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-fn cfg(seed: u64, tenants: u32, packets: u64, churn_every: u64, shards: usize) -> ChurnConfig {
+fn cfg(seed: u64, tenants: u32, packets: u64, control_every: u64, shards: usize) -> ChurnConfig {
     ChurnConfig {
         fleet: Fleet {
             shards,
             seed,
             tenants,
             items: packets,
+            control_every,
             storm_armed: false,
             storm_victims: 0,
         },
-        churn_every,
     }
 }
 
@@ -83,14 +83,14 @@ proptest! {
     fn upgrades_partition_packets_by_version(
         seed in 0u64..1_000_000,
         tenants in 4u32..24,
-        churn_every in 3u64..15,
+        control_every in 3u64..15,
         ebpf in any::<bool>(),
     ) {
         let lane = if ebpf { Lane::Ebpf } else { Lane::SafeExt };
         let packets = 192u64;
         let mut logs = Vec::new();
         for shards in SHARD_COUNTS {
-            let c = cfg(seed, tenants, packets, churn_every, shards);
+            let c = cfg(seed, tenants, packets, control_every, shards);
             let report = engine::run(&c, lane).unwrap();
             prop_assert_eq!(report.stats.ok, packets, "quiet run: every packet serves");
             logs.push(report.canonical_log);
@@ -99,7 +99,8 @@ proptest! {
             prop_assert_eq!(&logs[0], log, "canonical log diverged across shard counts");
         }
         // The schedule is non-trivial for these parameter ranges.
-        prop_assert!(!churn_schedule(&cfg(seed, tenants, packets, churn_every, 1)).is_empty());
+        let c = cfg(seed, tenants, packets, control_every, 1);
+        prop_assert!(c.fleet.schedule(CONTROL).next().is_some());
         assert_versions_partition(&logs[0], tenants);
     }
 }
@@ -110,9 +111,9 @@ proptest! {
 fn version_replay_matches_on_a_fixed_schedule() {
     for lane in [Lane::Ebpf, Lane::SafeExt] {
         let c = cfg(7, 3, 60, 5, 2);
-        let schedule = churn_schedule(&c);
-        assert!(schedule.iter().any(|e| e.kind == ChurnKind::Upgrade));
-        assert!(schedule.iter().any(|e| e.kind == ChurnKind::Reload));
+        let schedule: Vec<_> = c.fleet.schedule(CONTROL).collect();
+        assert!(schedule.iter().any(|e| !e.reload));
+        assert!(schedule.iter().any(|e| e.reload));
         let report = engine::run(&c, lane).unwrap();
         assert_eq!(
             report.stats.upgrades + report.stats.reloads,

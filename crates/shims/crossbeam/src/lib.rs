@@ -1,17 +1,12 @@
 //! Offline stand-in for the `crossbeam` crate.
 //!
 //! The build environment has no network access and no vendored registry, so
-//! the workspace routes `crossbeam` to this path crate. Two pieces of the
-//! real crate are used and reimplemented here:
-//!
-//! * `crossbeam::thread::scope` — since Rust 1.63 the standard library's
-//!   `std::thread::scope` provides the same structured-concurrency
-//!   guarantee; this shim adapts the API shape (spawn closures take a
-//!   scope argument, `scope` returns a `Result` like crossbeam's).
-//! * `crossbeam::channel` — backed by `std::sync::mpsc`. The workspace
-//!   only ever attaches one consumer per channel (one queue per dispatch
-//!   shard), so the shim's `Receiver` is deliberately not `Clone` — the
-//!   real crate's multi-consumer capability is unused and unimplemented.
+//! the workspace routes `crossbeam` to this path crate. One piece of the
+//! real crate is used and reimplemented here: `crossbeam::thread::scope`.
+//! Since Rust 1.63 the standard library's `std::thread::scope` provides the
+//! same structured-concurrency guarantee; this shim adapts the API shape
+//! (spawn closures take a scope argument, `scope` returns a `Result` like
+//! crossbeam's).
 
 /// Scoped-thread module mirroring `crossbeam::thread`.
 pub mod thread {
@@ -49,92 +44,6 @@ pub mod thread {
     }
 }
 
-/// Channel module mirroring the `crossbeam::channel` surface this
-/// workspace uses: `unbounded`, cloneable senders, blocking/iterating
-/// receive, and `try_recv`.
-pub mod channel {
-    use std::sync::mpsc;
-
-    /// Sending half; cloneable, as in crossbeam.
-    pub struct Sender<T> {
-        inner: mpsc::Sender<T>,
-    }
-
-    impl<T> Clone for Sender<T> {
-        fn clone(&self) -> Self {
-            Self {
-                inner: self.inner.clone(),
-            }
-        }
-    }
-
-    /// Error from sending on a channel with no remaining receiver.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct SendError<T>(pub T);
-
-    /// Error from receiving on an empty channel with no remaining sender.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct RecvError;
-
-    /// Error from a non-blocking receive attempt.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum TryRecvError {
-        /// The channel is currently empty but senders remain.
-        Empty,
-        /// Every sender has been dropped and the queue is drained.
-        Disconnected,
-    }
-
-    impl<T> Sender<T> {
-        /// Sends `msg`, failing only when the receiver is gone.
-        pub fn send(&self, msg: T) -> Result<(), SendError<T>> {
-            self.inner
-                .send(msg)
-                .map_err(|mpsc::SendError(v)| SendError(v))
-        }
-    }
-
-    /// Receiving half (single consumer; see the module docs).
-    pub struct Receiver<T> {
-        inner: mpsc::Receiver<T>,
-    }
-
-    impl<T> Receiver<T> {
-        /// Blocks until a message arrives or every sender is dropped.
-        pub fn recv(&self) -> Result<T, RecvError> {
-            self.inner.recv().map_err(|_| RecvError)
-        }
-
-        /// Non-blocking receive.
-        pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            self.inner.try_recv().map_err(|e| match e {
-                mpsc::TryRecvError::Empty => TryRecvError::Empty,
-                mpsc::TryRecvError::Disconnected => TryRecvError::Disconnected,
-            })
-        }
-
-        /// Blocking iterator over messages; ends when all senders drop.
-        pub fn iter(&self) -> impl Iterator<Item = T> + '_ {
-            self.inner.iter()
-        }
-    }
-
-    impl<T> IntoIterator for Receiver<T> {
-        type Item = T;
-        type IntoIter = mpsc::IntoIter<T>;
-
-        fn into_iter(self) -> Self::IntoIter {
-            self.inner.into_iter()
-        }
-    }
-
-    /// Creates a channel of unbounded capacity.
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        let (tx, rx) = mpsc::channel();
-        (Sender { inner: tx }, Receiver { inner: rx })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     #[test]
@@ -151,35 +60,5 @@ mod tests {
         })
         .unwrap();
         assert_eq!(sum.load(std::sync::atomic::Ordering::Relaxed), 18);
-    }
-
-    #[test]
-    fn channel_delivers_in_order_across_threads() {
-        let (tx, rx) = super::channel::unbounded::<u32>();
-        let tx2 = tx.clone();
-        super::thread::scope(|s| {
-            s.spawn(move |_| {
-                for i in 0..100 {
-                    tx2.send(i).unwrap();
-                }
-            });
-            drop(tx);
-            let got: Vec<u32> = rx.iter().collect();
-            assert_eq!(got, (0..100).collect::<Vec<_>>());
-        })
-        .unwrap();
-    }
-
-    #[test]
-    fn try_recv_reports_empty_then_disconnected() {
-        let (tx, rx) = super::channel::unbounded::<u8>();
-        assert_eq!(rx.try_recv(), Err(super::channel::TryRecvError::Empty));
-        tx.send(7).unwrap();
-        drop(tx);
-        assert_eq!(rx.try_recv(), Ok(7));
-        assert_eq!(
-            rx.try_recv(),
-            Err(super::channel::TryRecvError::Disconnected)
-        );
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! The build environment has no network access and no vendored registry, so
 //! the workspace routes `parking_lot` to this path crate. It provides the
-//! (subset of the) `parking_lot` API the workspace actually uses:
-//! non-poisoning `lock()` / `try_lock()` that return guards directly rather
+//! subset of the `parking_lot` API the workspace actually uses: a `Mutex`
+//! whose non-poisoning `lock()` / `try_lock()` return guards directly rather
 //! than `Result`s.
 //!
 //! `Mutex` is a spinlock rather than a `std::sync::Mutex` wrapper. Every
@@ -18,7 +18,6 @@ use std::cell::UnsafeCell;
 use std::fmt;
 use std::hint;
 use std::ops::{Deref, DerefMut};
-use std::sync;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// A mutual-exclusion primitive with the `parking_lot` calling convention.
@@ -59,11 +58,6 @@ impl<T> Mutex<T> {
             locked: AtomicBool::new(false),
             value: UnsafeCell::new(value),
         }
-    }
-
-    /// Consumes the mutex, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.value.into_inner()
     }
 }
 
@@ -166,40 +160,6 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for MutexGuard<'_, T> {
     }
 }
 
-/// Reader-writer lock with the `parking_lot` calling convention.
-#[derive(Debug, Default)]
-pub struct RwLock<T: ?Sized>(sync::RwLock<T>);
-
-/// Guard type returned by [`RwLock::read`].
-pub type RwLockReadGuard<'a, T> = sync::RwLockReadGuard<'a, T>;
-/// Guard type returned by [`RwLock::write`].
-pub type RwLockWriteGuard<'a, T> = sync::RwLockWriteGuard<'a, T>;
-
-impl<T> RwLock<T> {
-    /// Creates a new rwlock protecting `value`.
-    pub const fn new(value: T) -> Self {
-        Self(sync::RwLock::new(value))
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquires a shared read lock.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        match self.0.read() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    /// Acquires an exclusive write lock.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        match self.0.write() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,13 +183,5 @@ mod tests {
         .join();
         // parking_lot semantics: still lockable, data intact.
         assert_eq!(*m.lock(), 7);
-    }
-
-    #[test]
-    fn rwlock_roundtrip() {
-        let l = RwLock::new(5u32);
-        assert_eq!(*l.read(), 5);
-        *l.write() = 6;
-        assert_eq!(*l.read(), 6);
     }
 }

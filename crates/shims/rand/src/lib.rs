@@ -3,8 +3,8 @@
 //! The build environment has no network access and no vendored registry, so
 //! the workspace routes `rand` to this path crate. It implements the subset
 //! of the 0.8 API the workspace uses — `Rng::gen_range` / `Rng::gen` /
-//! `Rng::gen_bool`, `SeedableRng::seed_from_u64`, `rngs::{StdRng, SmallRng}`
-//! — on top of xoshiro256++ seeded through SplitMix64.
+//! `Rng::gen_bool`, `SeedableRng::seed_from_u64`, `rngs::StdRng` — on top
+//! of xoshiro256++ seeded through SplitMix64.
 //!
 //! Everything here is **fully deterministic**: the same `u64` seed always
 //! yields the same stream on every platform. The fault-injection plane in
@@ -174,9 +174,6 @@ pub mod rngs {
         s: [u64; 4],
     }
 
-    /// Small fast generator; identical to [`StdRng`] in this shim.
-    pub type SmallRng = StdRng;
-
     impl StdRng {
         fn splitmix64(state: &mut u64) -> u64 {
             *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -223,7 +220,7 @@ pub mod rngs {
 
 /// Prelude mirroring `rand::prelude`.
 pub mod prelude {
-    pub use super::rngs::{SmallRng, StdRng};
+    pub use super::rngs::StdRng;
     pub use super::{Rng, RngCore, SeedableRng};
 }
 
