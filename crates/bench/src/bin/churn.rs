@@ -15,72 +15,49 @@
 //!   `(backend, storm)` cell; and
 //! - every artifact must replay byte-identically when the same
 //!   configuration runs twice.
-//!
-//! `--smoke` runs a reduced fleet (2 shards, storm armed, all backends,
-//! two runs each plus a 1-shard reference), prints the `CHURN_SHA256` and
-//! `MERGED_AUDIT_SHA256` lines CI compares, and exits nonzero on any
-//! divergence.
 
 use analysis::json::Obj;
 use bench::churn::ChurnConfig;
 use bench::cli;
-use bench::engine::{self, RunReport};
-use bench::fleet::{Fleet, FleetStats};
+use bench::engine;
+use bench::fleet::Fleet;
 use bench::Lane;
 
 const SEED: u64 = 42;
 const FULL_TENANTS: u32 = 600;
 const FULL_PACKETS: u64 = 12_000;
 const FULL_CHURN_EVERY: u64 = 8;
-const SMOKE_TENANTS: u32 = 48;
-const SMOKE_PACKETS: u64 = 960;
-const SMOKE_CHURN_EVERY: u64 = 6;
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-fn config(shards: usize, storm: bool, smoke: bool) -> ChurnConfig {
-    let (tenants, items, control_every, storm_victims) = if smoke {
-        (SMOKE_TENANTS, SMOKE_PACKETS, SMOKE_CHURN_EVERY, 6)
-    } else {
-        (FULL_TENANTS, FULL_PACKETS, FULL_CHURN_EVERY, 24)
-    };
+fn config(shards: usize, storm: bool) -> ChurnConfig {
     ChurnConfig {
         fleet: Fleet {
             shards,
             seed: SEED,
-            tenants,
-            items,
-            control_every,
+            tenants: FULL_TENANTS,
+            items: FULL_PACKETS,
+            control_every: FULL_CHURN_EVERY,
             storm_armed: storm,
-            storm_victims,
+            storm_victims: 24,
         },
     }
-}
-
-/// Sweeps one `(lane, storm)` cell over `shard_counts`.
-fn sweep(
-    lane: Lane,
-    storm: bool,
-    smoke: bool,
-    shard_counts: &[usize],
-) -> Vec<[RunReport<FleetStats>; 2]> {
-    let what = format!("backend={} storm={storm}", lane.backend());
-    cli::sweep(&what, shard_counts, |shards| {
-        engine::run(&config(shards, storm, smoke), lane)
-    })
 }
 
 fn full(out: &str) {
     let mut rows = Vec::new();
     for lane in Lane::INTERP {
         for storm in [false, true] {
-            let runs = sweep(lane, storm, false, &SHARD_COUNTS);
+            let what = format!("backend={} storm={storm}", lane.backend());
+            let runs = cli::sweep(&what, &SHARD_COUNTS, |shards| {
+                engine::run(&config(shards, storm), lane)
+            });
             for (shards, [r, _]) in SHARD_COUNTS.into_iter().zip(&runs) {
                 let (s, m) = (&r.stats, &r.metrics);
                 assert_eq!(s.runs(), FULL_PACKETS);
-                assert!(
-                    s.attached >= 500,
-                    "fleet fell below 500 loaded tenants: {}",
-                    s.attached
+                assert_eq!(
+                    s.attached,
+                    u64::from(FULL_TENANTS),
+                    "the fleet must end with every tenant attached"
                 );
                 // Storm rows must show the breaker working: kills and
                 // refusals, but only where the storm aimed (the scenario's
@@ -126,42 +103,6 @@ fn full(out: &str) {
     cli::write_report(out, &header, "rows", &rows);
 }
 
-fn smoke() {
-    for lane in Lane::INTERP {
-        let backend = lane.backend();
-        let runs = sweep(lane, true, true, &[2, 1]);
-        let (two, one) = (&runs[0], &runs[1][0]);
-        for (shards, r) in [(2, &two[0]), (2, &two[1]), (1, one)] {
-            println!(
-                "CHURN_SHA256 backend={backend} shards={shards} {}",
-                r.canonical_sha256()
-            );
-        }
-        for r in two {
-            println!(
-                "MERGED_AUDIT_SHA256 backend={backend} shards=2 {}",
-                r.audit_sha256()
-            );
-        }
-        let s = &one.stats;
-        if s.attached != SMOKE_TENANTS as u64 {
-            cli::fail(&format!(
-                "backend={backend} ended with {} of {SMOKE_TENANTS} tenants attached",
-                s.attached
-            ));
-        }
-        if s.killed == 0 || s.refused == 0 {
-            cli::fail(&format!(
-                "backend={backend} storm produced no kills/refusals"
-            ));
-        }
-    }
-    println!(
-        "churn smoke OK ({SMOKE_PACKETS} packets x {SMOKE_TENANTS} tenants x {} backends, storm armed)",
-        Lane::INTERP.len()
-    );
-}
-
 fn main() {
-    cli::main("churn", "BENCH_churn.json", Some(smoke), full);
+    cli::main("churn", "BENCH_churn.json", full);
 }

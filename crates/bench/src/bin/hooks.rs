@@ -17,11 +17,6 @@
 //!   cross-dialect differential check; and
 //! - every artifact must replay byte-identically when the same
 //!   configuration runs twice.
-//!
-//! `--smoke` runs reduced batches (2 shards, storm armed, all families
-//! and backends, plus a 1-shard reference and a fault-free JIT lane
-//! compare), prints the `HOOKS_SHA256` lines CI compares, and exits
-//! nonzero on any divergence.
 
 use analysis::json::Obj;
 use bench::cli;
@@ -34,47 +29,21 @@ const SEED: u64 = 42;
 const FULL_TENANTS: u32 = 64;
 const FULL_ITEMS: u64 = 1_500;
 const FULL_UPGRADE_EVERY: u64 = 10;
-const SMOKE_TENANTS: u32 = 12;
-const SMOKE_ITEMS: u64 = 240;
-const SMOKE_UPGRADE_EVERY: u64 = 12;
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-fn config(family: HookFamily, shards: usize, storm: bool, smoke: bool) -> HooksConfig {
-    let (tenants, items, control_every, storm_victims) = if smoke {
-        (SMOKE_TENANTS, SMOKE_ITEMS, SMOKE_UPGRADE_EVERY, 3)
-    } else {
-        (FULL_TENANTS, FULL_ITEMS, FULL_UPGRADE_EVERY, 8)
-    };
+fn config(family: HookFamily, shards: usize, storm: bool) -> HooksConfig {
     HooksConfig {
         family,
         fleet: Fleet {
             shards,
             seed: SEED,
-            tenants,
-            items,
-            control_every,
+            tenants: FULL_TENANTS,
+            items: FULL_ITEMS,
+            control_every: FULL_UPGRADE_EVERY,
             storm_armed: storm,
-            storm_victims,
+            storm_victims: 8,
         },
     }
-}
-
-/// Sweeps one `(family, lane, storm)` cell over `shard_counts`.
-fn sweep(
-    family: HookFamily,
-    lane: Lane,
-    storm: bool,
-    smoke: bool,
-    shard_counts: &[usize],
-) -> Vec<[RunReport<FleetStats>; 2]> {
-    let what = format!(
-        "scenario={} lane={} storm={storm}",
-        family.name(),
-        lane.name()
-    );
-    cli::sweep(&what, shard_counts, |shards| {
-        engine::run(&config(family, shards, storm, smoke), lane)
-    })
 }
 
 /// One report row, after checking the storm and hook-family invariants.
@@ -144,7 +113,14 @@ fn full(out: &str) {
             cells.push((lane, false, &[2][..]));
         }
         for (lane, storm, shard_counts) in cells {
-            let runs = sweep(family, lane, storm, false, shard_counts);
+            let what = format!(
+                "scenario={} lane={} storm={storm}",
+                family.name(),
+                lane.name()
+            );
+            let runs = cli::sweep(&what, shard_counts, |shards| {
+                engine::run(&config(family, shards, storm), lane)
+            });
             let log = &runs[0][0].canonical_log;
             if !storm && quiet_log.get_or_insert_with(|| log.clone()) != log {
                 cli::fail(&format!(
@@ -165,58 +141,6 @@ fn full(out: &str) {
     cli::write_report(out, &header, "rows", &rows);
 }
 
-fn smoke() {
-    for family in HookFamily::ALL {
-        let mut quiet_log: Option<String> = None;
-        for lane in Lane::INTERP {
-            let runs = sweep(family, lane, true, true, &[2, 1]);
-            let (two, one) = (&runs[0], &runs[1][0]);
-            for (shards, r) in [(2, &two[0]), (2, &two[1]), (1, one)] {
-                println!(
-                    "HOOKS_SHA256 scenario={} backend={} shards={shards} {}",
-                    family.name(),
-                    lane.backend(),
-                    r.canonical_sha256()
-                );
-            }
-            println!(
-                "HOOKS_AUDIT_SHA256 scenario={} backend={} shards=2 {}",
-                family.name(),
-                lane.backend(),
-                two[0].audit_sha256()
-            );
-            if one.stats.killed == 0 || one.stats.refused == 0 {
-                cli::fail(&format!(
-                    "scenario={} backend={} storm produced no kills/refusals",
-                    family.name(),
-                    lane.backend()
-                ));
-            }
-            // Fault-free cross-dialect and JIT-lane differential checks.
-            for lane in std::iter::once(lane).chain(lane.jit()) {
-                let quiet = cli::ok(
-                    engine::run(&config(family, 2, false, true), lane),
-                    lane.name(),
-                );
-                if *quiet_log.get_or_insert_with(|| quiet.canonical_log.clone())
-                    != quiet.canonical_log
-                {
-                    cli::fail(&format!(
-                        "fault-free log diverged across lanes (scenario={} lane={})",
-                        family.name(),
-                        lane.name()
-                    ));
-                }
-            }
-        }
-    }
-    println!(
-        "hooks smoke OK ({SMOKE_ITEMS} items x {SMOKE_TENANTS} tenants x {} scenarios x {} backends, storm armed)",
-        HookFamily::ALL.len(),
-        Lane::INTERP.len()
-    );
-}
-
 fn main() {
-    cli::main("hooks", "BENCH_hooks.json", Some(smoke), full);
+    cli::main("hooks", "BENCH_hooks.json", full);
 }

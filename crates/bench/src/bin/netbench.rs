@@ -12,15 +12,11 @@
 //! byte-identical *across shard counts* within each
 //! `(scenario, backend, fault)` cell — including the fault-armed cells.
 //! Either divergence exits nonzero.
-//!
-//! `--smoke` runs a reduced grid (1 vs 2 shards, all backends,
-//! SYN-filter scenario, faults armed) for CI, printing the canonical and
-//! merged-audit hashes of each run.
 
 use analysis::json::Obj;
 use bench::cli;
-use bench::engine::{sha256_hex, RunReport};
-use bench::netflows::{run_net_batched, NetConfig, NetScenario, NetStats};
+use bench::engine::sha256_hex;
+use bench::netflows::{run_net_batched, NetConfig, NetScenario};
 use bench::Lane;
 use kernel_sim::net::traffic::{generate, Frame, TrafficConfig};
 use kernel_sim::FaultPlanConfig;
@@ -41,30 +37,6 @@ fn full_traffic() -> Vec<Frame> {
     )
 }
 
-/// Sweeps one `(scenario, lane, faults)` cell over `shard_counts`.
-fn sweep(
-    lane: Lane,
-    scenario: NetScenario,
-    faults: bool,
-    shard_counts: &[usize],
-    frames: &[Frame],
-) -> Vec<[RunReport<NetStats>; 2]> {
-    let what = format!(
-        "scenario={} backend={} faults={faults}",
-        scenario.name(),
-        lane.backend()
-    );
-    cli::sweep(&what, shard_counts, |shards| {
-        let cfg = NetConfig {
-            shards,
-            seed: SEED,
-            fault: faults.then(FaultPlanConfig::default),
-            scenario,
-        };
-        run_net_batched(lane, &cfg, frames)
-    })
-}
-
 fn full(out: &str) {
     let frames = full_traffic();
     let mut rows = Vec::new();
@@ -73,7 +45,20 @@ fn full(out: &str) {
     for scenario in [NetScenario::SynFilter, NetScenario::LoadBalancer] {
         for lane in Lane::FASTEST {
             for faults in [false, true] {
-                let runs = sweep(lane, scenario, faults, &SHARD_COUNTS, &frames);
+                let what = format!(
+                    "scenario={} backend={} faults={faults}",
+                    scenario.name(),
+                    lane.backend()
+                );
+                let runs = cli::sweep(&what, &SHARD_COUNTS, |shards| {
+                    let cfg = NetConfig {
+                        shards,
+                        seed: SEED,
+                        fault: faults.then(FaultPlanConfig::default),
+                        scenario,
+                    };
+                    run_net_batched(lane, &cfg, &frames)
+                });
                 let base_sim_pps = runs[0][0].per_sim_sec(frames.len() as u64);
                 for (shards, [report, _]) in SHARD_COUNTS.into_iter().zip(&runs) {
                     let packets = report.items();
@@ -139,30 +124,6 @@ fn full(out: &str) {
     }
 }
 
-fn smoke() {
-    let frames = generate(&TrafficConfig::smoke(), SEED);
-    for lane in Lane::FASTEST {
-        let runs = sweep(lane, NetScenario::SynFilter, true, &[1, 2], &frames);
-        for (shards, [report, _]) in [1, 2].into_iter().zip(&runs) {
-            println!(
-                "NET_CANONICAL_SHA256 backend={} shards={shards} {}",
-                lane.backend(),
-                report.canonical_sha256()
-            );
-            println!(
-                "NET_MERGED_AUDIT_SHA256 backend={} shards={shards} {}",
-                lane.backend(),
-                report.audit_sha256()
-            );
-        }
-    }
-    println!(
-        "net smoke OK ({} frames x {} backends x 2 shard counts, faults armed)",
-        frames.len(),
-        Lane::FASTEST.len()
-    );
-}
-
 fn main() {
-    cli::main("netbench", "BENCH_net.json", Some(smoke), full);
+    cli::main("netbench", "BENCH_net.json", full);
 }

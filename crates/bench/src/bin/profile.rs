@@ -17,9 +17,6 @@
 //! 3. **Lane invariance** — each bytecode backend's canonical hash is
 //!    identical under its interpreter and its JIT lane, and the JIT lane
 //!    has zero observer effect too.
-//!
-//! `--smoke` runs a reduced configuration and prints `TRACE_SHA256`
-//! lines for CI to double-run and compare byte-for-byte.
 
 use std::fmt::Write as _;
 
@@ -33,9 +30,7 @@ use kernel_sim::trace::TraceEvent;
 
 const SEED: u64 = 42;
 const FULL_BATCH: usize = 4096;
-const SMOKE_BATCH: usize = 256;
-const FULL_SHARDS: [usize; 4] = [1, 2, 4, 8];
-const SMOKE_SHARDS: [usize; 2] = [1, 2];
+const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// One traced configuration of the sweep.
 struct Row {
@@ -74,18 +69,18 @@ fn check_unperturbed(
     }
 }
 
-/// Runs `lane` traced across `shard_counts` (each twice; the canonical
+/// Runs `lane` traced across [`SHARD_COUNTS`] (each twice; the canonical
 /// trace must not vary with shard count), checks the zero observer effect
 /// against an untraced run and, for a bytecode lane, the same canonical
-/// trace and zero observer effect under its JIT twin. One row per shard
-/// count.
-fn sweep(lane: Lane, shard_counts: &[usize], batch: &[Vec<u8>]) -> Vec<Row> {
+/// trace and zero observer effect under its JIT twin at 1 shard. One row
+/// per shard count.
+fn sweep(lane: Lane, batch: &[Vec<u8>]) -> Vec<Row> {
     let what = format!("backend={}", lane.backend());
-    let runs = cli::sweep(&what, shard_counts, |n| {
+    let runs = cli::sweep(&what, &SHARD_COUNTS, |n| {
         run_batched(lane, &config(n, true), batch)
     });
     let mut rows = Vec::new();
-    for (&shards, [report, _]) in shard_counts.iter().zip(runs) {
+    for (shards, [report, _]) in SHARD_COUNTS.into_iter().zip(runs) {
         check_unperturbed(lane, shards, &report, batch);
         let tagged: Vec<(usize, Vec<TraceEvent>)> = report
             .shards
@@ -103,24 +98,13 @@ fn sweep(lane: Lane, shard_counts: &[usize], batch: &[Vec<u8>]) -> Vec<Row> {
     // Interpreter vs JIT: the identity transform must not move a single
     // canonical trace line.
     if let Some(jit) = lane.jit() {
-        let compiled = cli::ok(
-            run_batched(jit, &config(shard_counts[0], true), batch),
-            &what,
-        );
+        let compiled = cli::ok(run_batched(jit, &config(1, true), batch), &what);
         if compiled.canonical_trace != rows[0].report.canonical_trace {
             cli::fail(&format!(
                 "canonical trace differs between {lane:?} and {jit:?}"
             ));
         }
-        check_unperturbed(jit, shard_counts[0], &compiled, batch);
-    }
-    for r in &rows {
-        println!(
-            "TRACE_SHA256 backend={} shards={} {}",
-            lane.backend(),
-            r.shards,
-            r.report.trace_sha256()
-        );
+        check_unperturbed(jit, 1, &compiled, batch);
     }
     rows
 }
@@ -171,7 +155,7 @@ fn full(out: &str) {
     let batch = make_packets(FULL_BATCH);
     let mut rows = Vec::new();
     for lane in Lane::INTERP {
-        let swept = sweep(lane, &FULL_SHARDS, &batch);
+        let swept = sweep(lane, &batch);
         println!(
             "== {} (1 shard, {} packets, {} trace events) ==\n{}",
             lane.backend(),
@@ -188,16 +172,6 @@ fn full(out: &str) {
     );
 }
 
-fn smoke() {
-    let batch = make_packets(SMOKE_BATCH);
-    for lane in Lane::INTERP {
-        sweep(lane, &SMOKE_SHARDS, &batch);
-    }
-    println!(
-        "profile smoke OK ({SMOKE_BATCH} packets, shard-invariant, jit-invariant, 0 overhead)"
-    );
-}
-
 fn main() {
-    cli::main("profile", "BENCH_profile.json", Some(smoke), full);
+    cli::main("profile", "BENCH_profile.json", full);
 }

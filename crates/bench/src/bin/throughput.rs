@@ -18,48 +18,33 @@
 //!
 //! The compiled lanes are observationally identical to their
 //! interpreters, so the merged audit hashes must not move between them.
-//!
-//! `--smoke` runs a reduced configuration (2 shards, small batch, all
-//! backends, two runs each) for CI: it prints the merged-audit SHA-256 of
-//! each run and exits nonzero if the two same-seed runs diverge.
 
 use analysis::json::Obj;
 use bench::cli;
-use bench::dispatch::{make_packets, run_batched, DispatchConfig, DispatchStats};
-use bench::engine::RunReport;
+use bench::dispatch::{make_packets, run_batched, DispatchConfig};
 use bench::Lane;
 
 const SEED: u64 = 42;
 const FULL_BATCH: usize = 20_000;
-const SMOKE_BATCH: usize = 512;
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-/// Sweeps one lane over `shard_counts`, each run twice.
-fn sweep(
-    lane: Lane,
-    shard_counts: &[usize],
-    batch: &[Vec<u8>],
-) -> Vec<[RunReport<DispatchStats>; 2]> {
-    cli::sweep(
-        &format!("backend={}", lane.backend()),
-        shard_counts,
-        |shards| {
-            let cfg = DispatchConfig {
-                shards,
-                seed: SEED,
-                ..Default::default()
-            };
-            run_batched(lane, &cfg, batch)
-        },
-    )
-}
 
 fn full(out: &str) {
     let batch = make_packets(FULL_BATCH);
     let mut rows = Vec::new();
     let mut failures = Vec::new();
     for lane in Lane::FASTEST {
-        let runs = sweep(lane, &SHARD_COUNTS, &batch);
+        let runs = cli::sweep(
+            &format!("backend={}", lane.backend()),
+            &SHARD_COUNTS,
+            |shards| {
+                let cfg = DispatchConfig {
+                    shards,
+                    seed: SEED,
+                    ..Default::default()
+                };
+                run_batched(lane, &cfg, &batch)
+            },
+        );
         let base_sim_pps = runs[0][0].per_sim_sec(FULL_BATCH as u64);
         let mut host_pps = Vec::new();
         for (shards, [report, _]) in SHARD_COUNTS.into_iter().zip(&runs) {
@@ -120,30 +105,6 @@ fn full(out: &str) {
     }
 }
 
-fn smoke() {
-    let batch = make_packets(SMOKE_BATCH);
-    for lane in Lane::FASTEST {
-        for report in &sweep(lane, &[2], &batch)[0] {
-            println!(
-                "MERGED_AUDIT_SHA256 backend={} shards=2 {}",
-                lane.backend(),
-                report.audit_sha256()
-            );
-            if report.items() != SMOKE_BATCH as u64 {
-                cli::fail(&format!(
-                    "backend={} processed {} of {SMOKE_BATCH} packets",
-                    lane.backend(),
-                    report.items()
-                ));
-            }
-        }
-    }
-    println!(
-        "throughput smoke OK ({SMOKE_BATCH} packets x {} backends x 2 runs)",
-        Lane::FASTEST.len()
-    );
-}
-
 fn main() {
-    cli::main("throughput", "BENCH_throughput.json", Some(smoke), full);
+    cli::main("throughput", "BENCH_throughput.json", full);
 }

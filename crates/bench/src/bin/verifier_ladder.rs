@@ -14,7 +14,7 @@ use bench::cli;
 use bench::ladder::run_ladder;
 
 fn main() {
-    cli::main("verifier_ladder", "BENCH_verifier.json", None, full);
+    cli::main("verifier_ladder", "BENCH_verifier.json", full);
 }
 
 fn full(out: &str) {

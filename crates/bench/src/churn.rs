@@ -29,11 +29,12 @@ use ebpf::helpers;
 use ebpf::insn::*;
 use ebpf::maps::{MapDef, MapFd};
 use ebpf::program::{ProgType, Program};
+use kernel_sim::splitmix64;
 use safe_ext::Extension;
 use tenancy::{HookInput, TenantId};
 
 use crate::dispatch::make_packets;
-use crate::engine::{splitmix64, DispatchError, Record, Scenario, Shard, ShardOut};
+use crate::engine::{DispatchError, Record, Scenario, Shard, ShardOut};
 use crate::fleet::{ControlDraw, Fleet, FleetItem, FleetShard, FleetStats};
 use crate::Lane;
 

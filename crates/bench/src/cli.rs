@@ -1,4 +1,4 @@
-//! What the report binaries share: one `--smoke`/`--out` parser, one
+//! What the report binaries share: one `--out` parser, one
 //! run-twice-and-compare sweep, and one report writer, which keeps host
 //! measurements out of the canonical report.
 
@@ -6,30 +6,23 @@ use analysis::json::{document, Obj, ID_FIELDS};
 
 use crate::engine::{DispatchError, RunReport};
 
-/// Parses `[--smoke] [--out <path>]` for `bin` and runs `smoke()` or
-/// `full(out)`; without a `smoke`, `--smoke` is rejected too. Anything
-/// else prints usage and exits 2.
-pub fn main(bin: &str, default_out: &str, smoke: Option<fn()>, full: fn(&str)) {
+/// Parses `[--out <path>]` for `bin` and runs `full(out)`. Anything else
+/// prints usage and exits 2.
+pub fn main(bin: &str, default_out: &str, full: fn(&str)) {
     let usage = |msg: &str| -> ! {
         eprintln!("{bin}: {msg}");
-        let flag = if smoke.is_some() { "[--smoke] " } else { "" };
-        eprintln!("usage: {bin} {flag}[--out <path>]");
+        eprintln!("usage: {bin} [--out <path>]");
         std::process::exit(2);
     };
     let mut out = default_out.to_string();
-    let mut smoke_run = None;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--smoke" if smoke.is_some() => smoke_run = smoke,
             "--out" => out = it.next().unwrap_or_else(|| usage("--out requires a value")),
             other => usage(&format!("unknown argument {other}")),
         }
     }
-    match smoke_run {
-        Some(smoke) => smoke(),
-        None => full(&out),
-    }
+    full(&out);
 }
 
 /// Prints `FAIL: <msg>` and exits 1.

@@ -13,10 +13,10 @@
 use ebpf::maps::MapDef;
 use ebpf::program::ProgType;
 use kernel_sim::trace::{SpanKind, TraceEvent};
-use kernel_sim::{FaultPlan, FaultPlanConfig};
+use kernel_sim::{splitmix64, FaultPlan, FaultPlanConfig};
 use safe_ext::Extension;
 
-use crate::engine::{self, splitmix64, DispatchError, RunReport, Scenario, Shard, ShardOut};
+use crate::engine::{self, DispatchError, RunReport, Scenario, Shard, ShardOut};
 use crate::{workloads, Lane};
 
 /// Number of protocol classes the dispatch workload tallies (packet byte

@@ -90,15 +90,6 @@ fn panic_msg(payload: Box<dyn Any + Send>) -> String {
     }
 }
 
-/// splitmix64: the finalizer every scenario derives its steering, item
-/// content and fault-plan seeds from.
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 /// SHA-256 of `s`, hex-encoded: how canonical artifacts are pinned.
 pub fn sha256_hex(s: &str) -> String {
     sha256::to_hex(&sha256::digest(s.as_bytes()))

@@ -13,13 +13,13 @@
 
 use std::iter;
 
-use kernel_sim::{FaultPlan, FaultPlanConfig};
+use kernel_sim::{splitmix64, FaultPlan, FaultPlanConfig};
 use tenancy::{
     storm_fault_config, HookInput, ProgramSpec, RunOutcome, RunVerdict, Storm, TenantBudget,
     TenantId, TenantRegistry,
 };
 
-use crate::engine::{self, splitmix64, Record, Shard};
+use crate::engine::{self, Record, Shard};
 
 /// The knobs every fleet scenario shares.
 #[derive(Debug, Clone, Copy)]

@@ -49,11 +49,11 @@ use kernel_sim::audit::EventKind;
 use kernel_sim::hooks::{LSM_ALLOW, LSM_DENY};
 use kernel_sim::locks::LockId;
 use kernel_sim::refcount::{ObjId, ObjKind};
-use kernel_sim::{LsmHook, Metrics, ProbePoint, SchedBoard, SchedChoice};
+use kernel_sim::{splitmix64, LsmHook, Metrics, ProbePoint, SchedBoard, SchedChoice};
 use safe_ext::Extension;
 use tenancy::{HookInput, RunVerdict, TenantId};
 
-use crate::engine::{splitmix64, DispatchError, Record, Scenario, Shard, ShardOut};
+use crate::engine::{DispatchError, Record, Scenario, Shard, ShardOut};
 use crate::fleet::{ControlDraw, Fleet, FleetItem, FleetShard, FleetStats};
 use crate::Lane;
 

@@ -50,12 +50,10 @@ use ebpf::program::{ProgType, Program};
 use kernel_sim::net::hook::{RxSnapshot, XdpAction};
 use kernel_sim::net::packet::parse_frame;
 use kernel_sim::net::traffic::Frame;
-use kernel_sim::{FaultPlan, FaultPlanConfig, Kernel};
+use kernel_sim::{splitmix64, FaultPlan, FaultPlanConfig, Kernel};
 use safe_ext::Extension;
 
-use crate::engine::{
-    self, splitmix64, DispatchError, Record, RunReport, Scenario, Shard, ShardOut,
-};
+use crate::engine::{self, DispatchError, Record, RunReport, Scenario, Shard, ShardOut};
 use crate::Lane;
 
 /// Half-open connections a single source may hold before its SYNs drop.

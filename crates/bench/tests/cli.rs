@@ -12,7 +12,7 @@ fn out_without_a_value_prints_usage_and_exits_2() {
     let stderr = String::from_utf8_lossy(&run.stderr);
     assert_eq!(run.status.code(), Some(2), "{stderr}");
     assert!(
-        stderr.contains("usage: throughput [--smoke] [--out <path>]"),
+        stderr.contains("usage: throughput [--out <path>]"),
         "{stderr}"
     );
 }

@@ -206,7 +206,7 @@ mod tests {
     fn destructors_run_lifo_and_release_for_real() {
         let kernel = Kernel::new();
         let maps = MapRegistry::default();
-        let exec = ExecCtx::new();
+        let exec = ExecCtx::for_kernel(&kernel);
         let sock = kernel.refs.register(ObjKind::Socket, 1);
         let lock = kernel.locks.create("l");
 
@@ -233,7 +233,7 @@ mod tests {
     fn ringbuf_record_discarded_on_cleanup() {
         let kernel = Kernel::new();
         let maps = MapRegistry::default();
-        let exec = ExecCtx::new();
+        let exec = ExecCtx::for_kernel(&kernel);
         let fd = maps
             .create(&kernel, ebpf::maps::MapDef::ringbuf("rb", 64))
             .unwrap();
@@ -254,7 +254,7 @@ mod tests {
     fn deregistered_resources_are_not_double_released() {
         let kernel = Kernel::new();
         let maps = MapRegistry::default();
-        let exec = ExecCtx::new();
+        let exec = ExecCtx::for_kernel(&kernel);
         let sock = kernel.refs.register(ObjKind::Socket, 1);
         kernel.refs.get(sock).unwrap();
         exec.note_acquired(sock);

@@ -36,6 +36,13 @@ use crate::{
     pool::{Pool, PoolGuard},
 };
 
+/// Poll the RCU stall detector every this many fuel charges.
+const RCU_POLL_INTERVAL: u64 = 4096;
+/// Maximum [`ExtCtx::frame`] nesting depth.
+const MAX_STACK_DEPTH: u32 = 16;
+/// Seed of each run's [`ExtCtx::prandom_u32`] sequence.
+const RNG_SEED: u64 = 0x5afe_5eed;
+
 /// Input handed to an extension run.
 #[derive(Debug, Clone)]
 pub enum ExtInput {
@@ -63,7 +70,6 @@ pub(crate) struct Meter {
     pub time_per_fuel_ns: u64,
     /// Set by the host watchdog thread, which borrows it for the run.
     pub terminate: AtomicBool,
-    pub rcu_poll_interval: u64,
     charges: Cell<u64>,
 }
 
@@ -75,7 +81,6 @@ impl Meter {
             deadline_ns,
             time_per_fuel_ns,
             terminate: AtomicBool::new(false),
-            rcu_poll_interval: 4096,
             charges: Cell::new(0),
         }
     }
@@ -92,7 +97,6 @@ pub struct ExtCtx<'k> {
     pool: OnceCell<Pool>,
     pool_blocks: usize,
     depth: Cell<u32>,
-    max_depth: u32,
     pub(crate) skb: Option<SkBuff>,
     kprobe: Option<[u64; 8]>,
     tracepoint: Option<[u64; 4]>,
@@ -103,17 +107,13 @@ pub struct ExtCtx<'k> {
 }
 
 impl<'k> ExtCtx<'k> {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         kernel: &'k Kernel,
         maps: &'k MapRegistry,
         meter: Meter,
         pool_blocks: usize,
-        cleanup_capacity: usize,
-        max_depth: u32,
         skb: Option<SkBuff>,
         input: &ExtInput,
-        seed: u64,
     ) -> Self {
         let (kprobe, tracepoint, lsm, sched) = match input {
             ExtInput::Kprobe(regs) => (Some(*regs), None, None, None),
@@ -126,18 +126,17 @@ impl<'k> ExtCtx<'k> {
             kernel,
             maps,
             exec: ExecCtx::for_kernel(kernel),
-            cleanup: CleanupRegistry::with_capacity(cleanup_capacity),
+            cleanup: CleanupRegistry::default(),
             meter,
             pool: OnceCell::new(),
             pool_blocks,
             depth: Cell::new(0),
-            max_depth,
             skb,
             kprobe,
             tracepoint,
             lsm,
             sched,
-            rng: Cell::new(seed.max(1)),
+            rng: Cell::new(RNG_SEED),
             printk: RefCell::new(Vec::new()),
         }
     }
@@ -155,7 +154,7 @@ impl<'k> ExtCtx<'k> {
             .advance(cost.saturating_mul(self.meter.time_per_fuel_ns));
         let charges = self.meter.charges.get() + 1;
         self.meter.charges.set(charges);
-        if charges.is_multiple_of(self.meter.rcu_poll_interval) {
+        if charges.is_multiple_of(RCU_POLL_INTERVAL) {
             self.kernel.rcu.check_stall(&self.kernel.audit);
         }
         if self.meter.terminate.load(Ordering::Relaxed) {
@@ -187,12 +186,12 @@ impl<'k> ExtCtx<'k> {
 
     // ---- Stack-depth guard ----
 
-    /// Runs `f` one nesting level deeper; trips the stack guard past the
-    /// configured depth. Recursive extension code must route recursion
-    /// through this (the kernel-crate equivalent of a guard page).
+    /// Runs `f` one nesting level deeper; trips the stack guard past
+    /// `MAX_STACK_DEPTH` (16) levels. Recursive extension code must route
+    /// recursion through this (the kernel-crate equivalent of a guard page).
     pub fn frame<R>(&self, f: impl FnOnce(&Self) -> Result<R, ExtError>) -> Result<R, ExtError> {
         let depth = self.depth.get() + 1;
-        if depth > self.max_depth {
+        if depth > MAX_STACK_DEPTH {
             return Err(ExtError::StackGuard);
         }
         self.depth.set(depth);

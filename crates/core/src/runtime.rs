@@ -28,6 +28,13 @@ use crate::{
     kernel_crate::{ExtCtx, ExtInput, Meter},
 };
 
+/// How many times a transient allocation failure is retried before the run
+/// is abandoned (graceful degradation under injected memory pressure).
+const ALLOC_RETRIES: u32 = 3;
+/// Virtual-time backoff before the first allocation retry; doubles on each
+/// subsequent retry (exponential backoff).
+const ALLOC_BACKOFF_NS: u64 = 1_000;
+
 /// Runtime configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct RuntimeConfig {
@@ -37,29 +44,14 @@ pub struct RuntimeConfig {
     pub deadline_ns: u64,
     /// Virtual nanoseconds charged per fuel unit.
     pub time_per_fuel_ns: u64,
-    /// Maximum `ExtCtx::frame` nesting depth.
-    pub max_stack_depth: u32,
-    /// Cleanup-registry capacity: the most resources a run may hold
-    /// outstanding at once. The registry's storage grows on demand up to
-    /// this limit.
-    pub cleanup_capacity: usize,
     /// Scratch-pool blocks per size class: the limit at which
     /// `ExtCtx::scratch` reports `PoolExhausted`. Each run gets a fresh,
     /// full pool, built on the run's first scratch request.
     pub pool_blocks: usize,
-    /// PRNG seed.
-    pub seed: u64,
     /// Optional host-wall-clock watchdog: demand termination after this
     /// many host milliseconds (covers extensions that compute without
     /// calling into the kernel crate).
     pub host_watchdog_ms: Option<u64>,
-    /// How many times a transient allocation failure is retried before the
-    /// run is abandoned (graceful degradation under injected memory
-    /// pressure).
-    pub alloc_retries: u32,
-    /// Virtual-time backoff before the first allocation retry; doubles on
-    /// each subsequent retry (exponential backoff).
-    pub alloc_backoff_ns: u64,
 }
 
 impl Default for RuntimeConfig {
@@ -68,13 +60,8 @@ impl Default for RuntimeConfig {
             fuel: 1_000_000,
             deadline_ns: 100_000_000, // 100 ms of virtual time
             time_per_fuel_ns: 1,
-            max_stack_depth: 16,
-            cleanup_capacity: 64,
             pool_blocks: 16,
-            seed: 0x5afe_5eed,
             host_watchdog_ms: None,
-            alloc_retries: 3,
-            alloc_backoff_ns: 1_000,
         }
     }
 }
@@ -379,18 +366,16 @@ impl<'k> Runtime<'k> {
                 loop {
                     match self.kernel.objects.create_skb(&self.kernel.mem, payload) {
                         Ok(skb) => break Some(skb),
-                        Err(Fault::AllocFailed { .. }) if attempt < self.config.alloc_retries => {
+                        Err(Fault::AllocFailed { .. }) if attempt < ALLOC_RETRIES => {
                             attempt += 1;
-                            let backoff = self
-                                .config
-                                .alloc_backoff_ns
-                                .saturating_mul(1u64 << (attempt - 1).min(31));
+                            let backoff =
+                                ALLOC_BACKOFF_NS.saturating_mul(1u64 << (attempt - 1).min(31));
                             self.kernel.audit.record(
                                 self.kernel.clock.now_ns(),
                                 EventKind::Info,
                                 format!(
-                                    "{}: transient skb allocation failure; retry {attempt}/{} after {backoff}ns backoff",
-                                    ext.name, self.config.alloc_retries
+                                    "{}: transient skb allocation failure; retry {attempt}/{ALLOC_RETRIES} after {backoff}ns backoff",
+                                    ext.name
                                 ),
                             );
                             self.kernel.clock.advance(backoff);
@@ -422,11 +407,8 @@ impl<'k> Runtime<'k> {
             self.maps,
             meter,
             self.config.pool_blocks,
-            self.config.cleanup_capacity,
-            self.config.max_stack_depth,
             skb,
             &input,
-            self.config.seed,
         );
 
         // The run executes under the RCU read lock, exactly like the

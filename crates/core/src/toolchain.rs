@@ -351,11 +351,6 @@ impl Toolchain {
         Toolchain { key }
     }
 
-    /// The toolchain key's fingerprint (what gets enrolled at boot).
-    pub fn key_id(&self) -> signing::KeyId {
-        self.key.id()
-    }
-
     /// Checks `source` for safety, then packages and signs the artifact.
     pub fn build(
         &self,

@@ -1890,7 +1890,7 @@ mod tests {
         id: u32,
         args: [u64; 5],
     ) -> Result<u64, HelperError> {
-        let exec = ExecCtx::new();
+        let exec = ExecCtx::for_kernel(kernel);
         let mut ctx = HelperCtx {
             kernel,
             maps,

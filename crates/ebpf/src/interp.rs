@@ -42,36 +42,32 @@ use crate::{
     program::{ProgType, Program},
 };
 
+/// Poll the RCU stall detector every this many instructions.
+const RCU_POLL_INTERVAL: u64 = 4096;
+/// Maximum bpf2bpf call depth (kernel: 8).
+const MAX_CALL_DEPTH: usize = 8;
+/// Maximum chained tail calls (kernel: 33).
+const MAX_TAIL_CALLS: u32 = 33;
+/// Maximum `bpf_loop` iteration count per call (kernel: 1 << 23).
+const MAX_LOOP_ITERATIONS: u64 = 1 << 23;
+/// PRNG seed for `bpf_get_prandom_u32`.
+const PRANDOM_SEED: u64 = 0x5eed_cafe;
+
 /// Interpreter configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct VmConfig {
     /// Virtual nanoseconds charged per executed instruction.
     pub time_per_insn_ns: u64,
-    /// Poll the RCU stall detector every this many instructions.
-    pub rcu_poll_interval: u64,
     /// Optional hard runtime instruction budget (`None` = rely on the
     /// verifier for termination, as the baseline does).
     pub max_insns: Option<u64>,
-    /// Maximum bpf2bpf call depth (kernel: 8).
-    pub max_call_depth: usize,
-    /// Maximum chained tail calls (kernel: 33).
-    pub max_tail_calls: u32,
-    /// Maximum `bpf_loop` iteration count per call (kernel: 1 << 23).
-    pub max_loop_iterations: u64,
-    /// PRNG seed for `bpf_get_prandom_u32`.
-    pub seed: u64,
 }
 
 impl Default for VmConfig {
     fn default() -> Self {
         Self {
             time_per_insn_ns: 1,
-            rcu_poll_interval: 4096,
             max_insns: None,
-            max_call_depth: 8,
-            max_tail_calls: 33,
-            max_loop_iterations: 1 << 23,
-            seed: 0x5eed_cafe,
         }
     }
 }
@@ -314,7 +310,7 @@ struct JitCode {
 }
 
 /// Size of each run's protection domain: the context structure at offset
-/// zero plus up to [`VmConfig::max_call_depth`] bump-allocated 512-byte
+/// zero plus up to `MAX_CALL_DEPTH` (8) bump-allocated 512-byte
 /// stack frames, with room to spare. Power of two so the domain is
 /// expressible as a single SFI mask.
 pub const SANDBOX_DOMAIN_BYTES: u64 = 8192;
@@ -723,7 +719,7 @@ impl<'a> Vm<'a> {
             depth: 0,
             max_depth: 0,
             tail_calls: 0,
-            run: RunState::with_seed(self.config.seed),
+            run: RunState::with_seed(PRANDOM_SEED),
             exec: ExecCtx::for_kernel(self.kernel),
             skb,
             dom,
@@ -888,7 +884,7 @@ impl<'a> Vm<'a> {
     fn charge(&self, st: &mut St, pc: usize) -> Result<(), ExecError> {
         st.insns += 1;
         self.kernel.clock.advance(self.config.time_per_insn_ns);
-        if st.insns.is_multiple_of(self.config.rcu_poll_interval) {
+        if st.insns.is_multiple_of(RCU_POLL_INTERVAL) {
             self.kernel.rcu.check_stall(&self.kernel.audit);
         }
         if let Some(limit) = self.config.max_insns {
@@ -909,7 +905,7 @@ impl<'a> Vm<'a> {
         entry: usize,
         ctx_addr: Addr,
     ) -> Result<FnExit, ExecError> {
-        if st.depth >= self.config.max_call_depth {
+        if st.depth >= MAX_CALL_DEPTH {
             return Err(ExecError::CallDepthExceeded { pc: entry });
         }
         st.depth += 1;
@@ -1242,7 +1238,7 @@ impl<'a> Vm<'a> {
                 }
                 let map = untag(MAP_PTR_TAG, st.regs[2]).and_then(|fd| self.maps.get(fd as u32));
                 let index = st.regs[3] as u32;
-                if st.tail_calls >= self.config.max_tail_calls {
+                if st.tail_calls >= MAX_TAIL_CALLS {
                     // Limit reached: the tail call silently does not
                     // happen, execution continues (kernel semantics).
                     st.regs[0] = neg_errno(EINVAL);
@@ -1261,7 +1257,7 @@ impl<'a> Vm<'a> {
             }
             BPF_LOOP => {
                 let nr = st.regs[1];
-                if nr > self.config.max_loop_iterations {
+                if nr > MAX_LOOP_ITERATIONS {
                     st.regs[0] = neg_errno(E2BIG);
                     return Ok(None);
                 }
@@ -1383,7 +1379,7 @@ impl<'a> Vm<'a> {
             return Ok(());
         }
         let t = self.config.time_per_insn_ns;
-        let poll = self.config.rcu_poll_interval;
+        let poll = RCU_POLL_INTERVAL;
         let limit = self.config.max_insns;
         let before = st.insns;
         let over = limit.is_some_and(|l| before + units > l);
@@ -1393,19 +1389,14 @@ impl<'a> Vm<'a> {
             Some(l) if over => l - before + 1,
             _ => units,
         };
-        if poll == 0 {
-            // `is_multiple_of(0)` never holds for a nonzero count.
-            self.kernel.clock.advance(n * t);
-        } else {
-            let mut done = 0u64;
-            while done < n {
-                let at = before + done;
-                let seg = (poll - at % poll).min(n - done);
-                self.kernel.clock.advance(seg * t);
-                done += seg;
-                if (before + done).is_multiple_of(poll) {
-                    self.kernel.rcu.check_stall(&self.kernel.audit);
-                }
+        let mut done = 0u64;
+        while done < n {
+            let at = before + done;
+            let seg = (poll - at % poll).min(n - done);
+            self.kernel.clock.advance(seg * t);
+            done += seg;
+            if (before + done).is_multiple_of(poll) {
+                self.kernel.rcu.check_stall(&self.kernel.audit);
             }
         }
         st.insns = before + n;

@@ -580,7 +580,6 @@ fn run_holds_rcu_and_long_runs_stall() {
     let mut vm = h.vm().with_config(VmConfig {
         time_per_insn_ns: 10_000,
         max_insns: Some(3_000_000),
-        ..VmConfig::default()
     });
     let prog = Asm::new().label("spin").ja("spin").build().unwrap();
     let id = vm.load(Program::new("staller", ProgType::SocketFilter, prog));

@@ -6,9 +6,8 @@
 //! (exit 2) if any accepted program's interpreter and JIT pipelines
 //! disagreed on results or audit fingerprints.
 //!
-//! `--smoke` prints only the `FUZZ_SHA256` line (no file writes) so
-//! `ci.sh` can compare two runs byte-for-byte. `--write-corpus DIR`
-//! persists every shrunk disagreement as a replayable reproducer.
+//! `--write-corpus DIR` persists every shrunk disagreement as a
+//! replayable reproducer.
 //! `--bugdb DIR` harvests the feature-ladder shapes (bpf2bpf, tail
 //! calls, spin locks, ringbuf reservations) into the on-disk bug
 //! database that `tests/bugdb_replay.rs` re-judges in tier-1.
@@ -27,7 +26,6 @@ fn hex(s: &str) -> String {
 
 struct Args {
     cfg: FuzzConfig,
-    smoke: bool,
     out: String,
     write_corpus: Option<String>,
     bugdb: Option<String>,
@@ -36,7 +34,6 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         cfg: FuzzConfig::default(),
-        smoke: false,
         out: "BENCH_fuzz.json".to_string(),
         write_corpus: None,
         bugdb: None,
@@ -68,7 +65,6 @@ fn parse_args() -> Result<Args, String> {
             "--out" => args.out = value("--out")?,
             "--write-corpus" => args.write_corpus = Some(value("--write-corpus")?),
             "--bugdb" => args.bugdb = Some(value("--bugdb")?),
-            "--smoke" => args.smoke = true,
             other => return Err(format!("unknown argument: {other}")),
         }
     }
@@ -99,7 +95,7 @@ fn main() -> ExitCode {
             eprintln!("fuzzstats: {msg}");
             eprintln!(
                 "usage: fuzzstats [--seeds N] [--seed-start N] [--shards N] \
-                 [--shrink-limit N] [--out PATH] [--write-corpus DIR] [--bugdb DIR] [--smoke]"
+                 [--shrink-limit N] [--out PATH] [--write-corpus DIR] [--bugdb DIR]"
             );
             return ExitCode::from(1);
         }
@@ -107,27 +103,22 @@ fn main() -> ExitCode {
 
     let report = sweep(&args.cfg);
     let json = report.to_json();
-    let digest = hex(&json);
 
-    if args.smoke {
-        println!("FUZZ_SHA256 seeds={} {digest}", report.seeds);
-    } else {
-        print!("{}", render_table(&summaries(&report)));
-        println!();
-        let mut shrink_sizes: Vec<usize> = report.shrunk.iter().map(|c| c.insns_after).collect();
-        shrink_sizes.sort_unstable();
-        println!(
-            "shrunk reproducers: {} (insn sizes: {:?})",
-            report.shrunk.len(),
-            shrink_sizes
-        );
-        if let Err(e) = std::fs::write(&args.out, &json) {
-            eprintln!("fuzzstats: writing {}: {e}", args.out);
-            return ExitCode::from(1);
-        }
-        println!("wrote {}", args.out);
-        println!("FUZZ_SHA256 seeds={} {digest}", report.seeds);
+    print!("{}", render_table(&summaries(&report)));
+    println!();
+    let mut shrink_sizes: Vec<usize> = report.shrunk.iter().map(|c| c.insns_after).collect();
+    shrink_sizes.sort_unstable();
+    println!(
+        "shrunk reproducers: {} (insn sizes: {:?})",
+        report.shrunk.len(),
+        shrink_sizes
+    );
+    if let Err(e) = std::fs::write(&args.out, &json) {
+        eprintln!("fuzzstats: writing {}: {e}", args.out);
+        return ExitCode::from(1);
     }
+    println!("wrote {}", args.out);
+    println!("FUZZ_SHA256 seeds={} {}", report.seeds, hex(&json));
 
     if let Some(dir) = &args.write_corpus {
         let dir = std::path::Path::new(dir);
@@ -149,9 +140,7 @@ fn main() -> ExitCode {
                 eprintln!("fuzzstats: writing {}: {e}", path.display());
                 return ExitCode::from(1);
             }
-            if !args.smoke {
-                println!("corpus: {}", path.display());
-            }
+            println!("corpus: {}", path.display());
         }
     }
 
@@ -167,9 +156,7 @@ fn main() -> ExitCode {
                 eprintln!("fuzzstats: writing {}: {e}", path.display());
                 return ExitCode::from(1);
             }
-            if !args.smoke {
-                println!("bugdb: {}", path.display());
-            }
+            println!("bugdb: {}", path.display());
         }
     }
 

@@ -2,8 +2,9 @@
 //!
 //! The fuzzer's determinism contract (two sweeps with the same seed
 //! range emit byte-identical reports) rests on this generator being
-//! seedable and platform-independent; SplitMix64 is the same mixer the
-//! bench crate's packet generator uses.
+//! seedable and platform-independent; each step is
+//! [`kernel_sim::splitmix64`], the mixer every seeded choice in the
+//! workspace uses.
 
 /// SplitMix64 sequence generator.
 #[derive(Debug, Clone)]
@@ -19,11 +20,9 @@ impl SplitMix64 {
 
     /// Next 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
+        let z = kernel_sim::splitmix64(self.state);
         self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        z
     }
 
     /// Uniform value in `[0, n)`; `n` must be nonzero.

@@ -8,8 +8,6 @@
 //! (what the paper's proposed termination engine does via trusted
 //! destructors).
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use parking_lot::Mutex;
 
 use crate::{
@@ -18,11 +16,6 @@ use crate::{
     locks::{LockId, OwnerId},
     refcount::ObjId,
 };
-
-/// Process-global allocator backing [`ExecCtx::new`]. Starts far above
-/// any per-kernel id ([`Kernel::next_exec_id`] counts up from 1) so the
-/// two spaces can never hand out the same owner id within one kernel.
-static NEXT_EXEC_ID: AtomicU64 = AtomicU64::new(1 << 32);
 
 /// Outcome summary of one execution's resource accounting.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,7 +44,7 @@ impl ExecReport {
 ///
 /// let kernel = Kernel::new();
 /// let obj = kernel.refs.register(ObjKind::Socket, 1);
-/// let ctx = ExecCtx::new();
+/// let ctx = ExecCtx::for_kernel(&kernel);
 ///
 /// kernel.refs.get(obj).unwrap();
 /// ctx.note_acquired(obj);
@@ -64,25 +57,7 @@ pub struct ExecCtx {
     acquired: Mutex<Vec<ObjId>>,
 }
 
-impl Default for ExecCtx {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl ExecCtx {
-    /// Creates a context with a process-unique owner id.
-    ///
-    /// Prefer [`ExecCtx::for_kernel`] for real executions: process-global
-    /// ids leak run-order into the audit stream (a leak record names its
-    /// owner id), breaking byte-identical replay comparison.
-    pub fn new() -> Self {
-        Self {
-            id: NEXT_EXEC_ID.fetch_add(1, Ordering::Relaxed),
-            acquired: Mutex::new(Vec::new()),
-        }
-    }
-
     /// Creates a context whose owner id comes from `kernel`'s private,
     /// deterministic counter ([`Kernel::next_exec_id`]): the Nth
     /// execution on any fresh kernel always gets id N, so leak audit
@@ -114,11 +89,6 @@ impl ExecCtx {
         } else {
             false
         }
-    }
-
-    /// References currently held (acquired and not yet released).
-    pub fn held_refs(&self) -> Vec<ObjId> {
-        self.acquired.lock().clone()
     }
 
     /// Ends the execution *without* cleanup, reporting leaks to the audit
@@ -179,12 +149,7 @@ mod tests {
     use crate::refcount::ObjKind;
 
     #[test]
-    fn owner_ids_are_unique() {
-        assert_ne!(ExecCtx::new().owner(), ExecCtx::new().owner());
-    }
-
-    #[test]
-    fn per_kernel_ids_are_deterministic_and_disjoint_from_global() {
+    fn per_kernel_ids_are_deterministic() {
         // Two fresh kernels hand out the same sequence — that is what
         // keeps leak audit records replay/lane byte-identical.
         let a = Kernel::new();
@@ -193,15 +158,13 @@ mod tests {
         let b_ids: Vec<_> = (0..3).map(|_| ExecCtx::for_kernel(&b).owner()).collect();
         assert_eq!(a_ids, vec![1, 2, 3]);
         assert_eq!(a_ids, b_ids);
-        // Global (test-harness) ids live in a disjoint range.
-        assert!(ExecCtx::new().owner() >= 1 << 32);
     }
 
     #[test]
     fn balanced_acquire_release_is_clean() {
         let kernel = Kernel::new();
         let obj = kernel.refs.register(ObjKind::Socket, 1);
-        let ctx = ExecCtx::new();
+        let ctx = ExecCtx::for_kernel(&kernel);
         kernel.refs.get(obj).unwrap();
         ctx.note_acquired(obj);
         kernel.refs.put(obj).unwrap();
@@ -213,7 +176,7 @@ mod tests {
 
     #[test]
     fn unbalanced_release_returns_false() {
-        let ctx = ExecCtx::new();
+        let ctx = ExecCtx::for_kernel(&Kernel::new());
         assert!(!ctx.note_released(ObjId(9)));
     }
 
@@ -222,7 +185,7 @@ mod tests {
         let kernel = Kernel::new();
         let obj = kernel.refs.register(ObjKind::Socket, 1);
         let lock = kernel.locks.create("l");
-        let ctx = ExecCtx::new();
+        let ctx = ExecCtx::for_kernel(&kernel);
         kernel.refs.get(obj).unwrap();
         ctx.note_acquired(obj);
         kernel.locks.acquire(ctx.owner(), lock).unwrap();
@@ -241,7 +204,7 @@ mod tests {
         let kernel = Kernel::new();
         let obj = kernel.refs.register(ObjKind::Socket, 1);
         let lock = kernel.locks.create("l");
-        let ctx = ExecCtx::new();
+        let ctx = ExecCtx::for_kernel(&kernel);
         kernel.refs.get(obj).unwrap();
         ctx.note_acquired(obj);
         kernel.locks.acquire(ctx.owner(), lock).unwrap();
@@ -258,7 +221,7 @@ mod tests {
     fn multiset_semantics_for_double_acquire() {
         let kernel = Kernel::new();
         let obj = kernel.refs.register(ObjKind::Socket, 1);
-        let ctx = ExecCtx::new();
+        let ctx = ExecCtx::for_kernel(&kernel);
         kernel.refs.get(obj).unwrap();
         kernel.refs.get(obj).unwrap();
         ctx.note_acquired(obj);

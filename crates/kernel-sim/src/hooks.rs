@@ -289,7 +289,7 @@ impl SchedBoard {
         let n = nr_tasks.clamp(1, 8);
         let tasks = (0..n as u64)
             .map(|id| {
-                let h = mix64(seed ^ (cpu << 32) ^ id);
+                let h = crate::splitmix64(seed ^ (cpu << 32) ^ id);
                 SchedTask {
                     id,
                     vruntime: h % 16,
@@ -351,15 +351,6 @@ impl SchedBoard {
     pub fn fallbacks(&self) -> u64 {
         self.fallbacks
     }
-}
-
-/// splitmix64, locally: board seeding must not depend on another crate's
-/// private helper.
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]

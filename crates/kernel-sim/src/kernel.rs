@@ -195,11 +195,6 @@ impl Kernel {
         self.trace.enable();
     }
 
-    /// Stops span tracing (buffered events are kept).
-    pub fn disable_tracing(&self) {
-        self.trace.disable();
-    }
-
     /// Records an oops: both in the oops log and as an audit event.
     pub fn oops(&self, reason: OopsReason, context: impl Into<String>) {
         let context = context.into();

@@ -55,3 +55,13 @@ pub use mem::{Addr, Fault};
 pub use metrics::{HistSketch, HistSnapshot, Metrics, MetricsSnapshot};
 pub use oops::{Oops, OopsReason};
 pub use trace::{SpanKind, SpanPhase, TraceEvent, Tracer};
+
+/// splitmix64: the finalizer every seeded choice in the workspace derives
+/// from (shard steering, generated items, fault-plan seeds, storm victims,
+/// the fuzzer's program generator).
+pub fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}

@@ -419,12 +419,6 @@ impl KernelMem {
         st.pkey_write_disable = write_disable & !1;
     }
 
-    /// Returns `(access_disable, write_disable)`.
-    pub fn pkey_rights(&self) -> (u16, u16) {
-        let st = self.state.lock();
-        (st.pkey_access_disable, st.pkey_write_disable)
-    }
-
     /// Unmaps the region based at `base`; subsequent accesses fault.
     pub fn unmap(&self, base: Addr) -> Result<(), Fault> {
         let mut st = self.state.lock();

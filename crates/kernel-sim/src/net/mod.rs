@@ -51,13 +51,3 @@ impl Default for NetStack {
         }
     }
 }
-
-impl NetStack {
-    /// Creates a stack with an explicit conntrack capacity.
-    pub fn with_conntrack_capacity(capacity: usize) -> Self {
-        NetStack {
-            conntrack: Conntrack::new(capacity),
-            rx: RxStats::default(),
-        }
-    }
-}

@@ -8,18 +8,9 @@
 //! functions of the seed, which keeps the churn benchmark's canonical log
 //! byte-identical at any shard count with the storm armed.
 
-use kernel_sim::FaultPlanConfig;
+use kernel_sim::{splitmix64, FaultPlanConfig};
 
 use crate::registry::TenantId;
-
-/// splitmix64, locally: victim selection must not depend on another
-/// crate's private helper.
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// A seeded quarantine storm: which tenants, and when.
 #[derive(Debug, Clone)]
@@ -36,8 +27,8 @@ impl Storm {
         let mut chosen = Vec::new();
         let mut i = 0u64;
         while (chosen.len() as u32) < victims.min(tenants) {
-            let candidate =
-                (mix64(seed ^ i.wrapping_mul(0xff51_afd7_ed55_8ccd)) % tenants as u64) as TenantId;
+            let candidate = (splitmix64(seed ^ i.wrapping_mul(0xff51_afd7_ed55_8ccd))
+                % tenants as u64) as TenantId;
             if !chosen.contains(&candidate) {
                 chosen.push(candidate);
             }
