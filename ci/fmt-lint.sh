@@ -22,6 +22,13 @@ fi
 say "cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# perfbench is its own workspace, so the root fmt and clippy --workspace
+# never reach it.
+say "perfbench: cargo fmt --check"
+cargo fmt --check --manifest-path perfbench/Cargo.toml
+say "perfbench: cargo clippy --all-targets -- -D warnings"
+cargo clippy --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
+
 # Feature matrix: the workspace must build with default features off,
 # and the ebpf crate with its bug replicas compiled in. Either breaking
 # silently is how feature-gated code rots.

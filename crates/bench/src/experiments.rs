@@ -24,7 +24,8 @@ pub struct VerifCostPoint {
     pub states_pushed: u64,
     /// States pruned.
     pub states_pruned: u64,
-    /// Peak retained state memory, bytes.
+    /// Peak retained states times the 56-byte state header, bytes
+    /// (`VerifStats::peak_state_bytes`).
     pub peak_state_bytes: usize,
     /// Host wall time, ns.
     pub wall_ns: u128,

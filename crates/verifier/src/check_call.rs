@@ -7,6 +7,8 @@
 //! pointer, as in `bpf_sys_bpf`) is never inspected. A verified program
 //! can therefore hand a NULL-bearing union to a buggy helper.
 
+use std::rc::Rc;
+
 use ebpf::helpers::{
     ArgType, RetType, BPF_LOOP, BPF_RINGBUF_DISCARD, BPF_RINGBUF_OUTPUT, BPF_RINGBUF_RESERVE,
     BPF_RINGBUF_SUBMIT, BPF_SK_LOOKUP_TCP, BPF_SK_LOOKUP_UDP, BPF_SK_RELEASE, BPF_SPIN_LOCK,
@@ -168,7 +170,7 @@ pub(crate) fn check_bpf2bpf_call(
     for r in 1..=5usize {
         frame.regs[r] = state.cur().regs[r];
     }
-    state.frames.push(frame);
+    state.frames.push(Rc::new(frame));
     Ok(target as usize)
 }
 

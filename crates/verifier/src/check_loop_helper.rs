@@ -6,6 +6,8 @@
 //! main path, any stack frame reachable through the callback-context
 //! pointer is conservatively clobbered.
 
+use std::rc::Rc;
+
 use crate::{
     checker::{Vctx, Verifier},
     error::VerifyError,
@@ -69,7 +71,7 @@ pub(crate) fn check_bpf_loop(
         // R1 = loop index in [0, BPF_MAX_LOOPS).
         frame.regs[1] = RegType::Scalar(Scalar::from_urange(0, (1 << 23) - 1));
         frame.regs[2] = cb_ctx;
-        cb_state.frames.push(frame);
+        cb_state.frames.push(Rc::new(frame));
         ctx.stats.states_pushed += 1;
         // The callback is a fresh path, not a continuation of this one.
         ctx.worklist.push((cb_pc, cb_state, None));
@@ -78,7 +80,7 @@ pub(crate) fn check_bpf_loop(
     // Continuing path: the callback may have scribbled over any frame
     // reachable through its context pointer.
     if let RegType::PtrToStack { frame, .. } = cb_ctx {
-        for slot in &mut state.frames[frame].stack {
+        for slot in state.frame_mut(frame).written_slots_mut() {
             if !matches!(slot, Slot::Invalid) {
                 *slot = Slot::Misc;
             }

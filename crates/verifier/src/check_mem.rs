@@ -179,9 +179,17 @@ pub(crate) fn check_atomic(
                 });
             }
             let slot_idx = FrameState::slot_containing(total).expect("in range");
-            let slot = state.frames[frame].stack[slot_idx];
-            if let Slot::Spill(spilled) = slot {
-                if spilled.is_pointer() && !v.faults.atomic_pointer_leak {
+            match state.frames[frame].slot(slot_idx) {
+                // An atomic reads its operand, like an LDX of the slot.
+                Slot::Invalid => {
+                    return Err(VerifyError::BadStackAccess {
+                        pc,
+                        off: total,
+                        size,
+                        uninit: true,
+                    })
+                }
+                Slot::Spill(spilled) if spilled.is_pointer() && !v.faults.atomic_pointer_leak => {
                     // The fix for the Table-1 pointer-leak bugs: reject
                     // atomics on slots holding pointers.
                     return Err(VerifyError::PointerLeak {
@@ -189,8 +197,9 @@ pub(crate) fn check_atomic(
                         reason: "atomic op on spilled pointer leaks kernel address".into(),
                     });
                 }
+                _ => {}
             }
-            state.frames[frame].stack[slot_idx] = Slot::Misc;
+            state.frame_mut(frame).set_slot(slot_idx, Slot::Misc);
         }
         RegType::PtrToMapValue { .. } | RegType::PtrToMem { .. } => {
             check_region(v, ctx, pc, state, &base, off, size, AccessKind::Write)?;
@@ -353,7 +362,7 @@ fn read_stack(
     let aligned_full = off % 8 == 0 && size == 8;
     if aligned_full {
         let idx = FrameState::slot_index(off).expect("aligned in-range offset");
-        return match state.frames[frame].stack[idx] {
+        return match state.frames[frame].slot(idx) {
             Slot::Invalid => Err(VerifyError::BadStackAccess {
                 pc,
                 off,
@@ -370,7 +379,7 @@ fn read_stack(
     let first = FrameState::slot_containing(off + size - 1).expect("in range");
     let last = FrameState::slot_containing(off).expect("in range");
     for idx in first..=last {
-        if matches!(state.frames[frame].stack[idx], Slot::Invalid) {
+        if matches!(state.frames[frame].slot(idx), Slot::Invalid) {
             return Err(VerifyError::BadStackAccess {
                 pc,
                 off,
@@ -406,7 +415,7 @@ fn write_stack(
             v if v.is_pointer() => Slot::Spill(v),
             v => Slot::Spill(v),
         };
-        state.frames[frame].stack[idx] = slot;
+        state.frame_mut(frame).set_slot(idx, slot);
         return Ok(());
     }
     if value.is_pointer() {
@@ -417,8 +426,9 @@ fn write_stack(
     }
     let first = FrameState::slot_containing(off + size - 1).expect("in range");
     let last = FrameState::slot_containing(off).expect("in range");
+    let frame = state.frame_mut(frame);
     for idx in first..=last {
-        state.frames[frame].stack[idx] = Slot::Misc;
+        frame.set_slot(idx, Slot::Misc);
     }
     Ok(())
 }
@@ -458,8 +468,9 @@ pub(crate) fn check_helper_region(
             }
             let first = FrameState::slot_containing(off + len - 1).expect("in range");
             let last = FrameState::slot_containing(off).expect("in range");
+            let frame = state.frame_mut(frame);
             for idx in first..=last {
-                if require_init && matches!(state.frames[frame].stack[idx], Slot::Invalid) {
+                if require_init && matches!(frame.slot(idx), Slot::Invalid) {
                     return Err(VerifyError::BadHelperArg {
                         pc,
                         helper,
@@ -468,7 +479,7 @@ pub(crate) fn check_helper_region(
                     });
                 }
                 // The helper may write through the region.
-                state.frames[frame].stack[idx] = Slot::Misc;
+                frame.set_slot(idx, Slot::Misc);
             }
             Ok(())
         }

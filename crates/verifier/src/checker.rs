@@ -7,7 +7,7 @@
 //! exhaustion rejects the program as too complex — the scalability wall
 //! §2.1 describes.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::rc::Rc;
 
 use ebpf::helpers::HelperRegistry;
@@ -65,6 +65,9 @@ pub(crate) struct PathNode {
 /// Reference-counted ancestry link.
 pub(crate) type PathLink = Option<Rc<PathNode>>;
 
+/// [`Vctx::prune_slot`] entry for a pc that is not a pruning point.
+const NO_SLOT: u32 = u32::MAX;
+
 /// Internal exploration context for a single `verify` run.
 pub(crate) struct Vctx<'p> {
     pub prog: &'p Program,
@@ -75,10 +78,13 @@ pub(crate) struct Vctx<'p> {
     /// The ancestry of the path currently being explored; branch pushes
     /// capture it.
     pub current_path: PathLink,
-    /// States recorded at jump targets, for pruning.
-    pub explored: HashMap<usize, Vec<VerifierState>>,
-    /// The set of pcs that are jump targets (pruning points).
-    pub prune_points: HashSet<usize>,
+    /// States recorded at each pruning point (jump target), for pruning.
+    pub explored: Vec<Vec<VerifierState>>,
+    /// Each pc's index into `explored`, or [`NO_SLOT`] when the pc is not
+    /// a pruning point.
+    pub prune_slot: Vec<u32>,
+    /// States held in `explored`, summed over all pruning points.
+    pub retained: usize,
     /// `bpf_loop` callback entries already scheduled for verification.
     pub callbacks_seen: HashSet<usize>,
 }
@@ -149,6 +155,18 @@ impl<'a> Verifier<'a> {
                 });
             }
         }
+        let mut points = 0u32;
+        let prune_slot = loops::jump_targets(&prog.insns)
+            .into_iter()
+            .map(|target| {
+                if target {
+                    points += 1;
+                    points - 1
+                } else {
+                    NO_SLOT
+                }
+            })
+            .collect();
         let mut ctx = Vctx {
             prog,
             layout: prog.prog_type.ctx_layout(),
@@ -156,8 +174,9 @@ impl<'a> Verifier<'a> {
             next_id: 0,
             worklist: vec![(0, VerifierState::entry(), None)],
             current_path: None,
-            explored: HashMap::new(),
-            prune_points: loops::jump_targets(&prog.insns),
+            explored: vec![Vec::new(); points as usize],
+            prune_slot,
+            retained: 0,
             callbacks_seen: HashSet::new(),
         };
         if self.features.speculation {
@@ -169,12 +188,11 @@ impl<'a> Verifier<'a> {
         while let Some((pc, state, path)) = ctx.worklist.pop() {
             ctx.current_path = path;
             self.explore_path(&mut ctx, pc, state)?;
-            let retained: usize = ctx.explored.values().map(Vec::len).sum();
-            ctx.stats.peak_states = ctx.stats.peak_states.max(retained);
+            ctx.stats.peak_states = ctx.stats.peak_states.max(ctx.retained);
             ctx.stats.peak_state_bytes = ctx
                 .stats
                 .peak_state_bytes
-                .max(retained * std::mem::size_of::<VerifierState>());
+                .max(ctx.retained * std::mem::size_of::<VerifierState>());
         }
         ctx.stats.wall_ns = started.elapsed().as_nanos();
         Ok(Verification { stats: ctx.stats })
@@ -198,17 +216,18 @@ impl<'a> Verifier<'a> {
                 });
             }
             // Prune / record at jump targets.
-            if ctx.prune_points.contains(&pc) {
+            let slot = ctx.prune_slot[pc];
+            if slot != NO_SLOT {
                 // Looping without abstract progress on THIS path is an
                 // infinite loop, not a prunable revisit.
-                let mut ancestor = ctx.current_path.clone();
+                let mut ancestor = ctx.current_path.as_deref();
                 while let Some(node) = ancestor {
                     if node.pc == pc && VerifierState::is_subsumed_by(&state, &node.state) {
                         return Err(VerifyError::InfiniteLoop { pc });
                     }
-                    ancestor = node.parent.clone();
+                    ancestor = node.parent.as_deref();
                 }
-                let states = ctx.explored.entry(pc).or_default();
+                let states = &mut ctx.explored[slot as usize];
                 if states
                     .iter()
                     .any(|old| VerifierState::is_subsumed_by(&state, old))
@@ -218,6 +237,7 @@ impl<'a> Verifier<'a> {
                 }
                 if states.len() < self.limits.max_states_per_insn {
                     states.push(state.clone());
+                    ctx.retained += 1;
                 }
                 ctx.current_path = Some(Rc::new(PathNode {
                     pc,

@@ -6,14 +6,13 @@
 //! the same; this module computes the pruning points (all branch targets
 //! plus instructions following calls) used by the engine.
 
-use std::collections::HashSet;
-
 use ebpf::insn::{Insn, BPF_CALL, BPF_EXIT, BPF_JMP, BPF_JMP32};
 
-/// Returns the set of instruction indices that are targets of any jump,
-/// plus function entry points — the engine's pruning points.
-pub fn jump_targets(insns: &[Insn]) -> HashSet<usize> {
-    let mut targets = HashSet::new();
+/// Marks the instruction indices that are targets of any jump, plus
+/// function entry points — the engine's pruning points: `targets[pc]` is
+/// true at each, and the table has one entry per instruction.
+pub fn jump_targets(insns: &[Insn]) -> Vec<bool> {
+    let mut targets = vec![false; insns.len()];
     let mut pc = 0usize;
     while pc < insns.len() {
         let insn = insns[pc];
@@ -29,14 +28,14 @@ pub fn jump_targets(insns: &[Insn]) -> HashSet<usize> {
                     if insn.src == ebpf::insn::BPF_PSEUDO_CALL {
                         let target = pc as i64 + 1 + insn.imm as i64;
                         if target >= 0 && (target as usize) < insns.len() {
-                            targets.insert(target as usize);
+                            targets[target as usize] = true;
                         }
                     }
                 }
                 _ => {
                     let target = pc as i64 + 1 + insn.off as i64;
                     if target >= 0 && (target as usize) < insns.len() {
-                        targets.insert(target as usize);
+                        targets[target as usize] = true;
                     }
                 }
             }
@@ -52,7 +51,7 @@ pub fn jump_targets(insns: &[Insn]) -> HashSet<usize> {
             if insn.src == ebpf::insn::BPF_PSEUDO_FUNC {
                 let target = insn.imm as usize;
                 if target < insns.len() {
-                    targets.insert(target);
+                    targets[target] = true;
                 }
             }
             pc += 2;
@@ -101,9 +100,7 @@ mod tests {
             .exit()
             .build()
             .unwrap();
-        let targets = jump_targets(&insns);
-        assert!(targets.contains(&1));
-        assert_eq!(targets.len(), 1);
+        assert_eq!(jump_targets(&insns), [false, true, false, false]);
         assert!(has_back_edge(&insns));
     }
 
@@ -121,15 +118,15 @@ mod tests {
             .build()
             .unwrap();
         let targets = jump_targets(&insns);
-        assert!(targets.contains(&4)); // f
-        assert!(targets.contains(&5)); // g
+        assert!(targets[4]); // f
+        assert!(targets[5]); // g
         assert!(!has_back_edge(&insns));
     }
 
     #[test]
     fn straight_line_has_no_targets() {
         let insns = Asm::new().mov64_imm(Reg::R0, 0).exit().build().unwrap();
-        assert!(jump_targets(&insns).is_empty());
+        assert!(!jump_targets(&insns).contains(&true));
         assert!(!has_back_edge(&insns));
     }
 }

@@ -15,7 +15,9 @@ pub struct VerifStats {
     pub states_pruned: u64,
     /// Peak number of states retained for pruning.
     pub peak_states: usize,
-    /// Approximate peak memory used by retained states, in bytes.
+    /// `peak_states` times the size of a state's 56-byte header
+    /// (`size_of::<VerifierState>()`), in bytes. The call frames the
+    /// states point to, and share, are not counted.
     pub peak_state_bytes: usize,
     /// Speculation-hardening sanitations applied.
     pub spec_sanitations: u64,

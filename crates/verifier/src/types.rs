@@ -1,11 +1,19 @@
 //! Verifier state: register types, stack slots, frames, and subsumption.
 //!
 //! A [`VerifierState`] is one point in the symbolic exploration: a stack
-//! of call frames (registers + 512-byte stack each), the set of
+//! of call frames (registers + up to 512 bytes of stack each), the set of
 //! outstanding acquired references, lock state, and the verified packet
 //! range. State subsumption ([`VerifierState::is_subsumed_by`]) powers the
 //! pruning that keeps path exploration tractable — and whose limits force
 //! the program-size restrictions §2.1 criticizes.
+//!
+//! States are copy-on-write: frames are shared between a state and its
+//! clones (branch arms, recorded prune-point states, path ancestry) and a
+//! frame is copied only when one of the sharers writes it. Each frame's
+//! stack holds only the slots up to the deepest one written, like the
+//! kernel's `allocated_stack`.
+
+use std::rc::Rc;
 
 use ebpf::insn::BPF_STACK_SIZE;
 use ebpf::maps::MapFd;
@@ -248,8 +256,9 @@ pub enum FrameKind {
 pub struct FrameState {
     /// R0..=R10.
     pub regs: [RegType; 11],
-    /// 8-byte stack slots, index 0 = `[fp-8, fp)`.
-    pub stack: [Slot; STACK_SLOTS],
+    /// 8-byte stack slots, index 0 = `[fp-8, fp)`, up to the deepest slot
+    /// written; every slot past the end is [`Slot::Invalid`].
+    stack: Vec<Slot>,
     /// Frame kind.
     pub kind: FrameKind,
 }
@@ -266,9 +275,30 @@ impl FrameState {
         };
         FrameState {
             regs,
-            stack: [Slot::Invalid; STACK_SLOTS],
+            stack: Vec::new(),
             kind,
         }
+    }
+
+    /// The stack slot at `idx` (`idx < STACK_SLOTS`).
+    pub fn slot(&self, idx: usize) -> Slot {
+        self.stack.get(idx).copied().unwrap_or(Slot::Invalid)
+    }
+
+    /// Writes the stack slot at `idx` (`idx < STACK_SLOTS`), growing the
+    /// stack to reach it.
+    pub fn set_slot(&mut self, idx: usize, slot: Slot) {
+        debug_assert!(idx < STACK_SLOTS, "stack slot {idx} out of frame");
+        if idx >= self.stack.len() {
+            self.stack.resize(idx + 1, Slot::Invalid);
+        }
+        self.stack[idx] = slot;
+    }
+
+    /// The slots up to the deepest one written; the rest are all
+    /// [`Slot::Invalid`].
+    pub fn written_slots_mut(&mut self) -> &mut [Slot] {
+        &mut self.stack
     }
 
     /// The slot index covering `[fp + off, fp + off + 8)`, when aligned
@@ -289,6 +319,9 @@ impl FrameState {
         Some(((-off - 1) / 8) as usize)
     }
 
+    /// Subsumption over registers and the longer of the two stacks. Old
+    /// slots past the end of `self.stack` are `Invalid`, which subsumes
+    /// anything, so only `self`'s written slots need comparing.
     fn subsumes(&self, new: &FrameState) -> bool {
         if self.kind != new.kind {
             return false;
@@ -300,16 +333,38 @@ impl FrameState {
             && self
                 .stack
                 .iter()
-                .zip(&new.stack)
-                .all(|(old, new)| old.subsumes(new))
+                .enumerate()
+                .all(|(idx, old)| old.subsumes(&new.slot(idx)))
+    }
+
+    /// Registers and spilled registers, in that order.
+    fn regs_and_spills(&self) -> impl Iterator<Item = &RegType> {
+        self.regs
+            .iter()
+            .chain(self.stack.iter().filter_map(|slot| match slot {
+                Slot::Spill(reg) => Some(reg),
+                _ => None,
+            }))
+    }
+
+    /// Registers and spilled registers, mutably, in that order.
+    fn regs_and_spills_mut(&mut self) -> impl Iterator<Item = &mut RegType> {
+        self.regs
+            .iter_mut()
+            .chain(self.stack.iter_mut().filter_map(|slot| match slot {
+                Slot::Spill(reg) => Some(reg),
+                _ => None,
+            }))
     }
 }
 
 /// A full verifier state at one program point.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VerifierState {
-    /// Call frames, innermost last.
-    pub frames: Vec<FrameState>,
+    /// Call frames, innermost last, shared with this state's clones.
+    /// Write them through [`VerifierState::cur_mut`] and
+    /// [`VerifierState::frame_mut`], which copy a shared frame first.
+    pub frames: Vec<Rc<FrameState>>,
     /// Outstanding acquired reference ids.
     pub acquired_refs: Vec<u32>,
     /// Whether a `bpf_spin_lock` is held.
@@ -324,7 +379,7 @@ impl VerifierState {
         let mut frame = FrameState::new(FrameKind::Main, 0);
         frame.regs[1] = RegType::PtrToCtx { off: 0 };
         VerifierState {
-            frames: vec![frame],
+            frames: vec![Rc::new(frame)],
             acquired_refs: Vec::new(),
             lock_held: false,
             pkt_range: 0,
@@ -336,9 +391,14 @@ impl VerifierState {
         self.frames.last().expect("at least one frame")
     }
 
-    /// The innermost frame, mutably.
+    /// The innermost frame, mutably; copied first if shared.
     pub fn cur_mut(&mut self) -> &mut FrameState {
-        self.frames.last_mut().expect("at least one frame")
+        Rc::make_mut(self.frames.last_mut().expect("at least one frame"))
+    }
+
+    /// Frame `index`, mutably; copied first if shared.
+    pub fn frame_mut(&mut self, index: usize) -> &mut FrameState {
+        Rc::make_mut(&mut self.frames[index])
     }
 
     /// Reads a register type.
@@ -352,7 +412,8 @@ impl VerifierState {
     }
 
     /// Whether a previously verified state (`old`) subsumes `new`, so
-    /// exploration of `new` can be pruned.
+    /// exploration of `new` can be pruned. A frame both states share is
+    /// skipped: frame subsumption is reflexive.
     pub fn is_subsumed_by(new: &VerifierState, old: &VerifierState) -> bool {
         old.frames.len() == new.frames.len()
             && old.lock_held == new.lock_held
@@ -362,31 +423,33 @@ impl VerifierState {
                 .frames
                 .iter()
                 .zip(&new.frames)
-                .all(|(old, new)| old.subsumes(new))
+                .all(|(old, new)| Rc::ptr_eq(old, new) || old.subsumes(new))
     }
 
     /// Marks every register aliasing `id` (map value / mem / socket) as
     /// definitely-non-NULL, in all frames.
     pub fn mark_non_null(&mut self, id: u32) {
-        self.for_each_reg(|reg| match reg {
-            RegType::PtrToMapValue {
-                id: rid, or_null, ..
+        self.replace_regs(|reg| {
+            let mut new = *reg;
+            match &mut new {
+                RegType::PtrToMapValue { or_null, .. }
+                | RegType::PtrToMem { or_null, .. }
+                | RegType::PtrToSocket { or_null, .. }
+                    if *or_null && reg_alias_id(reg) == Some(id) =>
+                {
+                    *or_null = false
+                }
+                _ => return None,
             }
-            | RegType::PtrToMem {
-                id: rid, or_null, ..
-            } if *rid == id => *or_null = false,
-            RegType::PtrToSocket { ref_id, or_null } if *ref_id == id => *or_null = false,
-            _ => {}
+            Some(new)
         });
     }
 
     /// Replaces every register aliasing `id` with the scalar 0 (the NULL
     /// branch of a null check) and drops the reference if it was acquired.
     pub fn mark_null(&mut self, id: u32) {
-        self.for_each_reg(|reg| {
-            if reg_alias_id(reg) == Some(id) {
-                *reg = RegType::Scalar(Scalar::constant(0));
-            }
+        self.replace_regs(|reg| {
+            (reg_alias_id(reg) == Some(id)).then_some(RegType::Scalar(Scalar::constant(0)))
         });
         self.acquired_refs.retain(|r| *r != id);
     }
@@ -394,33 +457,29 @@ impl VerifierState {
     /// Invalidates every register aliasing `id` (e.g. a released socket
     /// or a submitted ring-buffer record).
     pub fn invalidate_id(&mut self, id: u32) {
-        self.for_each_reg(|reg| {
-            if reg_alias_id(reg) == Some(id) {
-                *reg = RegType::NotInit;
-            }
-        });
+        self.replace_regs(|reg| (reg_alias_id(reg) == Some(id)).then_some(RegType::NotInit));
     }
 
     /// Invalidates pointers into frames at or beyond `frame_index`
     /// (used when frames are popped).
     pub fn invalidate_frames_from(&mut self, frame_index: usize) {
-        self.for_each_reg(|reg| {
-            if let RegType::PtrToStack { frame, .. } = reg {
-                if *frame >= frame_index {
-                    *reg = RegType::NotInit;
-                }
-            }
+        self.replace_regs(|reg| {
+            matches!(reg, RegType::PtrToStack { frame, .. } if *frame >= frame_index)
+                .then_some(RegType::NotInit)
         });
     }
 
-    fn for_each_reg(&mut self, mut f: impl FnMut(&mut RegType)) {
+    /// Replaces each register and spilled register, in every frame, for
+    /// which `f` returns a new type. Only a frame holding such a register
+    /// is written, so frames shared with other states stay shared.
+    fn replace_regs(&mut self, f: impl Fn(&RegType) -> Option<RegType>) {
         for frame in &mut self.frames {
-            for reg in &mut frame.regs {
-                f(reg);
+            if frame.regs_and_spills().all(|reg| f(reg).is_none()) {
+                continue;
             }
-            for slot in &mut frame.stack {
-                if let Slot::Spill(reg) = slot {
-                    f(reg);
+            for reg in Rc::make_mut(frame).regs_and_spills_mut() {
+                if let Some(new) = f(reg) {
+                    *reg = new;
                 }
             }
         }
@@ -558,7 +617,7 @@ mod tests {
     fn invalidate_frames_clears_dangling_stack_pointers() {
         let mut st = VerifierState::entry();
         st.frames
-            .push(FrameState::new(FrameKind::Func { ret_pc: 5 }, 1));
+            .push(Rc::new(FrameState::new(FrameKind::Func { ret_pc: 5 }, 1)));
         st.set_reg(6, RegType::PtrToStack { frame: 1, off: -8 });
         st.frames.pop();
         st.invalidate_frames_from(1);
@@ -573,5 +632,103 @@ mod tests {
         let sp = Slot::Spill(RegType::unknown());
         assert!(Slot::Misc.subsumes(&sp));
         assert!(sp.subsumes(&Slot::Spill(RegType::Scalar(Scalar::constant(1)))));
+    }
+
+    #[test]
+    fn state_header_stays_56_bytes() {
+        // `VerifStats::peak_state_bytes` counts retained states at this
+        // size, and the committed reports pin it.
+        assert_eq!(std::mem::size_of::<VerifierState>(), 56);
+    }
+
+    /// A caller frame with one written slot, plus an empty callee frame.
+    fn two_frames() -> VerifierState {
+        let mut st = VerifierState::entry();
+        st.frame_mut(0).set_slot(0, Slot::Zero);
+        st.frames
+            .push(Rc::new(FrameState::new(FrameKind::Func { ret_pc: 5 }, 1)));
+        st
+    }
+
+    #[test]
+    fn writing_a_caller_slot_through_a_clone_leaves_the_original() {
+        let orig = two_frames();
+        let mut copy = orig.clone();
+        copy.frame_mut(0).set_slot(0, Slot::Misc);
+        copy.frame_mut(0).set_slot(3, Slot::Misc);
+        assert_eq!(orig.frames[0].slot(0), Slot::Zero);
+        assert_eq!(orig.frames[0].slot(3), Slot::Invalid);
+        assert_eq!(copy.frames[0].slot(0), Slot::Misc);
+        assert_eq!(copy.frames[0].slot(3), Slot::Misc);
+        assert!(!Rc::ptr_eq(&orig.frames[0], &copy.frames[0]));
+        // The callee frame, never written, is still shared.
+        assert!(Rc::ptr_eq(&orig.frames[1], &copy.frames[1]));
+    }
+
+    #[test]
+    fn alias_walks_leave_a_sharing_state_unchanged() {
+        let mut st = two_frames();
+        st.set_reg(0, RegType::map_value(1, 0, true, 7));
+        st.set_reg(6, RegType::PtrToStack { frame: 1, off: -8 });
+        st.cur_mut()
+            .set_slot(1, Slot::Spill(RegType::map_value(1, 8, true, 7)));
+        // A deep copy: comparing against it catches an in-place write to
+        // a shared frame.
+        let before: Vec<FrameState> = st.frames.iter().map(|f| (**f).clone()).collect();
+        let walks: [fn(&mut VerifierState); 4] = [
+            |s| s.mark_non_null(7),
+            |s| s.mark_null(7),
+            |s| s.invalidate_id(7),
+            |s| s.invalidate_frames_from(1),
+        ];
+        for walk in walks {
+            let mut other = st.clone();
+            walk(&mut other);
+            assert_ne!(*other.frames[1], before[1], "the walk rewrote the callee");
+            assert!(st.frames.iter().map(|f| &**f).eq(&before));
+            // The caller frame holds no match, so it was not copied.
+            assert!(Rc::ptr_eq(&st.frames[0], &other.frames[0]));
+        }
+    }
+
+    /// Frame subsumption over all `STACK_SLOTS` slots, as with a stack of
+    /// fixed size.
+    fn fixed_array_subsumes(old: &FrameState, new: &FrameState) -> bool {
+        old.kind == new.kind
+            && old.regs.iter().zip(&new.regs).all(|(o, n)| o.subsumes(n))
+            && (0..STACK_SLOTS).all(|idx| old.slot(idx).subsumes(&new.slot(idx)))
+    }
+
+    #[test]
+    fn shorter_old_stack_subsumes_as_with_the_fixed_array() {
+        let mut old = FrameState::new(FrameKind::Main, 0);
+        old.set_slot(0, Slot::Zero);
+        let mut new = old.clone();
+        new.set_slot(5, Slot::Spill(RegType::PtrToCtx { off: 0 }));
+        new.set_slot(STACK_SLOTS - 1, Slot::Misc);
+        // Old slots past the end are Invalid, which subsumes anything.
+        assert!(old.subsumes(&new));
+        assert_eq!(old.subsumes(&new), fixed_array_subsumes(&old, &new));
+        // Slots old did write are still compared.
+        new.set_slot(0, Slot::Misc);
+        assert!(!old.subsumes(&new));
+        assert_eq!(old.subsumes(&new), fixed_array_subsumes(&old, &new));
+    }
+
+    #[test]
+    fn longer_old_stack_with_a_written_tail_is_rejected() {
+        let mut old = FrameState::new(FrameKind::Main, 0);
+        old.set_slot(0, Slot::Misc);
+        old.set_slot(9, Slot::Zero);
+        let mut new = FrameState::new(FrameKind::Main, 0);
+        new.set_slot(0, Slot::Misc);
+        // New's slot 9 is past its end, so Invalid, which Zero does not
+        // subsume.
+        assert!(!old.subsumes(&new));
+        assert_eq!(old.subsumes(&new), fixed_array_subsumes(&old, &new));
+        // Once new writes the tail, old covers it again.
+        new.set_slot(9, Slot::Zero);
+        assert!(old.subsumes(&new));
+        assert_eq!(old.subsumes(&new), fixed_array_subsumes(&old, &new));
     }
 }

@@ -10,6 +10,7 @@ use proptest::prelude::*;
 use ebpf::insn::*;
 use verifier::scalar::{alu32, alu64, branch_known, refine_branch, Scalar};
 use verifier::tnum::Tnum;
+use verifier::types::RegType;
 
 /// Projects `pick` onto a member of `[lo, hi]` without overflowing when the
 /// interval spans all of `u64` (where `hi - lo + 1` would wrap to 0).
@@ -45,6 +46,54 @@ fn scalar_with_member() -> impl Strategy<Value = (Scalar, u64)> {
         // Fully unknown.
         any::<u64>().prop_map(|v| (Scalar::UNKNOWN, v)),
     ]
+}
+
+/// Generates a register type of any kind, scalars and pointers alike.
+fn reg_type() -> impl Strategy<Value = RegType> {
+    (
+        0u8..11,
+        scalar_with_member(),
+        any::<i64>(),
+        any::<i64>(),
+        any::<bool>(),
+        any::<u32>(),
+    )
+        .prop_map(|(kind, (s, _), a, b, or_null, id)| {
+            let (lo, hi) = (a.min(b), a.max(b));
+            match kind {
+                0 => RegType::NotInit,
+                1 => RegType::Scalar(s),
+                2 => RegType::PtrToCtx { off: a },
+                3 => RegType::PtrToStack {
+                    frame: id as usize % 8,
+                    off: a,
+                },
+                4 => RegType::ConstMapPtr { fd: id },
+                5 => RegType::PtrToMapValue {
+                    fd: id,
+                    off_lo: lo,
+                    off_hi: hi,
+                    or_null,
+                    id,
+                },
+                6 => RegType::PtrToPacket {
+                    off_lo: lo,
+                    off_hi: hi,
+                    id,
+                },
+                7 => RegType::PtrToPacketEnd,
+                8 => RegType::PtrToMem {
+                    size: b as u64,
+                    or_null,
+                    id,
+                },
+                9 => RegType::PtrToSocket {
+                    or_null,
+                    ref_id: id,
+                },
+                _ => RegType::FuncPtr { pc: id as usize },
+            }
+        })
 }
 
 fn concrete_alu64(op: u8, dst: u64, src: u64) -> u64 {
@@ -257,5 +306,15 @@ proptest! {
         if a.is_subset_of(&b) {
             prop_assert!(b.contains(x));
         }
+    }
+
+    // ---- Subsumption reflexivity ------------------------------------------
+
+    // State pruning skips a call frame that two states share, which is
+    // exact only because every frame subsumes itself.
+    #[test]
+    fn subsumption_is_reflexive(x in reg_type(), (s, _m) in scalar_with_member()) {
+        prop_assert!(x.subsumes(&x), "{x:?} does not subsume itself");
+        prop_assert!(s.is_subset_of(&s), "{s:?} is not a subset of itself");
     }
 }

@@ -138,6 +138,36 @@ fn uninitialized_stack_read_rejected() {
 }
 
 #[test]
+fn atomic_on_uninitialized_stack_slot_rejected() {
+    let h = H::new();
+    // An atomic reads its operand, so a never-written slot is rejected
+    // like the LDX above; once written, the same atomic verifies.
+    let atomic = |init: bool| {
+        let asm = Asm::new().mov64_imm(Reg::R1, 1);
+        let asm = if init {
+            asm.st(BPF_DW, Reg::R10, -8, 0)
+        } else {
+            asm
+        };
+        asm.atomic(BPF_DW, Reg::R10, -8, Reg::R1, BPF_ATOMIC_ADD | BPF_FETCH)
+            .mov64_imm(Reg::R0, 0)
+            .exit()
+            .build()
+            .unwrap()
+    };
+    assert!(matches!(
+        h.verify(atomic(false)),
+        Err(VerifyError::BadStackAccess {
+            off: -8,
+            size: 8,
+            uninit: true,
+            ..
+        })
+    ));
+    h.verify(atomic(true)).unwrap();
+}
+
+#[test]
 fn out_of_frame_stack_access_rejected() {
     let h = H::new();
     let prog = Asm::new()
