@@ -49,11 +49,12 @@ cargo test -q --features ebpf/sandbox-strict --test sandbox_proptests
 
 # Ladder feature matrix: each verifier feature-growth rung (bpf2bpf,
 # tail calls, spin locks, ringbuf reservations) keeps its focused
-# suites green — generator strata and shrinker coverage, the ladder
-# measurement harness, and the stored-bug replay pair.
-say "feature matrix: ladder strata (fuzz gen/shrink/bugdb)"
+# suites green — generator strata, shrinker and store coverage, the
+# ladder measurement harness, and the ladder proptests plus both
+# reproducer-store replay suites.
+say "feature matrix: ladder strata (fuzz gen/shrink/corpus)"
 cargo test -q -p fuzz --lib
 say "feature matrix: ladder measurement harness (bench ladder)"
 cargo test -q -p bench --lib ladder
 say "feature matrix: ladder replay suites"
-cargo test -q --test feature_ladder_proptests --test bugdb_replay
+cargo test -q --test feature_ladder_proptests --test bugdb_replay --test fuzz_corpus_replay

@@ -18,13 +18,15 @@ fmt_ms() {
 
 # gen_reports <dir>
 #
-# Regenerates every canonical report, with baseline-identical parameters,
-# into <dir>: the seven BENCH_*.json (each beside its BENCH_*.host.json
-# when it measures the host) and BENCH_profile_flame.txt, which the
-# profile report writes beside itself. The one list of report commands:
-# the regress stage and ci/regen-baselines.sh both call it. The fuzz
-# sweep runs on 2 shards so its threaded path stays under the gate; its
-# report does not depend on the shard count.
+# Regenerates all nine canonical reports, with baseline-identical
+# parameters, into <dir>: the seven BENCH_*.json (each beside its
+# BENCH_*.host.json when it measures the host), BENCH_profile_flame.txt,
+# which the profile report writes beside itself, and
+# BENCH_fuzz_corpus.txt, the reproducer store fuzzstats writes beside
+# its report. The one list of report commands: the regress stage and
+# ci/regen-baselines.sh both call it. The fuzz sweep runs on 2 shards so
+# its threaded path stays under the gate; its reports do not depend on
+# the shard count.
 gen_reports() {
     local dir=$1
     mkdir -p "$dir"

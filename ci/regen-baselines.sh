@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Regenerates every committed canonical report (the seven BENCH_*.json
-# and BENCH_profile_flame.txt) in place, then lists the ones that moved.
+# Regenerates all nine committed canonical reports (the seven
+# BENCH_*.json, BENCH_profile_flame.txt and the reproducer store
+# BENCH_fuzz_corpus.txt) in place, then lists the ones that moved.
 #
 # Canonical reports depend only on code and seed, so on an unchanged
 # tree the list is empty. A PR that deliberately changes a modelled

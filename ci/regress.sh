@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# Stage: regress — the report gate. Regenerates every canonical report
-# (the seven BENCH_*.json and BENCH_profile_flame.txt) with
-# baseline-identical parameters into a scratch directory, and requires
-# each to equal its committed copy byte for byte. A mismatch prints every
-# differing value by report, row ids and field, or by line; a report
-# missing on either side fails too.
+# Stage: regress — the report gate. Regenerates all nine canonical
+# reports (the seven BENCH_*.json, BENCH_profile_flame.txt and the
+# reproducer store BENCH_fuzz_corpus.txt) with baseline-identical
+# parameters into a scratch directory, and requires each to equal its
+# committed copy byte for byte. A mismatch prints every differing value
+# by report, row ids and field, or by line; a report missing on either
+# side fails too.
 #
 # Canonical reports depend only on code and seed. Host measurements go
 # to BENCH_*.host.json siblings, which are gitignored and never gated;

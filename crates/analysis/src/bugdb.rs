@@ -1,23 +1,12 @@
-//! The bug database: documented bug replicas plus the on-disk store of
-//! fuzzer-found feature-ladder reproducers.
+//! The bug database: documented bug replicas.
 //!
 //! Table 1 counts 40 security bugs (18 helper, 22 verifier) found in
 //! 2021-2022. The dataset itself is in [`crate::datasets::TABLE1`]; this
 //! module indexes the *mechanism replicas* — the 10 representative bugs
 //! implemented as injectable faults across the workspace, each mapped to
 //! its Table 1 class, its component, its toggle, and the reference the
-//! paper cites.
-//!
-//! The second half is [`StoredBug`]: shrunk verdict/behaviour
-//! reproducers the differential fuzzer harvested while exercising the
-//! feature-growth ladder (bpf2bpf, tail calls, spin locks, ringbuf
-//! reservations). They live as `*.bug` text files under
-//! `crates/analysis/bugdb/` and are string-typed here so this crate
-//! needs no dependency on the fuzzer that produced them; the
-//! workspace-root `bugdb_replay` suite re-judges every entry in tier-1.
-
-use std::io;
-use std::path::{Path, PathBuf};
+//! paper cites. The fuzzer's shrunk witnesses live in the reproducer
+//! store, `BENCH_fuzz_corpus.txt` (`fuzz::corpus`).
 
 /// Table 1 bug classes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -186,139 +175,6 @@ pub const CORPUS: [BugEntry; 10] = [
     },
 ];
 
-/// One fuzzer-found, shrunk reproducer from the verifier feature-growth
-/// ladder, persisted on disk with its recorded verdict.
-///
-/// All fields are plain strings: the authoritative enums live in the
-/// `fuzz` crate, and the replay suite (not this crate) re-binds them.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StoredBug {
-    /// Ladder feature the reproducer exercises (`bpf2bpf`, `tail_call`,
-    /// `spin_lock`, `ringbuf`).
-    pub feature: String,
-    /// The generating seed.
-    pub seed: u64,
-    /// Generator shape name (fixes the program type on replay).
-    pub shape: String,
-    /// Verifier lane the verdict was recorded under.
-    pub lane: String,
-    /// Recorded verdict × behaviour bucket name.
-    pub bucket: String,
-    /// Structured reject-check name, when the verdict was a reject.
-    pub check: Option<String>,
-    /// Recorded runtime class name (`safe`/`trap`/`undecided`).
-    pub runtime: String,
-    /// The shrunk program as commented assembly text.
-    pub program: String,
-}
-
-/// Header keys recognised by [`StoredBug::parse`]; anything else in the
-/// file body (comments, assembly) belongs to the program text.
-const BUG_KEYS: [&str; 7] = [
-    "feature", "seed", "shape", "lane", "bucket", "check", "runtime",
-];
-
-impl StoredBug {
-    /// Renders the on-disk file text.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str("; bugdb-entry v1\n");
-        out.push_str(&format!("; feature: {}\n", self.feature));
-        out.push_str(&format!("; seed: {}\n", self.seed));
-        out.push_str(&format!("; shape: {}\n", self.shape));
-        out.push_str(&format!("; lane: {}\n", self.lane));
-        out.push_str(&format!("; bucket: {}\n", self.bucket));
-        if let Some(check) = &self.check {
-            out.push_str(&format!("; check: {check}\n"));
-        }
-        out.push_str(&format!("; runtime: {}\n", self.runtime));
-        out.push_str(&self.program);
-        if !out.ends_with('\n') {
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Canonical file name within the database directory.
-    pub fn file_name(&self) -> String {
-        format!(
-            "{}_{}_{}_seed{}.bug",
-            self.feature, self.lane, self.bucket, self.seed
-        )
-    }
-
-    /// Parses a database file; the program text is everything that is
-    /// not a recognised `; key: value` header line.
-    pub fn parse(text: &str) -> Result<StoredBug, String> {
-        let mut fields: std::collections::BTreeMap<&str, String> = Default::default();
-        let mut program = String::new();
-        for line in text.lines() {
-            let header = line
-                .trim()
-                .strip_prefix(';')
-                .and_then(|rest| rest.split_once(':'))
-                .and_then(|(key, value)| {
-                    let key = key.trim();
-                    BUG_KEYS.contains(&key).then(|| (key, value.trim()))
-                });
-            match header {
-                Some((key, value)) => {
-                    fields.insert(key, value.to_string());
-                }
-                None if line.trim() == "; bugdb-entry v1" => {}
-                None => {
-                    program.push_str(line);
-                    program.push('\n');
-                }
-            }
-        }
-        let get = |key: &str| {
-            fields
-                .get(key)
-                .cloned()
-                .ok_or_else(|| format!("missing `; {key}:` header"))
-        };
-        Ok(StoredBug {
-            feature: get("feature")?,
-            seed: get("seed")?
-                .parse::<u64>()
-                .map_err(|e| format!("bad seed: {e}"))?,
-            shape: get("shape")?,
-            lane: get("lane")?,
-            bucket: get("bucket")?,
-            check: fields.get("check").cloned(),
-            runtime: get("runtime")?,
-            program,
-        })
-    }
-}
-
-/// Loads every `*.bug` file under `dir`, sorted by file name. A missing
-/// directory is an empty database, not an error.
-pub fn load_dir(dir: &Path) -> io::Result<Vec<(PathBuf, StoredBug)>> {
-    let mut paths: Vec<PathBuf> = match std::fs::read_dir(dir) {
-        Ok(entries) => entries
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| p.extension().is_some_and(|e| e == "bug"))
-            .collect(),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(e),
-    };
-    paths.sort();
-    let mut out = Vec::new();
-    for path in paths {
-        let text = std::fs::read_to_string(&path)?;
-        let bug = StoredBug::parse(&text).map_err(|msg| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("{}: {msg}", path.display()),
-            )
-        })?;
-        out.push((path, bug));
-    }
-    Ok(out)
-}
-
 /// Counts corpus entries by `(class, component)` — the measured companion
 /// to Table 1.
 pub fn corpus_counts() -> Vec<(BugClass, u32, u32, u32)> {
@@ -390,55 +246,6 @@ mod tests {
     fn counts_sum_to_corpus_size() {
         let total: u32 = corpus_counts().iter().map(|(_, h, v, j)| h + v + j).sum();
         assert_eq!(total, CORPUS.len() as u32);
-    }
-
-    fn stored_sample() -> StoredBug {
-        StoredBug {
-            feature: "spin_lock".to_string(),
-            seed: 128,
-            shape: "spin_lock".to_string(),
-            lane: "patched".to_string(),
-            bucket: "incompleteness_witness".to_string(),
-            check: Some("lock".to_string()),
-            runtime: "safe".to_string(),
-            program: "  0: r6 = 0\n  1: exit\n".to_string(),
-        }
-    }
-
-    #[test]
-    fn stored_bug_render_parse_roundtrip() {
-        let bug = stored_sample();
-        let back = StoredBug::parse(&bug.render()).expect("parses");
-        assert_eq!(back, bug);
-    }
-
-    #[test]
-    fn stored_bug_without_check_roundtrips() {
-        let mut bug = stored_sample();
-        bug.check = None;
-        bug.bucket = "accept_safe".to_string();
-        let back = StoredBug::parse(&bug.render()).expect("parses");
-        assert_eq!(back, bug);
-    }
-
-    #[test]
-    fn stored_bug_missing_header_is_an_error() {
-        let err = StoredBug::parse("  0: exit\n").unwrap_err();
-        assert!(err.contains("feature"), "{err}");
-    }
-
-    #[test]
-    fn stored_bug_file_name_is_canonical() {
-        assert_eq!(
-            stored_sample().file_name(),
-            "spin_lock_patched_incompleteness_witness_seed128.bug"
-        );
-    }
-
-    #[test]
-    fn missing_bugdb_directory_is_empty() {
-        let loaded = load_dir(Path::new("/nonexistent/bugdb")).unwrap();
-        assert!(loaded.is_empty());
     }
 
     #[test]

@@ -10,8 +10,6 @@
 //!   measured Figure 2 series from the feature-stage layout;
 //! * [`bugdb`] — the corpus of replicated bugs behind the fault toggles;
 //! * [`figures`] — composition + ASCII/JSON rendering of each figure;
-//! * [`fuzztable`] — the differential-fuzzing soundness/completeness
-//!   table rendered from `crates/fuzz` sweep counts;
 //! * [`profile`] — folds `kernel_sim::trace` span streams into
 //!   per-stage self/total cost tables and flamegraph collapsed stacks;
 //! * [`json`] — a minimal offline JSON writer and reader for the
@@ -33,7 +31,6 @@ pub mod bugdb;
 pub mod callgraph;
 pub mod datasets;
 pub mod figures;
-pub mod fuzztable;
 pub mod json;
 pub mod kerngen;
 pub mod loc;

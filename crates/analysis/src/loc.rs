@@ -9,7 +9,9 @@ use std::path::{Path, PathBuf};
 
 use ebpf::version::KernelVersion;
 
-/// Counts non-blank, non-comment-only lines in Rust source text.
+/// Counts non-blank, non-comment-only lines in Rust source text, up to
+/// its `#[cfg(test)]` module: unit tests are not verifier code, and every
+/// verifier source keeps them in one trailing module.
 ///
 /// Block comments are tracked across lines; a line containing code before
 /// a `//` comment counts.
@@ -17,6 +19,9 @@ pub fn loc_of_source(source: &str) -> usize {
     let mut count = 0usize;
     let mut in_block = 0usize;
     for line in source.lines() {
+        if in_block == 0 && line.trim() == "#[cfg(test)]" {
+            break;
+        }
         let mut code = false;
         let bytes = line.as_bytes();
         let mut i = 0;
@@ -95,6 +100,15 @@ fn f() { // trailing comment counts the line
 "#;
         // Lines: fn f(), let x (after block), x, } = 4.
         assert_eq!(loc_of_source(src), 4);
+    }
+
+    #[test]
+    fn the_test_module_does_not_count() {
+        let src = "fn f() {}\n\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {}\n}\n";
+        assert_eq!(loc_of_source(src), 1);
+        let types = std::fs::read_to_string(verifier_src_dir().join("types.rs")).unwrap();
+        let (code, _) = types.split_once("#[cfg(test)]").unwrap();
+        assert_eq!(loc_of_source(&types), loc_of_source(code));
     }
 
     #[test]

@@ -19,6 +19,7 @@ pub const CANONICAL: &[&str] = &[
     "BENCH_throughput.json",
     "BENCH_net.json",
     "BENCH_fuzz.json",
+    "BENCH_fuzz_corpus.txt",
     "BENCH_profile.json",
     "BENCH_profile_flame.txt",
     "BENCH_verifier.json",
@@ -183,6 +184,18 @@ mod tests {
         assert_eq!(
             edited("BENCH_profile_flame.txt", &[("rcu-read 81920\n", "rcu-read 81921\n")]),
             ["BENCH_profile_flame.txt line 3: ebpf;dispatch;prog-run;rcu-read 81920 -> ebpf;dispatch;prog-run;rcu-read 81921"]
+        );
+    }
+
+    #[test]
+    fn reproducer_store_fails_by_line() {
+        let edit = (
+            "; bucket: incompleteness_witness\n",
+            "; bucket: accept_safe\n",
+        );
+        assert_eq!(
+            edited("BENCH_fuzz_corpus.txt", &[edit]),
+            ["BENCH_fuzz_corpus.txt line 5: ; bucket: incompleteness_witness -> ; bucket: accept_safe"]
         );
     }
 

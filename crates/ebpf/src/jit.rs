@@ -335,14 +335,13 @@ pub fn jit_lower(prog: &Program, config: JitConfig) -> Result<Lowered, JitError>
     let insns = &prog.insns;
     let len = insns.len();
     let mut stats = JitStats::default();
-    let mut is_hi = vec![false; len];
     // Effective branch displacements after the (optional) CVE replica.
     let mut eff_off: Vec<i16> = insns.iter().map(|i| i.off).collect();
 
     // Strict linear walk: validation, statistics, and bug application.
-    // Slots marked `is_hi` are LDDW payload in this walk; the bug never
-    // applies to them (the byte lane copies them verbatim as data), but
-    // they still lower below in case a branch jumps into them.
+    // The walk steps over LDDW payload slots; the bug never applies to
+    // them (the byte lane copies them verbatim as data), but they still
+    // lower below in case a branch jumps into them.
     let mut pc = 0usize;
     while pc < len {
         let insn = insns[pc];
@@ -351,7 +350,6 @@ pub fn jit_lower(prog: &Program, config: JitConfig) -> Result<Lowered, JitError>
             if pc + 1 >= len {
                 return Err(JitError::TruncatedLddw { pc });
             }
-            is_hi[pc + 1] = true;
             stats.insns += 1;
             pc += 2;
             continue;

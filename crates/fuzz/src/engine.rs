@@ -4,13 +4,15 @@
 //! judges its seeds independently on worker threads, and the results
 //! are merged **sorted by seed** before any aggregation or shrinking —
 //! so the report is byte-identical for any shard count, and two runs of
-//! the same configuration produce the same `BENCH_fuzz.json`.
+//! the same configuration produce the same `BENCH_fuzz.json` and the same
+//! reproducer store.
 
 use std::collections::BTreeMap;
 
 use verifier::RejectCheck;
 
-use crate::gen::{generate, FuzzProgram, Shape};
+use crate::corpus::{Reproducer, FEATURE_SHAPES, LADDER_PICKS};
+use crate::gen::{generate, Shape};
 use crate::oracle::{Bucket, Lane, Observation, Oracle};
 use crate::shrink::shrink;
 
@@ -112,34 +114,74 @@ impl LaneReport {
     pub fn bucket(&self, b: Bucket) -> u64 {
         self.buckets[Bucket::ALL.iter().position(|x| *x == b).unwrap()]
     }
-
-    /// Disagreements (unsoundness + incompleteness + JIT divergence).
-    pub fn disagreements(&self) -> u64 {
-        Bucket::ALL
-            .iter()
-            .filter(|b| b.is_disagreement())
-            .map(|b| self.bucket(*b))
-            .sum()
-    }
 }
 
-/// One shrunk disagreement, ready for the corpus.
+/// Renders the paper-style table EXPERIMENTS.md embeds verbatim: per
+/// lane, the accept rate, the disagreement counts (unsoundness
+/// candidates, incompleteness witnesses, JIT divergences), the
+/// undecided runs and the disagreement rate, in fixed-width columns.
+pub fn render_table(lanes: &[LaneReport]) -> String {
+    let pct = |n: u64, total: u64| {
+        if total == 0 {
+            0.0
+        } else {
+            100.0 * n as f64 / total as f64
+        }
+    };
+    let mut out = String::from(
+        "Differential fuzzing: verifier verdict vs sandboxed runtime behaviour\n\
+         ----------------------------------------------------------------------\n",
+    );
+    out.push_str(&format!(
+        "{:<9} {:>7} {:>8} {:>8} {:>9} {:>9} {:>7} {:>9} {:>10}\n",
+        "lane", "progs", "accept", "acc%", "unsound", "incompl", "jitdiv", "undecided", "disagree%"
+    ));
+    for l in lanes {
+        let unsound = l.bucket(Bucket::UnsoundnessCandidate);
+        let incompl = l.bucket(Bucket::IncompletenessWitness);
+        let jitdiv = l.bucket(Bucket::JitDivergence);
+        out.push_str(&format!(
+            "{:<9} {:>7} {:>8} {:>7.1}% {:>9} {:>9} {:>7} {:>9} {:>9.2}%\n",
+            l.lane.name(),
+            l.total,
+            l.accepted,
+            pct(l.accepted, l.total),
+            unsound,
+            incompl,
+            jitdiv,
+            l.bucket(Bucket::AcceptUndecided) + l.bucket(Bucket::RejectUndecided),
+            pct(unsound + incompl + jitdiv, l.total),
+        ));
+    }
+    out
+}
+
+/// One shrunk program: its store entry and how far it shrank.
 #[derive(Debug, Clone)]
 pub struct ShrunkCase {
-    /// The shrunk program.
-    pub prog: FuzzProgram,
-    /// The lane it disagrees under.
-    pub lane: Lane,
-    /// The preserved bucket.
-    pub bucket: Bucket,
+    /// The shrunk program with its recorded verdict.
+    pub repro: Reproducer,
     /// Steps before shrinking.
     pub steps_before: usize,
     /// Steps after shrinking.
     pub steps_after: usize,
-    /// Bytecode slots after shrinking.
-    pub insns_after: usize,
-    /// Debug rendering of the runtime trap, if the bucket traps.
-    pub trap: Option<String>,
+}
+
+impl ShrunkCase {
+    /// Shrinks `seed`'s program while its bucket under `lane` holds, and
+    /// records what the shrunk program does.
+    fn new(oracle: &Oracle, seed: u64, lane: Lane) -> ShrunkCase {
+        let prog = generate(seed);
+        let (small, bucket) = shrink(oracle, &prog, lane);
+        let insns = small.emit().expect("shrunk programs assemble");
+        let obs = oracle.evaluate(&insns, small.prog_type(), lane);
+        debug_assert_eq!(obs.bucket, bucket);
+        ShrunkCase {
+            steps_before: prog.steps.len(),
+            steps_after: small.steps.len(),
+            repro: Reproducer::new(seed, small.shape, insns, obs),
+        }
+    }
 }
 
 /// The full sweep report.
@@ -149,14 +191,14 @@ pub struct FuzzReport {
     pub seed_start: u64,
     /// Seeds judged.
     pub seeds: u64,
-    /// Shard count used (does not affect the report's content).
-    pub shards: usize,
     /// Programs generated per shape, parallel to [`Shape::ALL`].
     pub shapes: [u64; 10],
     /// Per-lane accounting, in [`Lane::ALL`] order.
     pub lanes: Vec<LaneReport>,
     /// Shrunk disagreements, in (lane, bucket, seed) order.
     pub shrunk: Vec<ShrunkCase>,
+    /// Shrunk feature-ladder picks whose (seed, lane) is not in `shrunk`.
+    pub ladder: Vec<Reproducer>,
 }
 
 /// Judges one seed: generate, probe once, verdict per lane.
@@ -176,8 +218,11 @@ fn judge(oracle: &Oracle, seed: u64) -> CaseResult {
     }
 }
 
-/// Runs the sweep: shard, judge, merge sorted by seed, aggregate, and
-/// shrink the first `shrink_limit` disagreements per (lane, bucket).
+/// Runs the sweep: shard, judge, merge sorted by seed, aggregate, shrink
+/// the first `shrink_limit` disagreements per (lane, bucket), and shrink
+/// [`LADDER_PICKS`] seeds per [`FEATURE_SHAPES`] entry: disagreements
+/// first, then plain rejects, ties toward lower seeds and [`Lane::ALL`]
+/// order.
 pub fn sweep(cfg: &FuzzConfig) -> FuzzReport {
     let oracle = Oracle::new();
     let shards = cfg.shards.max(1);
@@ -229,39 +274,64 @@ pub fn sweep(cfg: &FuzzConfig) -> FuzzReport {
     }
 
     let mut shrunk = Vec::new();
-    for ((li, bi), seeds) in &disagreements {
-        let lane = Lane::ALL[*li];
-        let bucket = Bucket::ALL[*bi];
+    for ((li, _), seeds) in &disagreements {
         for &seed in seeds.iter().take(cfg.shrink_limit) {
-            let prog = generate(seed);
-            let steps_before = prog.steps.len();
-            let (small, got) = shrink(&oracle, &prog, lane);
-            debug_assert_eq!(got, bucket);
-            let insns = small.emit().expect("shrunk programs assemble");
-            let obs = oracle.evaluate(&insns, small.prog_type(), lane);
-            shrunk.push(ShrunkCase {
-                steps_before,
-                steps_after: small.steps.len(),
-                insns_after: insns.len(),
-                trap: obs.trap,
-                prog: small,
-                lane,
-                bucket,
-            });
+            shrunk.push(ShrunkCase::new(&oracle, seed, Lane::ALL[*li]));
+        }
+    }
+
+    let mut ladder = Vec::new();
+    for shape in FEATURE_SHAPES {
+        // (priority, seed, lane index): sorting puts the picks first. An
+        // accepted program that ran as judged is never worth storing.
+        let mut picks: Vec<(u8, u64, usize)> = Vec::new();
+        for case in cases.iter().filter(|c| c.shape == shape) {
+            for (li, obs) in case.obs.iter().enumerate() {
+                let priority = match (obs.bucket.is_disagreement(), obs.accepted) {
+                    (true, _) => 0,
+                    (false, false) => 1,
+                    (false, true) => continue,
+                };
+                picks.push((priority, case.seed, li));
+            }
+        }
+        picks.sort_unstable();
+        let mut taken: Vec<u64> = Vec::new();
+        for (_, seed, li) in picks {
+            if taken.len() == LADDER_PICKS {
+                break;
+            }
+            if taken.contains(&seed) {
+                continue;
+            }
+            taken.push(seed);
+            let lane = Lane::ALL[li];
+            if !shrunk
+                .iter()
+                .any(|c| (c.repro.seed, c.repro.lane) == (seed, lane))
+            {
+                ladder.push(ShrunkCase::new(&oracle, seed, lane).repro);
+            }
         }
     }
 
     FuzzReport {
         seed_start: cfg.seed_start,
         seeds: cfg.seeds,
-        shards,
         shapes,
         lanes,
         shrunk,
+        ladder,
     }
 }
 
 impl FuzzReport {
+    /// The reproducer store's entries: the shrunk disagreements in report
+    /// order, then the ladder picks.
+    pub fn corpus(&self) -> impl Iterator<Item = &Reproducer> {
+        self.shrunk.iter().map(|c| &c.repro).chain(&self.ladder)
+    }
+
     /// Deterministic hand-rolled JSON: counts and structure only — no
     /// wall-clock, no host-dependent values.
     pub fn to_json(&self) -> String {
@@ -329,13 +399,13 @@ impl FuzzReport {
                 s,
                 "    {{\"seed\": {}, \"shape\": \"{}\", \"lane\": \"{}\", \"bucket\": \"{}\", \
                  \"steps_before\": {}, \"steps_after\": {}, \"insns_after\": {}}}{}",
-                case.prog.seed,
-                case.prog.shape.name(),
-                case.lane.name(),
-                case.bucket.name(),
+                case.repro.seed,
+                case.repro.shape.name(),
+                case.repro.lane.name(),
+                case.repro.bucket.name(),
                 case.steps_before,
                 case.steps_after,
-                case.insns_after,
+                case.repro.insns.len(),
                 comma
             )
             .unwrap();
@@ -364,6 +434,8 @@ mod tests {
         let one = sweep(&small_cfg(1));
         let three = sweep(&small_cfg(3));
         assert_eq!(one.to_json(), three.to_json());
+        let store = |r: &FuzzReport| crate::corpus::render_store(r.corpus());
+        assert_eq!(store(&one), store(&three));
     }
 
     #[test]
@@ -371,6 +443,25 @@ mod tests {
         let a = sweep(&small_cfg(2));
         let b = sweep(&small_cfg(2));
         assert_eq!(a.to_json(), b.to_json());
+    }
+
+    #[test]
+    fn table_rows_carry_each_lanes_rates() {
+        let mut patched = LaneReport::new(Lane::Patched);
+        patched.total = 1000;
+        patched.accepted = 400;
+        let at = |b| Bucket::ALL.iter().position(|x| *x == b).unwrap();
+        patched.buckets[at(Bucket::IncompletenessWitness)] = 120;
+        patched.buckets[at(Bucket::AcceptUndecided)] = 15;
+        let table = render_table(&[patched, LaneReport::new(Lane::Shipped)]);
+        let rows: Vec<&str> = table.lines().skip(3).collect();
+        assert_eq!(
+            rows,
+            [
+                "patched      1000      400    40.0%         0       120       0        15     12.00%",
+                "shipped         0        0     0.0%         0         0       0         0      0.00%",
+            ]
+        );
     }
 
     #[test]

@@ -16,15 +16,16 @@
 //!    and cross-checks the two pipelines' full audit fingerprints.
 //! 3. [`shrink`] minimizes any verdict/behaviour disagreement to a
 //!    small reproducer by delta-debugging the generator's step IR.
-//! 4. [`corpus`] persists shrunk reproducers as commented assembly text
-//!    that the workspace-root `fuzz_corpus_replay` suite re-runs on
-//!    every `cargo test`.
-//! 5. [`engine`] sweeps seed ranges across shards deterministically and
-//!    aggregates the soundness/completeness accounting that the
-//!    `fuzzstats` bin turns into `BENCH_fuzz.json` and the paper-style
-//!    table in `crates/analysis`.
+//! 4. [`corpus`] renders shrunk reproducers, each with its recorded
+//!    verdict, as commented assembly text in one store that the
+//!    workspace-root `fuzz_corpus_replay` and `bugdb_replay` suites
+//!    re-run on every `cargo test`.
+//! 5. [`engine`] sweeps seed ranges across shards deterministically,
+//!    aggregates the soundness/completeness accounting, renders the
+//!    paper-style table, and picks the store's entries; the `fuzzstats`
+//!    bin turns the result into `BENCH_fuzz.json`,
+//!    `BENCH_fuzz_corpus.txt` and the table.
 
-pub mod bugdb;
 pub mod corpus;
 pub mod engine;
 pub mod gen;

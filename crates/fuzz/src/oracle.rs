@@ -101,6 +101,12 @@ impl RuntimeClass {
         }
     }
 
+    /// Parses a [`RuntimeClass::name`].
+    pub fn from_name(name: &str) -> Option<RuntimeClass> {
+        let all = [Self::Safe, Self::Trap, Self::Undecided];
+        all.into_iter().find(|c| c.name() == name)
+    }
+
     /// The class of one run.
     fn classify(run: &RunResult) -> RuntimeClass {
         match &run.result {

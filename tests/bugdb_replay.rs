@@ -1,48 +1,48 @@
-//! Bug-database replay: every feature-ladder reproducer checked in
-//! under `crates/analysis/bugdb/` is re-judged on each `cargo test`.
+//! Bug-bank replay: every entry of the reproducer store,
+//! `BENCH_fuzz_corpus.txt`, is re-judged on each `cargo test` against
+//! the complete verdict recorded when it was shrunk.
 //!
-//! Each `*.bug` file records the full verdict the differential fuzzer
-//! observed when the program was harvested and shrunk: the bucket, the
-//! structured reject check (if any), and the sandboxed runtime class.
-//! If a verifier or interpreter change flips any of the three, this
-//! suite fails and names the seed — so the state-explosion ladder's
-//! evidence (bpf2bpf, tail calls, spin locks, ringbuf reservations)
-//! cannot silently rot.
+//! The store ends with two picks per feature-ladder shape (bpf2bpf,
+//! tail calls, spin locks, ringbuf reservations), the bug bank. This
+//! suite checks that the bank covers every ladder feature, that each
+//! entry's reject check, runtime class and trap replay, that the
+//! sandbox lane confines each entry, and that the store's metadata is
+//! consistent, so the state-explosion ladder's evidence cannot silently
+//! rot. `fuzz_corpus_replay` holds the store's bucket and fuzz-report
+//! checks.
 
 use std::path::Path;
 
-use analysis::bugdb::{load_dir, StoredBug};
 use bench::ladder::{rungs, sandbox_outcome, SandboxOutcome};
 use ebpf::maps::{MapDef, MapRegistry};
-use ebpf::text::parse_program;
-use fuzz::bugdb::{feature_name, FEATURE_SHAPES};
-use fuzz::oracle::{Lane, Oracle, RuntimeClass};
-use fuzz::Shape;
+use fuzz::corpus::{parse_store, render_store, Reproducer, FEATURE_SHAPES};
+use fuzz::oracle::{Bucket, Oracle, RuntimeClass};
 use kernel_sim::Kernel;
 
-fn bugdb_dir() -> &'static Path {
-    Path::new(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/crates/analysis/bugdb"
-    ))
+const STORE: &str = "BENCH_fuzz_corpus.txt";
+
+fn committed() -> String {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(STORE);
+    std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{STORE}: {e}"))
 }
 
-fn stored() -> Vec<(std::path::PathBuf, StoredBug)> {
-    load_dir(bugdb_dir()).expect("bug database loads")
+fn store() -> Vec<Reproducer> {
+    parse_store(&committed()).unwrap_or_else(|e| panic!("{STORE}: {e}"))
+}
+
+/// Names an entry in a failure message.
+fn who(r: &Reproducer) -> String {
+    format!("{STORE}: seed {} ({} lane)", r.seed, r.lane.name())
 }
 
 #[test]
 fn database_is_checked_in_and_covers_every_ladder_feature() {
-    let bugs = stored();
-    assert!(
-        !bugs.is_empty(),
-        "expected stored reproducers under crates/analysis/bugdb/"
-    );
+    let store = store();
     for shape in FEATURE_SHAPES {
-        let feature = feature_name(shape).unwrap();
         assert!(
-            bugs.iter().any(|(_, b)| b.feature == feature),
-            "no stored bug for ladder feature {feature}"
+            store.iter().any(|r| r.shape == shape),
+            "{STORE}: no entry for ladder shape {}",
+            shape.name()
         );
     }
 }
@@ -50,29 +50,13 @@ fn database_is_checked_in_and_covers_every_ladder_feature() {
 #[test]
 fn every_stored_bug_replays_to_its_recorded_verdict() {
     let oracle = Oracle::new();
-    for (path, bug) in stored() {
-        let shape = Shape::from_name(&bug.shape).expect("shape name");
-        let lane = Lane::from_name(&bug.lane).expect("lane name");
-        let insns = parse_program(&bug.program)
-            .unwrap_or_else(|e| panic!("{}: program does not parse: {e:?}", path.display()));
-        let obs = oracle.evaluate(&insns, shape.prog_type(), lane);
+    for r in store() {
+        let obs = r.replay(&oracle);
         assert_eq!(
-            obs.bucket.name(),
-            bug.bucket,
-            "{}: bucket drifted from the recorded verdict",
-            path.display()
-        );
-        assert_eq!(
-            obs.check.map(|c| c.name().to_string()),
-            bug.check,
-            "{}: reject check drifted from the recorded verdict",
-            path.display()
-        );
-        assert_eq!(
-            obs.runtime.name(),
-            bug.runtime,
-            "{}: runtime class drifted from the recorded verdict",
-            path.display()
+            (obs.check, obs.runtime, obs.trap.as_deref()),
+            (r.check, r.runtime, r.trap.as_deref()),
+            "{}: reject check, runtime class or trap drifted from the recorded verdict",
+            who(&r)
         );
     }
 }
@@ -82,19 +66,16 @@ fn every_stored_bug_is_confined_by_the_sandbox_lane() {
     // Each reproducer also goes through the third backend: loaded
     // unverified into an SFI domain. Whatever the program does, the
     // sandbox must keep its confinement promise — no oops, balanced
-    // domain crossings. The sandbox runtime class is recorded as a
-    // diagnostic (it legitimately differs from the verified lane's:
-    // traps replace oopses).
+    // domain crossings. The sandbox runtime class is a diagnostic (it
+    // legitimately differs from the verified lane's: traps replace
+    // oopses).
     let oracle = Oracle::new();
-    for (path, bug) in stored() {
-        let shape = Shape::from_name(&bug.shape).expect("shape name");
-        let insns = parse_program(&bug.program)
-            .unwrap_or_else(|e| panic!("{}: program does not parse: {e:?}", path.display()));
-        let probe = oracle.probe(&insns, shape.prog_type());
+    for r in store() {
+        let probe = oracle.probe(&r.insns, r.shape.prog_type());
         assert!(
             probe.sandbox_confined,
             "{}: sandbox lane broke confinement (oops or unbalanced crossings)",
-            path.display()
+            who(&r)
         );
         // A program the verified lane judged safe must also be safe
         // sandboxed — the mask is the identity on well-behaved runs.
@@ -103,7 +84,7 @@ fn every_stored_bug_is_confined_by_the_sandbox_lane() {
                 probe.sandbox_class,
                 RuntimeClass::Safe,
                 "{}: safe program misbehaved under the sandbox",
-                path.display()
+                who(&r)
             );
         }
     }
@@ -118,15 +99,10 @@ fn ladder_violations_have_pinned_sandbox_outcomes() {
     // confinement outcome fails here by name.
     let kernel = Kernel::new();
     let maps = MapRegistry::default();
-    let arr_fd = maps
-        .create(&kernel, MapDef::array("ladder-arr", 64, 4))
-        .unwrap();
-    let prog_fd = maps
-        .create(&kernel, MapDef::prog_array("ladder-progs", 4))
-        .unwrap();
-    let rb_fd = maps
-        .create(&kernel, MapDef::ringbuf("ladder-rb", 4096))
-        .unwrap();
+    let fd = |def| maps.create(&kernel, def).unwrap();
+    let arr_fd = fd(MapDef::array("ladder-arr", 64, 4));
+    let prog_fd = fd(MapDef::prog_array("ladder-progs", 4));
+    let rb_fd = fd(MapDef::ringbuf("ladder-rb", 4096));
 
     let expected: &[(&str, SandboxOutcome)] = &[
         ("uninit-read", SandboxOutcome::Ok),
@@ -168,24 +144,42 @@ fn ladder_violations_have_pinned_sandbox_outcomes() {
 
 #[test]
 fn stored_metadata_is_internally_consistent() {
-    for (path, bug) in stored() {
-        let name = path.file_name().unwrap().to_string_lossy().into_owned();
-        assert_eq!(
-            name,
-            bug.file_name(),
-            "{}: file name drifted from its metadata",
-            path.display()
+    let store = store();
+    // The text round-trips, so regenerating the store cannot reformat
+    // entries that did not actually change.
+    assert_eq!(render_store(&store), committed(), "{STORE} re-renders");
+    for (i, r) in store.iter().enumerate() {
+        assert!(
+            !store[..i]
+                .iter()
+                .any(|o| (o.seed, o.lane) == (r.seed, r.lane)),
+            "{}: stored twice",
+            who(r)
         );
-        let shape = Shape::from_name(&bug.shape).expect("shape name");
+        let bucket = match (r.check.is_none(), r.runtime) {
+            (true, RuntimeClass::Safe) => Bucket::AcceptSafe,
+            (true, RuntimeClass::Undecided) => Bucket::AcceptUndecided,
+            (true, RuntimeClass::Trap) => Bucket::UnsoundnessCandidate,
+            (false, RuntimeClass::Safe) => Bucket::IncompletenessWitness,
+            (false, RuntimeClass::Undecided) => Bucket::RejectUndecided,
+            (false, RuntimeClass::Trap) => Bucket::RejectTrap,
+        };
         assert_eq!(
-            feature_name(shape),
-            Some(bug.feature.as_str()),
-            "{}: feature does not match shape",
-            path.display()
+            r.bucket,
+            bucket,
+            "{}: bucket contradicts check and runtime",
+            who(r)
         );
-        // The text round-trips, so regenerating the database cannot
-        // reformat entries that did not actually change.
-        let back = StoredBug::parse(&bug.render()).expect("rendered entry parses");
-        assert_eq!(back, bug, "{}", path.display());
+        assert_eq!(
+            r.trap.is_some(),
+            r.runtime == RuntimeClass::Trap,
+            "{}: a trap note goes with a trapping runtime",
+            who(r)
+        );
+        assert!(
+            r.bucket.is_disagreement() || r.check.is_some(),
+            "{}: neither a disagreement nor a reject",
+            who(r)
+        );
     }
 }
