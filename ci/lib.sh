@@ -18,11 +18,12 @@ fmt_ms() {
 
 # gen_reports <dir>
 #
-# Regenerates all nine canonical reports, with baseline-identical
-# parameters, into <dir>: the seven BENCH_*.json (each beside its
-# BENCH_*.host.json when it measures the host), BENCH_profile_flame.txt,
-# which the profile report writes beside itself, and
-# BENCH_fuzz_corpus.txt, the reproducer store fuzzstats writes beside
+# Regenerates all ten canonical reports, with baseline-identical
+# parameters, into <dir>: the eight BENCH_*.json (each beside its
+# BENCH_*.host.json when it measures the host), among them
+# BENCH_repro.json, the paper's figures and tables;
+# BENCH_profile_flame.txt, which the profile report writes beside itself;
+# and BENCH_fuzz_corpus.txt, the reproducer store fuzzstats writes beside
 # its report. The one list of report commands: the regress stage and
 # ci/regen-baselines.sh both call it. The fuzz sweep runs on 2 shards so
 # its threaded path stays under the gate; its reports do not depend on
@@ -37,4 +38,5 @@ gen_reports() {
     cargo run --release -q -p bench --bin verifier_ladder -- --out "$dir/BENCH_verifier.json"
     cargo run --release -q -p bench --bin churn -- --out "$dir/BENCH_churn.json"
     cargo run --release -q -p bench --bin hooks -- --out "$dir/BENCH_hooks.json"
+    cargo run --release -q -p bench --bin repro -- --out "$dir/BENCH_repro.json"
 }

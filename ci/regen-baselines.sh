@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Regenerates all nine committed canonical reports (the seven
+# Regenerates all ten committed canonical reports (the eight
 # BENCH_*.json, BENCH_profile_flame.txt and the reproducer store
 # BENCH_fuzz_corpus.txt) in place, then lists the ones that moved.
 #

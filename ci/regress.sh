@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
-# Stage: regress — the report gate. Regenerates all nine canonical
-# reports (the seven BENCH_*.json, BENCH_profile_flame.txt and the
+# Stage: regress — the report gate. Regenerates all ten canonical
+# reports (the eight BENCH_*.json, BENCH_profile_flame.txt and the
 # reproducer store BENCH_fuzz_corpus.txt) with baseline-identical
 # parameters into a scratch directory, and requires each to equal its
 # committed copy byte for byte. A mismatch prints every differing value
-# by report, row ids and field, or by line; a report missing on either
-# side fails too.
+# by report, row ids and field, or by line, after aligning both sides so
+# that a removed or added row or line is named once; a report missing on
+# either side fails too.
 #
 # Canonical reports depend only on code and seed. Host measurements go
 # to BENCH_*.host.json siblings, which are gitignored and never gated;

@@ -1,5 +1,5 @@
 //! Figure regeneration: paper-digitized series next to series measured
-//! from this artifact, with ASCII rendering and JSON export.
+//! from this artifact. The `repro` report binary writes them out.
 
 use ebpf::version::KernelVersion;
 
@@ -26,53 +26,16 @@ pub fn fig2() -> Fig2 {
     }
 }
 
-impl Fig2 {
-    /// Renders both series as an ASCII table + bars.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str("Figure 2: LoC of the eBPF verifier by kernel version\n");
-        out.push_str("  [paper = digitized from publication; ours = this artifact's verifier]\n");
-        let max_paper = self.paper.iter().map(|p| p.2).max().unwrap_or(1) as f64;
-        for (v, year, loc) in &self.paper {
-            out.push_str(&format!(
-                "  paper {v:>6} ({year})  {loc:>6} LoC  |{}\n",
-                bar(*loc as f64 / max_paper, 40)
-            ));
-        }
-        let max_ours = self.measured.iter().map(|m| m.2).max().unwrap_or(1) as f64;
-        for (v, label, loc) in &self.measured {
-            out.push_str(&format!(
-                "  ours  {v:>6}  {loc:>6} LoC  |{}  ({label})\n",
-                bar(*loc as f64 / max_ours, 40)
-            ));
-        }
-        out
-    }
-
-    /// Exports both series as JSON.
-    pub fn to_json(&self) -> String {
-        let paper: Vec<String> = self
-            .paper
-            .iter()
-            .map(|(v, year, loc)| format!(r#"{{"version":"{v}","year":{year},"loc":{loc}}}"#))
-            .collect();
-        let measured: Vec<String> = self
-            .measured
-            .iter()
-            .map(|(v, label, loc)| {
-                format!(
-                    r#"{{"version":"{v}","stage":{},"loc":{loc}}}"#,
-                    json_str(label)
-                )
-            })
-            .collect();
-        format!(
-            r#"{{"figure":"fig2","paper":[{}],"measured":[{}]}}"#,
-            paper.join(","),
-            measured.join(",")
-        )
-    }
-}
+/// Figure 3's log-scale histogram bins: `(label, lo, hi)`, a helper whose
+/// call graph has `lo <= nodes < hi` falls in the bin.
+pub const FIG3_BINS: [(&str, usize, usize); 6] = [
+    ("0", 0, 1),
+    ("1-9", 1, 10),
+    ("10-29", 10, 30),
+    ("30-99", 30, 100),
+    ("100-499", 100, 500),
+    ("500+", 500, usize::MAX),
+];
 
 /// Figure 3: call-graph complexity of each helper.
 #[derive(Debug)]
@@ -81,6 +44,8 @@ pub struct Fig3 {
     pub sizes: Vec<(String, usize)>,
     /// Summary statistics of the synthetic analysis.
     pub stats: callgraph::ReachStats,
+    /// How many helpers fall in each of [`FIG3_BINS`]: `(label, helpers)`.
+    pub bins: Vec<(&'static str, usize)>,
     /// The same metric over this artifact's own simulated helpers
     /// (their declared fan-out in the simulated kernel).
     pub ours: Vec<(String, u32)>,
@@ -91,89 +56,31 @@ pub fn fig3(seed: u64) -> Fig3 {
     let kernel = kerngen::generate(seed);
     let sizes = kernel.analyze();
     let stats = callgraph::reach_stats(&sizes.iter().map(|(_, s)| *s).collect::<Vec<_>>());
+    let bins = FIG3_BINS
+        .iter()
+        .map(|&(label, lo, hi)| {
+            let n = sizes.iter().filter(|(_, s)| (lo..hi).contains(s)).count();
+            (label, n)
+        })
+        .collect();
     let registry = ebpf::helpers::HelperRegistry::standard();
     let ours = registry
         .specs()
         .iter()
         .map(|s| (s.name.to_string(), s.callgraph_fanout))
         .collect();
-    Fig3 { sizes, stats, ours }
+    Fig3 {
+        sizes,
+        stats,
+        bins,
+        ours,
+    }
 }
 
 impl Fig3 {
-    /// Renders the distribution as a log-bucket histogram.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str("Figure 3: # of nodes in the call graph of each eBPF helper\n");
-        out.push_str(&format!(
-            "  {} helpers | min {} | median {} | max {} | >=30: {:.1}% | >=500: {:.1}%\n",
-            self.stats.count,
-            self.stats.min,
-            self.stats.median,
-            self.stats.max,
-            self.stats.pct_ge_30 * 100.0,
-            self.stats.pct_ge_500 * 100.0
-        ));
-        out.push_str(&format!(
-            "  paper:           min {} | max {} | >=30: {:.1}% | >=500: {:.1}%\n",
-            datasets::FIG3_MIN_NODES,
-            datasets::FIG3_MAX_NODES,
-            datasets::FIG3_PCT_GE_30 * 100.0,
-            datasets::FIG3_PCT_GE_500 * 100.0
-        ));
-        let buckets: [(&str, usize, usize); 6] = [
-            ("0        ", 0, 1),
-            ("1-9      ", 1, 10),
-            ("10-29    ", 10, 30),
-            ("30-99    ", 30, 100),
-            ("100-499  ", 100, 500),
-            ("500+     ", 500, usize::MAX),
-        ];
-        let total = self.sizes.len().max(1);
-        for (label, lo, hi) in buckets {
-            let n = self
-                .sizes
-                .iter()
-                .filter(|(_, s)| *s >= lo && *s < hi)
-                .count();
-            out.push_str(&format!(
-                "  {label} {n:>4}  |{}\n",
-                bar(n as f64 / total as f64, 50)
-            ));
-        }
-        out.push_str(&format!(
-            "  extremes: bpf_get_current_pid_tgid = {}, bpf_sys_bpf = {}\n",
-            self.sizes
-                .iter()
-                .find(|(n, _)| n == "bpf_get_current_pid_tgid")
-                .map(|(_, s)| *s)
-                .unwrap_or(0),
-            self.sizes
-                .iter()
-                .find(|(n, _)| n == "bpf_sys_bpf")
-                .map(|(_, s)| *s)
-                .unwrap_or(0),
-        ));
-        out
-    }
-
-    /// Exports as JSON.
-    pub fn to_json(&self) -> String {
-        let sizes: Vec<String> = self
-            .sizes
-            .iter()
-            .map(|(n, s)| format!(r#"{{"helper":{},"nodes":{s}}}"#, json_str(n)))
-            .collect();
-        format!(
-            r#"{{"figure":"fig3","stats":{{"count":{},"min":{},"max":{},"median":{},"pct_ge_30":{:.4},"pct_ge_500":{:.4}}},"sizes":[{}]}}"#,
-            self.stats.count,
-            self.stats.min,
-            self.stats.max,
-            self.stats.median,
-            self.stats.pct_ge_30,
-            self.stats.pct_ge_500,
-            sizes.join(",")
-        )
+    /// The call-graph size of helper `name` in the synthetic kernel.
+    pub fn nodes_of(&self, name: &str) -> Option<usize> {
+        self.sizes.iter().find(|(n, _)| n == name).map(|(_, s)| *s)
     }
 }
 
@@ -211,54 +118,6 @@ pub fn fig4() -> Fig4 {
     }
 }
 
-impl Fig4 {
-    /// Renders both series.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str("Figure 4: number of eBPF helper functions by kernel version\n");
-        let max_paper = self.paper.iter().map(|p| p.2).max().unwrap_or(1) as f64;
-        for (v, year, c) in &self.paper {
-            out.push_str(&format!(
-                "  paper {v:>6} ({year})  {c:>4} helpers  |{}\n",
-                bar(*c as f64 / max_paper, 40)
-            ));
-        }
-        let max_ours = self.measured.iter().map(|m| m.1).max().unwrap_or(1) as f64;
-        for (v, c) in &self.measured {
-            out.push_str(&format!(
-                "  ours  {v:>6}         {c:>4} helpers  |{}\n",
-                bar(*c as f64 / max_ours, 40)
-            ));
-        }
-        out.push_str(&format!(
-            "  paper growth: {:.1} helpers / 2 years (claim: ~{})\n",
-            self.paper_growth_per_two_years,
-            datasets::HELPERS_PER_TWO_YEARS
-        ));
-        out
-    }
-
-    /// Exports as JSON.
-    pub fn to_json(&self) -> String {
-        let paper: Vec<String> = self
-            .paper
-            .iter()
-            .map(|(v, year, c)| format!(r#"{{"version":"{v}","year":{year},"count":{c}}}"#))
-            .collect();
-        let measured: Vec<String> = self
-            .measured
-            .iter()
-            .map(|(v, c)| format!(r#"{{"version":"{v}","count":{c}}}"#))
-            .collect();
-        format!(
-            r#"{{"figure":"fig4","paper":[{}],"measured":[{}],"growth_per_two_years":{:.2}}}"#,
-            paper.join(","),
-            measured.join(","),
-            self.paper_growth_per_two_years
-        )
-    }
-}
-
 /// Least-squares slope of `(x, y)` points.
 pub fn linear_slope(points: &[(f64, f64)]) -> f64 {
     let n = points.len() as f64;
@@ -267,24 +126,6 @@ pub fn linear_slope(points: &[(f64, f64)]) -> f64 {
     let sxx: f64 = points.iter().map(|p| p.0 * p.0).sum();
     let sxy: f64 = points.iter().map(|p| p.0 * p.1).sum();
     (n * sxy - sx * sy) / (n * sxx - sx * sx)
-}
-
-fn bar(frac: f64, width: usize) -> String {
-    let n = (frac.clamp(0.0, 1.0) * width as f64).round() as usize;
-    "#".repeat(n)
-}
-
-fn json_str(s: &str) -> String {
-    let escaped: String = s
-        .chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            '\n' => vec!['\\', 'n'],
-            c => vec![c],
-        })
-        .collect();
-    format!("\"{escaped}\"")
 }
 
 #[cfg(test)]
@@ -296,10 +137,6 @@ mod tests {
         let f = fig2();
         assert_eq!(f.paper.len(), 9);
         assert!(!f.measured.is_empty());
-        let rendered = f.render();
-        assert!(rendered.contains("Figure 2"));
-        assert!(rendered.contains("v6.1"));
-        assert!(f.to_json().starts_with('{'));
     }
 
     #[test]
@@ -308,9 +145,9 @@ mod tests {
         assert_eq!(f.stats.count, 249);
         assert_eq!(f.stats.max, datasets::FIG3_MAX_NODES);
         assert!(!f.ours.is_empty());
-        let rendered = f.render();
-        assert!(rendered.contains("bpf_sys_bpf"));
-        assert!(rendered.contains("500+"));
+        assert_eq!(f.nodes_of("bpf_sys_bpf"), Some(datasets::FIG3_MAX_NODES));
+        let binned: usize = f.bins.iter().map(|(_, n)| n).sum();
+        assert_eq!(binned, f.stats.count);
     }
 
     #[test]
@@ -319,15 +156,9 @@ mod tests {
         for pair in f.measured.windows(2) {
             assert!(pair[0].1 <= pair[1].1);
         }
-        // Our registry is a ~40-helper subset; the *shape* grows.
+        // Our registry is a 48-helper subset; the *shape* grows.
         assert!(f.measured.last().unwrap().1 >= 35);
         assert!((40.0..60.0).contains(&f.paper_growth_per_two_years));
-    }
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(json_str(r#"a"b"#), r#""a\"b""#);
-        assert_eq!(json_str("a\\b"), r#""a\\b""#);
     }
 
     #[test]

@@ -13,8 +13,30 @@ use std::fmt::{self, Display};
 
 /// Row members that identify a row, in the order rows carry them. The
 /// report writer copies them into each host-file row, and the report
-/// gate names array rows by them.
-pub const ID_FIELDS: &[&str] = &["scenario", "backend", "feature", "lane", "shards", "faults"];
+/// gate names array rows by them. The bench reports name a row by its
+/// scenario, backend, lane and shard count; `BENCH_repro.json` names it
+/// by its figure, series and version, or by the table row or sweep point
+/// it holds.
+pub const ID_FIELDS: &[&str] = &[
+    "scenario",
+    "backend",
+    "feature",
+    "lane",
+    "shards",
+    "faults",
+    "figure",
+    "series",
+    "version",
+    "replica",
+    "class",
+    "property",
+    "helper",
+    "nodes",
+    "size",
+    "diamonds",
+    "iterations",
+    "fuel",
+];
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -251,6 +273,11 @@ impl Obj {
     pub fn nums<T: Display>(self, key: &'static str, items: impl IntoIterator<Item = T>) -> Self {
         let items: Vec<String> = items.into_iter().map(|v| v.to_string()).collect();
         self.num(key, format!("[{}]", items.join(", ")))
+    }
+
+    /// An array of strings.
+    pub fn strs(self, key: &'static str, items: &[&str]) -> Self {
+        self.nums(key, items.iter().map(|s| quote(s)))
     }
 
     /// An array of objects, each on the same line.

@@ -9,7 +9,9 @@
 //! * [`loc`] — LoC counting over this repo's own verifier, producing the
 //!   measured Figure 2 series from the feature-stage layout;
 //! * [`bugdb`] — the corpus of replicated bugs behind the fault toggles;
-//! * [`figures`] — composition + ASCII/JSON rendering of each figure;
+//! * [`figures`] — each figure's data: the paper's series next to the
+//!   one measured from this artifact (the `repro` binary writes them to
+//!   `BENCH_repro.json`);
 //! * [`profile`] — folds `kernel_sim::trace` span streams into
 //!   per-stage self/total cost tables and flamegraph collapsed stacks;
 //! * [`json`] — a minimal offline JSON writer and reader for the
@@ -24,7 +26,8 @@
 //! let fig3 = analysis::figures::fig3(42);
 //! assert_eq!(fig3.stats.count, 249);          // helpers analyzed
 //! assert_eq!(fig3.stats.max, 4_845);          // bpf_sys_bpf
-//! println!("{}", fig3.render());
+//! let (bin, helpers) = fig3.bins[5];
+//! assert_eq!((bin, helpers), ("500+", 86));   // call graphs of 500+ nodes
 //! ```
 
 pub mod bugdb;

@@ -8,9 +8,12 @@
 //! regenerates the baselines, and review reads that diff.
 //!
 //! On a mismatch, [`check`] names every differing value: a JSON report by
-//! the path of each differing leaf, a text report by line number.
+//! the path of each differing leaf, a text report by line number. Both
+//! sides are aligned first ([`align`]), so a removed or added line or
+//! array row is named once, not as a shift of everything after it.
 
 use std::collections::BTreeSet;
+use std::ops::Range;
 
 use crate::json::{self, Json, ID_FIELDS};
 
@@ -25,12 +28,14 @@ pub const CANONICAL: &[&str] = &[
     "BENCH_verifier.json",
     "BENCH_churn.json",
     "BENCH_hooks.json",
+    "BENCH_repro.json",
 ];
 
 /// Compares the committed bytes of canonical file `name` with its
 /// regenerated bytes; `None` means the file is missing on that side.
 /// Returns one line per difference, each `<name> <where>: <baseline> ->
-/// <fresh>`, and nothing when the bytes are equal.
+/// <fresh>`, and nothing when the bytes are equal. A line or row is
+/// numbered on the baseline side, or on the fresh side when it was added.
 pub fn check(name: &str, baseline: Option<&[u8]>, fresh: Option<&[u8]>) -> Vec<String> {
     let (base, fresh) = match (baseline, fresh) {
         (Some(b), Some(f)) if b == f => return Vec::new(),
@@ -45,11 +50,10 @@ pub fn check(name: &str, baseline: Option<&[u8]>, fresh: Option<&[u8]>) -> Vec<S
         }
         _ => {
             let (b, f): (Vec<_>, Vec<_>) = (base.lines().collect(), fresh.lines().collect());
-            for i in 0..b.len().max(f.len()) {
-                if b.get(i) != f.get(i) {
-                    let [bl, fl] = [b.get(i), f.get(i)].map(|l| l.copied().unwrap_or("missing"));
-                    out.push(format!("{name} line {}: {bl} -> {fl}", i + 1));
-                }
+            for (i, j) in align(&b, &f, |line| line.is_empty()) {
+                let [bl, fl] = [(i, &b), (j, &f)].map(|(k, side)| k.map_or("missing", |k| side[k]));
+                let line = i.or(j).unwrap() + 1;
+                out.push(format!("{name} line {line}: {bl} -> {fl}"));
             }
         }
     }
@@ -71,9 +75,10 @@ fn walk(out: &mut Vec<String>, name: &str, path: &str, base: Option<&Json>, fres
             }
         }
         (Some(Json::Arr(b)), Some(Json::Arr(f))) => {
-            for i in 0..b.len().max(f.len()) {
-                let (b, f) = (b.get(i), f.get(i));
-                walk(out, name, &format!("{path}/{i}{}", row_ids(b.or(f))), b, f);
+            for (i, j) in align(b, f, |_| false) {
+                let (b, f) = (i.map(|i| &b[i]), j.map(|j| &f[j]));
+                let path = format!("{path}/{}{}", i.or(j).unwrap(), row_ids(b.or(f)));
+                walk(out, name, &path, b, f);
             }
         }
         _ if base != fresh => {
@@ -82,6 +87,91 @@ fn walk(out: &mut Vec<String>, name: &str, path: &str, base: Option<&Json>, fres
         }
         _ => {}
     }
+}
+
+/// Pairs the items of `base` and `fresh` that differ. Items equal along a
+/// longest common subsequence are matched and left out. Between two
+/// matches, the unmatched runs are paired item by item when they have the
+/// same length (an edit in place); otherwise each base item is reported
+/// removed, `(Some(i), None)`, and each fresh item added, `(None, Some(j))`.
+///
+/// Where equal items let a removed or added run sit at several places, it
+/// moves up until it ends at a `boundary` item or can move no further: a
+/// store entry goes with its own blank separator, not with the next
+/// entry's header line.
+fn align<T: PartialEq>(
+    base: &[T],
+    fresh: &[T],
+    boundary: impl Fn(&T) -> bool,
+) -> Vec<(Option<usize>, Option<usize>)> {
+    // The common prefix and suffix match without the table.
+    let pre = base.iter().zip(fresh).take_while(|(b, f)| b == f).count();
+    let (b, f) = (&base[pre..], &fresh[pre..]);
+    let suf = b
+        .iter()
+        .rev()
+        .zip(f.iter().rev())
+        .take_while(|(b, f)| b == f)
+        .count();
+    let (b, f) = (&b[..b.len() - suf], &f[..f.len() - suf]);
+    // lcs[i][j]: the length of a longest common subsequence of b[i..], f[j..].
+    let mut lcs = vec![vec![0u32; f.len() + 1]; b.len() + 1];
+    for i in (0..b.len()).rev() {
+        for j in (0..f.len()).rev() {
+            lcs[i][j] = if b[i] == f[j] {
+                lcs[i + 1][j + 1] + 1
+            } else {
+                lcs[i + 1][j].max(lcs[i][j + 1])
+            };
+        }
+    }
+    // Moves a one-sided run up while the item above it, matched, equals its
+    // last item, down to `floor`, the end of the previous run on that side.
+    let slide = |items: &[T], mut run: Range<usize>, floor: usize| {
+        while run.start > floor
+            && !boundary(&items[run.end - 1])
+            && items[run.start - 1] == items[run.end - 1]
+        {
+            run = run.start - 1..run.end - 1;
+        }
+        run
+    };
+    let mut out = Vec::new();
+    let mut floor = (0, 0);
+    let mut flush = |bs: Range<usize>, fs: Range<usize>| {
+        let (mut bs, mut fs) = (bs.start + pre..bs.end + pre, fs.start + pre..fs.end + pre);
+        if bs.len() == fs.len() {
+            out.extend(bs.clone().zip(fs.clone()).map(|(i, j)| (Some(i), Some(j))));
+        } else {
+            if fs.is_empty() {
+                bs = slide(base, bs, floor.0);
+            } else if bs.is_empty() {
+                fs = slide(fresh, fs, floor.1);
+            }
+            out.extend(bs.clone().map(|i| (Some(i), None)));
+            out.extend(fs.clone().map(|j| (None, Some(j))));
+        }
+        if !bs.is_empty() {
+            floor.0 = bs.end;
+        }
+        if !fs.is_empty() {
+            floor.1 = fs.end;
+        }
+    };
+    let (mut i, mut j, mut run) = (0, 0, (0, 0));
+    while i < b.len() || j < f.len() {
+        if i < b.len() && j < f.len() && b[i] == f[j] {
+            flush(run.0..i, run.1..j);
+            (i, j) = (i + 1, j + 1);
+            run = (i, j);
+        } else if j == f.len() || (i < b.len() && lcs[i + 1][j] >= lcs[i][j + 1]) {
+            i += 1;
+        } else {
+            j += 1;
+        }
+    }
+    flush(run.0..i, run.1..j);
+    out
 }
 
 /// `[id=value,...]` over the row's id members, or nothing if it has none.
@@ -176,6 +266,60 @@ mod tests {
         assert_eq!(
             edited("BENCH_churn.json", &[("\"killed\": 0", "\"killed\": 3")]),
             ["BENCH_churn.json /rows/0[scenario=churn,backend=ebpf,shards=1,faults=none]/killed: 0 -> 3"]
+        );
+    }
+
+    #[test]
+    fn repro_helper_count_fails_by_figure_series_and_version() {
+        let edit = (
+            r#""version": "v5.10", "helpers": 34}"#,
+            r#""version": "v5.10", "helpers": 33}"#,
+        );
+        assert_eq!(
+            edited("BENCH_repro.json", &[edit]),
+            ["BENCH_repro.json /rows/39[figure=fig4,series=ours,version=v5.10]/helpers: 34 -> 33"]
+        );
+    }
+
+    #[test]
+    fn an_inserted_row_fails_by_that_row_alone() {
+        let row = r#"{"figure": "fig4", "series": "ours", "version": "v5.10", "helpers": 34},"#;
+        let extra = r#"{"figure": "fig4", "series": "ours", "version": "v5.8", "helpers": 31},"#;
+        assert_eq!(
+            edited("BENCH_repro.json", &[(row, &format!("{row}\n    {extra}"))]),
+            [
+                r#"BENCH_repro.json /rows/40[figure=fig4,series=ours,version=v5.8]: missing -> {"figure": "fig4", "helpers": 31, "series": "ours", "version": "v5.8"}"#
+            ]
+        );
+    }
+
+    #[test]
+    fn a_removed_store_entry_fails_by_its_own_lines_only() {
+        let base = committed("BENCH_fuzz_corpus.txt");
+        let lines: Vec<&str> = base.lines().collect();
+        let headers: Vec<usize> = (0..lines.len())
+            .filter(|&i| lines[i] == "; fuzz-reproducer v1")
+            .collect();
+        // A middle entry: its header up to the next entry's header.
+        let (start, end) = (headers[headers.len() / 2], headers[headers.len() / 2 + 1]);
+        let kept = lines[..start].iter().chain(&lines[end..]);
+        let fresh: String = kept.map(|l| format!("{l}\n")).collect();
+        let removed: Vec<String> = (start..end)
+            .map(|i| {
+                format!(
+                    "BENCH_fuzz_corpus.txt line {}: {} -> missing",
+                    i + 1,
+                    lines[i]
+                )
+            })
+            .collect();
+        assert_eq!(
+            check(
+                "BENCH_fuzz_corpus.txt",
+                Some(base.as_bytes()),
+                Some(fresh.as_bytes())
+            ),
+            removed
         );
     }
 

@@ -1,300 +1,275 @@
-//! `repro`: regenerates every figure and table of the paper.
+//! `repro`: regenerates every figure and table of the paper into
+//! `BENCH_repro.json`.
 //!
-//! Usage: `cargo run -p bench --bin repro [--release] [COMMAND]`
+//! Usage: `cargo run --release -p bench --bin repro -- [--out <path>]`
 //!
-//! Commands: `fig2`, `fig3`, `fig4`, `table1`, `table2`, `helpers`,
-//! `verif-cost`, `load-time`, `runtime-cost`, `exploit-safety`,
-//! `exploit-termination`, `all` (default).
-//!
-//! ASCII renderings go to stdout; JSON goes to `target/repro/*.json`.
+//! One row per figure point, table row or experiment result. A row is
+//! named by its `figure` (`fig2`, `table1`, `verif-cost`, ...) plus the id
+//! members that pick it out there: its `series`, its kernel `version`, or
+//! its sweep's x value. Every canonical value depends only on code and
+//! seed, so the report gate holds the file byte for byte. The host timings
+//! (`host_*`: verification wall time, load-time verify and signed-load
+//! time, per-packet host cost and its speedup) land in
+//! `BENCH_repro.host.json`.
 
-use std::fs;
-use std::path::PathBuf;
+use std::fmt::Display;
 
-use bench::experiments;
-use ebpf::helpers::HelperCategory;
+use analysis::datasets::{self, TABLE1, TABLE1_TOTAL};
+use analysis::json::Obj;
+use bench::{cli, experiments};
+use ebpf::asm::Asm;
+use ebpf::helpers::{self, FaultConfig, HelperCategory, HelperRegistry};
+use ebpf::insn::*;
+use ebpf::interp::{CtxInput, Vm};
+use ebpf::maps::MapRegistry;
+use ebpf::program::{ProgType, Program};
+use kernel_sim::Kernel;
+use safe_ext::props;
+use safe_ext::retired::RETIRED_HELPERS;
+use verifier::Verifier;
 
-fn out_dir() -> PathBuf {
-    let dir = PathBuf::from("target/repro");
-    let _ = fs::create_dir_all(&dir);
-    dir
-}
-
-fn save(name: &str, json: &str) {
-    let path = out_dir().join(name);
-    if fs::write(&path, json).is_ok() {
-        println!("  [json -> {}]", path.display());
-    }
-}
+const FIG3_SEED: u64 = 42;
+const RUNTIME_PACKETS: u32 = 2_000;
+/// The staller's virtual ns per instruction, so its sweep reaches an RCU stall.
+const STALLER_NS_PER_INSN: u64 = 5_000;
 
 fn main() {
-    let command = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
-    match command.as_str() {
-        "fig2" => fig2(),
-        "fig3" => fig3(),
-        "fig4" => fig4(),
-        "table1" => table1(),
-        "table2" => table2(),
-        "helpers" => helpers_classification(),
-        "verif-cost" => verif_cost(),
-        "load-time" => load_time(),
-        "runtime-cost" => runtime_cost(),
-        "exploit-safety" => exploit_safety(),
-        "exploit-termination" => exploit_termination(),
-        "all" => {
-            fig2();
-            fig3();
-            fig4();
-            table1();
-            table2();
-            helpers_classification();
-            verif_cost();
-            load_time();
-            runtime_cost();
-            exploit_safety();
-            exploit_termination();
-        }
-        other => {
-            eprintln!("unknown command `{other}`; see the module docs");
-            std::process::exit(2);
-        }
-    }
+    cli::main("repro", "BENCH_repro.json", full);
 }
 
-fn heading(s: &str) {
-    println!("\n{}", "=".repeat(74));
-    println!("{s}");
-    println!("{}", "=".repeat(74));
+fn full(out: &str) {
+    let paper = [fig2(), fig3(), fig4(), table1(), table2(), helpers()];
+    let costs = [verif_cost(), load_time(), runtime_cost()];
+    let exploits = [exploit_safety(), exploit_termination()];
+    let rows: Vec<Obj> = paper
+        .into_iter()
+        .chain(costs)
+        .chain(exploits)
+        .flatten()
+        .map(cli::progress)
+        .collect();
+    let header = Obj::new()
+        .num("fig3_seed", FIG3_SEED)
+        .num("runtime_packets", RUNTIME_PACKETS)
+        .num("staller_ns_per_insn", STALLER_NS_PER_INSN);
+    cli::write_report(out, &header, "rows", &rows);
 }
 
-fn fig2() {
-    heading("Figure 2 — LoC of the eBPF verifier by kernel version");
+fn row(figure: &str, series: &str) -> Obj {
+    Obj::new().str("figure", figure).str("series", series)
+}
+
+fn point(figure: &str, series: &str, version: impl Display) -> Obj {
+    row(figure, series).str("version", &version.to_string())
+}
+
+/// Figure 2: verifier LoC, the paper's digitized series and ours.
+fn fig2() -> Vec<Obj> {
     let fig = analysis::fig2();
-    print!("{}", fig.render());
-    save("fig2.json", &fig.to_json());
+    let paper = fig
+        .paper
+        .iter()
+        .map(|(v, year, loc)| point("fig2", "paper", v).num("year", year).num("loc", loc));
+    let ours = fig
+        .measured
+        .iter()
+        .map(|(v, stage, loc)| point("fig2", "ours", v).str("stage", stage).num("loc", loc));
+    paper.chain(ours).collect()
 }
 
-fn fig3() {
-    heading("Figure 3 — call-graph complexity of each eBPF helper");
-    let fig = analysis::fig3(42);
-    print!("{}", fig.render());
-    save("fig3.json", &fig.to_json());
+/// Figure 3: call-graph size per helper, the paper's summary next to the
+/// synthetic kernel's, then the synthetic histogram.
+fn fig3() -> Vec<Obj> {
+    let fig = analysis::fig3(FIG3_SEED);
+    let s = fig.stats;
+    let [pid_tgid, sys_bpf] =
+        ["bpf_get_current_pid_tgid", "bpf_sys_bpf"].map(|h| fig.nodes_of(h).expect(h));
+    let mut rows = vec![
+        row("fig3", "paper")
+            .num("helpers", datasets::FIG3_HELPER_COUNT)
+            .num("min", datasets::FIG3_MIN_NODES)
+            .num("max", datasets::FIG3_MAX_NODES)
+            .num("pct_ge_30", datasets::FIG3_PCT_GE_30)
+            .num("pct_ge_500", datasets::FIG3_PCT_GE_500),
+        row("fig3", "synthetic")
+            .num("helpers", s.count)
+            .num("min", s.min)
+            .num("median", s.median)
+            .num("max", s.max)
+            .fixed("pct_ge_30", s.pct_ge_30, 4)
+            .fixed("pct_ge_500", s.pct_ge_500, 4)
+            .num("bpf_get_current_pid_tgid", pid_tgid)
+            .num("bpf_sys_bpf", sys_bpf),
+    ];
+    rows.extend(fig.bins.iter().map(|(bin, helpers)| {
+        row("fig3", "synthetic")
+            .str("nodes", bin)
+            .num("helpers", helpers)
+    }));
+    rows
 }
 
-fn fig4() {
-    heading("Figure 4 — number of helper functions by kernel version");
+/// Figure 4: helper count, the paper's digitized series and our
+/// registry's, then the paper series' linear growth.
+fn fig4() -> Vec<Obj> {
     let fig = analysis::fig4();
-    print!("{}", fig.render());
-    save("fig4.json", &fig.to_json());
+    let paper = fig.paper.iter().map(|(v, year, helpers)| {
+        point("fig4", "paper", v)
+            .num("year", year)
+            .num("helpers", helpers)
+    });
+    let ours = fig.measured.iter();
+    let ours = ours.map(|(v, helpers)| point("fig4", "ours", v).num("helpers", helpers));
+    let growth = row("fig4", "paper")
+        .fixed("growth_per_two_years", fig.paper_growth_per_two_years, 2)
+        .num("claim", datasets::HELPERS_PER_TWO_YEARS);
+    paper.chain(ours).chain([growth]).collect()
 }
 
-fn table1() {
-    heading("Table 1 — bug statistics in eBPF helpers and verifier (2021-2022)");
-    println!(
-        "{:<30} {:>6} {:>7} {:>9}",
-        "Vulnerability/Bug (paper)", "Total", "Helper", "Verifier"
-    );
-    for row in analysis::datasets::TABLE1 {
-        println!(
-            "{:<30} {:>6} {:>7} {:>9}",
-            row.class, row.total, row.helper, row.verifier
-        );
-    }
-    let t = analysis::datasets::TABLE1_TOTAL;
-    println!(
-        "{:<30} {:>6} {:>7} {:>9}",
-        t.class, t.total, t.helper, t.verifier
-    );
+/// Table 1: the paper's bug counts, then the replicas this artifact
+/// implements (`tests/fault_corpus.rs`).
+fn table1() -> Vec<Obj> {
+    let paper = TABLE1.iter().chain([&TABLE1_TOTAL]).map(|r| {
+        row("table1", "paper")
+            .str("class", r.class)
+            .num("total", r.total)
+            .num("helper_bugs", r.helper)
+            .num("verifier_bugs", r.verifier)
+    });
+    let replicas = analysis::bugdb::CORPUS.iter().map(|bug| {
+        row("table1", "replicas")
+            .str("replica", bug.id)
+            .str("class", bug.class.label())
+            .str("component", &format!("{:?}", bug.component))
+    });
+    paper.chain(replicas).collect()
+}
 
-    println!("\nMechanism replicas implemented in this artifact (tests/fault_corpus.rs):");
-    println!("{:<28} {:<26} {:<9}", "Replica", "Class", "Component");
-    for bug in analysis::bugdb::CORPUS {
-        println!(
-            "{:<28} {:<26} {:<9?}",
-            bug.id,
-            bug.class.label(),
-            bug.component
-        );
-    }
-    let rows: Vec<String> = analysis::datasets::TABLE1
+/// Table 2: each safety property, its enforcement, and how this artifact
+/// demonstrates it (`tests/table2_properties.rs`).
+fn table2() -> Vec<Obj> {
+    props::TABLE2
         .iter()
-        .map(|r| {
-            format!(
-                r#"{{"class":"{}","total":{},"helper":{},"verifier":{}}}"#,
-                r.class, r.total, r.helper, r.verifier
-            )
+        .map(|(prop, enforcement)| {
+            row("table2", "paper")
+                .str("property", prop.label())
+                .str("enforcement", enforcement.label())
+                .str("demonstrated_by", props::demonstrated_by(*prop))
         })
-        .collect();
-    save(
-        "table1.json",
-        &format!(r#"{{"table":"table1","rows":[{}]}}"#, rows.join(",")),
-    );
+        .collect()
 }
 
-fn table2() {
-    heading("Table 2 — safety properties and enforcement mechanisms");
-    println!("{:<38} {:<20}", "Safety property", "Enforcement");
-    for (prop, enf) in safe_ext::props::TABLE2 {
-        println!("{:<38} {:<20}", prop.label(), enf.label());
-    }
-    println!("\nDemonstrations (tests/table2_properties.rs):");
-    for prop in safe_ext::props::SafetyProperty::ALL {
-        println!("* {}:", prop.label());
-        println!("    {}", safe_ext::props::demonstrated_by(prop));
-    }
-    let rows: Vec<String> = safe_ext::props::TABLE2
-        .iter()
-        .map(|(p, e)| {
-            format!(
-                r#"{{"property":"{}","enforcement":"{}"}}"#,
-                p.label(),
-                e.label()
-            )
-        })
-        .collect();
-    save(
-        "table2.json",
-        &format!(r#"{{"table":"table2","rows":[{}]}}"#, rows.join(",")),
-    );
-}
-
-fn helpers_classification() {
-    heading("§3.2 — helper classification: retire / simplify / wrap");
-    let registry = ebpf::helpers::HelperRegistry::standard();
-    let mut retire = Vec::new();
-    let mut simplify = Vec::new();
-    let mut wrap = Vec::new();
-    for spec in registry.specs() {
-        match spec.category {
-            HelperCategory::Expressiveness => retire.push(spec.name),
-            HelperCategory::KernelInterface => simplify.push(spec.name),
-            HelperCategory::Wrapper => wrap.push(spec.name),
-        }
-    }
-    println!(
-        "RETIRE ({} of {} simulated helpers; paper cites 16 retirable):",
-        retire.len(),
-        registry.len()
-    );
-    println!("  {}", retire.join(", "));
-    println!("\nSIMPLIFY with RAII / checked Rust ({}):", simplify.len());
-    println!("  {}", simplify.join(", "));
-    println!("\nWRAP with a sanitizing interface ({}):", wrap.len());
-    println!("  {}", wrap.join(", "));
-    println!("\nThe full 16-entry retirement table (safe_ext::retired::RETIRED_HELPERS):");
-    for (helper, replacement) in safe_ext::retired::RETIRED_HELPERS {
-        println!("  {helper:<26} -> {replacement}");
-    }
-}
-
-fn verif_cost() {
-    heading("§2.1 — verification is expensive: cost vs program shape/size");
-    for (label, sweep) in experiments::verification_cost_sweep() {
-        println!("\n{label}:");
-        println!(
-            "  {:>9} {:>14} {:>9} {:>8} {:>12} {:>12}",
-            "size", "verifier-insns", "pushed", "pruned", "peak-bytes", "wall-us"
+/// §3.2: the simulated helpers by class (retire, simplify, wrap), then
+/// the full retirement table.
+fn helpers() -> Vec<Obj> {
+    let registry = HelperRegistry::standard();
+    let specs = registry.specs();
+    let mut rows = vec![row("helpers", "registry").num("helpers", registry.len())];
+    for (class, category) in [
+        ("retire", HelperCategory::Expressiveness),
+        ("simplify", HelperCategory::KernelInterface),
+        ("wrap", HelperCategory::Wrapper),
+    ] {
+        let names: Vec<&str> = specs
+            .iter()
+            .filter(|s| s.category == category)
+            .map(|s| s.name)
+            .collect();
+        rows.push(
+            row("helpers", "registry")
+                .str("class", class)
+                .num("helpers", names.len())
+                .strs("names", &names),
         );
-        for p in sweep {
-            println!(
-                "  {:>9} {:>14} {:>9} {:>8} {:>12} {:>12.1}",
-                p.prog_len,
-                p.insns_processed,
-                p.states_pushed,
-                p.states_pruned,
-                p.peak_state_bytes,
-                p.wall_ns as f64 / 1000.0
-            );
-        }
     }
-    println!("\nverification work under each historical feature era (straightline-512):");
+    rows.extend(RETIRED_HELPERS.iter().map(|(helper, replacement)| {
+        row("helpers", "retired")
+            .str("helper", helper)
+            .str("replacement", replacement)
+    }));
+    rows
+}
+
+/// §2.1: verification cost by program shape and size, by feature era,
+/// with and without state pruning, and the forced program split.
+fn verif_cost() -> Vec<Obj> {
+    let mut rows = Vec::new();
+    for (series, sweep) in experiments::verification_cost_sweep() {
+        rows.extend(sweep.iter().map(|p| {
+            row("verif-cost", series)
+                .num("size", p.prog_len)
+                .num("insns_processed", p.insns_processed)
+                .num("states_pushed", p.states_pushed)
+                .num("states_pruned", p.states_pruned)
+                .num("peak_state_bytes", p.peak_state_bytes)
+                .num("host_wall_ns", p.wall_ns)
+        }));
+    }
     for (version, features, insns) in experiments::verification_by_feature_set() {
-        println!("  {version:>6}: {features} features, {insns} verifier insns");
+        rows.push(
+            point("verif-cost", "feature-era", version)
+                .num("features", features)
+                .num("insns_processed", insns),
+        );
     }
-
-    println!("\nablation — state pruning (the design choice that tames path explosion):");
-    println!(
-        "  {:>9} {:>14} {:>18}",
-        "diamonds", "with pruning", "without pruning"
-    );
     for p in experiments::pruning_ablation() {
-        println!(
-            "  {:>9} {:>14} {:>18}",
-            p.diamonds,
-            p.with_pruning,
-            p.without_pruning
-                .map(|v| v.to_string())
-                .unwrap_or_else(|| "REJECTED (budget)".to_string())
-        );
+        let r = row("verif-cost", "pruning")
+            .num("diamonds", p.diamonds)
+            .num("with_pruning", p.with_pruning);
+        rows.push(match p.without_pruning {
+            Some(insns) => r.num("without_pruning", insns),
+            None => r.str("without_pruning", "rejected (budget)"),
+        });
     }
-
-    println!("\nprogram splitting (\"developers need to find ways to break their program");
-    println!("into small pieces\" — §2.1): payload exceeding the 4096-insn unprivileged limit:");
     let p = experiments::program_splitting(6000, 2);
-    println!(
-        "  monolith ({} work insns): verifies under unprivileged limits? {}",
-        p.work, p.monolith_verifies
+    let overhead_pct = (p.split_insns as f64 / p.monolith_insns as f64 - 1.0) * 100.0;
+    rows.push(
+        row("verif-cost", "splitting")
+            .num("work", p.work)
+            .num("monolith_verifies_unprivileged", p.monolith_verifies)
+            .num("monolith_insns", p.monolith_insns)
+            .num("pieces", p.pieces)
+            .num("split_insns", p.split_insns)
+            .fixed("overhead_pct", overhead_pct, 2),
     );
-    println!(
-        "  split into {} tail-called pieces: verifies; runtime {} insns vs {} for the monolith \
-         (+{:.1}% overhead from tail calls and map-carried state)",
-        p.pieces,
-        p.split_insns,
-        p.monolith_insns,
-        (p.split_insns as f64 / p.monolith_insns as f64 - 1.0) * 100.0
-    );
+    rows
 }
 
-fn load_time() {
-    heading("§3.1 — load path: in-kernel verification vs signature + fixup");
-    println!(
-        "  {:>9} {:>16} {:>18} {:>8}",
-        "prog-len", "verify (us)", "signed-load (us)", "ratio"
-    );
-    for p in experiments::load_time_comparison() {
-        println!(
-            "  {:>9} {:>16.1} {:>18.1} {:>7.0}x",
-            p.prog_len,
-            p.verify_ns as f64 / 1000.0,
-            p.signed_load_ns as f64 / 1000.0,
-            p.verify_ns as f64 / p.signed_load_ns.max(1) as f64
-        );
-    }
-    println!("\n  (the signature check is constant per byte; verification explores paths)");
+/// §3.1: load time, in-kernel verification against signature check plus
+/// fixup. Only the program sizes are canonical.
+fn load_time() -> Vec<Obj> {
+    let points = experiments::load_time_comparison();
+    let rows = points.iter().map(|p| {
+        let ratio = p.verify_ns as f64 / p.signed_load_ns.max(1) as f64;
+        row("load-time", "straight-line")
+            .num("size", p.prog_len)
+            .num("host_verify_ns", p.verify_ns)
+            .num("host_signed_load_ns", p.signed_load_ns)
+            .fixed("host_ratio", ratio, 1)
+    });
+    rows.collect()
 }
 
-fn runtime_cost() {
-    heading("§3.1 — runtime mechanisms: per-event cost on a packet filter");
-    let p = experiments::runtime_cost(2_000);
-    println!(
-        "  baseline (interpreted bytecode): {:.1} insns/pkt, {:.0} host-ns/pkt",
-        p.baseline_insns_per_pkt, p.baseline_ns_per_pkt
-    );
-    println!(
-        "  safe-ext (native + watchdog):    {:.1} fuel/pkt,  {:.0} host-ns/pkt",
-        p.safe_fuel_per_pkt, p.safe_ns_per_pkt
-    );
-    println!(
-        "  per-event speedup: {:.2}x (native code + checked APIs vs interpretation)",
-        p.baseline_ns_per_pkt / p.safe_ns_per_pkt.max(1.0)
-    );
+/// §3.1: per-packet cost of the interpreted baseline and safe-ext on the
+/// same packet filter.
+fn runtime_cost() -> Vec<Obj> {
+    let p = experiments::runtime_cost(RUNTIME_PACKETS);
+    let speedup = p.baseline_ns_per_pkt / p.safe_ns_per_pkt.max(1.0);
+    vec![row("runtime-cost", "packet-filter")
+        .fixed("baseline_insns_per_pkt", p.baseline_insns_per_pkt, 3)
+        .fixed("safe_fuel_per_pkt", p.safe_fuel_per_pkt, 3)
+        .fixed("host_baseline_ns_per_pkt", p.baseline_ns_per_pkt, 0)
+        .fixed("host_safe_ns_per_pkt", p.safe_ns_per_pkt, 0)
+        .fixed("host_speedup", speedup, 2)]
 }
 
-fn exploit_safety() {
-    heading("§2.2 experiment — safety: verified program crashes the kernel");
-    use ebpf::asm::Asm;
-    use ebpf::helpers::{self, FaultConfig};
-    use ebpf::insn::*;
-    use ebpf::interp::{CtxInput, Vm};
-    use ebpf::maps::MapRegistry;
-    use ebpf::program::{ProgType, Program};
-    use kernel_sim::Kernel;
-    use verifier::Verifier;
-
+/// §2.2 safety: a verified program crashes the kernel through the
+/// `bpf_sys_bpf` union NULL dereference (CVE-2022-2785).
+fn exploit_safety() -> Vec<Obj> {
     let kernel = Kernel::new();
     kernel.populate_demo_env();
     let maps = MapRegistry::default();
-    let helpers_reg = ebpf::helpers::HelperRegistry::standard();
+    let helpers_reg = HelperRegistry::standard();
     let insns = Asm::new()
         .st(BPF_DW, Reg::R10, -16, 0)
         .st(BPF_DW, Reg::R10, -8, 0)
@@ -308,62 +283,54 @@ fn exploit_safety() {
         .build()
         .unwrap();
     let prog = Program::new("cve-2022-2785", ProgType::Tracepoint, insns);
-    let v = Verifier::new(&maps, &helpers_reg).verify(&prog).unwrap();
-    println!(
-        "verifier: ACCEPTED ({} insns processed)",
-        v.stats.insns_processed
-    );
+    let verifier = Verifier::new(&maps, &helpers_reg);
+    let v = verifier.verify(&prog).expect("the verifier accepts it");
     let mut vm = Vm::new(&kernel, &maps, &helpers_reg).with_faults(FaultConfig::shipped());
     let id = vm.load(prog);
     let result = vm.run(id, CtxInput::None);
-    println!("runtime:  {:?}", result.result);
-    println!(
-        "kernel:   oopses={} tainted={}",
-        kernel.health().oopses,
-        kernel.health().tainted
-    );
-    println!("paper:    \"we achieved a kernel crash by dereferencing the NULL pointer inside the union\" — reproduced");
+    let health = kernel.health();
+    vec![row("exploit-safety", "cve-2022-2785")
+        .str("verifier", "accepted")
+        .num("insns_processed", v.stats.insns_processed)
+        .str("runtime", &format!("{:?}", result.result))
+        .num("oopses", health.oopses)
+        .num("tainted", health.tainted)]
 }
 
-fn exploit_termination() {
-    heading("§2.2 experiment — termination: RCU stalls from verified bpf_loop");
-    let sweep = experiments::termination_sweep(5_000);
-    println!(
-        "  {:>12} {:>12} {:>14} {:>7}",
-        "iterations", "insns", "virtual-secs", "stalls"
-    );
-    let mut points = Vec::new();
-    for p in &sweep {
-        println!(
-            "  {:>12} {:>12} {:>14.1} {:>7}",
-            p.iterations,
-            p.insns,
-            p.virtual_ns as f64 / 1e9,
-            p.stalls
-        );
-        points.push((p.iterations as f64, p.insns as f64));
-    }
+/// §2.2 termination: the verified nested `bpf_loop` staller's runtime is
+/// linear in its iterations, extrapolated to "millions of years"; the
+/// safe-ext watchdog ends the equivalent loop at its fuel budget.
+fn exploit_termination() -> Vec<Obj> {
+    let sweep = experiments::termination_sweep(STALLER_NS_PER_INSN);
+    let mut rows: Vec<Obj> = sweep
+        .iter()
+        .map(|p| {
+            row("exploit-termination", "bpf_loop")
+                .num("iterations", p.iterations)
+                .num("insns", p.insns)
+                .num("virtual_ns", p.virtual_ns)
+                .num("stalls", p.stalls)
+        })
+        .collect();
+    let points: Vec<(f64, f64)> = sweep
+        .iter()
+        .map(|p| (p.iterations as f64, p.insns as f64))
+        .collect();
     let slope = analysis::figures::linear_slope(&points);
-    println!(
-        "\n  linear fit: {slope:.1} insns per iteration (r^2 ~ 1: linear control over runtime)"
-    );
+    // 33 tail calls of three nested 2^23-trip loops, at 1 ns per insn.
     let full_iters = 33.0 * ((1u64 << 23) as f64).powi(3);
     let years = full_iters * slope / 1e9 / 3600.0 / 24.0 / 365.0;
-    println!(
-        "  extrapolation to 33 tail calls x (2^23)^3 nested iterations at 1ns/insn: {years:.1e} years"
+    rows.push(
+        row("exploit-termination", "bpf_loop")
+            .fixed("insns_per_iteration", slope, 3)
+            .num("extrapolated_years", format!("{years:.3e}")),
     );
-    println!(
-        "  paper: \"we can craft a program that will run for millions of years\" — reproduced"
-    );
-
-    println!("\nsafe-ext watchdog on the equivalent unbounded workload:");
-    for w in experiments::watchdog_sweep() {
-        println!(
-            "  fuel budget {:>9}: terminated at {:>9} fuel, {:>7.3} virtual-ms, stalls={}",
-            w.fuel,
-            w.fuel_used,
-            w.virtual_ns as f64 / 1e6,
-            w.stalls
-        );
-    }
+    rows.extend(experiments::watchdog_sweep().iter().map(|w| {
+        row("exploit-termination", "safe-ext watchdog")
+            .num("fuel", w.fuel)
+            .num("fuel_used", w.fuel_used)
+            .num("virtual_ns", w.virtual_ns)
+            .num("stalls", w.stalls)
+    }));
+    rows
 }

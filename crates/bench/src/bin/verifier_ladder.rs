@@ -18,16 +18,7 @@ fn main() {
 }
 
 fn full(out: &str) {
-    let rows = run_ladder();
-    for r in &rows {
-        println!(
-            "{:>10} programs={:>2} states={:>5} reject_rate={:.2} verify_sim={:>7}ns ext_load_sim={:>4}ns sandbox_load_sim={:>4}ns sandbox ok/trap/abort={}/{}/{}",
-            r.feature, r.programs, r.states_explored, r.reject_rate, r.verify_sim_ns,
-            r.safe_ext_load_sim_ns, r.sandbox_load_sim_ns, r.sandbox_ok, r.sandbox_trapped,
-            r.sandbox_aborted,
-        );
-    }
-    let objs: Vec<Obj> = rows
+    let rows: Vec<Obj> = run_ladder()
         .iter()
         .map(|r| {
             Obj::new()
@@ -45,6 +36,7 @@ fn full(out: &str) {
                 .num("sandbox_trapped", r.sandbox_trapped)
                 .num("sandbox_aborted", r.sandbox_aborted)
         })
+        .map(cli::progress)
         .collect();
-    cli::write_report(out, &Obj::new(), "ladder", &objs);
+    cli::write_report(out, &Obj::new(), "ladder", &rows);
 }

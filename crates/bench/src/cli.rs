@@ -89,8 +89,9 @@ pub fn progress(row: Obj) -> Obj {
     row
 }
 
-/// Writes a report: every row's canonical members to `out`, and its
-/// `host_*` members with its id members to `<out stem>.host.json`.
+/// Writes a report: every row's canonical members to `out`, and the
+/// `host_*` members of each row that has some, with its id members, to
+/// `<out stem>.host.json`.
 ///
 /// This is the one place that knows `host_*` means measured. Every other
 /// member depends only on code and seed, so `out` is byte-identical across
@@ -102,13 +103,14 @@ pub fn write_report(out: &str, header: &Obj, section: &str, rows: &[Obj]) {
     let canonical: Vec<Obj> = rows.iter().map(|r| r.filter(|k| !measured(k))).collect();
     write(out, &document(header, section, &canonical));
     println!("wrote {out} ({} rows)", rows.len());
-    if rows.iter().all(|r| r.filter(measured).is_empty()) {
-        return;
-    }
     let host_rows: Vec<Obj> = rows
         .iter()
+        .filter(|r| !r.filter(measured).is_empty())
         .map(|r| r.filter(|k| measured(k) || ID_FIELDS.contains(&k)))
         .collect();
+    if host_rows.is_empty() {
+        return;
+    }
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let profile = if cfg!(debug_assertions) {
         "debug"

@@ -1,4 +1,6 @@
-//! Structured experiment runners shared by `repro` and the benches.
+//! Structured experiment runners: `repro` turns each result into rows of
+//! `BENCH_repro.json`, and the scalability and verifier-count tests check
+//! them. The Criterion benches build their own workloads.
 
 use ebpf::helpers::HelperRegistry;
 use ebpf::interp::{CtxInput, Vm, VmConfig};
@@ -462,7 +464,10 @@ pub fn pruning_ablation() -> Vec<PruningPoint> {
 }
 
 /// Verification cost under each historical feature set (the Figure 2
-/// companion: more features, more work per program).
+/// companion): the enabled-feature count and the instructions processed
+/// for `workloads::straightline(512)`. Every era processes its 515
+/// instructions once: the features add checks this program never reaches,
+/// so their growth shows in the verifier's code, not in this work.
 pub fn verification_by_feature_set() -> Vec<(String, usize, u64)> {
     let maps = MapRegistry::default();
     let helpers = HelperRegistry::standard();

@@ -1,9 +1,9 @@
 //! Benchmark and reproduction harness.
 //!
 //! [`workloads`] builds the programs and extensions the experiments run;
-//! [`experiments`] contains the structured experiment runners shared by
-//! the Criterion benches (`benches/`) and the `repro` binary, which
-//! regenerates every figure and table of the paper (see EXPERIMENTS.md).
+//! [`experiments`] contains the structured experiment runners behind the
+//! `repro` report binary, which regenerates every figure and table of the
+//! paper into `BENCH_repro.json` (see EXPERIMENTS.md).
 //! [`engine`] runs the sharded scenarios ([`dispatch`], [`netflows`],
 //! [`churn`], [`hooks`]) on any [`Lane`]; [`cli`] is the plumbing their
 //! report binaries share.

@@ -2,9 +2,9 @@
 //!
 //! "Unlike eBPF, they are achieved without restrictions on loop and
 //! program size." The table is encoded here; the `table2_properties`
-//! integration test runs an attack per property under both frameworks and
-//! the `repro table2` command regenerates the published table next to the
-//! measured outcomes.
+//! integration test runs an attack per property under both frameworks, and
+//! the `repro` report writes the published table, with how this artifact
+//! demonstrates each row, to `BENCH_repro.json` (rows `figure=table2`).
 
 /// The safety properties of Table 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

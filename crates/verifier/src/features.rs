@@ -121,6 +121,7 @@ pub const FEATURE_MODULES: &[(KernelVersion, &str, &[&str])] = &[
             "faults.rs",
             "lib.rs",
             "checker.rs",
+            "check_mem.rs",
         ],
     ),
     (
@@ -180,6 +181,23 @@ mod tests {
             VerifierFeatures::for_version(KernelVersion::V3_18),
             VerifierFeatures::baseline()
         );
+    }
+
+    #[test]
+    fn feature_modules_name_every_source_file_once() {
+        let src = concat!(env!("CARGO_MANIFEST_DIR"), "/src");
+        let mut on_disk: Vec<String> = std::fs::read_dir(src)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+            .filter(|name| name.ends_with(".rs"))
+            .collect();
+        on_disk.sort();
+        let mut named: Vec<&str> = FEATURE_MODULES
+            .iter()
+            .flat_map(|(_, _, files)| files.iter().copied())
+            .collect();
+        named.sort();
+        assert_eq!(named, on_disk, "each verifier source in exactly one stage");
     }
 
     #[test]
