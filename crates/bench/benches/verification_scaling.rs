@@ -34,9 +34,10 @@ fn bench_by_size(c: &mut Criterion) {
 
     // The headline scalability pain: verification cost grows with LOOP
     // TRIP COUNT, not program size — a 7-insn program can cost thousands
-    // of verifier steps.
+    // of verifier steps. Host time grows linearly with those steps, up to
+    // 32,768 trips (98,308 processed instructions).
     let mut group = c.benchmark_group("verify/loop-trip-count");
-    for n in [16i32, 128, 1024] {
+    for n in [16i32, 128, 1024, 8192, 32768] {
         let prog = workloads::counted_loop(n);
         group.bench_with_input(BenchmarkId::from_parameter(n), &prog, |b, prog| {
             b.iter(|| verifier.verify(prog).expect("verifies"));

@@ -88,13 +88,18 @@ fn point(prog_len: usize, v: &verifier::Verification) -> VerifCostPoint {
 pub struct LoadTimePoint {
     /// Baseline program length (insns).
     pub prog_len: usize,
-    /// Verification wall time, ns.
+    /// Verification wall time, ns, median of five loads.
     pub verify_ns: u128,
-    /// Signature validation + artifact parse + fixup wall time, ns.
+    /// Signature validation + artifact parse + fixup wall time, ns,
+    /// median of five loads.
     pub signed_load_ns: u128,
 }
 
-/// Compares load-time cost as the extension grows.
+/// Timed loads of each path per program size in [`load_time_comparison`].
+const LOAD_TIME_REPEATS: usize = 5;
+
+/// Compares load-time cost as the extension grows. Both paths load once
+/// untimed first, so the smallest size does not pay the cold path alone.
 pub fn load_time_comparison() -> Vec<LoadTimePoint> {
     let kernel = Kernel::new();
     let maps = MapRegistry::default();
@@ -113,30 +118,44 @@ pub fn load_time_comparison() -> Vec<LoadTimePoint> {
         Extension::new("e", ProgType::SocketFilter, |_| Ok(0)),
     );
 
-    let mut out = Vec::new();
-    for n in [64usize, 256, 1024, 4096] {
-        let prog = workloads::straightline(n);
-        let started = std::time::Instant::now();
-        verifier.verify(&prog).expect("verifies");
-        let verify_ns = started.elapsed().as_nanos();
-
-        // The safe-ext artifact for an equivalent extension: source size
-        // scales with n to keep the comparison honest.
+    // The safe-ext artifact for an equivalent extension: source size
+    // scales with n to keep the comparison honest.
+    let artifact = |n: usize| {
         let source = format!(
             "fn ext(ctx: &ExtCtx) -> Result<u64, ExtError> {{\n{}    Ok(0)\n}}\n",
             "    let _ = 1 + 1;\n".repeat(n / 2)
         );
-        let signed = toolchain
+        toolchain
             .build(&source, "e", ProgType::SocketFilter, "entry", &["maps"])
-            .expect("builds");
-        let loaded = loader.load(&signed, &registry).expect("loads");
+            .expect("builds")
+    };
+
+    let sizes = [64usize, 256, 1024, 4096];
+    verifier
+        .verify(&workloads::straightline(sizes[0]))
+        .expect("verifies");
+    loader.load(&artifact(sizes[0]), &registry).expect("loads");
+    let mut out = Vec::new();
+    for n in sizes {
+        let (prog, signed) = (workloads::straightline(n), artifact(n));
         out.push(LoadTimePoint {
             prog_len: prog.len(),
-            verify_ns,
-            signed_load_ns: loaded.load_ns,
+            verify_ns: median_ns(|| {
+                let started = std::time::Instant::now();
+                verifier.verify(&prog).expect("verifies");
+                started.elapsed().as_nanos()
+            }),
+            signed_load_ns: median_ns(|| loader.load(&signed, &registry).expect("loads").load_ns),
         });
     }
     out
+}
+
+/// The median of [`LOAD_TIME_REPEATS`] timings.
+fn median_ns(mut time: impl FnMut() -> u128) -> u128 {
+    let mut ns: Vec<u128> = (0..LOAD_TIME_REPEATS).map(|_| time()).collect();
+    ns.sort_unstable();
+    ns[ns.len() / 2]
 }
 
 /// §2.2 termination: virtual runtime vs iteration count, plus stall

@@ -6,8 +6,9 @@
 //! it, the reproducer store `BENCH_fuzz_corpus.txt` (every shrunk
 //! disagreement, then the feature-ladder picks) that
 //! `tests/fuzz_corpus_replay.rs` and `tests/bugdb_replay.rs` re-judge in
-//! tier-1. Fails (exit 2) if any accepted program's interpreter and JIT
-//! pipelines disagreed on results or audit fingerprints.
+//! tier-1. Fails (exit 1) if any accepted program's interpreter and JIT
+//! pipelines disagreed on results or audit fingerprints; a bad argument
+//! prints usage and exits 2, as every report binary does.
 
 use std::process::ExitCode;
 
@@ -55,7 +56,7 @@ fn main() -> ExitCode {
                 "usage: fuzzstats [--seeds N] [--seed-start N] [--shards N] \
                  [--shrink-limit N] [--out PATH]"
             );
-            return ExitCode::from(1);
+            return ExitCode::from(2);
         }
     };
 
@@ -92,7 +93,7 @@ fn main() -> ExitCode {
         .sum();
     if divergences > 0 {
         eprintln!("fuzzstats: {divergences} accepted programs diverged between interp and JIT");
-        return ExitCode::from(2);
+        return ExitCode::from(1);
     }
     ExitCode::SUCCESS
 }

@@ -72,9 +72,7 @@ pub(crate) fn check_bpf_loop(
         frame.regs[1] = RegType::Scalar(Scalar::from_urange(0, (1 << 23) - 1));
         frame.regs[2] = cb_ctx;
         cb_state.frames.push(Rc::new(frame));
-        ctx.stats.states_pushed += 1;
-        // The callback is a fresh path, not a continuation of this one.
-        ctx.worklist.push((cb_pc, cb_state, None));
+        ctx.push_callback(cb_pc, cb_state);
     }
 
     // Continuing path: the callback may have scribbled over any frame

@@ -88,9 +88,7 @@ pub(crate) fn check_pkt_compare(
             state.pkt_range = state.pkt_range.max(n as u32);
         }
     }
-    ctx.stats.states_pushed += 1;
-    let path = ctx.current_path.clone();
-    ctx.worklist.push((target, taken, path));
+    ctx.push_branch(target, taken);
     Ok(Some(pc + 1))
 }
 
@@ -101,8 +99,6 @@ fn refine_nothing(
     target: usize,
     state: &VerifierState,
 ) -> Result<Option<usize>, VerifyError> {
-    ctx.stats.states_pushed += 1;
-    let path = ctx.current_path.clone();
-    ctx.worklist.push((target, state.clone(), path));
+    ctx.push_branch(target, state.clone());
     Ok(Some(pc + 1))
 }

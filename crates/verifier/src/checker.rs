@@ -6,9 +6,20 @@
 //! state pruning at jump targets, and a processed-instruction budget whose
 //! exhaustion rejects the program as too complex — the scalability wall
 //! §2.1 describes.
+//!
+//! States reached at pruning points go into one table, chained per pc and
+//! capped at `max_states_per_insn` each; the path being explored is a
+//! stack of table indices. A new state at a pruning point is checked
+//! against its pc's recorded states only, as the kernel's
+//! `is_state_visited` does: a covering state still on the current path
+//! means the path looped without abstract progress (rejected), any other
+//! covering state prunes it. So each processed instruction costs at most
+//! `max_states_per_insn` subsumption checks, however long the path. A
+//! state reached after its pc's table filled is not recorded, so a loop
+//! back to it is not caught as a loop: it runs into the instruction
+//! budget and is rejected as too complex.
 
 use std::collections::HashSet;
-use std::rc::Rc;
 
 use ebpf::helpers::HelperRegistry;
 use ebpf::insn::{
@@ -52,21 +63,29 @@ pub struct Verifier<'a> {
     pub faults: VerifierFaults,
 }
 
-/// A node in the current path's ancestry of prune-point states, used to
-/// tell "this path has looped without progress" (reject: the kernel's
-/// "infinite loop detected") apart from "a sibling path already covered
-/// this state" (prune: safe).
-pub(crate) struct PathNode {
-    pub pc: usize,
-    pub state: VerifierState,
-    pub parent: PathLink,
+/// [`Vctx::heads`] entry for a pc that is not a pruning point.
+const NOT_POINT: u32 = u32::MAX;
+/// The end of a pc's chain of recorded states.
+const END: u32 = u32::MAX - 1;
+
+/// A state recorded at a pruning point.
+struct Recorded {
+    state: VerifierState,
+    /// The state recorded before it at the same pc, or [`END`].
+    prev: u32,
+    /// Its index in [`Vctx::path`]: it is on the current path while that
+    /// slot still holds it.
+    depth: usize,
 }
 
-/// Reference-counted ancestry link.
-pub(crate) type PathLink = Option<Rc<PathNode>>;
-
-/// [`Vctx::prune_slot`] entry for a pc that is not a pruning point.
-const NO_SLOT: u32 = u32::MAX;
+/// A deferred path: it resumes at `pc` in `state`, with [`Vctx::path`]
+/// cut back to `depth` entries and [`Vctx::floor`] set to `floor`.
+struct Pending {
+    pc: usize,
+    state: VerifierState,
+    depth: usize,
+    floor: usize,
+}
 
 /// Internal exploration context for a single `verify` run.
 pub(crate) struct Vctx<'p> {
@@ -74,17 +93,19 @@ pub(crate) struct Vctx<'p> {
     pub layout: CtxLayout,
     pub stats: VerifStats,
     pub next_id: u32,
-    pub worklist: Vec<(usize, VerifierState, PathLink)>,
-    /// The ancestry of the path currently being explored; branch pushes
-    /// capture it.
-    pub current_path: PathLink,
-    /// States recorded at each pruning point (jump target), for pruning.
-    pub explored: Vec<Vec<VerifierState>>,
-    /// Each pc's index into `explored`, or [`NO_SLOT`] when the pc is not
-    /// a pruning point.
-    pub prune_slot: Vec<u32>,
-    /// States held in `explored`, summed over all pruning points.
-    pub retained: usize,
+    worklist: Vec<Pending>,
+    /// Every state recorded at a pruning point.
+    recorded: Vec<Recorded>,
+    /// Each pc's most recent entry in `recorded`, [`END`] before the
+    /// first, or [`NOT_POINT`].
+    heads: Vec<u32>,
+    /// The current path's recorded states, oldest first. Worklist entries
+    /// pushed later resume at least as deep, so a popped entry's prefix
+    /// is intact.
+    path: Vec<u32>,
+    /// `path` entries below it belong to the path that scheduled the
+    /// `bpf_loop` callback being explored, not to its ancestry.
+    floor: usize,
     /// `bpf_loop` callback entries already scheduled for verification.
     pub callbacks_seen: HashSet<usize>,
 }
@@ -94,6 +115,59 @@ impl Vctx<'_> {
     pub fn fresh_id(&mut self) -> u32 {
         self.next_id += 1;
         self.next_id
+    }
+
+    /// Defers `state` at `pc` as a branch of the current path.
+    pub fn push_branch(&mut self, pc: usize, state: VerifierState) {
+        self.defer(pc, state, self.floor);
+    }
+
+    /// Defers a `bpf_loop` callback body at `pc`: a fresh path, not a
+    /// continuation of this one, so its floor hides this path's states.
+    pub fn push_callback(&mut self, pc: usize, state: VerifierState) {
+        self.defer(pc, state, self.path.len());
+    }
+
+    fn defer(&mut self, pc: usize, state: VerifierState, floor: usize) {
+        self.stats.states_pushed += 1;
+        let depth = self.path.len();
+        self.worklist.push(Pending {
+            pc,
+            state,
+            depth,
+            floor,
+        });
+    }
+
+    /// Checks `state` at pruning point `pc` against the states recorded
+    /// there: `Ok(true)` prunes it, and a covering state on the current
+    /// path is an infinite loop. An uncovered state is recorded while the
+    /// pc has room.
+    fn visit(&mut self, pc: usize, state: &VerifierState, cap: usize) -> Result<bool, VerifyError> {
+        let (mut at, mut count, mut covered) = (self.heads[pc], 0, false);
+        while at != END {
+            let old = &self.recorded[at as usize];
+            let on_path = old.depth >= self.floor && self.path.get(old.depth) == Some(&at);
+            // An off-path cover prunes, unless an on-path one rejects.
+            if on_path || !covered {
+                self.stats.subsumption_checks += 1;
+                if VerifierState::is_subsumed_by(state, &old.state) {
+                    if on_path {
+                        return Err(VerifyError::InfiniteLoop { pc });
+                    }
+                    covered = true;
+                }
+            }
+            (at, count) = (old.prev, count + 1);
+        }
+        if !covered && count < cap {
+            let (prev, depth) = (self.heads[pc], self.path.len());
+            self.heads[pc] = self.recorded.len() as u32;
+            self.path.push(self.heads[pc]);
+            let state = state.clone();
+            self.recorded.push(Recorded { state, prev, depth });
+        }
+        Ok(covered)
     }
 }
 
@@ -155,28 +229,25 @@ impl<'a> Verifier<'a> {
                 });
             }
         }
-        let mut points = 0u32;
-        let prune_slot = loops::jump_targets(&prog.insns)
+        let heads = loops::jump_targets(&prog.insns)
             .into_iter()
-            .map(|target| {
-                if target {
-                    points += 1;
-                    points - 1
-                } else {
-                    NO_SLOT
-                }
-            })
+            .map(|target| if target { END } else { NOT_POINT })
             .collect();
         let mut ctx = Vctx {
             prog,
             layout: prog.prog_type.ctx_layout(),
             stats: VerifStats::default(),
             next_id: 0,
-            worklist: vec![(0, VerifierState::entry(), None)],
-            current_path: None,
-            explored: vec![Vec::new(); points as usize],
-            prune_slot,
-            retained: 0,
+            worklist: vec![Pending {
+                pc: 0,
+                state: VerifierState::entry(),
+                depth: 0,
+                floor: 0,
+            }],
+            recorded: Vec::new(),
+            heads,
+            path: Vec::new(),
+            floor: 0,
             callbacks_seen: HashSet::new(),
         };
         if self.features.speculation {
@@ -185,15 +256,18 @@ impl<'a> Verifier<'a> {
         }
 
         let _explore = tracer.map(|t| t.span(SpanKind::VerifierPass, 2));
-        while let Some((pc, state, path)) = ctx.worklist.pop() {
-            ctx.current_path = path;
-            self.explore_path(&mut ctx, pc, state)?;
-            ctx.stats.peak_states = ctx.stats.peak_states.max(ctx.retained);
-            ctx.stats.peak_state_bytes = ctx
-                .stats
-                .peak_state_bytes
-                .max(ctx.retained * std::mem::size_of::<VerifierState>());
+        while let Some(next) = ctx.worklist.pop() {
+            debug_assert!(
+                next.depth <= ctx.path.len(),
+                "a resumed path lost its prefix"
+            );
+            ctx.path.truncate(next.depth);
+            ctx.floor = next.floor;
+            self.explore_path(&mut ctx, next.pc, next.state)?;
         }
+        // Recorded states are never dropped, so the peak is the final count.
+        ctx.stats.peak_states = ctx.recorded.len();
+        ctx.stats.peak_state_bytes = ctx.recorded.len() * std::mem::size_of::<VerifierState>();
         ctx.stats.wall_ns = started.elapsed().as_nanos();
         Ok(Verification { stats: ctx.stats })
     }
@@ -215,35 +289,11 @@ impl<'a> Verifier<'a> {
                     insns_processed: ctx.stats.insns_processed,
                 });
             }
-            // Prune / record at jump targets.
-            let slot = ctx.prune_slot[pc];
-            if slot != NO_SLOT {
-                // Looping without abstract progress on THIS path is an
-                // infinite loop, not a prunable revisit.
-                let mut ancestor = ctx.current_path.as_deref();
-                while let Some(node) = ancestor {
-                    if node.pc == pc && VerifierState::is_subsumed_by(&state, &node.state) {
-                        return Err(VerifyError::InfiniteLoop { pc });
-                    }
-                    ancestor = node.parent.as_deref();
-                }
-                let states = &mut ctx.explored[slot as usize];
-                if states
-                    .iter()
-                    .any(|old| VerifierState::is_subsumed_by(&state, old))
-                {
-                    ctx.stats.states_pruned += 1;
-                    return Ok(());
-                }
-                if states.len() < self.limits.max_states_per_insn {
-                    states.push(state.clone());
-                    ctx.retained += 1;
-                }
-                ctx.current_path = Some(Rc::new(PathNode {
-                    pc,
-                    state: state.clone(),
-                    parent: ctx.current_path.take(),
-                }));
+            if ctx.heads[pc] != NOT_POINT
+                && ctx.visit(pc, &state, self.limits.max_states_per_insn)?
+            {
+                ctx.stats.states_pruned += 1;
+                return Ok(());
             }
 
             let insn = ctx.prog.insns[pc];
@@ -614,18 +664,14 @@ impl<'a> Verifier<'a> {
                 if s.const_val() == Some(0) {
                     let id = check_mem::alias_id(&dst).expect("maybe-null has an id");
                     let mut taken = state.clone();
-                    let mut fall = state.clone();
                     if op == BPF_JNE {
                         taken.mark_non_null(id);
-                        fall.mark_null(id);
+                        state.mark_null(id);
                     } else {
                         taken.mark_null(id);
-                        fall.mark_non_null(id);
+                        state.mark_non_null(id);
                     }
-                    ctx.stats.states_pushed += 1;
-                    let path = ctx.current_path.clone();
-                    ctx.worklist.push((target, taken, path));
-                    *state = fall;
+                    ctx.push_branch(target, taken);
                     return Ok(Some(pc + 1));
                 }
             }
@@ -680,41 +726,36 @@ impl<'a> Verifier<'a> {
             || (d.umax <= u32::MAX as u64 && s.umax <= u32::MAX as u64)
             || self.faults.jmp32_narrows_64bit_bounds;
 
-        let taken_pair = scalar::refine_branch(op, d, s, true);
-        let fall_pair = scalar::refine_branch(op, d, s, false);
-
-        let apply = |state: &mut VerifierState, pair: Option<(Scalar, Scalar)>| -> bool {
-            match pair {
-                None => false,
-                Some((nd, ns)) => {
-                    if can_refine_64 {
-                        state.set_reg(insn.dst, RegType::Scalar(nd));
-                        if insn.is_src_reg() {
-                            state.set_reg(insn.src, RegType::Scalar(ns));
-                        }
-                    }
-                    true
+        let apply = |state: &mut VerifierState, (nd, ns): (Scalar, Scalar)| {
+            if can_refine_64 {
+                state.set_reg(insn.dst, RegType::Scalar(nd));
+                if insn.is_src_reg() {
+                    state.set_reg(insn.src, RegType::Scalar(ns));
                 }
             }
         };
 
-        let mut taken_state = state.clone();
-        let taken_live = apply(&mut taken_state, taken_pair);
-        let fall_live = apply(state, fall_pair);
-
-        match (taken_live, fall_live) {
-            (true, true) => {
-                ctx.stats.states_pushed += 1;
-                let path = ctx.current_path.clone();
-                ctx.worklist.push((target, taken_state, path));
+        // A live arm gets its refinement; only two live arms need a copy.
+        match (
+            scalar::refine_branch(op, d, s, true),
+            scalar::refine_branch(op, d, s, false),
+        ) {
+            (Some(taken), Some(fall)) => {
+                let mut taken_state = state.clone();
+                apply(&mut taken_state, taken);
+                apply(state, fall);
+                ctx.push_branch(target, taken_state);
                 Ok(Some(pc + 1))
             }
-            (true, false) => {
-                *state = taken_state;
+            (Some(taken), None) => {
+                apply(state, taken);
                 Ok(Some(target))
             }
-            (false, true) => Ok(Some(pc + 1)),
-            (false, false) => Ok(None), // Dead code both ways (impossible).
+            (None, Some(fall)) => {
+                apply(state, fall);
+                Ok(Some(pc + 1))
+            }
+            (None, None) => Ok(None), // Dead code both ways (impossible).
         }
     }
 

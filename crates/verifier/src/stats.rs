@@ -13,6 +13,9 @@ pub struct VerifStats {
     pub states_pushed: u64,
     /// States pruned by subsumption against a previously verified state.
     pub states_pruned: u64,
+    /// Full state-subsumption checks run at pruning points (at most
+    /// `max_states_per_insn` per processed instruction).
+    pub subsumption_checks: u64,
     /// Peak number of states retained for pruning.
     pub peak_states: usize,
     /// `peak_states` times the size of a state's 56-byte header

@@ -8,7 +8,7 @@
 //! the program-size restrictions §2.1 criticizes.
 //!
 //! States are copy-on-write: frames are shared between a state and its
-//! clones (branch arms, recorded prune-point states, path ancestry) and a
+//! clones (branch arms and recorded prune-point states) and a
 //! frame is copied only when one of the sharers writes it. Each frame's
 //! stack holds only the slots up to the deepest one written, like the
 //! kernel's `allocated_stack`.

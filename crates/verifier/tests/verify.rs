@@ -1473,9 +1473,9 @@ fn trivial_infinite_loop_rejected() {
 
 #[test]
 fn state_converging_loop_rejected_not_pruned() {
-    // The loop body makes no abstract progress: without path-ancestry
-    // tracking this would be PRUNED and accepted — an unsound
-    // termination verdict.
+    // The loop body makes no abstract progress: without telling a
+    // covering state on the current path from one on a finished path,
+    // this would be PRUNED and accepted — an unsound termination verdict.
     let h = H::new();
     let prog = Asm::new()
         .mov64_imm(Reg::R6, 0)
@@ -1516,6 +1516,65 @@ fn loop_on_unprovable_condition_rejected() {
     assert!(matches!(
         h.verify(prog),
         Err(VerifyError::InfiniteLoop { .. })
+    ));
+}
+
+#[test]
+fn a_loop_back_to_a_state_past_the_cap_runs_to_the_budget() {
+    // `r1` counts up to 12 around the loop head, then goes back to 9 and
+    // loops forever. Only recorded states are checked for loops. `tiny()`
+    // records 8 per pc (r1 = 0..=7), so the `r1 == 9` revisit is never
+    // caught as a loop, and the program is rejected by the budget instead.
+    let h = H::new();
+    let insns = Asm::new()
+        .mov64_imm(Reg::R0, 0)
+        .mov64_imm(Reg::R1, 0)
+        .label("loop")
+        .alu64_imm(BPF_ADD, Reg::R1, 1)
+        .jmp64_imm(BPF_JLT, Reg::R1, 12, "loop")
+        .mov64_imm(Reg::R1, 9)
+        .ja("loop")
+        .build()
+        .unwrap();
+    let prog = Program::new("back-to-9", ProgType::SocketFilter, insns);
+    let tiny = h.verifier().with_limits(VerifierLimits::tiny());
+    assert_eq!(
+        tiny.verify(&prog).map(|_| ()),
+        Err(VerifyError::TooComplex {
+            insns_processed: 513
+        })
+    );
+    // With room for 64 states per pc, `r1 == 9` was recorded.
+    assert_eq!(
+        h.verifier().verify(&prog).map(|_| ()),
+        Err(VerifyError::InfiniteLoop { pc: 2 })
+    );
+}
+
+#[test]
+fn a_bpf_loop_callback_looping_without_progress_is_an_infinite_loop() {
+    // The callback body is a fresh path: its own recorded states are its
+    // ancestry, so revisiting its loop head unchanged is a loop, not a
+    // prune.
+    let h = H::new();
+    let prog = Asm::new()
+        .mov64_imm(Reg::R1, 4)
+        .ld_fn_ptr(Reg::R2, "cb")
+        .mov64_imm(Reg::R3, 0)
+        .mov64_imm(Reg::R4, 0)
+        .call_helper(helpers::BPF_LOOP as i32)
+        .mov64_imm(Reg::R0, 0)
+        .exit()
+        .label("cb")
+        .mov64_imm(Reg::R0, 0)
+        .label("spin")
+        .mov64_imm(Reg::R6, 0)
+        .ja("spin")
+        .build()
+        .unwrap();
+    assert!(matches!(
+        h.verify(prog),
+        Err(VerifyError::InfiniteLoop { pc: 9 })
     ));
 }
 
