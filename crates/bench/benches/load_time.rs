@@ -56,6 +56,28 @@ fn bench_load_paths(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_validate(c: &mut Criterion) {
+    // The one check the kernel keeps: a fixed outer HMAC block plus the
+    // artifact's SHA-256 blocks.
+    let key = SigningKey::derive(1);
+    let mut keyring = KeyStore::new();
+    keyring.enroll(&key).unwrap();
+    keyring.seal();
+    let mut group = c.benchmark_group("signing/validate");
+    for len in [96usize, 1024, 16 * 1024] {
+        let artifact = vec![0xa5u8; len];
+        let sig = key.sign(&artifact);
+        group.bench_with_input(
+            BenchmarkId::from_parameter(len),
+            &artifact,
+            |b, artifact| {
+                b.iter(|| keyring.validate(artifact, &sig).expect("validates"));
+            },
+        );
+    }
+    group.finish();
+}
+
 fn bench_toolchain(c: &mut Criterion) {
     // The cost that *moved to userspace*: the safety scan + signing.
     let toolchain = Toolchain::new(SigningKey::derive(2));
@@ -75,6 +97,6 @@ fn bench_toolchain(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_load_paths, bench_toolchain
+    targets = bench_load_paths, bench_validate, bench_toolchain
 }
 criterion_main!(benches);

@@ -2,6 +2,54 @@
 
 use crate::sha256::{Sha256, BLOCK_LEN, DIGEST_LEN};
 
+/// HMAC-SHA256 keyed once: the SHA-256 states after absorbing `K ⊕ ipad`
+/// and `K ⊕ opad`, as Linux's `hmac_setkey` precomputes them. A
+/// [`mac`](Self::mac) clones both, so it compresses only the message
+/// blocks and one outer block.
+#[derive(Clone)]
+pub struct HmacKey {
+    inner: Sha256,
+    outer: Sha256,
+}
+
+impl std::fmt::Debug for HmacKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // The keyed states stand in for the key: print none of them.
+        f.debug_struct("HmacKey").finish_non_exhaustive()
+    }
+}
+
+impl HmacKey {
+    /// Keys the two pad states (RFC 2104: a key longer than a block is
+    /// hashed first).
+    pub fn new(key: &[u8]) -> Self {
+        let mut key_block = [0u8; BLOCK_LEN];
+        if key.len() > BLOCK_LEN {
+            key_block[..DIGEST_LEN].copy_from_slice(&crate::sha256::digest(key));
+        } else {
+            key_block[..key.len()].copy_from_slice(key);
+        }
+        let keyed = |pad: u8| {
+            let mut h = Sha256::new();
+            h.update(&key_block.map(|b| b ^ pad));
+            h
+        };
+        Self {
+            inner: keyed(0x36),
+            outer: keyed(0x5c),
+        }
+    }
+
+    /// Computes `HMAC-SHA256(key, message)`.
+    pub fn mac(&self, message: &[u8]) -> [u8; DIGEST_LEN] {
+        let mut inner = self.inner.clone();
+        inner.update(message);
+        let mut outer = self.outer.clone();
+        outer.update(&inner.finalize());
+        outer.finalize()
+    }
+}
+
 /// Computes `HMAC-SHA256(key, message)`.
 ///
 /// # Examples
@@ -17,24 +65,7 @@ use crate::sha256::{Sha256, BLOCK_LEN, DIGEST_LEN};
 /// );
 /// ```
 pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; DIGEST_LEN] {
-    let mut key_block = [0u8; BLOCK_LEN];
-    if key.len() > BLOCK_LEN {
-        let digest = crate::sha256::digest(key);
-        key_block[..DIGEST_LEN].copy_from_slice(&digest);
-    } else {
-        key_block[..key.len()].copy_from_slice(key);
-    }
-    let mut inner = Sha256::new();
-    let ipad: Vec<u8> = key_block.iter().map(|b| b ^ 0x36).collect();
-    inner.update(&ipad);
-    inner.update(message);
-    let inner_digest = inner.finalize();
-
-    let mut outer = Sha256::new();
-    let opad: Vec<u8> = key_block.iter().map(|b| b ^ 0x5c).collect();
-    outer.update(&opad);
-    outer.update(&inner_digest);
-    outer.finalize()
+    HmacKey::new(key).mac(message)
 }
 
 /// Constant-time MAC comparison.
@@ -87,6 +118,30 @@ mod tests {
         assert_eq!(
             to_hex(&mac),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
+        );
+    }
+
+    #[test]
+    fn rfc4231_case_4() {
+        let key: Vec<u8> = (0x01..=0x19).collect();
+        let mac = hmac_sha256(&key, &[0xcd; 50]);
+        assert_eq!(
+            to_hex(&mac),
+            "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"
+        );
+    }
+
+    #[test]
+    fn rfc4231_case_7_long_key_and_data() {
+        let mac = hmac_sha256(
+            &[0xaa; 131],
+            b"This is a test using a larger than block-size key and a larger \
+              than block-size data. The key needs to be hashed before being \
+              used by the HMAC algorithm.",
+        );
+        assert_eq!(
+            to_hex(&mac),
+            "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"
         );
     }
 

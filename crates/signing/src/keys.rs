@@ -7,32 +7,26 @@
 //! boot (and sealed afterwards, as with the kernel's `.machine` keyring),
 //! and detached [`Signature`]s over artifact bytes.
 
-use crate::hmac::{hmac_sha256, verify_mac};
+use crate::hmac::{hmac_sha256, verify_mac, HmacKey};
 use crate::sha256::{digest, DIGEST_LEN};
 
 /// Identifies a key: the SHA-256 of its secret material (a fingerprint).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct KeyId(pub [u8; DIGEST_LEN]);
 
-/// A signing key held by the trusted toolchain.
-#[derive(Clone)]
+/// A signing key held by the trusted toolchain: the HMAC keyed with its
+/// secret, which it does not keep.
+#[derive(Debug, Clone)]
 pub struct SigningKey {
-    secret: Vec<u8>,
+    hmac: HmacKey,
     id: KeyId,
-}
-
-impl std::fmt::Debug for SigningKey {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Never print secret material.
-        f.debug_struct("SigningKey").field("id", &self.id).finish()
-    }
 }
 
 impl SigningKey {
     /// Derives a key from secret material.
     pub fn from_secret(secret: &[u8]) -> Self {
         Self {
-            secret: secret.to_vec(),
+            hmac: HmacKey::new(secret),
             id: KeyId(digest(secret)),
         }
     }
@@ -55,7 +49,7 @@ impl SigningKey {
     pub fn sign(&self, artifact: &[u8]) -> Signature {
         Signature {
             key: self.id,
-            mac: hmac_sha256(&self.secret, artifact),
+            mac: self.hmac.mac(artifact),
         }
     }
 }
@@ -123,10 +117,11 @@ impl std::fmt::Display for SigError {
 
 impl std::error::Error for SigError {}
 
-/// The kernel-side keyring: keys enrolled at boot, then sealed.
+/// The kernel-side keyring: keys enrolled at boot, then sealed. It holds
+/// each key's keyed HMAC state, never the raw secret.
 #[derive(Debug, Default)]
 pub struct KeyStore {
-    trusted: Vec<(KeyId, Vec<u8>)>,
+    trusted: Vec<(KeyId, HmacKey)>,
     sealed: bool,
 }
 
@@ -136,12 +131,12 @@ impl KeyStore {
         Self::default()
     }
 
-    /// Enrolls a key's secret (boot-time only).
+    /// Enrolls a key (boot-time only).
     pub fn enroll(&mut self, key: &SigningKey) -> Result<(), SigError> {
         if self.sealed {
             return Err(SigError::KeyringSealed);
         }
-        self.trusted.push((key.id, key.secret.clone()));
+        self.trusted.push((key.id, key.hmac.clone()));
         Ok(())
     }
 
@@ -167,14 +162,12 @@ impl KeyStore {
 
     /// Validates `sig` over `artifact`.
     pub fn validate(&self, artifact: &[u8], sig: &Signature) -> Result<(), SigError> {
-        let secret = self
+        let (_, hmac) = self
             .trusted
             .iter()
             .find(|(id, _)| *id == sig.key)
-            .map(|(_, s)| s)
             .ok_or(SigError::UnknownKey(sig.key))?;
-        let expected = hmac_sha256(secret, artifact);
-        if verify_mac(&expected, &sig.mac) {
+        if verify_mac(&hmac.mac(artifact), &sig.mac) {
             Ok(())
         } else {
             Err(SigError::BadSignature)
@@ -253,5 +246,16 @@ mod tests {
         let key = SigningKey::from_secret(b"super-secret-material");
         let dbg = format!("{key:?}");
         assert!(!dbg.contains("super-secret"));
+    }
+
+    #[test]
+    fn keystore_debug_does_not_leak_secret() {
+        let secret = b"super-secret-material";
+        let mut store = KeyStore::new();
+        store.enroll(&SigningKey::from_secret(secret)).unwrap();
+        let dbg = format!("{store:?}");
+        assert!(!dbg.contains("super-secret"));
+        let bytes = format!("{:?}", secret.as_slice());
+        assert!(!dbg.contains(bytes.trim_matches(['[', ']'])), "{dbg}");
     }
 }

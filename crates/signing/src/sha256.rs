@@ -93,15 +93,17 @@ impl Sha256 {
 
     /// Finishes and returns the digest.
     pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
+        // FIPS 180-4 §5.1.1: 0x80, zero fill, then the 64-bit bit length,
+        // which spills into a second block when it no longer fits.
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        // NOTE: update() above adjusted total_len; only bit_len matters now.
-        while self.buffered != 56 {
-            self.update(&[0]);
+        let mut block = [0u8; BLOCK_LEN];
+        block[..self.buffered].copy_from_slice(&self.buffer[..self.buffered]);
+        block[self.buffered] = 0x80;
+        if self.buffered >= BLOCK_LEN - 8 {
+            self.compress(&block);
+            block = [0; BLOCK_LEN];
         }
-        self.total_len = 0; // irrelevant from here
-        let mut block = self.buffer;
-        block[56..64].copy_from_slice(&bit_len.to_be_bytes());
+        block[BLOCK_LEN - 8..].copy_from_slice(&bit_len.to_be_bytes());
         self.compress(&block);
         let mut out = [0u8; DIGEST_LEN];
         for (i, word) in self.state.iter().enumerate() {
@@ -231,6 +233,41 @@ mod tests {
                 h.update(std::slice::from_ref(b));
             }
             assert_eq!(h.finalize(), digest(&data), "len {len}");
+        }
+    }
+
+    #[test]
+    fn padding_boundaries_match_reference() {
+        // Python `hashlib.sha256(b"a" * n)`: one block up to 55 bytes, the
+        // length spilling into a second block from 56.
+        const WANT: &[(usize, &str)] = &[
+            (
+                55,
+                "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318",
+            ),
+            (
+                56,
+                "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a",
+            ),
+            (
+                63,
+                "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34",
+            ),
+            (
+                64,
+                "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb",
+            ),
+            (
+                119,
+                "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb",
+            ),
+            (
+                120,
+                "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c",
+            ),
+        ];
+        for (n, want) in WANT {
+            assert_eq!(&to_hex(&digest(&vec![b'a'; *n])), want, "n {n}");
         }
     }
 

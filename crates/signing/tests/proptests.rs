@@ -31,6 +31,20 @@ proptest! {
     }
 
     #[test]
+    fn hmac_matches_the_textbook_construction(key in prop::collection::vec(any::<u8>(), 0..=200),
+                                              msg in prop::collection::vec(any::<u8>(), 0..=300)) {
+        // RFC 2104 spelled out: a key longer than a block is hashed, the
+        // key is zero-padded to a block, and each pad is concatenated.
+        let mut block = if key.len() > 64 { digest(&key).to_vec() } else { key.clone() };
+        block.resize(64, 0);
+        let ipad: Vec<u8> = block.iter().map(|b| b ^ 0x36).collect();
+        let opad: Vec<u8> = block.iter().map(|b| b ^ 0x5c).collect();
+        let inner = digest(&[ipad, msg.clone()].concat());
+        let want = digest(&[opad, inner.to_vec()].concat());
+        prop_assert_eq!(hmac_sha256(&key, &msg), want);
+    }
+
+    #[test]
     fn any_single_byte_tamper_is_detected(seed in any::<u64>(),
                                           data in prop::collection::vec(any::<u8>(), 1..256),
                                           pos in any::<prop::sample::Index>(),
