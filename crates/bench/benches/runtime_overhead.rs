@@ -1,13 +1,15 @@
 //! §3.1 runtime cost: the per-event price of the lightweight runtime
 //! mechanisms vs the interpreted baseline, on identical packet workloads.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use bench::workloads;
 use ebpf::helpers::HelperRegistry;
 use ebpf::interp::{CtxInput, Vm};
+use ebpf::jit::JitConfig;
 use ebpf::maps::{MapDef, MapRegistry};
 use ebpf::program::ProgType;
+use kernel_sim::mem::{KernelMem, Perms};
 use kernel_sim::Kernel;
 use safe_ext::{ExtInput, Extension, Runtime};
 use verifier::Verifier;
@@ -133,9 +135,60 @@ fn bench_map_access(c: &mut Criterion) {
     });
 }
 
+/// Checked memory at fleet scale: a run touches its own regions, the
+/// newest ones, while thousands of older ones (map values, other
+/// tenants' state) stay live; a sandbox run charges its domain to one
+/// of hundreds of quota'd tenants.
+fn bench_checked_mem(c: &mut Criterion) {
+    let mut group = c.benchmark_group("checked-mem");
+    for live in [16, 4096] {
+        let mem = KernelMem::new();
+        let bases: Vec<_> = (0..live)
+            .map(|_| mem.map("region", 64, Perms::rw()).unwrap())
+            .collect();
+        for (name, addr) in [("newest", bases[live - 1]), ("oldest", bases[0])] {
+            group.bench_function(format!("read_u64-{name}/{live}-regions"), |b| {
+                b.iter(|| mem.read_u64(black_box(addr)).unwrap());
+            });
+        }
+    }
+
+    let mem = KernelMem::new();
+    for domain in 1..=256 {
+        mem.set_domain_quota(domain, 1 << 20);
+    }
+    let mut domain = 0;
+    group.bench_function("map_in_domain+unmap/256-domains", |b| {
+        b.iter(|| {
+            domain = domain % 256 + 1;
+            let addr = mem.map_in_domain("domain", 8192, Perms::rw(), domain);
+            mem.unmap(addr.unwrap()).unwrap();
+        });
+    });
+
+    // The counter map's value is mapped first, so it is the oldest
+    // region; the run's ctx, skb and stack are the newest.
+    let kernel = Kernel::new();
+    kernel.populate_demo_env();
+    let maps = MapRegistry::default();
+    let helpers = HelperRegistry::standard();
+    let fd = maps.create(&kernel, MapDef::array("counts", 8, 4)).unwrap();
+    for _ in 0..4096 {
+        kernel.mem.map("background", 64, Perms::rw()).unwrap();
+    }
+    let mut vm = Vm::new(&kernel, &maps, &helpers);
+    let (id, _) = vm
+        .load_jit(workloads::packet_filter(fd), JitConfig::default())
+        .unwrap();
+    group.bench_function("run_packet-jit/4096-regions", |b| {
+        b.iter(|| assert!(vm.run_packet(id, &[1, 0xaa, 0xbb]).result.is_ok()));
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30);
-    targets = bench_packet_path, bench_guard_costs, bench_map_access
+    targets = bench_packet_path, bench_guard_costs, bench_map_access, bench_checked_mem
 }
 criterion_main!(benches);

@@ -829,14 +829,17 @@ impl<'a> Vm<'a> {
         sandbox: Option<SandboxConfig>,
     ) -> Result<(Addr, Option<SkBuff>, Option<DomainRun>), Fault> {
         let size = prog_type.ctx_layout().size as u64;
-        let ctx = match sandbox {
-            Some(sb) => self.kernel.mem.map_aligned_in_domain(
-                "sandbox-domain",
+        let (ctx, ctx_len) = match sandbox {
+            Some(sb) => (
+                self.kernel.mem.map_aligned_in_domain(
+                    "sandbox-domain",
+                    SANDBOX_DOMAIN_BYTES,
+                    Perms::rw(),
+                    sb.account_domain,
+                )?,
                 SANDBOX_DOMAIN_BYTES,
-                Perms::rw(),
-                sb.account_domain,
-            )?,
-            None => self.kernel.mem.map("prog-ctx", size, Perms::rw())?,
+            ),
+            None => (self.kernel.mem.map("prog-ctx", size, Perms::rw())?, size),
         };
         let mut dom = sandbox.map(|sb| {
             let domain = SandboxDomain::new(ctx, SANDBOX_DOMAIN_BYTES)
@@ -845,7 +848,7 @@ impl<'a> Vm<'a> {
             run.alloc(size).expect("ctx layout fits the domain");
             run
         });
-        let skb = self.fill_ctx(ctx, input).inspect_err(|_| {
+        let skb = self.fill_ctx(ctx, ctx_len, input).inspect_err(|_| {
             let _ = self.kernel.mem.unmap(ctx);
         })?;
         if let (Some(run), Some(skb)) = (dom.as_mut(), skb) {
@@ -856,9 +859,15 @@ impl<'a> Vm<'a> {
         Ok((ctx, skb, dom))
     }
 
-    /// Writes `input` into the ctx at `ctx`. A packet first gets its
-    /// skb, which the ctx then describes as `{data, data_end, len}`.
-    fn fill_ctx(&self, ctx: Addr, input: CtxRef<'_>) -> Result<Option<SkBuff>, Fault> {
+    /// Writes `input` into the `ctx_len`-byte region at `ctx`. A packet
+    /// first gets its skb, which the ctx then describes as
+    /// `{data, data_end, len}`.
+    fn fill_ctx(
+        &self,
+        ctx: Addr,
+        ctx_len: u64,
+        input: CtxRef<'_>,
+    ) -> Result<Option<SkBuff>, Fault> {
         let mem = &self.kernel.mem;
         match input {
             CtxRef::Packet(payload) => {
@@ -873,8 +882,20 @@ impl<'a> Vm<'a> {
                 Ok(Some(skb))
             }
             CtxRef::Words(words) => {
-                for (i, w) in words.iter().enumerate() {
-                    mem.write_u64(ctx + i as u64 * 8, *w)?;
+                // One write for the words the region holds (an empty list
+                // writes nothing: a zero-length write is `BadRange`). A
+                // longer list faults on its first word past the region,
+                // as that word's own write does.
+                let fit = words.len().min(ctx_len as usize / 8);
+                let mut bytes = [0u8; 64]; // kprobe's 8 registers, the longest list
+                for (i, w) in words[..fit].iter().enumerate() {
+                    bytes[i * 8..][..8].copy_from_slice(&w.to_le_bytes());
+                }
+                if fit > 0 {
+                    mem.write_from(ctx, &bytes[..fit * 8])?;
+                }
+                if let Some(&w) = words.get(fit) {
+                    mem.write_u64(ctx + fit as u64 * 8, w)?;
                 }
                 Ok(None)
             }

@@ -38,100 +38,93 @@ impl ProgType {
     ];
 
     /// The context layout for this program type.
-    pub fn ctx_layout(&self) -> CtxLayout {
+    pub fn ctx_layout(&self) -> &'static CtxLayout {
         match self {
-            // Packet-path contexts: data pointer, data_end pointer, length.
-            ProgType::SocketFilter | ProgType::Xdp => CtxLayout {
-                size: 24,
-                fields: vec![
-                    CtxField {
-                        offset: 0,
-                        size: 8,
-                        kind: CtxFieldKind::PacketPtr,
-                        writable: false,
-                        name: "data",
-                    },
-                    CtxField {
-                        offset: 8,
-                        size: 8,
-                        kind: CtxFieldKind::PacketEnd,
-                        writable: false,
-                        name: "data_end",
-                    },
-                    CtxField {
-                        offset: 16,
-                        size: 8,
-                        kind: CtxFieldKind::Scalar,
-                        writable: false,
-                        name: "len",
-                    },
-                ],
-            },
-            // A pt_regs-like context: eight readable scalar slots.
-            ProgType::Kprobe => CtxLayout {
-                size: 64,
-                fields: (0..8)
-                    .map(|i| CtxField {
-                        offset: i * 8,
-                        size: 8,
-                        kind: CtxFieldKind::Scalar,
-                        writable: false,
-                        name: "reg",
-                    })
-                    .collect(),
-            },
-            // A raw record: four readable scalar slots.
-            ProgType::Tracepoint => CtxLayout {
-                size: 32,
-                fields: (0..4)
-                    .map(|i| CtxField {
-                        offset: i * 8,
-                        size: 8,
-                        kind: CtxFieldKind::Scalar,
-                        writable: false,
-                        name: "field",
-                    })
-                    .collect(),
-            },
-            // Policy-hook context: hook id, subject, attribute, cookie.
-            ProgType::Lsm => CtxLayout {
-                size: 32,
-                fields: [(0u16, "hook"), (8, "subject"), (16, "attr"), (24, "cookie")]
-                    .into_iter()
-                    .map(|(offset, name)| CtxField {
-                        offset,
-                        size: 8,
-                        kind: CtxFieldKind::Scalar,
-                        writable: false,
-                        name,
-                    })
-                    .collect(),
-            },
-            // Pick-next-task context: cpu, runnable count, and the two
-            // best candidates as (id, vruntime) pairs.
-            ProgType::SchedExt => CtxLayout {
-                size: 48,
-                fields: [
-                    (0u16, "cpu"),
-                    (8, "nr_runnable"),
-                    (16, "cand0_id"),
-                    (24, "cand0_vruntime"),
-                    (32, "cand1_id"),
-                    (40, "cand1_vruntime"),
-                ]
-                .into_iter()
-                .map(|(offset, name)| CtxField {
-                    offset,
-                    size: 8,
-                    kind: CtxFieldKind::Scalar,
-                    writable: false,
-                    name,
-                })
-                .collect(),
-            },
+            ProgType::SocketFilter | ProgType::Xdp => &PACKET_CTX,
+            ProgType::Kprobe => &KPROBE_CTX,
+            ProgType::Tracepoint => &TRACEPOINT_CTX,
+            ProgType::Lsm => &LSM_CTX,
+            ProgType::SchedExt => &SCHED_CTX,
         }
     }
 }
+
+/// A read-only 8-byte field of kind `kind` at `offset`.
+const fn field(offset: u16, kind: CtxFieldKind, name: &'static str) -> CtxField {
+    CtxField {
+        offset,
+        size: 8,
+        kind,
+        writable: false,
+        name,
+    }
+}
+
+/// A read-only scalar 8-byte field at `offset`.
+const fn scalar(offset: u16, name: &'static str) -> CtxField {
+    field(offset, CtxFieldKind::Scalar, name)
+}
+
+/// Packet-path contexts: data pointer, data_end pointer, length.
+static PACKET_CTX: CtxLayout = CtxLayout {
+    size: 24,
+    fields: &[
+        field(0, CtxFieldKind::PacketPtr, "data"),
+        field(8, CtxFieldKind::PacketEnd, "data_end"),
+        scalar(16, "len"),
+    ],
+};
+
+/// A pt_regs-like context: eight readable scalar slots.
+static KPROBE_CTX: CtxLayout = CtxLayout {
+    size: 64,
+    fields: &[
+        scalar(0, "reg"),
+        scalar(8, "reg"),
+        scalar(16, "reg"),
+        scalar(24, "reg"),
+        scalar(32, "reg"),
+        scalar(40, "reg"),
+        scalar(48, "reg"),
+        scalar(56, "reg"),
+    ],
+};
+
+/// A raw record: four readable scalar slots.
+static TRACEPOINT_CTX: CtxLayout = CtxLayout {
+    size: 32,
+    fields: &[
+        scalar(0, "field"),
+        scalar(8, "field"),
+        scalar(16, "field"),
+        scalar(24, "field"),
+    ],
+};
+
+/// Policy-hook context: hook id, subject, attribute, cookie.
+static LSM_CTX: CtxLayout = CtxLayout {
+    size: 32,
+    fields: &[
+        scalar(0, "hook"),
+        scalar(8, "subject"),
+        scalar(16, "attr"),
+        scalar(24, "cookie"),
+    ],
+};
+
+/// Pick-next-task context: cpu, runnable count, and the two best
+/// candidates as (id, vruntime) pairs.
+static SCHED_CTX: CtxLayout = CtxLayout {
+    size: 48,
+    fields: &[
+        scalar(0, "cpu"),
+        scalar(8, "nr_runnable"),
+        scalar(16, "cand0_id"),
+        scalar(24, "cand0_vruntime"),
+        scalar(32, "cand1_id"),
+        scalar(40, "cand1_vruntime"),
+    ],
+};
 
 impl std::fmt::Display for ProgType {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -179,7 +172,7 @@ pub struct CtxLayout {
     /// Total context size in bytes.
     pub size: u16,
     /// Field descriptors, sorted by offset.
-    pub fields: Vec<CtxField>,
+    pub fields: &'static [CtxField],
 }
 
 impl CtxLayout {

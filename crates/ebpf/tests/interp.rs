@@ -4,10 +4,12 @@
 use ebpf::asm::Asm;
 use ebpf::helpers::{self, FaultConfig, HelperRegistry};
 use ebpf::insn::*;
-use ebpf::interp::{CtxInput, ExecError, Vm, VmConfig};
+use ebpf::interp::{CtxInput, ExecError, SandboxConfig, Vm, VmConfig};
+use ebpf::jit::JitConfig;
 use ebpf::maps::{MapDef, MapRegistry};
 use ebpf::program::{ProgType, Program};
 use kernel_sim::audit::EventKind;
+use kernel_sim::mem::{Fault, KERNEL_VA_BASE};
 use kernel_sim::Kernel;
 
 struct Harness {
@@ -601,6 +603,117 @@ fn kprobe_ctx_delivers_registers() {
     let mut regs = [0u64; 8];
     regs[3] = 0x1337;
     assert_eq!(vm.run(id, CtxInput::Kprobe(regs)).unwrap(), 0x1337);
+}
+
+/// The four bytecode lanes: interpreter, JIT, sandbox, sandbox JIT.
+fn load_in_lane(vm: &mut Vm<'_>, lane: usize, prog: Program) -> u32 {
+    let sandbox = SandboxConfig::default();
+    match lane {
+        0 => vm.load(prog),
+        1 => vm.load_jit(prog, JitConfig::default()).unwrap().0,
+        2 => vm.load_sandboxed(prog, sandbox),
+        _ => {
+            vm.load_sandboxed_jit(prog, sandbox, JitConfig::default())
+                .unwrap()
+                .0
+        }
+    }
+}
+
+#[test]
+fn hook_ctx_words_reach_every_lane() {
+    let words: [u64; 8] =
+        std::array::from_fn(|i| 0x0123_4567_89ab_cdefu64.rotate_left(8 * i as u32) ^ i as u64);
+    let h = Harness::new();
+    let start = h.kernel.mem.bytes_mapped();
+    let hooks = [
+        ProgType::Kprobe,
+        ProgType::Tracepoint,
+        ProgType::Lsm,
+        ProgType::SchedExt,
+    ];
+    for prog_type in hooks {
+        let n = prog_type.ctx_layout().size as usize / 8;
+        let given = &words[..n];
+        let input = match prog_type {
+            ProgType::Kprobe => CtxInput::Kprobe(words),
+            ProgType::Tracepoint => CtxInput::Tracepoint(given.try_into().unwrap()),
+            ProgType::Lsm => CtxInput::Lsm(given.try_into().unwrap()),
+            _ => CtxInput::Sched(given.try_into().unwrap()),
+        };
+        // r0 = r0 * 3 + word, over every word of the ctx.
+        let mut asm = Asm::new().mov64_imm(Reg::R0, 0);
+        for i in 0..n {
+            asm = asm
+                .ldx(BPF_DW, Reg::R2, Reg::R1, (i * 8) as i16)
+                .alu64_imm(BPF_MUL, Reg::R0, 3)
+                .alu64_reg(BPF_ADD, Reg::R0, Reg::R2);
+        }
+        let insns = asm.exit().build().unwrap();
+        let fold = given
+            .iter()
+            .fold(0u64, |acc, &w| acc.wrapping_mul(3).wrapping_add(w));
+        for lane in 0..4 {
+            let mut vm = h.vm();
+            let id = load_in_lane(
+                &mut vm,
+                lane,
+                Program::new("fold", prog_type, insns.clone()),
+            );
+            assert_eq!(
+                vm.run(id, input.clone()).unwrap(),
+                fold,
+                "{prog_type} lane {lane}"
+            );
+        }
+    }
+    // An empty word list writes nothing and runs.
+    for lane in 0..4 {
+        let mut vm = h.vm();
+        let prog = Asm::new().mov64_imm(Reg::R0, 9).exit().build().unwrap();
+        let id = load_in_lane(
+            &mut vm,
+            lane,
+            Program::new("none", ProgType::SocketFilter, prog),
+        );
+        assert_eq!(vm.run(id, CtxInput::None).unwrap(), 9, "lane {lane}");
+    }
+    assert_eq!(h.kernel.mem.bytes_mapped(), start);
+}
+
+#[test]
+fn hook_ctx_longer_than_the_program_ctx_faults_on_its_first_extra_word() {
+    // A kprobe register file fed to a socket filter: the 24-byte ctx
+    // holds three words, so the fourth faults in the guard gap after
+    // it. A sandbox ctx lies in its 8 KiB domain, which holds all eight.
+    for lane in 0..4 {
+        let h = Harness::new();
+        let start = h.kernel.mem.bytes_mapped();
+        let mut vm = h.vm();
+        let prog = Asm::new().mov64_imm(Reg::R0, 5).exit().build().unwrap();
+        let id = load_in_lane(
+            &mut vm,
+            lane,
+            Program::new("sf", ProgType::SocketFilter, prog),
+        );
+        let result = vm.run(id, CtxInput::Kprobe([7; 8])).result;
+        if lane < 2 {
+            assert_eq!(
+                result,
+                Err(ExecError::Fault {
+                    fault: Fault::Unmapped {
+                        addr: KERNEL_VA_BASE + 0x18,
+                        len: 8
+                    },
+                    pc: 0
+                }),
+                "lane {lane}"
+            );
+        } else {
+            assert_eq!(result, Ok(5), "lane {lane}");
+        }
+        assert_eq!(h.kernel.mem.bytes_mapped(), start, "lane {lane}");
+    }
 }
 
 #[test]

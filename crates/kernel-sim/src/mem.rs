@@ -9,7 +9,6 @@
 //! behaviour, exactly what the reproduction needs to demonstrate §2.2's
 //! "verified program crashes the kernel" experiment safely.
 
-use std::collections::BTreeMap;
 use std::fmt::Display;
 
 use parking_lot::Mutex;
@@ -195,6 +194,14 @@ impl Region {
 /// How many unmapped regions are kept around for allocation reuse.
 const SPARE_REGIONS: usize = 8;
 
+/// One accounting domain's bytes mapped and byte quota.
+#[derive(Debug, Default, Clone, Copy)]
+struct DomainUse {
+    used: u64,
+    /// `None` = unlimited.
+    limit: Option<u64>,
+}
+
 #[derive(Debug, Default)]
 struct MemState {
     /// Regions keyed by base address. Bases come from `next_base`, which
@@ -213,11 +220,22 @@ struct MemState {
     /// an allocation cache — fresh mappings still get fresh base
     /// addresses and zeroed contents.
     spare: Vec<Region>,
-    /// Bytes currently mapped per accounting domain (domain 0 is never
-    /// tracked here).
-    domain_used: BTreeMap<u32, u64>,
-    /// Byte quota per accounting domain; absent = unlimited.
-    domain_limits: BTreeMap<u32, u64>,
+    /// Accounting per domain, indexed by domain id. Ids are small (a
+    /// tenant's domain is its dense id + 1), so the table is as long as
+    /// the fleet; an id past its end has mapped nothing and has no
+    /// quota. Entry 0 is never charged: the kernel domain is untracked.
+    domains: Vec<DomainUse>,
+}
+
+impl MemState {
+    /// Domain `id`'s entry, growing the table to hold it.
+    fn domain_mut(&mut self, id: u32) -> &mut DomainUse {
+        let i = id as usize;
+        if i >= self.domains.len() {
+            self.domains.resize(i + 1, DomainUse::default());
+        }
+        &mut self.domains[i]
+    }
 }
 
 /// The simulated kernel address space.
@@ -261,8 +279,7 @@ impl KernelMem {
                 pkey_access_disable: 0,
                 pkey_write_disable: 0,
                 spare: Vec::new(),
-                domain_used: BTreeMap::new(),
-                domain_limits: BTreeMap::new(),
+                domains: Vec::new(),
             }),
         }
     }
@@ -311,7 +328,8 @@ impl KernelMem {
     /// carry a byte quota ([`KernelMem::set_domain_quota`]), in which
     /// case an allocation that would exceed it fails with
     /// [`Fault::QuotaExceeded`]. The charge is credited back when the
-    /// region is unmapped.
+    /// region is unmapped. Domain ids index a dense table, so keep them
+    /// small: the tenancy registry uses a tenant's dense id + 1.
     pub fn map_in_domain(
         &self,
         name: impl Display,
@@ -369,13 +387,11 @@ impl KernelMem {
         }
         let mut st = self.state.lock();
         if domain != 0 {
-            let used = st.domain_used.get(&domain).copied().unwrap_or(0);
-            if let Some(&limit) = st.domain_limits.get(&domain) {
-                if used + len > limit {
-                    return Err(Fault::QuotaExceeded { domain, len, limit });
-                }
+            let d = st.domain_mut(domain);
+            if let Some(limit) = d.limit.filter(|&limit| d.used + len > limit) {
+                return Err(Fault::QuotaExceeded { domain, len, limit });
             }
-            st.domain_used.insert(domain, used + len);
+            d.used += len;
         }
         let base = if align > 1 {
             (st.next_base + align - 1) & !(align - 1)
@@ -426,8 +442,8 @@ impl KernelMem {
             Some(r) => {
                 st.bytes_mapped -= r.len();
                 if r.domain != 0 {
-                    if let Some(used) = st.domain_used.get_mut(&r.domain) {
-                        *used = used.saturating_sub(r.len());
+                    if let Some(d) = st.domains.get_mut(r.domain as usize) {
+                        d.used = d.used.saturating_sub(r.len());
                     }
                 }
                 if st.spare.len() < SPARE_REGIONS {
@@ -447,23 +463,21 @@ impl KernelMem {
         if domain == 0 {
             return;
         }
-        self.state.lock().domain_limits.insert(domain, limit);
+        self.state.lock().domain_mut(domain).limit = Some(limit);
     }
 
     /// Removes the byte quota for `domain`, making it unlimited again.
     pub fn clear_domain_quota(&self, domain: u32) {
-        self.state.lock().domain_limits.remove(&domain);
+        if let Some(d) = self.state.lock().domains.get_mut(domain as usize) {
+            d.limit = None;
+        }
     }
 
     /// Bytes currently mapped in accounting `domain` (0 for domain 0:
     /// the kernel domain is not tracked).
     pub fn domain_bytes(&self, domain: u32) -> u64 {
-        self.state
-            .lock()
-            .domain_used
-            .get(&domain)
-            .copied()
-            .unwrap_or(0)
+        let st = self.state.lock();
+        st.domains.get(domain as usize).map_or(0, |d| d.used)
     }
 
     /// Returns the `(base, len, perms)` of the region containing `addr`,
@@ -865,6 +879,28 @@ mod tests {
         assert!(mem.map_in_domain("one", 16, Perms::rw(), 1).is_err());
         mem.clear_domain_quota(1);
         assert!(mem.map_in_domain("one", 16, Perms::rw(), 1).is_ok());
+    }
+
+    #[test]
+    fn unseen_domains_read_zero_and_are_unlimited() {
+        let mem = KernelMem::new();
+        mem.set_domain_quota(3, 64);
+        mem.map_in_domain("a", 48, Perms::rw(), 3).unwrap();
+        // Clearing a quota never set is a no-op, inside the table (2)
+        // and past its end (999).
+        mem.clear_domain_quota(2);
+        mem.clear_domain_quota(999);
+        assert!(matches!(
+            mem.map_in_domain("b", 32, Perms::rw(), 3),
+            Err(Fault::QuotaExceeded { limit: 64, .. })
+        ));
+        // An id above every id used has mapped nothing and has no quota.
+        assert_eq!(mem.domain_bytes(1000), 0);
+        assert_eq!(mem.domain_bytes(u32::MAX), 0);
+        mem.map_in_domain("big", 1 << 20, Perms::rw(), 1000)
+            .unwrap();
+        assert_eq!(mem.domain_bytes(1000), 1 << 20);
+        assert_eq!(mem.domain_bytes(3), 48);
     }
 
     #[test]

@@ -556,3 +556,83 @@ fn small_sandbox_tenant_serves_again_once_faults_stop() {
     assert_eq!(verdicts, expected);
     assert_eq!(reg.mem_bytes(id), 0);
 }
+
+/// Bumps `counters[0]` and returns the packet length from the ctx.
+fn bump_prog(counters: u32) -> Program {
+    use ebpf::insn::{BPF_ADD, BPF_ATOMIC_ADD, BPF_DW, BPF_JNE, BPF_W};
+    let insns = Asm::new()
+        .mov64_reg(Reg::R6, Reg::R1)
+        .st(BPF_W, Reg::R10, -4, 0)
+        .ld_map_fd(Reg::R1, counters)
+        .mov64_reg(Reg::R2, Reg::R10)
+        .alu64_imm(BPF_ADD, Reg::R2, -4)
+        .call_helper(ebpf::helpers::BPF_MAP_LOOKUP_ELEM as i32)
+        .jmp64_imm(BPF_JNE, Reg::R0, 0, "hit")
+        .exit()
+        .label("hit")
+        .mov64_imm(Reg::R1, 1)
+        .atomic(BPF_DW, Reg::R0, 0, Reg::R1, BPF_ATOMIC_ADD)
+        .ldx(BPF_DW, Reg::R0, Reg::R6, 16)
+        .exit()
+        .build()
+        .unwrap();
+    Program::new("bump", ProgType::SocketFilter, insns)
+}
+
+#[test]
+fn fleet_sandbox_domains_are_credited_after_every_run() {
+    // 256 tenants, each with a counter array, a 12-entry port map and a
+    // sandboxed program: about 3,300 live regions, as in a fleet-scale
+    // run. Every run maps an 8 KiB domain charged to its tenant; once
+    // it returns, the tenant must be charged for its maps alone.
+    let (kernel, maps, helpers) = world();
+    let start = kernel.mem.bytes_mapped();
+    let mut reg = TenantRegistry::new(&kernel, &maps, &helpers);
+    // Creates the tenant's maps and attaches its program; returns the
+    // counter map and the tenant's footprint.
+    let provision = |reg: &mut TenantRegistry, id: u32| {
+        let counters = reg.create_map(id, MapDef::array("counters", 8, 4)).unwrap();
+        let ports = reg.create_map(id, MapDef::hash("ports", 4, 8, 12)).unwrap();
+        let ports = maps.get(ports).unwrap();
+        for port in 0..12u32 {
+            ports
+                .update(&kernel.mem, &port.to_le_bytes(), &[1; 8], 0)
+                .unwrap();
+        }
+        reg.attach(id, "pkt", ProgramSpec::SandboxJit(bump_prog(counters)))
+            .unwrap();
+        (counters, reg.mem_bytes(id))
+    };
+    let tenants: Vec<_> = (0..256u32)
+        .map(|t| {
+            let id = reg
+                .register(&format!("t{t}"), TenantBudget::small())
+                .unwrap();
+            provision(&mut reg, id)
+        })
+        .collect();
+    assert!(kernel.mem.bytes_mapped() - start > 256 * 12 * 8);
+    for (id, &(mut counters, mut footprint)) in (0..).zip(&tenants) {
+        if id % 16 == 0 {
+            reg.unload_tenant(id).unwrap();
+            assert_eq!(reg.mem_bytes(id), 0, "tenant {id} unloaded");
+            (counters, footprint) = provision(&mut reg, id);
+        }
+        if id % 8 == 0 {
+            reg.upgrade(id, "pkt", ProgramSpec::SandboxJit(bump_prog(counters)))
+                .unwrap();
+        }
+        let payload = [id as u8; 20];
+        assert_eq!(
+            reg.run_packet(id, "pkt", &payload).unwrap().verdict,
+            RunVerdict::Ok(20),
+            "tenant {id}"
+        );
+        assert_eq!(reg.mem_bytes(id), footprint, "tenant {id}");
+    }
+    for id in 0..256 {
+        reg.unload_tenant(id).unwrap();
+        assert_eq!(reg.mem_bytes(id), 0, "tenant {id} unloaded");
+    }
+    assert_eq!(kernel.mem.bytes_mapped(), start);
+}

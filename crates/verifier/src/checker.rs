@@ -90,7 +90,7 @@ struct Pending {
 /// Internal exploration context for a single `verify` run.
 pub(crate) struct Vctx<'p> {
     pub prog: &'p Program,
-    pub layout: CtxLayout,
+    pub layout: &'static CtxLayout,
     pub stats: VerifStats,
     pub next_id: u32,
     worklist: Vec<Pending>,
