@@ -25,15 +25,15 @@ fmt_ms() {
 # BENCH_profile_flame.txt, which the profile report writes beside itself;
 # and BENCH_fuzz_corpus.txt, the reproducer store fuzzstats writes beside
 # its report. The one list of report commands: the regress stage and
-# ci/regen-baselines.sh both call it. The fuzz sweep runs on 2 shards so
-# its threaded path stays under the gate; its reports do not depend on
-# the shard count.
+# ci/regen-baselines.sh both call it. Every report binary takes only
+# --out. The fuzz sweep always runs threaded, on one shard per available
+# core; its reports do not depend on the shard count.
 gen_reports() {
     local dir=$1
     mkdir -p "$dir"
     cargo run --release -q -p bench --bin throughput -- --out "$dir/BENCH_throughput.json"
     cargo run --release -q -p bench --bin netbench -- --out "$dir/BENCH_net.json"
-    cargo run --release -q -p fuzz --bin fuzzstats -- --shards 2 --out "$dir/BENCH_fuzz.json"
+    cargo run --release -q -p fuzz --bin fuzzstats -- --out "$dir/BENCH_fuzz.json"
     cargo run --release -q -p bench --bin profile -- --out "$dir/BENCH_profile.json"
     cargo run --release -q -p bench --bin verifier_ladder -- --out "$dir/BENCH_verifier.json"
     cargo run --release -q -p bench --bin churn -- --out "$dir/BENCH_churn.json"

@@ -1,12 +1,13 @@
 //! A minimal JSON reader and writer for the committed `BENCH_*.json`
 //! reports.
 //!
-//! The workspace is fully offline (no serde). The bench binaries write
-//! their reports with [`Obj`] and [`document`], and [`parse`] reads them
-//! back for the CI report gate, which names a differing value by its
-//! path and prints it with `Json`'s `Display`. Both handle exactly the
-//! JSON subset those reports use: objects, arrays, strings without
-//! escapes beyond `\"` and `\\`, numbers, booleans, and null.
+//! The workspace is fully offline (no serde). The report binaries build
+//! their rows with [`Obj`] and write them through [`crate::report`] as a
+//! [`document`], and [`parse`] reads them back for the CI report gate,
+//! which names a differing value by its path and prints it with `Json`'s
+//! `Display`. Both handle exactly the JSON subset those reports use:
+//! objects, arrays, strings without escapes beyond `\"` and `\\`,
+//! numbers, booleans, and null.
 
 use std::collections::BTreeMap;
 use std::fmt::{self, Display};
@@ -280,6 +281,12 @@ impl Obj {
         self.nums(key, items.iter().map(|s| quote(s)))
     }
 
+    /// A nested object, on the same line.
+    pub fn obj(mut self, key: &'static str, v: &Obj) -> Self {
+        self.0.push((key, v.inline()));
+        self
+    }
+
     /// An array of objects, each on the same line.
     pub fn objs(self, key: &'static str, items: &[Obj]) -> Self {
         self.nums(key, items.iter().map(Obj::inline))
@@ -373,18 +380,22 @@ mod tests {
             .num("ok", true)
             .fixed("pps", 1234.56, 0)
             .nums("counts", [1u64, 2])
-            .objs("stages", &[Obj::new().num("n", 3)]);
+            .objs("stages", &[Obj::new().num("n", 3)])
+            .obj("shape", &Obj::new().num("alu", 1));
         let text = document(&Obj::new().num("seed", 42), "rows", &[row]);
         assert_eq!(
             text,
             "{\n  \"seed\": 42,\n  \"rows\": [\n    {\"backend\": \"a\\\"b\", \"ok\": true, \
-             \"pps\": 1235, \"counts\": [1, 2], \"stages\": [{\"n\": 3}]}\n  ]\n}\n"
+             \"pps\": 1235, \"counts\": [1, 2], \"stages\": [{\"n\": 3}], \
+             \"shape\": {\"alu\": 1}}\n  ]\n}\n"
         );
         let v = parse(&text).unwrap();
         let Some(Json::Arr(rows)) = v.get("rows") else {
             panic!("rows is not an array: {v}")
         };
         assert_eq!(rows[0].get("backend"), Some(&Json::Str("a\"b".into())));
+        let shape = rows[0].get("shape").and_then(|s| s.get("alu"));
+        assert_eq!(shape, Some(&Json::Num(1.0)));
     }
 
     #[test]

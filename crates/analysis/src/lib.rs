@@ -16,6 +16,9 @@
 //!   per-stage self/total cost tables and flamegraph collapsed stacks;
 //! * [`json`] — a minimal offline JSON writer and reader for the
 //!   `BENCH_*.json` reports;
+//! * [`report`] — what the report binaries share: the `[--out <path>]`
+//!   command line and the writer that moves `host_*` members out of the
+//!   canonical report;
 //! * [`regress`] — the CI report gate: every canonical report,
 //!   regenerated, must equal its committed copy byte for byte, and a
 //!   mismatch names each differing value.
@@ -39,6 +42,7 @@ pub mod kerngen;
 pub mod loc;
 pub mod profile;
 pub mod regress;
+pub mod report;
 
 pub use callgraph::{CallGraph, ReachStats};
 pub use figures::{fig2, fig3, fig4};

@@ -17,8 +17,8 @@
 //!   configuration runs twice.
 
 use analysis::json::Obj;
+use analysis::report;
 use bench::churn::ChurnConfig;
-use bench::cli;
 use bench::engine;
 use bench::fleet::Fleet;
 use bench::Lane;
@@ -48,7 +48,7 @@ fn full(out: &str) {
     for lane in Lane::INTERP {
         for storm in [false, true] {
             let what = format!("backend={} storm={storm}", lane.backend());
-            let runs = cli::sweep(&what, &SHARD_COUNTS, |shards| {
+            let runs = engine::sweep(&what, &SHARD_COUNTS, |shards| {
                 engine::run(&config(shards, storm), lane)
             });
             for (shards, [r, _]) in SHARD_COUNTS.into_iter().zip(&runs) {
@@ -63,7 +63,7 @@ fn full(out: &str) {
                 // refusals, but only where the storm aimed (the scenario's
                 // tests pin the targeting).
                 s.assert_storm(storm);
-                rows.push(cli::progress(
+                rows.push(report::progress(
                     Obj::new()
                         .str("scenario", "churn")
                         .str("backend", lane.backend())
@@ -100,9 +100,9 @@ fn full(out: &str) {
         .num("seed", SEED)
         .num("packets", FULL_PACKETS)
         .num("churn_every", FULL_CHURN_EVERY);
-    cli::write_report(out, &header, "rows", &rows);
+    report::write_report(out, &header, "rows", &rows);
 }
 
 fn main() {
-    cli::main("churn", "BENCH_churn.json", full);
+    report::main("churn", "BENCH_churn.json", full);
 }

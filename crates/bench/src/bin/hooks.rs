@@ -19,7 +19,7 @@
 //!   configuration runs twice.
 
 use analysis::json::Obj;
-use bench::cli;
+use analysis::report;
 use bench::engine::{self, RunReport};
 use bench::fleet::{Fleet, FleetStats};
 use bench::hooks::{HookFamily, HooksConfig};
@@ -65,7 +65,7 @@ fn row(
     // Hook cells burn ~1ms of host CPU each, so their throughput is
     // run-to-run noise; like every `host_*` member, the report writer
     // moves it to the ungated host file.
-    cli::progress(
+    report::progress(
         Obj::new()
             .str("scenario", family.name())
             .str("backend", lane.backend())
@@ -118,12 +118,12 @@ fn full(out: &str) {
                 family.name(),
                 lane.name()
             );
-            let runs = cli::sweep(&what, shard_counts, |shards| {
+            let runs = engine::sweep(&what, shard_counts, |shards| {
                 engine::run(&config(family, shards, storm), lane)
             });
             let log = &runs[0][0].canonical_log;
             if !storm && quiet_log.get_or_insert_with(|| log.clone()) != log {
-                cli::fail(&format!(
+                report::fail(&format!(
                     "fault-free hooks log diverged across lanes (scenario={} lane={})",
                     family.name(),
                     lane.name()
@@ -138,9 +138,9 @@ fn full(out: &str) {
         .num("seed", SEED)
         .num("items", FULL_ITEMS)
         .num("upgrade_every", FULL_UPGRADE_EVERY);
-    cli::write_report(out, &header, "rows", &rows);
+    report::write_report(out, &header, "rows", &rows);
 }
 
 fn main() {
-    cli::main("hooks", "BENCH_hooks.json", full);
+    report::main("hooks", "BENCH_hooks.json", full);
 }

@@ -14,8 +14,8 @@
 //! Either divergence exits nonzero.
 
 use analysis::json::Obj;
-use bench::cli;
-use bench::engine::sha256_hex;
+use analysis::report;
+use bench::engine::{self, sha256_hex};
 use bench::netflows::{run_net_batched, NetConfig, NetScenario};
 use bench::Lane;
 use kernel_sim::net::traffic::{generate, Frame, TrafficConfig};
@@ -50,7 +50,7 @@ fn full(out: &str) {
                     scenario.name(),
                     lane.backend()
                 );
-                let runs = cli::sweep(&what, &SHARD_COUNTS, |shards| {
+                let runs = engine::sweep(&what, &SHARD_COUNTS, |shards| {
                     let cfg = NetConfig {
                         shards,
                         seed: SEED,
@@ -85,7 +85,7 @@ fn full(out: &str) {
                     if !faults && scenario == NetScenario::SynFilter && flood_dropped == 0 {
                         failures.push("syn-filter dropped no flood frames".to_string());
                     }
-                    rows.push(cli::progress(
+                    rows.push(report::progress(
                         Obj::new()
                             .str("scenario", scenario.name())
                             .str("backend", lane.backend())
@@ -118,12 +118,12 @@ fn full(out: &str) {
     }
 
     let header = Obj::new().num("seed", SEED).num("frames", frames.len());
-    cli::write_report(out, &header, "rows", &rows);
+    report::write_report(out, &header, "rows", &rows);
     if !failures.is_empty() {
-        cli::fail(&failures.join("; "));
+        report::fail(&failures.join("; "));
     }
 }
 
 fn main() {
-    cli::main("netbench", "BENCH_net.json", full);
+    report::main("netbench", "BENCH_net.json", full);
 }

@@ -22,9 +22,9 @@ use std::fmt::Write as _;
 
 use analysis::json::Obj;
 use analysis::profile::Profile;
-use bench::cli;
+use analysis::report;
 use bench::dispatch::{make_packets, run_batched, DispatchConfig, DispatchStats};
-use bench::engine::RunReport;
+use bench::engine::{self, RunReport};
 use bench::Lane;
 use kernel_sim::trace::TraceEvent;
 
@@ -59,11 +59,11 @@ fn check_unperturbed(
     batch: &[Vec<u8>],
 ) {
     let what = format!("lane={lane:?} shards={shards}");
-    let untraced = cli::ok(run_batched(lane, &config(shards, false), batch), &what);
+    let untraced = engine::ok(run_batched(lane, &config(shards, false), batch), &what);
     if traced.sim_elapsed_ns != untraced.sim_elapsed_ns
         || traced.merged_fingerprint != untraced.merged_fingerprint
     {
-        cli::fail(&format!(
+        report::fail(&format!(
             "tracing perturbed simulated cost or audit for {what}"
         ));
     }
@@ -76,7 +76,7 @@ fn check_unperturbed(
 /// per shard count.
 fn sweep(lane: Lane, batch: &[Vec<u8>]) -> Vec<Row> {
     let what = format!("backend={}", lane.backend());
-    let runs = cli::sweep(&what, &SHARD_COUNTS, |n| {
+    let runs = engine::sweep(&what, &SHARD_COUNTS, |n| {
         run_batched(lane, &config(n, true), batch)
     });
     let mut rows = Vec::new();
@@ -98,9 +98,9 @@ fn sweep(lane: Lane, batch: &[Vec<u8>]) -> Vec<Row> {
     // Interpreter vs JIT: the identity transform must not move a single
     // canonical trace line.
     if let Some(jit) = lane.jit() {
-        let compiled = cli::ok(run_batched(jit, &config(1, true), batch), &what);
+        let compiled = engine::ok(run_batched(jit, &config(1, true), batch), &what);
         if compiled.canonical_trace != rows[0].report.canonical_trace {
-            cli::fail(&format!(
+            report::fail(&format!(
                 "canonical trace differs between {lane:?} and {jit:?}"
             ));
         }
@@ -136,19 +136,17 @@ fn write_reports(rows: &[Row], out: &str) {
         })
         .collect();
     let header = Obj::new().num("seed", SEED).num("batch", FULL_BATCH);
-    cli::write_report(out, &header, "rows", &objs);
+    report::write_report(out, &header, "rows", &objs);
 
     // Flamegraph collapsed stacks for the 1-shard run of each backend,
     // frames prefixed with the backend so all fit one flamegraph.
-    let flame_path = format!("{}_flame.txt", out.strip_suffix(".json").unwrap_or(out));
     let mut flame = String::new();
     for r in rows.iter().filter(|r| r.shards == 1) {
         for line in r.profile.render_collapsed().lines() {
             let _ = writeln!(flame, "{};{line}", r.lane.backend());
         }
     }
-    std::fs::write(&flame_path, flame).unwrap_or_else(|e| panic!("write {flame_path}: {e}"));
-    println!("wrote {flame_path}");
+    report::write(&report::sibling(out, "_flame.txt"), &flame);
 }
 
 fn full(out: &str) {
@@ -173,5 +171,5 @@ fn full(out: &str) {
 }
 
 fn main() {
-    cli::main("profile", "BENCH_profile.json", full);
+    report::main("profile", "BENCH_profile.json", full);
 }

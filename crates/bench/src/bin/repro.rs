@@ -16,7 +16,8 @@ use std::fmt::Display;
 
 use analysis::datasets::{self, TABLE1, TABLE1_TOTAL};
 use analysis::json::Obj;
-use bench::{cli, experiments};
+use analysis::report;
+use bench::experiments;
 use ebpf::asm::Asm;
 use ebpf::helpers::{self, FaultConfig, HelperCategory, HelperRegistry};
 use ebpf::insn::*;
@@ -34,7 +35,7 @@ const RUNTIME_PACKETS: u32 = 2_000;
 const STALLER_NS_PER_INSN: u64 = 5_000;
 
 fn main() {
-    cli::main("repro", "BENCH_repro.json", full);
+    report::main("repro", "BENCH_repro.json", full);
 }
 
 fn full(out: &str) {
@@ -46,13 +47,13 @@ fn full(out: &str) {
         .chain(costs)
         .chain(exploits)
         .flatten()
-        .map(cli::progress)
+        .map(report::progress)
         .collect();
     let header = Obj::new()
         .num("fig3_seed", FIG3_SEED)
         .num("runtime_packets", RUNTIME_PACKETS)
         .num("staller_ns_per_insn", STALLER_NS_PER_INSN);
-    cli::write_report(out, &header, "rows", &rows);
+    report::write_report(out, &header, "rows", &rows);
 }
 
 fn row(figure: &str, series: &str) -> Obj {
@@ -190,8 +191,8 @@ fn helpers() -> Vec<Obj> {
     rows
 }
 
-/// §2.1: verification cost by program shape and size, by feature era,
-/// with and without state pruning, and the forced program split.
+/// §2.1: verification cost by program shape and size, with and without
+/// state pruning, and the forced program split.
 fn verif_cost() -> Vec<Obj> {
     let mut rows = Vec::new();
     for (series, sweep) in experiments::verification_cost_sweep() {
@@ -204,13 +205,6 @@ fn verif_cost() -> Vec<Obj> {
                 .num("peak_state_bytes", p.peak_state_bytes)
                 .num("host_wall_ns", p.wall_ns)
         }));
-    }
-    for (version, features, insns) in experiments::verification_by_feature_set() {
-        rows.push(
-            point("verif-cost", "feature-era", version)
-                .num("features", features)
-                .num("insns_processed", insns),
-        );
     }
     for p in experiments::pruning_ablation() {
         let r = row("verif-cost", "pruning")

@@ -119,13 +119,7 @@ fn run_safe(seed: u64) -> (SafeTally, String) {
     let mut classify = |result: &Result<u64, Abort>| match result {
         Ok(_) => tally.clean += 1,
         Err(Abort::Quarantined) => tally.refusals += 1,
-        Err(
-            Abort::WatchdogFuel
-            | Abort::WatchdogDeadline
-            | Abort::WatchdogAsync
-            | Abort::StackGuard
-            | Abort::Panic(_),
-        ) => tally.kills += 1,
+        Err(abort) if abort.is_kill() => tally.kills += 1,
         Err(_) => tally.degraded += 1,
     };
 

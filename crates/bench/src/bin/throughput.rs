@@ -22,8 +22,9 @@
 //! interpreters, so the merged audit hashes must not move between them.
 
 use analysis::json::Obj;
-use bench::cli;
+use analysis::report;
 use bench::dispatch::{make_packets, run_batched, DispatchConfig};
+use bench::engine;
 use bench::Lane;
 
 const SEED: u64 = 42;
@@ -35,7 +36,7 @@ fn full(out: &str) {
     let mut rows = Vec::new();
     let mut failures = Vec::new();
     for lane in Lane::FASTEST {
-        let runs = cli::sweep(
+        let runs = engine::sweep(
             &format!("backend={}", lane.backend()),
             &SHARD_COUNTS,
             |shards| {
@@ -70,7 +71,7 @@ fn full(out: &str) {
                 ));
             }
             let m = &report.metrics;
-            rows.push(cli::progress(
+            rows.push(report::progress(
                 Obj::new()
                     .str("backend", lane.backend())
                     .num("shards", shards)
@@ -90,12 +91,12 @@ fn full(out: &str) {
         }
     }
     let header = Obj::new().num("seed", SEED).num("batch", FULL_BATCH);
-    cli::write_report(out, &header, "rows", &rows);
+    report::write_report(out, &header, "rows", &rows);
     if !failures.is_empty() {
-        cli::fail(&failures.join("; "));
+        report::fail(&failures.join("; "));
     }
 }
 
 fn main() {
-    cli::main("throughput", "BENCH_throughput.json", full);
+    report::main("throughput", "BENCH_throughput.json", full);
 }

@@ -10,11 +10,11 @@
 //! holds the report byte for byte.
 
 use analysis::json::Obj;
-use bench::cli;
+use analysis::report;
 use bench::ladder::run_ladder;
 
 fn main() {
-    cli::main("verifier_ladder", "BENCH_verifier.json", full);
+    report::main("verifier_ladder", "BENCH_verifier.json", full);
 }
 
 fn full(out: &str) {
@@ -36,7 +36,7 @@ fn full(out: &str) {
                 .num("sandbox_trapped", r.sandbox_trapped)
                 .num("sandbox_aborted", r.sandbox_aborted)
         })
-        .map(cli::progress)
+        .map(report::progress)
         .collect();
-    cli::write_report(out, &Obj::new(), "ladder", &rows);
+    report::write_report(out, &Obj::new(), "ladder", &rows);
 }

@@ -21,6 +21,7 @@ use std::any::Any;
 use std::fmt;
 use std::time::Instant;
 
+use analysis::report::fail;
 use ebpf::helpers::HelperRegistry;
 use ebpf::maps::{MapError, MapRegistry};
 use kernel_sim::audit::{self, AuditEvent, EventKind};
@@ -462,6 +463,58 @@ pub fn run<S: Scenario>(scenario: &S, lane: Lane) -> Result<RunReport<S::Stats>,
         stats,
         shards: runs,
     })
+}
+
+/// Unwraps a run, failing the report binary on a typed engine error.
+pub fn ok<St>(run: Result<RunReport<St>, DispatchError>, what: &str) -> RunReport<St> {
+    run.unwrap_or_else(|e| fail(&format!("{what}: {e}")))
+}
+
+/// Runs one grid cell — one configuration at each of `shard_counts` —
+/// twice per shard count (`run_twice`), and fails unless the canonical
+/// log, the canonical trace and the tallies are the same at every shard
+/// count. Returns each shard count's two runs.
+pub fn sweep<St: PartialEq>(
+    what: &str,
+    shard_counts: &[usize],
+    run: impl Fn(usize) -> Result<RunReport<St>, DispatchError>,
+) -> Vec<[RunReport<St>; 2]> {
+    let runs: Vec<_> = shard_counts
+        .iter()
+        .map(|&n| run_twice(&format!("{what} shards={n}"), || run(n)))
+        .collect();
+    let first = &runs[0][0];
+    for (n, [r, _]) in shard_counts.iter().zip(&runs) {
+        if r.canonical_log != first.canonical_log
+            || r.canonical_trace != first.canonical_trace
+            || r.stats != first.stats
+        {
+            fail(&format!("{what}: artifacts diverged at {n} shards"));
+        }
+    }
+    runs
+}
+
+/// Runs one configuration twice and fails unless both runs agree on the
+/// merged audit, the canonical log and the canonical trace. Returns both
+/// runs, the one with the lower host critical path first: host cost is
+/// noisy, so reports keep its best observation.
+fn run_twice<St>(
+    what: &str,
+    run: impl Fn() -> Result<RunReport<St>, DispatchError>,
+) -> [RunReport<St>; 2] {
+    let (a, b) = (ok(run(), what), ok(run(), what));
+    if a.merged_fingerprint != b.merged_fingerprint
+        || a.canonical_log != b.canonical_log
+        || a.canonical_trace != b.canonical_trace
+    {
+        fail(&format!("nondeterministic replay for {what}"));
+    }
+    if b.host_cpu_ns < a.host_cpu_ns {
+        [b, a]
+    } else {
+        [a, b]
+    }
 }
 
 #[cfg(test)]

@@ -481,27 +481,3 @@ pub fn pruning_ablation() -> Vec<PruningPoint> {
     }
     out
 }
-
-/// Verification cost under each historical feature set (the Figure 2
-/// companion): the enabled-feature count and the instructions processed
-/// for `workloads::straightline(512)`. Every era processes its 515
-/// instructions once: the features add checks this program never reaches,
-/// so their growth shows in the verifier's code, not in this work.
-pub fn verification_by_feature_set() -> Vec<(String, usize, u64)> {
-    let maps = MapRegistry::default();
-    let helpers = HelperRegistry::standard();
-    let mut out = Vec::new();
-    for version in ebpf::KernelVersion::FIGURE_SERIES {
-        let features = verifier::VerifierFeatures::for_version(version);
-        let verifier = Verifier::new(&maps, &helpers).with_features(features);
-        // A program every era can verify: straight-line ALU.
-        let prog = workloads::straightline(512);
-        let v = verifier.verify(&prog).expect("verifies");
-        out.push((
-            version.to_string(),
-            features.count(),
-            v.stats.insns_processed,
-        ));
-    }
-    out
-}

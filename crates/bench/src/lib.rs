@@ -5,11 +5,10 @@
 //! `repro` report binary, which regenerates every figure and table of the
 //! paper into `BENCH_repro.json` (see EXPERIMENTS.md).
 //! [`engine`] runs the sharded scenarios ([`dispatch`], [`netflows`],
-//! [`churn`], [`hooks`]) on any [`Lane`]; [`cli`] is the plumbing their
-//! report binaries share.
+//! [`churn`], [`hooks`]) on any [`Lane`], and sweeps each of their report
+//! binaries' grid cells over shard counts.
 
 pub mod churn;
-pub mod cli;
 pub mod dispatch;
 pub mod engine;
 pub mod experiments;

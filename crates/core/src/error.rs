@@ -121,6 +121,22 @@ impl std::fmt::Display for Abort {
     }
 }
 
+impl Abort {
+    /// Whether the run was killed: a watchdog, the stack guard or a panic
+    /// ended it. A kill counts toward quarantine; an unhandled error or a
+    /// refused run does not.
+    pub fn is_kill(&self) -> bool {
+        matches!(
+            self,
+            Abort::WatchdogFuel
+                | Abort::WatchdogDeadline
+                | Abort::WatchdogAsync
+                | Abort::StackGuard
+                | Abort::Panic(_)
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,6 +148,32 @@ mod tests {
         assert!(ExtError::StackGuard.is_termination());
         assert!(!ExtError::NotFound.is_termination());
         assert!(!ExtError::NoPacket.is_termination());
+    }
+
+    #[test]
+    fn every_abort_is_classified_as_a_kill_or_not() {
+        // No wildcard arm: a new variant does not compile here until it
+        // is classified.
+        let kill = |abort: &Abort| match abort {
+            Abort::WatchdogFuel
+            | Abort::WatchdogDeadline
+            | Abort::WatchdogAsync
+            | Abort::StackGuard
+            | Abort::Panic(_) => true,
+            Abort::Error(_) | Abort::Quarantined => false,
+        };
+        let all = [
+            Abort::WatchdogFuel,
+            Abort::WatchdogDeadline,
+            Abort::WatchdogAsync,
+            Abort::StackGuard,
+            Abort::Panic("boom".into()),
+            Abort::Error(ExtError::NotFound),
+            Abort::Quarantined,
+        ];
+        for abort in &all {
+            assert_eq!(abort.is_kill(), kill(abort), "{abort}");
+        }
     }
 
     #[test]

@@ -491,17 +491,11 @@ impl<'k> Runtime<'k> {
             }
         };
 
-        // Circuit breaker: a kill (watchdog, stack guard, panic) counts
-        // toward quarantine; a clean exit resets the consecutive counter.
+        // Circuit breaker: a kill counts toward quarantine; any other
+        // exit resets the consecutive counter.
         if let Some(q) = &self.quarantine {
             match &result {
-                Err(
-                    Abort::WatchdogFuel
-                    | Abort::WatchdogDeadline
-                    | Abort::WatchdogAsync
-                    | Abort::StackGuard
-                    | Abort::Panic(_),
-                ) => {
+                Err(abort) if abort.is_kill() => {
                     if q.note_kill(&ext.name) {
                         Metrics::bump(&self.kernel.metrics.quarantine_trips, 1);
                         self.kernel.audit.record(

@@ -9,6 +9,7 @@
 
 use std::collections::BTreeMap;
 
+use analysis::json::Obj;
 use verifier::RejectCheck;
 
 use crate::corpus::{Reproducer, FEATURE_SHAPES, LADDER_PICKS};
@@ -19,11 +20,9 @@ use crate::shrink::shrink;
 /// Sweep configuration.
 #[derive(Debug, Clone)]
 pub struct FuzzConfig {
-    /// First seed.
-    pub seed_start: u64,
-    /// Number of seeds.
+    /// Number of seeds, counting from 0.
     pub seeds: u64,
-    /// Worker shards (1 = single-threaded).
+    /// Worker threads, one per shard.
     pub shards: usize,
     /// Maximum disagreements shrunk per (lane, bucket) pair; the rest
     /// are counted but not minimised.
@@ -31,11 +30,12 @@ pub struct FuzzConfig {
 }
 
 impl Default for FuzzConfig {
+    /// The committed report's sweep, on one shard per available core:
+    /// the report does not depend on the shard count.
     fn default() -> Self {
         FuzzConfig {
-            seed_start: 0,
             seeds: 1000,
-            shards: 1,
+            shards: std::thread::available_parallelism().map_or(1, |n| n.get()),
             shrink_limit: 4,
         }
     }
@@ -187,8 +187,6 @@ impl ShrunkCase {
 /// The full sweep report.
 #[derive(Debug, Clone)]
 pub struct FuzzReport {
-    /// First seed.
-    pub seed_start: u64,
     /// Seeds judged.
     pub seeds: u64,
     /// Programs generated per shape, parallel to [`Shape::ALL`].
@@ -224,35 +222,20 @@ fn judge(oracle: &Oracle, seed: u64) -> CaseResult {
 /// first, then plain rejects, ties toward lower seeds and [`Lane::ALL`]
 /// order.
 pub fn sweep(cfg: &FuzzConfig) -> FuzzReport {
-    let oracle = Oracle::new();
+    let oracle = &Oracle::new();
     let shards = cfg.shards.max(1);
-    let range: Vec<u64> = (cfg.seed_start..cfg.seed_start + cfg.seeds).collect();
-    let mut cases: Vec<CaseResult> = if shards == 1 {
-        range.iter().map(|&s| judge(&oracle, s)).collect()
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..shards)
-                .map(|shard| {
-                    let seeds: Vec<u64> = range
-                        .iter()
-                        .copied()
-                        .filter(|s| (*s as usize) % shards == shard)
-                        .collect();
-                    let oracle = oracle.clone();
-                    scope.spawn(move || {
-                        seeds
-                            .into_iter()
-                            .map(|s| judge(&oracle, s))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("fuzz shard panicked"))
-                .collect()
-        })
-    };
+    let mut cases: Vec<CaseResult> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..shards)
+            .map(|shard| {
+                let seeds = (shard as u64..cfg.seeds).step_by(shards);
+                scope.spawn(move || seeds.map(|s| judge(oracle, s)).collect::<Vec<_>>())
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("fuzz shard panicked"))
+            .collect()
+    });
     // Determinism hinges on this: aggregate in seed order regardless of
     // shard interleaving.
     cases.sort_by_key(|c| c.seed);
@@ -276,7 +259,7 @@ pub fn sweep(cfg: &FuzzConfig) -> FuzzReport {
     let mut shrunk = Vec::new();
     for ((li, _), seeds) in &disagreements {
         for &seed in seeds.iter().take(cfg.shrink_limit) {
-            shrunk.push(ShrunkCase::new(&oracle, seed, Lane::ALL[*li]));
+            shrunk.push(ShrunkCase::new(oracle, seed, Lane::ALL[*li]));
         }
     }
 
@@ -310,13 +293,12 @@ pub fn sweep(cfg: &FuzzConfig) -> FuzzReport {
                 .iter()
                 .any(|c| (c.repro.seed, c.repro.lane) == (seed, lane))
             {
-                ladder.push(ShrunkCase::new(&oracle, seed, lane).repro);
+                ladder.push(ShrunkCase::new(oracle, seed, lane).repro);
             }
         }
     }
 
     FuzzReport {
-        seed_start: cfg.seed_start,
         seeds: cfg.seeds,
         shapes,
         lanes,
@@ -332,108 +314,88 @@ impl FuzzReport {
         self.shrunk.iter().map(|c| &c.repro).chain(&self.ladder)
     }
 
-    /// Deterministic hand-rolled JSON: counts and structure only — no
-    /// wall-clock, no host-dependent values.
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        writeln!(s, "{{").unwrap();
-        writeln!(s, "  \"bench\": \"fuzz_differential\",").unwrap();
-        writeln!(s, "  \"seed_start\": {},", self.seed_start).unwrap();
-        writeln!(s, "  \"seeds\": {},", self.seeds).unwrap();
-        writeln!(s, "  \"shapes\": {{").unwrap();
-        for (i, shape) in Shape::ALL.iter().enumerate() {
-            let comma = if i + 1 == Shape::ALL.len() { "" } else { "," };
-            writeln!(s, "    \"{}\": {}{}", shape.name(), self.shapes[i], comma).unwrap();
-        }
-        writeln!(s, "  }},").unwrap();
-        writeln!(s, "  \"lanes\": [").unwrap();
-        for (li, lane) in self.lanes.iter().enumerate() {
-            writeln!(s, "    {{").unwrap();
-            writeln!(s, "      \"lane\": \"{}\",", lane.lane.name()).unwrap();
-            writeln!(s, "      \"total\": {},", lane.total).unwrap();
-            writeln!(s, "      \"accepted\": {},", lane.accepted).unwrap();
-            writeln!(s, "      \"buckets\": {{").unwrap();
-            for (i, b) in Bucket::ALL.iter().enumerate() {
-                let comma = if i + 1 == Bucket::ALL.len() { "" } else { "," };
-                writeln!(s, "        \"{}\": {}{}", b.name(), lane.buckets[i], comma).unwrap();
-            }
-            writeln!(s, "      }},").unwrap();
-            writeln!(s, "      \"reject_checks\": {{").unwrap();
-            for (i, c) in RejectCheck::ALL.iter().enumerate() {
-                let comma = if i + 1 == RejectCheck::ALL.len() {
-                    ""
-                } else {
-                    ","
-                };
-                writeln!(s, "        \"{}\": {}{}", c.name(), lane.checks[i], comma).unwrap();
-            }
-            writeln!(s, "      }},").unwrap();
-            writeln!(s, "      \"insns_processed\": {},", lane.insns_processed).unwrap();
-            writeln!(
-                s,
-                "      \"mem_accesses_checked\": {},",
-                lane.mem_accesses_checked
-            )
-            .unwrap();
-            writeln!(
-                s,
-                "      \"packet_compares_checked\": {},",
-                lane.packet_compares_checked
-            )
-            .unwrap();
-            writeln!(
-                s,
-                "      \"helper_calls_checked\": {}",
-                lane.helper_calls_checked
-            )
-            .unwrap();
-            let comma = if li + 1 == self.lanes.len() { "" } else { "," };
-            writeln!(s, "    }}{}", comma).unwrap();
-        }
-        writeln!(s, "  ],").unwrap();
-        writeln!(s, "  \"shrunk\": [").unwrap();
-        for (i, case) in self.shrunk.iter().enumerate() {
-            let comma = if i + 1 == self.shrunk.len() { "" } else { "," };
-            writeln!(
-                s,
-                "    {{\"seed\": {}, \"shape\": \"{}\", \"lane\": \"{}\", \"bucket\": \"{}\", \
-                 \"steps_before\": {}, \"steps_after\": {}, \"insns_after\": {}}}{}",
-                case.repro.seed,
-                case.repro.shape.name(),
-                case.repro.lane.name(),
-                case.repro.bucket.name(),
-                case.steps_before,
-                case.steps_after,
-                case.repro.insns.len(),
-                comma
-            )
-            .unwrap();
-        }
-        writeln!(s, "  ]").unwrap();
-        writeln!(s, "}}").unwrap();
-        s
+    /// The report header: the sweep size, the programs per shape and each
+    /// lane's accounting. Counts only: no wall-clock, no host-dependent
+    /// values.
+    pub fn header(&self) -> Obj {
+        let lanes: Vec<Obj> = self
+            .lanes
+            .iter()
+            .map(|l| {
+                Obj::new()
+                    .str("lane", l.lane.name())
+                    .num("total", l.total)
+                    .num("accepted", l.accepted)
+                    .obj(
+                        "buckets",
+                        &counts(Bucket::ALL.map(Bucket::name), &l.buckets),
+                    )
+                    .obj(
+                        "reject_checks",
+                        &counts(RejectCheck::ALL.map(RejectCheck::name), &l.checks),
+                    )
+                    .num("insns_processed", l.insns_processed)
+                    .num("mem_accesses_checked", l.mem_accesses_checked)
+                    .num("packet_compares_checked", l.packet_compares_checked)
+                    .num("helper_calls_checked", l.helper_calls_checked)
+            })
+            .collect();
+        Obj::new()
+            .str("bench", "fuzz_differential")
+            .num("seeds", self.seeds)
+            .obj("shapes", &counts(Shape::ALL.map(Shape::name), &self.shapes))
+            .objs("lanes", &lanes)
     }
+
+    /// The report's `shrunk` rows: one per shrunk disagreement, in report
+    /// order.
+    pub fn rows(&self) -> Vec<Obj> {
+        self.shrunk
+            .iter()
+            .map(|c| {
+                Obj::new()
+                    .num("seed", c.repro.seed)
+                    .str("shape", c.repro.shape.name())
+                    .str("lane", c.repro.lane.name())
+                    .str("bucket", c.repro.bucket.name())
+                    .num("steps_before", c.steps_before)
+                    .num("steps_after", c.steps_after)
+                    .num("insns_after", c.repro.insns.len())
+            })
+            .collect()
+    }
+}
+
+/// An object holding each name's count.
+fn counts<const N: usize>(names: [&'static str; N], counts: &[u64; N]) -> Obj {
+    names
+        .into_iter()
+        .zip(counts)
+        .fold(Obj::new(), |obj, (name, n)| obj.num(name, n))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use analysis::json::document;
 
     fn small_cfg(shards: usize) -> FuzzConfig {
         FuzzConfig {
-            seed_start: 0,
             seeds: 40,
             shards,
             shrink_limit: 1,
         }
     }
 
+    fn json(r: &FuzzReport) -> String {
+        document(&r.header(), "shrunk", &r.rows())
+    }
+
     #[test]
     fn report_is_shard_invariant() {
         let one = sweep(&small_cfg(1));
         let three = sweep(&small_cfg(3));
-        assert_eq!(one.to_json(), three.to_json());
+        assert_eq!(json(&one), json(&three));
         let store = |r: &FuzzReport| crate::corpus::render_store(r.corpus());
         assert_eq!(store(&one), store(&three));
     }
@@ -442,7 +404,7 @@ mod tests {
     fn report_is_deterministic_across_runs() {
         let a = sweep(&small_cfg(2));
         let b = sweep(&small_cfg(2));
-        assert_eq!(a.to_json(), b.to_json());
+        assert_eq!(json(&a), json(&b));
     }
 
     #[test]

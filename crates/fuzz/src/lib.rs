@@ -22,9 +22,10 @@
 //!    re-run on every `cargo test`.
 //! 5. [`engine`] sweeps seed ranges across shards deterministically,
 //!    aggregates the soundness/completeness accounting, renders the
-//!    paper-style table, and picks the store's entries; the `fuzzstats`
-//!    bin turns the result into `BENCH_fuzz.json`,
-//!    `BENCH_fuzz_corpus.txt` and the table.
+//!    paper-style table, builds the report's rows, and picks the store's
+//!    entries; the `fuzzstats` report binary writes `BENCH_fuzz.json`
+//!    through `analysis::report`, `BENCH_fuzz_corpus.txt` beside it, and
+//!    prints the table.
 
 pub mod corpus;
 pub mod engine;

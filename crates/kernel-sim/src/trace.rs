@@ -20,9 +20,8 @@
 //!
 //! Two fingerprints mirror the audit layer's contract:
 //!
-//! * [`fingerprint`] / [`merged_fingerprint`] — the *full* per-CPU
-//!   stream with absolute timestamps, merged in shard-id order exactly
-//!   like audits. Byte-identical across replays of one configuration.
+//! * [`fingerprint`] — the *full* per-CPU stream with absolute
+//!   timestamps. Byte-identical across replays of one configuration.
 //! * [`canonical_fingerprint`] — the *shard-count-invariant* form: only
 //!   events recorded inside a logical task (one packet), keyed by the
 //!   global task id and timestamped relative to the task's own start.
@@ -514,27 +513,12 @@ pub fn fingerprint(events: &[TraceEvent]) -> String {
     out
 }
 
-/// Merges per-shard trace snapshots in ascending shard-id order with
-/// `== cpu N ==` headers, exactly like
-/// [`crate::audit::merged_fingerprint`] — independent of the thread
-/// interleaving that produced the snapshots.
-pub fn merged_fingerprint(shards: &[(usize, Vec<TraceEvent>)]) -> String {
-    let mut ordered: Vec<&(usize, Vec<TraceEvent>)> = shards.iter().collect();
-    ordered.sort_by_key(|(shard, _)| *shard);
-    let mut out = String::new();
-    for (shard, events) in ordered {
-        out.push_str(&format!("== cpu {shard} ==\n"));
-        out.push_str(&fingerprint(events));
-    }
-    out
-}
-
 /// The shard-count-invariant canonical trace: tasked events only,
 /// grouped by global task id (ascending), each event in its task's
 /// recording order with task-relative timestamps and no CPU identity.
 ///
 /// Shard assignment permutes *which* CPU runs a task but not what the
-/// task does, so this string — unlike [`merged_fingerprint`] — is
+/// task does, so this string — unlike each CPU's [`fingerprint`] — is
 /// byte-identical across shard counts, and across interpreter vs JIT
 /// execution (the JIT being a validating identity transform).
 pub fn canonical_fingerprint(shards: &[(usize, Vec<TraceEvent>)]) -> String {
@@ -671,25 +655,6 @@ mod tests {
         let merged_one = canonical_fingerprint(&[(0, one.snapshot())]);
         let merged_two = canonical_fingerprint(&[(0, a.snapshot()), (1, b.snapshot())]);
         assert_eq!(merged_one, merged_two);
-        // The full merged fingerprints differ (absolute time, cpu).
-        assert_ne!(
-            merged_fingerprint(&[(0, one.snapshot())]),
-            merged_fingerprint(&[(0, a.snapshot()), (1, b.snapshot())]),
-        );
-    }
-
-    #[test]
-    fn merged_fingerprint_orders_by_shard_id() {
-        let t = Tracer::new(VirtualClock::new(), 1);
-        t.enable();
-        t.instant(SpanKind::Fuel, 1);
-        let s = Tracer::new(VirtualClock::new(), 0);
-        s.enable();
-        s.instant(SpanKind::Fuel, 0);
-        let fp = merged_fingerprint(&[(1, t.snapshot()), (0, s.snapshot())]);
-        let cpu0 = fp.find("== cpu 0 ==").unwrap();
-        let cpu1 = fp.find("== cpu 1 ==").unwrap();
-        assert!(cpu0 < cpu1);
     }
 
     #[test]

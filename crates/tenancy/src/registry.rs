@@ -12,7 +12,7 @@ use kernel_sim::audit::EventKind;
 use kernel_sim::mem::Fault;
 use kernel_sim::trace::SpanKind;
 use kernel_sim::{Kernel, Metrics};
-use safe_ext::{Abort, Admission, ExtInput, Extension, Quarantine, Runtime, RuntimeConfig};
+use safe_ext::{Admission, ExtInput, Extension, Quarantine, Runtime, RuntimeConfig};
 use verifier::Verifier;
 
 use crate::budget::TenantBudget;
@@ -772,13 +772,7 @@ impl<'k> TenantRegistry<'k> {
                         self.quarantine.note_clean(key);
                         RunVerdict::Ok(v)
                     }
-                    Err(
-                        Abort::WatchdogFuel
-                        | Abort::WatchdogDeadline
-                        | Abort::WatchdogAsync
-                        | Abort::StackGuard
-                        | Abort::Panic(_),
-                    ) => {
+                    Err(abort) if abort.is_kill() => {
                         self.note_tripped(key);
                         RunVerdict::Killed
                     }
