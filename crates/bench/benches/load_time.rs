@@ -1,13 +1,14 @@
 //! §3.1 load path: in-kernel verification vs signature validation +
 //! load-time fixup — the cost the paper proposes to remove from the
-//! kernel.
+//! kernel — and the JIT lowering that is the sandbox lane's whole load.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use bench::workloads;
+use bench::{ladder, workloads};
 use ebpf::helpers::HelperRegistry;
+use ebpf::jit::{jit_lower, JitConfig};
 use ebpf::maps::MapRegistry;
-use ebpf::program::ProgType;
+use ebpf::program::{ProgType, Program};
 use kernel_sim::Kernel;
 use safe_ext::toolchain::Toolchain;
 use safe_ext::{Extension, ExtensionRegistry, Loader};
@@ -78,6 +79,34 @@ fn bench_validate(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_jit_lower(c: &mut Criterion) {
+    // The ladder's 23 programs (12 accepted, 11 violations); lowering
+    // never resolves a map fd, so any fds do.
+    let progs: Vec<Program> = ladder::rungs(1, 2, 3)
+        .into_iter()
+        .flat_map(|r| {
+            let violations = r.violations.into_iter().map(|(prog, _)| prog);
+            r.accepted.into_iter().chain(violations)
+        })
+        .collect();
+    let sandbox = JitConfig {
+        sandbox: true,
+        ..JitConfig::default()
+    };
+    let mut group = c.benchmark_group("jit/lower");
+    for (name, config) in [("plain", JitConfig::default()), ("sandbox", sandbox)] {
+        let id = BenchmarkId::new(name, format!("{}-ladder-programs", progs.len()));
+        group.bench_with_input(id, &progs, |b, progs| {
+            b.iter(|| {
+                for prog in progs {
+                    let _ = black_box(jit_lower(prog, config));
+                }
+            });
+        });
+    }
+    group.finish();
+}
+
 fn bench_toolchain(c: &mut Criterion) {
     // The cost that *moved to userspace*: the safety scan + signing.
     let toolchain = Toolchain::new(SigningKey::derive(2));
@@ -97,6 +126,6 @@ fn bench_toolchain(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_load_paths, bench_validate, bench_toolchain
+    targets = bench_load_paths, bench_validate, bench_jit_lower, bench_toolchain
 }
 criterion_main!(benches);

@@ -1,13 +1,13 @@
-//! §2.1 "Verification is expensive" + Figure 2 companion: how long
-//! verification takes as programs grow, per program shape and per
-//! historical feature set.
+//! §2.1 "Verification is expensive": how long verification takes as
+//! programs grow, per program shape. The ladder (`BENCH_verifier.json`)
+//! prices each feature with programs that use it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use bench::workloads;
 use ebpf::helpers::HelperRegistry;
 use ebpf::maps::MapRegistry;
-use verifier::{Verifier, VerifierFeatures};
+use verifier::Verifier;
 
 fn bench_by_size(c: &mut Criterion) {
     let maps = MapRegistry::default();
@@ -46,29 +46,9 @@ fn bench_by_size(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_by_feature_set(c: &mut Criterion) {
-    let maps = MapRegistry::default();
-    let helpers = HelperRegistry::standard();
-    let prog = workloads::straightline(512);
-
-    let mut group = c.benchmark_group("verify/by-feature-era");
-    for version in [
-        ebpf::KernelVersion::V3_18,
-        ebpf::KernelVersion::V4_20,
-        ebpf::KernelVersion::V6_1,
-    ] {
-        let verifier =
-            Verifier::new(&maps, &helpers).with_features(VerifierFeatures::for_version(version));
-        group.bench_with_input(BenchmarkId::from_parameter(version), &prog, |b, prog| {
-            b.iter(|| verifier.verify(prog).expect("verifies"));
-        });
-    }
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_by_size, bench_by_feature_set
+    targets = bench_by_size
 }
 criterion_main!(benches);

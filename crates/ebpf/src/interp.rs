@@ -298,12 +298,11 @@ struct LoadedProg {
     jit: Option<Box<JitCode>>,
 }
 
-/// A program lowered for the compiled lane: the IR, the fuel chunk
-/// table, and every helper call site resolved to a direct function
-/// pointer (the runtime table walk is paid once, at load).
+/// A program lowered for the compiled lane: the IR and every helper
+/// call site resolved to a direct function pointer (the runtime table
+/// walk is paid once, at load).
 struct JitCode {
     ops: Vec<LowOp>,
-    chunk: Vec<u32>,
     /// Per-slot resolved helper: `Some((imp, ret))` for `LowOp::Call`
     /// slots whose id is registered, `None` otherwise.
     calls: Vec<Option<(HelperImpl, RetType)>>,
@@ -513,6 +512,17 @@ struct St {
     dom: Option<DomainRun>,
 }
 
+impl St {
+    /// The SFI test of a sandbox run (always true outside a domain, so it
+    /// sits harmlessly on the shared access paths: tail calls may carry a
+    /// sandbox run into a program loaded in either execution form).
+    fn allows(&self, addr: Addr, len: u8) -> bool {
+        self.dom
+            .as_ref()
+            .is_none_or(|d| d.allows(addr, u64::from(len)))
+    }
+}
+
 impl<'a> Vm<'a> {
     /// Creates a VM with patched helpers and the default configuration.
     pub fn new(kernel: &'a Kernel, maps: &'a MapRegistry, helpers: &'a HelperRegistry) -> Self {
@@ -614,7 +624,6 @@ impl<'a> Vm<'a> {
             .collect();
         let jit = JitCode {
             ops: lowered.ops,
-            chunk: lowered.chunk,
             calls,
         };
         Ok((self.push(prog, sandbox, Some(Box::new(jit))), lowered.stats))
@@ -1072,13 +1081,10 @@ impl<'a> Vm<'a> {
                         return Err(ExecError::BadInstruction { pc });
                     }
                     let addr = st.regs[insn.src as usize].wrapping_add(insn.off as i64 as u64);
-                    self.sandbox_check(st, addr, insn.access_size(), pc, prog)?;
-                    let value = self
-                        .kernel
-                        .mem
-                        .read_sized(addr, insn.access_size())
-                        .map_err(|fault| self.oops(fault, pc, prog))?;
-                    st.regs[insn.dst as usize] = value;
+                    let size = insn.access_size();
+                    st.regs[insn.dst as usize] = self
+                        .read(st, addr, size, pc)
+                        .map_err(|e| self.record(e, size, prog))?;
                     pc += 1;
                 }
                 BPF_ST | BPF_STX => {
@@ -1090,23 +1096,15 @@ impl<'a> Vm<'a> {
                             } else {
                                 st.regs[insn.src as usize]
                             };
-                            self.sandbox_check(st, addr, insn.access_size(), pc, prog)?;
-                            self.kernel
-                                .mem
-                                .write_sized(addr, insn.access_size(), value)
-                                .map_err(|fault| self.oops(fault, pc, prog))?;
+                            let size = insn.access_size();
+                            self.write(st, addr, size, value, pc)
+                                .map_err(|e| self.record(e, size, prog))?;
                             pc += 1;
                         }
                         BPF_ATOMIC if insn.class() == BPF_STX => {
-                            self.exec_atomic(
-                                st,
-                                insn.access_size(),
-                                insn.src,
-                                insn.imm,
-                                addr,
-                                pc,
-                                prog,
-                            )?;
+                            let size = insn.access_size();
+                            self.exec_atomic(st, size, insn.src, insn.imm, addr, pc)
+                                .map_err(|e| self.record(e, size, prog))?;
                             pc += 1;
                         }
                         _ => return Err(ExecError::BadInstruction { pc }),
@@ -1165,7 +1163,8 @@ impl<'a> Vm<'a> {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// The atomic op of both execution forms. A trap or fault comes back
+    /// unrecorded, like [`Vm::read`]'s.
     fn exec_atomic(
         &self,
         st: &mut St,
@@ -1174,14 +1173,13 @@ impl<'a> Vm<'a> {
         aop: i32,
         addr: Addr,
         pc: usize,
-        prog: &Program,
     ) -> Result<(), ExecError> {
         if size != 4 && size != 8 {
             return Err(ExecError::BadInstruction { pc });
         }
-        // Both lanes' atomics funnel through here, so one check covers
-        // the interpreter's BPF_ATOMIC and the JIT's (masked) atomic op.
-        self.sandbox_check(st, addr, size, pc, prog)?;
+        if !st.allows(addr, size) {
+            return Err(ExecError::DomainTrap { pc, addr });
+        }
         let mask = if size == 4 { 0xffff_ffff } else { u64::MAX };
         let src_val = st.regs[src as usize] & mask;
         let op = aop;
@@ -1215,17 +1213,12 @@ impl<'a> Vm<'a> {
                         v
                     }
                 });
-                match old {
-                    Ok(v) => {
-                        st.regs[0] = v;
-                        return Ok(());
-                    }
-                    Err(fault) => return Err(self.oops(fault, pc, prog)),
-                }
+                st.regs[0] = old.map_err(|fault| ExecError::Fault { fault, pc })?;
+                return Ok(());
             }
             _ => return Err(ExecError::BadInstruction { pc }),
         };
-        let old = old.map_err(|fault| self.oops(fault, pc, prog))?;
+        let old = old.map_err(|fault| ExecError::Fault { fault, pc })?;
         if fetch {
             st.regs[src as usize] = old;
         }
@@ -1391,7 +1384,8 @@ impl<'a> Vm<'a> {
     /// When a fault plan is armed the virtual clock may inject a forward
     /// jump per `advance` *call*, so batching would change both the
     /// injected-jump draw sequence and the timeline; the charge then
-    /// falls back to the interpreter's per-instruction routine.
+    /// falls back to the interpreter's per-instruction routine (and
+    /// [`Vm::room`] makes the compiled body settle op by op).
     fn charge_bulk(&self, st: &mut St, units: u64) -> Result<(), ExecError> {
         if self.kernel.inject.get().is_some() || self.kernel.clock.is_perturbed() {
             for _ in 0..units {
@@ -1429,11 +1423,41 @@ impl<'a> Vm<'a> {
         Ok(())
     }
 
-    /// Executes lowered ops. Fuel is prepaid per chunk: at each chunk
-    /// head the whole straight-line run (through its terminating
-    /// effectful op) is charged with one bulk advance, then the pure ops
-    /// execute without touching the clock.
-    #[allow(clippy::too_many_lines)]
+    /// Fuel units the compiled body may owe before it must settle with
+    /// [`Vm::charge_bulk`]: up to the next RCU poll or the unit that
+    /// crosses `max_insns`, so both land on the interpreter's
+    /// instruction; none while a fault plan is armed or the clock is
+    /// perturbed, so each op then settles before it runs and injected
+    /// clock jumps draw in the interpreter's order.
+    fn room(&self, insns: u64) -> u64 {
+        if self.kernel.inject.get().is_some() || self.kernel.clock.is_perturbed() {
+            return 0;
+        }
+        let poll = RCU_POLL_INTERVAL - insns % RCU_POLL_INTERVAL;
+        self.config
+            .max_insns
+            .map_or(poll, |limit| poll.min((limit - insns).saturating_add(1)))
+    }
+
+    /// Pays fuel the compiled body owes short of its [`Vm::room`]: one
+    /// clock advance, with no poll or budget check due.
+    fn settle(&self, st: &mut St, owed: u64) {
+        if owed > 0 {
+            st.insns += owed;
+            self.kernel
+                .clock
+                .advance(owed * self.config.time_per_insn_ns);
+        }
+    }
+
+    /// Executes lowered ops. Fuel is owed while nothing can observe it:
+    /// each op adds its units to a local count, which is settled just
+    /// before anything can read the clock or the count — a helper or
+    /// bpf2bpf call, the body's exit or any error (the oops or trap record
+    /// of a failed access is raised after the settle), the next RCU poll
+    /// or the unit that crosses `max_insns` ([`Vm::room`]). Every observer
+    /// therefore reads what the interpreter's per-instruction charge
+    /// gives it.
     fn exec_body_jit(
         &self,
         p: &LoadedProg,
@@ -1442,24 +1466,45 @@ impl<'a> Vm<'a> {
         entry: usize,
         ctx_addr: Addr,
     ) -> Result<FnExit, ExecError> {
+        let mut owed = 0;
+        let out = self.exec_ops(p, j, st, entry, ctx_addr, &mut owed);
+        self.settle(st, owed);
+        out
+    }
+
+    /// The op loop of [`Vm::exec_body_jit`], which settles what it still
+    /// owes on return.
+    #[allow(clippy::too_many_lines)]
+    fn exec_ops(
+        &self,
+        p: &LoadedProg,
+        j: &JitCode,
+        st: &mut St,
+        entry: usize,
+        ctx_addr: Addr,
+        owed: &mut u64,
+    ) -> Result<FnExit, ExecError> {
         let ops = &j.ops;
-        let len = ops.len();
         let prog = &p.prog;
         let mut pc = entry;
-        let mut prepaid: u32 = 0;
+        let mut room = self.room(st.insns);
+        // A failed access: settle, then raise its record.
+        let fail = |st: &mut St, owed: &mut u64, e, len| {
+            self.settle(st, std::mem::take(owed));
+            self.record(e, len, prog)
+        };
         loop {
-            if pc >= len {
+            let Some(&op) = ops.get(pc) else {
                 return Err(ExecError::ControlFlowEscape {
                     pc,
                     target: pc as i64,
                 });
+            };
+            *owed += op.units();
+            if *owed >= room {
+                self.charge_bulk(st, std::mem::take(owed))?;
+                room = self.room(st.insns);
             }
-            if prepaid == 0 {
-                prepaid = j.chunk[pc];
-                self.charge_bulk(st, u64::from(prepaid))?;
-            }
-            let op = ops[pc];
-            prepaid -= op.units();
             match op {
                 LowOp::Alu { is64, op, dst, src } => {
                     let src_val = match src {
@@ -1503,13 +1548,9 @@ impl<'a> Vm<'a> {
                     size,
                 } => {
                     let addr = st.regs[src as usize].wrapping_add(off as i64 as u64);
-                    self.sandbox_check(st, addr, size, pc, prog)?;
-                    let value = self
-                        .kernel
-                        .mem
-                        .read_sized(addr, size)
-                        .map_err(|fault| self.oops(fault, pc, prog))?;
-                    st.regs[dst as usize] = value;
+                    st.regs[dst as usize] = self
+                        .read(st, addr, size, pc)
+                        .map_err(|e| fail(st, owed, e, size))?;
                     pc += 1;
                 }
                 LowOp::Store {
@@ -1529,11 +1570,8 @@ impl<'a> Vm<'a> {
                         Src::Reg(r) => st.regs[r as usize],
                         Src::Imm(v) => v,
                     };
-                    self.sandbox_check(st, addr, size, pc, prog)?;
-                    self.kernel
-                        .mem
-                        .write_sized(addr, size, value)
-                        .map_err(|fault| self.oops(fault, pc, prog))?;
+                    self.write(st, addr, size, value, pc)
+                        .map_err(|e| fail(st, owed, e, size))?;
                     pc += 1;
                 }
                 LowOp::Atomic {
@@ -1551,7 +1589,8 @@ impl<'a> Vm<'a> {
                     aop,
                 } => {
                     let addr = st.regs[dst as usize].wrapping_add(off as i64 as u64);
-                    self.exec_atomic(st, size, src, aop, addr, pc, prog)?;
+                    self.exec_atomic(st, size, src, aop, addr, pc)
+                        .map_err(|e| fail(st, owed, e, size))?;
                     pc += 1;
                 }
                 LowOp::Ja { target } => {
@@ -1581,12 +1620,18 @@ impl<'a> Vm<'a> {
                         pc += 1;
                     }
                 }
-                LowOp::Call { id } => match self.exec_helper_call(p, st, id, pc, ctx_addr)? {
-                    Some(exit) => return Ok(exit),
-                    None => pc += 1,
-                },
+                LowOp::Call { id } => {
+                    self.settle(st, std::mem::take(owed));
+                    if let Some(exit) = self.exec_helper_call(p, st, id, pc, ctx_addr)? {
+                        return Ok(exit);
+                    }
+                    room = self.room(st.insns);
+                    pc += 1;
+                }
                 LowOp::CallPseudo { target } => {
+                    self.settle(st, std::mem::take(owed));
                     self.exec_call(p, st, take_jump(target, pc)?, pc, ctx_addr)?;
+                    room = self.room(st.insns);
                     pc += 1;
                 }
                 LowOp::Exit => return Ok(FnExit::Return(st.regs[0])),
@@ -1601,37 +1646,52 @@ impl<'a> Vm<'a> {
         ExecError::Fault { fault, pc }
     }
 
-    /// The per-access SFI check of the sandbox lane. A violating access
-    /// is *trapped*: it never reaches memory, the run aborts with
-    /// [`ExecError::DomainTrap`], and — the whole point of the
-    /// architecture — the kernel does not oops. No-op for runs without a
-    /// domain, so it sits harmlessly on the shared access paths (tail
-    /// calls may carry a sandbox run into a program loaded in either
-    /// execution form).
-    fn sandbox_check(
-        &self,
-        st: &St,
-        addr: Addr,
-        len: u8,
-        pc: usize,
-        prog: &Program,
-    ) -> Result<(), ExecError> {
-        let Some(dom) = &st.dom else {
-            return Ok(());
-        };
-        if dom.allows(addr, u64::from(len)) {
-            return Ok(());
+    /// One checked load of either execution form: the SFI test of a
+    /// sandbox run, then the read. A failure comes back unrecorded, for
+    /// [`Vm::record`] to raise once the run's fuel is settled.
+    fn read(&self, st: &St, addr: Addr, size: u8, pc: usize) -> Result<u64, ExecError> {
+        if !st.allows(addr, size) {
+            return Err(ExecError::DomainTrap { pc, addr });
         }
-        Metrics::bump(&self.kernel.metrics.domain_traps, 1);
-        self.kernel.audit.record(
-            self.kernel.clock.now_ns(),
-            EventKind::DomainTrap,
-            format!(
-                "{}:pc{pc} sfi violation addr={addr:#x} len={len}",
-                prog.name
-            ),
-        );
-        Err(ExecError::DomainTrap { pc, addr })
+        self.kernel
+            .mem
+            .read_sized(addr, size)
+            .map_err(|fault| ExecError::Fault { fault, pc })
+    }
+
+    /// The store counterpart of [`Vm::read`].
+    fn write(&self, st: &St, addr: Addr, size: u8, value: u64, pc: usize) -> Result<(), ExecError> {
+        if !st.allows(addr, size) {
+            return Err(ExecError::DomainTrap { pc, addr });
+        }
+        self.kernel
+            .mem
+            .write_sized(addr, size, value)
+            .map_err(|fault| ExecError::Fault { fault, pc })
+    }
+
+    /// Raises what a failed `len`-byte access leaves behind: a memory
+    /// fault oopses the kernel, while an SFI violation is *trapped* — it
+    /// never reached memory, the run aborts with
+    /// [`ExecError::DomainTrap`], and (the whole point of the sandbox
+    /// architecture) the kernel does not oops. Other errors pass through.
+    fn record(&self, e: ExecError, len: u8, prog: &Program) -> ExecError {
+        match e {
+            ExecError::Fault { fault, pc } => self.oops(fault, pc, prog),
+            ExecError::DomainTrap { pc, addr } => {
+                Metrics::bump(&self.kernel.metrics.domain_traps, 1);
+                self.kernel.audit.record(
+                    self.kernel.clock.now_ns(),
+                    EventKind::DomainTrap,
+                    format!(
+                        "{}:pc{pc} sfi violation addr={addr:#x} len={len}",
+                        prog.name
+                    ),
+                );
+                e
+            }
+            e => e,
+        }
     }
 
     /// After a successful helper return in a sandbox run: a non-NULL

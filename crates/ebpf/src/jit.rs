@@ -12,15 +12,15 @@
 //!   the program and re-emits it as bytecode with resolved branches. Still
 //!   used wherever a `Program`-shaped artifact is wanted (disassembly,
 //!   instruction-level differential tests).
-//! * [`jit_lower`] — the compiled execution lane. It decodes each slot
-//!   once into a compact [`LowOp`] IR: immediates pre-sign-extended, LDDW
+//! * [`jit_lower`] — the compiled execution lane. One linear walk
+//!   validates each slot and decodes it into a compact [`LowOp`] IR, one
+//!   op per slot in a single table: immediates pre-sign-extended, LDDW
 //!   pairs folded into one 64-bit constant (map/function pointers
 //!   pre-tagged), branch targets resolved to instruction indices at
-//!   compile time, and a per-slot *fuel chunk* table that lets the
-//!   executor charge a whole straight-line run of side-effect-free ops
-//!   with a single clock advance instead of one per instruction. Helper
-//!   call sites are resolved to direct function pointers at load time
-//!   (see `Vm::load_jit`), eliminating the per-call table walk.
+//!   compile time. The executor owes fuel while nothing can observe it
+//!   and settles it where the clock is read (`Vm::load_jit`), and helper
+//!   call sites are resolved to direct function pointers at load time,
+//!   eliminating the per-call table walk.
 //!
 //! Both lanes accept exactly the same programs and replicate the CVE the
 //! same way: with [`JitConfig::branch_offset_bug`] enabled, backward
@@ -31,10 +31,7 @@
 //! [`crate::interp::ExecError::ControlFlowEscape`].
 
 use crate::{
-    helpers::{
-        tagged, BPF_CT_LOOKUP, BPF_MAP_LOOKUP_ELEM, BPF_XDP_LOAD_BYTES, BPF_XDP_STORE_BYTES,
-        FUNC_PTR_TAG, MAP_PTR_TAG,
-    },
+    helpers::{tagged, FUNC_PTR_TAG, MAP_PTR_TAG},
     insn::{
         lddw_imm, Insn, BPF_ALU, BPF_ALU64, BPF_ATOMIC, BPF_CALL, BPF_END, BPF_EXIT, BPF_JA,
         BPF_JMP, BPF_JMP32, BPF_LD, BPF_LDX, BPF_MEM, BPF_NEG, BPF_PSEUDO_CALL, BPF_PSEUDO_FUNC,
@@ -101,11 +98,6 @@ pub struct JitStats {
     pub branches: usize,
     /// Branches emitted through the (buggy) long-displacement path.
     pub long_branches: usize,
-    /// Basic blocks discovered by the lowering pass (0 for the byte lane).
-    pub blocks: usize,
-    /// Call sites to the hot helper set resolved to direct calls
-    /// (0 for the byte lane).
-    pub inlined_helpers: usize,
 }
 
 /// Operand source of a lowered op: a register, or an immediate already
@@ -275,42 +267,29 @@ pub(crate) enum LowOp {
 
 impl LowOp {
     /// Fuel units this op charges (LDDW charges both of its slots).
-    pub(crate) fn units(self) -> u32 {
+    pub(crate) fn units(self) -> u64 {
         match self {
             LowOp::Lddw { .. } => 2,
             _ => 1,
         }
     }
-
-    /// Whether the op can neither fault, observe the clock, nor transfer
-    /// control — i.e. its fuel can be folded into the chunk header.
-    fn is_pure(self) -> bool {
-        matches!(
-            self,
-            LowOp::Alu { .. } | LowOp::End { .. } | LowOp::Lddw { .. }
-        )
-    }
 }
 
-/// A lowered program: one [`LowOp`] per original slot plus the fuel chunk
-/// table consumed by the compiled executor (`Vm::load_jit`).
+/// A lowered program: one [`LowOp`] per original slot, the table the
+/// compiled executor runs (`Vm::load_jit`).
 #[derive(Debug, Clone)]
 pub struct Lowered {
     pub(crate) ops: Vec<LowOp>,
-    /// `chunk[pc]` = fuel units of the maximal straight-line run of pure
-    /// ops starting at `pc`, *including* the terminating effectful op.
-    /// The executor charges the whole chunk in one clock advance.
-    pub(crate) chunk: Vec<u32>,
     /// Compilation statistics.
     pub stats: JitStats,
 }
 
-/// Lowers `prog` into the compiled-executor IR.
+/// Lowers `prog` into the compiled-executor IR in one pass.
 ///
-/// Validation is byte-for-byte the same acceptance set as
-/// [`jit_compile`]: the same programs are rejected with the same errors,
-/// and with [`JitConfig::branch_offset_bug`] enabled, the same long
-/// backward branches come out off by one.
+/// The pass is the validating walk [`jit_compile`] runs: the same
+/// programs are rejected with the same errors, and with
+/// [`JitConfig::branch_offset_bug`] enabled, the same long backward
+/// branches come out off by one.
 ///
 /// # Errors
 ///
@@ -329,109 +308,66 @@ pub struct Lowered {
 /// let prog = Program::new("p", ProgType::SocketFilter, insns);
 /// let lowered = jit_lower(&prog, JitConfig::default()).unwrap();
 /// assert_eq!(lowered.stats.insns, 2);
-/// assert_eq!(lowered.stats.blocks, 1);
 /// ```
 pub fn jit_lower(prog: &Program, config: JitConfig) -> Result<Lowered, JitError> {
+    let mut ops = Vec::with_capacity(prog.insns.len());
+    let stats = walk(prog, config, |pc, off| {
+        ops.push(lower_one(&prog.insns, pc, off, config.sandbox));
+    })?;
+    Ok(Lowered { ops, stats })
+}
+
+/// The one strict linear walk of both lanes: validates every slot in
+/// order and hands `emit` each slot's pc with the branch displacement
+/// the encoder emits for it. An LDDW hands over both of its slots, the
+/// payload with its raw offset: the bug never applies to it (the byte
+/// lane copies it verbatim as data), but the lowered lane still decodes
+/// it in case a branch jumps into it.
+fn walk(
+    prog: &Program,
+    config: JitConfig,
+    mut emit: impl FnMut(usize, i16),
+) -> Result<JitStats, JitError> {
     let insns = &prog.insns;
     let len = insns.len();
     let mut stats = JitStats::default();
-    // Effective branch displacements after the (optional) CVE replica.
-    let mut eff_off: Vec<i16> = insns.iter().map(|i| i.off).collect();
-
-    // Strict linear walk: validation, statistics, and bug application.
-    // The walk steps over LDDW payload slots; the bug never applies to
-    // them (the byte lane copies them verbatim as data), but they still
-    // lower below in case a branch jumps into them.
     let mut pc = 0usize;
     while pc < len {
         let insn = insns[pc];
-        stats.insns += 1;
         if insn.is_lddw() {
-            if pc + 1 >= len {
-                return Err(JitError::TruncatedLddw { pc });
-            }
-            stats.insns += 1;
+            let hi = insns.get(pc + 1).ok_or(JitError::TruncatedLddw { pc })?;
+            emit(pc, insn.off);
+            emit(pc + 1, hi.off);
+            stats.insns += 2;
             pc += 2;
             continue;
         }
+        stats.insns += 1;
+        let mut off = insn.off;
         let class = insn.class();
         let is_branch = (class == BPF_JMP || class == BPF_JMP32)
             && insn.op() != BPF_CALL
             && insn.op() != BPF_EXIT;
         if is_branch {
             stats.branches += 1;
-            let target = pc as i64 + 1 + insn.off as i64;
+            let target = pc as i64 + 1 + off as i64;
             if target < 0 || target >= len as i64 {
                 return Err(JitError::BadBranchTarget { pc, target });
             }
-            if insn.off <= -SHORT_BRANCH_RANGE || insn.off >= SHORT_BRANCH_RANGE {
+            if off <= -SHORT_BRANCH_RANGE || off >= SHORT_BRANCH_RANGE {
                 stats.long_branches += 1;
-                if config.branch_offset_bug && insn.off < 0 {
+                if config.branch_offset_bug && off < 0 {
                     // BUG replica (CVE-2021-29154): the long-displacement
                     // encoding path computes the branch base one
                     // instruction too early for backward branches.
-                    eff_off[pc] = insn.off.saturating_sub(1);
+                    off = off.saturating_sub(1);
                 }
             }
         }
+        emit(pc, off);
         pc += 1;
     }
-
-    // Uniform per-slot lowering.
-    let ops: Vec<LowOp> = (0..len)
-        .map(|pc| lower_one(insns, pc, eff_off[pc], config.sandbox))
-        .collect();
-
-    // Fuel chunks: suffix-sum of units over straight-line pure runs.
-    let mut chunk = vec![0u32; len];
-    for pc in (0..len).rev() {
-        let u = ops[pc].units();
-        chunk[pc] = u;
-        if ops[pc].is_pure() {
-            let next = pc + u as usize;
-            if next < len {
-                chunk[pc] = u + chunk[next];
-            }
-        }
-    }
-
-    // Basic-block leaders: entry, every resolved branch target, and every
-    // fall-through successor of a control op.
-    let mut leader = vec![false; len];
-    if len > 0 {
-        leader[0] = true;
-    }
-    for (pc, op) in ops.iter().enumerate() {
-        let mut mark = |t: JumpTarget| {
-            if let JumpTarget::At(t) = t {
-                leader[t as usize] = true;
-            }
-        };
-        match *op {
-            LowOp::Ja { target } => mark(target),
-            LowOp::Jcc { target, .. } | LowOp::CallPseudo { target } => {
-                mark(target);
-                if pc + 1 < len {
-                    leader[pc + 1] = true;
-                }
-            }
-            LowOp::Call { id } => {
-                if matches!(
-                    id,
-                    BPF_MAP_LOOKUP_ELEM | BPF_XDP_LOAD_BYTES | BPF_XDP_STORE_BYTES | BPF_CT_LOOKUP
-                ) {
-                    stats.inlined_helpers += 1;
-                }
-                if pc + 1 < len {
-                    leader[pc + 1] = true;
-                }
-            }
-            _ => {}
-        }
-    }
-    stats.blocks = leader.iter().filter(|l| **l).count();
-
-    Ok(Lowered { ops, chunk, stats })
+    Ok(stats)
 }
 
 /// Lowers the single slot at `pc` exactly as the interpreter decodes it,
@@ -633,50 +569,13 @@ fn resolve(pc: usize, off: i16, len: usize) -> JumpTarget {
 /// assert_eq!(stats.insns, 2);
 /// ```
 pub fn jit_compile(prog: &Program, config: JitConfig) -> Result<(Program, JitStats), JitError> {
-    let len = prog.insns.len() as i64;
     let mut out = Vec::with_capacity(prog.insns.len());
-    let mut stats = JitStats::default();
-    let mut pc = 0usize;
-    while pc < prog.insns.len() {
-        let insn = prog.insns[pc];
-        stats.insns += 1;
-        if insn.is_lddw() {
-            let hi = *prog
-                .insns
-                .get(pc + 1)
-                .ok_or(JitError::TruncatedLddw { pc })?;
-            out.push(insn);
-            out.push(hi);
-            stats.insns += 1;
-            pc += 2;
-            continue;
-        }
-        let class = insn.class();
-        let is_branch = (class == BPF_JMP || class == BPF_JMP32)
-            && insn.op() != BPF_CALL
-            && insn.op() != BPF_EXIT;
-        if is_branch {
-            stats.branches += 1;
-            let target = pc as i64 + 1 + insn.off as i64;
-            if target < 0 || target >= len {
-                return Err(JitError::BadBranchTarget { pc, target });
-            }
-            let mut emitted = insn;
-            if insn.off <= -SHORT_BRANCH_RANGE || insn.off >= SHORT_BRANCH_RANGE {
-                stats.long_branches += 1;
-                if config.branch_offset_bug && insn.off < 0 {
-                    // BUG replica (CVE-2021-29154): the long-displacement
-                    // encoding path computes the branch base one
-                    // instruction too early for backward branches.
-                    emitted.off = insn.off.saturating_sub(1);
-                }
-            }
-            out.push(emitted);
-        } else {
-            out.push(insn);
-        }
-        pc += 1;
-    }
+    let stats = walk(prog, config, |pc, off| {
+        out.push(Insn {
+            off,
+            ..prog.insns[pc]
+        });
+    })?;
     let mut compiled = prog.clone();
     compiled.name = format!("{}.jit", prog.name);
     compiled.insns = out;
@@ -823,8 +722,8 @@ mod tests {
             }
         ));
         assert!(matches!(lowered.ops[3], LowOp::Exit));
-        // Blocks: entry, loop head (branch target), fall-through after jne.
-        assert_eq!(lowered.stats.blocks, 3);
+        // One op per slot, in one table.
+        assert_eq!(lowered.ops.len(), prog.insns.len());
     }
 
     #[test]
@@ -857,20 +756,6 @@ mod tests {
     }
 
     #[test]
-    fn lowering_folds_fuel_into_chunks() {
-        let prog = long_loop();
-        let lowered = jit_lower(&prog, JitConfig::default()).unwrap();
-        // The loop head starts a pure ALU run that terminates at the jne:
-        // (SHORT_BRANCH_RANGE + 10) fillers + 1 decrement + the branch.
-        let run = SHORT_BRANCH_RANGE as u32 + 10 + 2;
-        assert_eq!(lowered.chunk[1], run);
-        // One slot in, one unit less.
-        assert_eq!(lowered.chunk[2], run - 1);
-        // The branch slot itself is a chunk of one.
-        assert_eq!(lowered.chunk[prog.insns.len() - 2], 1);
-    }
-
-    #[test]
     fn lowering_folds_lddw_and_counts_two_units() {
         let insns = Asm::new()
             .lddw(Reg::R1, 0x1122_3344_5566_7788)
@@ -886,8 +771,7 @@ mod tests {
                 value: 0x1122_3344_5566_7788
             }
         );
-        // lddw (2 units) + exit (1) fold into one three-unit chunk.
-        assert_eq!(lowered.chunk[0], 3);
+        assert_eq!(lowered.ops[0].units(), 2);
         // A jump into the hi slot decodes it as a standalone (bad) insn.
         assert_eq!(lowered.ops[1], LowOp::Bad);
     }

@@ -1,18 +1,21 @@
-//! Differential properties: interpreting a program and interpreting its
-//! JIT-compiled translation must be indistinguishable — same return
-//! values, same error classifications, same instruction counts — for
-//! arbitrary (valid) programs, and also under injected helper/allocation
+//! Differential properties: interpreting a program, interpreting its
+//! byte-lane JIT translation and running its lowered, compiled form must
+//! be indistinguishable — same return values, same error
+//! classifications, same instruction counts, same virtual clock and
+//! audit bytes afterwards — for arbitrary (valid) programs, in the
+//! sandbox lane too, and also under injected helper/allocation/clock
 //! faults when both kernels are armed with the same [`FaultPlan`] seed.
 
 use proptest::prelude::*;
 
 use ebpf::asm::Asm;
-use ebpf::helpers::HelperRegistry;
+use ebpf::helpers::{HelperRegistry, BPF_KTIME_GET_NS, BPF_LOOP};
 use ebpf::insn::*;
-use ebpf::interp::{CtxInput, ExecError, RunResult, Vm, VmConfig};
+use ebpf::interp::{CtxInput, ExecError, RunResult, SandboxConfig, Vm, VmConfig};
 use ebpf::jit::{jit_compile, jit_lower, JitConfig, JitError};
 use ebpf::maps::{MapDef, MapRegistry};
 use ebpf::program::{ProgType, Program};
+use kernel_sim::rcu::Rcu;
 use kernel_sim::{FaultPlan, Kernel};
 
 /// Interpreter budget: keeps generated `JA`-loops finite; both sides get
@@ -123,24 +126,114 @@ fn sanitize(groups: Vec<Vec<Insn>>) -> Vec<Insn> {
     insns
 }
 
-fn run_fresh(prog: Program) -> RunResult {
-    let kernel = Kernel::new();
-    let maps = MapRegistry::default();
-    let helpers = HelperRegistry::standard();
-    let mut vm = Vm::new(&kernel, &maps, &helpers).with_config(VmConfig {
-        max_insns: Some(INSN_BUDGET),
-        ..VmConfig::default()
-    });
-    let id = vm.load(prog);
-    vm.run(id, CtxInput::None)
+/// How a program is loaded: the plain lane in its three forms, and the
+/// sandbox lane in both execution forms.
+#[derive(Debug, Clone, Copy)]
+enum Form {
+    /// The interpreter.
+    Interp,
+    /// The interpreter over the byte lane's `jit_compile` text.
+    ByteJit,
+    /// The lowered, compiled form (`Vm::load_jit`).
+    Lowered,
+    /// The sandbox lane, interpreted.
+    Sandboxed,
+    /// The sandbox lane, lowered and compiled.
+    SandboxedJit,
 }
 
-fn assert_equivalent(a: &RunResult, b: &RunResult) -> Result<(), TestCaseError> {
-    prop_assert_eq!(&a.result, &b.result);
-    prop_assert_eq!(a.insns, b.insns);
-    prop_assert_eq!(a.helper_calls, b.helper_calls);
-    prop_assert_eq!(a.max_depth, b.max_depth);
-    prop_assert_eq!(&a.printk, &b.printk);
+/// The plain forms, the interpreter first.
+const PLAIN: [Form; 3] = [Form::Interp, Form::ByteJit, Form::Lowered];
+/// The sandbox forms, the interpreter first.
+const SANDBOXED: [Form; 2] = [Form::Sandboxed, Form::SandboxedJit];
+
+fn load(vm: &mut Vm<'_>, prog: Program, form: Form) -> u32 {
+    let jit = JitConfig::default();
+    let sandbox = SandboxConfig::default();
+    match form {
+        Form::Interp => vm.load(prog),
+        Form::ByteJit => {
+            let (mut text, _) = jit_compile(&prog, jit).expect("test programs validate");
+            // Audit records carry the program's name.
+            text.name = prog.name;
+            vm.load(text)
+        }
+        Form::Lowered => vm.load_jit(prog, jit).expect("test programs lower").0,
+        Form::Sandboxed => vm.load_sandboxed(prog, sandbox),
+        Form::SandboxedJit => {
+            vm.load_sandboxed_jit(prog, sandbox, jit)
+                .expect("test programs lower")
+                .0
+        }
+    }
+}
+
+/// A run plus what it left on its kernel: the virtual clock and the
+/// audit fingerprint (timestamps included).
+#[derive(Debug)]
+struct Observed {
+    run: RunResult,
+    clock: u64,
+    audit: String,
+}
+
+fn observe(kernel: &Kernel, run: RunResult) -> Observed {
+    Observed {
+        run,
+        clock: kernel.clock.now_ns(),
+        audit: kernel.audit.fingerprint(),
+    }
+}
+
+/// Runs `prog` once in `form` on `kernel`.
+fn run_on(
+    kernel: Kernel,
+    config: VmConfig,
+    prog: Program,
+    form: Form,
+    input: CtxInput,
+) -> Observed {
+    let maps = MapRegistry::default();
+    let helpers = HelperRegistry::standard();
+    let run = {
+        let mut vm = Vm::new(&kernel, &maps, &helpers).with_config(config);
+        let id = load(&mut vm, prog, form);
+        vm.run(id, input)
+    };
+    observe(&kernel, run)
+}
+
+fn budget() -> VmConfig {
+    VmConfig {
+        max_insns: Some(INSN_BUDGET),
+        ..VmConfig::default()
+    }
+}
+
+fn run_fresh(prog: Program, form: Form) -> Observed {
+    run_on(Kernel::new(), budget(), prog, form, CtxInput::None)
+}
+
+fn assert_equivalent(a: &Observed, b: &Observed) -> Result<(), TestCaseError> {
+    prop_assert_eq!(&a.run.result, &b.run.result);
+    prop_assert_eq!(a.run.insns, b.run.insns);
+    prop_assert_eq!(a.run.helper_calls, b.run.helper_calls);
+    prop_assert_eq!(a.run.max_depth, b.run.max_depth);
+    prop_assert_eq!(&a.run.printk, &b.run.printk);
+    prop_assert_eq!(a.clock, b.clock, "virtual clocks diverged");
+    prop_assert_eq!(&a.audit, &b.audit, "audit fingerprints diverged");
+    Ok(())
+}
+
+/// Runs a program in every form through `run` and checks each lane's
+/// forms against its interpreter.
+fn assert_forms_agree(run: impl Fn(Form) -> Observed) -> Result<(), TestCaseError> {
+    for lane in [&PLAIN[..], &SANDBOXED[..]] {
+        let base = run(lane[0]);
+        for &form in &lane[1..] {
+            assert_equivalent(&base, &run(form))?;
+        }
+    }
     Ok(())
 }
 
@@ -171,61 +264,54 @@ fn filter_prog(fd: u32) -> Program {
     Program::new("diff-filter", ProgType::SocketFilter, insns)
 }
 
-/// Runs the packet filter on a fresh kernel armed with `seed`, through
-/// the given compile step.
-fn run_filter_under_faults(
-    seed: u64,
-    payload: &[u8],
-    compile: impl Fn(Program) -> Program,
-) -> (RunResult, u64) {
+/// Runs the packet filter in `form` on a fresh kernel armed with `seed`.
+fn run_filter_under_faults(seed: u64, payload: &[u8], form: Form) -> (Observed, u64) {
     let kernel = Kernel::new();
     let maps = MapRegistry::default();
     let helpers = HelperRegistry::standard();
     let fd = maps
         .create(&kernel, MapDef::array("counts", 8, 4))
         .expect("map creation");
-    let prog = compile(filter_prog(fd));
-    let mut vm = Vm::new(&kernel, &maps, &helpers).with_config(VmConfig {
-        max_insns: Some(INSN_BUDGET),
-        ..VmConfig::default()
-    });
-    let id = vm.load(prog);
+    let mut vm = Vm::new(&kernel, &maps, &helpers).with_config(budget());
+    let id = load(&mut vm, filter_prog(fd), form);
     let plane = kernel.arm_fault_plan(FaultPlan::new(seed));
-    let result = vm.run(id, CtxInput::Packet(payload.to_vec()));
-    (result, plane.total_injected())
+    let run = vm.run(id, CtxInput::Packet(payload.to_vec()));
+    (observe(&kernel, run), plane.total_injected())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Arbitrary valid programs: the default JIT pipeline and the plain
-    /// interpreter agree on results and on error classifications.
+    /// Arbitrary valid programs: every JIT form agrees with the
+    /// interpreter on results, error classifications, the clock and the
+    /// audit, plain and sandboxed.
     #[test]
     fn jit_pipeline_matches_interpreter(groups in prop::collection::vec(insn_group(), 1..40)) {
         let insns = sanitize(groups);
         let prog = Program::new("diff", ProgType::SocketFilter, insns);
-        let (jitted, stats) = jit_compile(&prog, JitConfig::default())
+        let (_, stats) = jit_compile(&prog, JitConfig::default())
             .expect("sanitized programs always validate");
         prop_assert_eq!(stats.insns, prog.insns.len());
-        assert_equivalent(&run_fresh(prog), &run_fresh(jitted))?;
+        assert_forms_agree(|form| run_fresh(prog.clone(), form))?;
     }
 
     /// Same property under injected faults: two kernels armed with the
-    /// same `FaultPlan` seed inject identically, so the interpreted and
-    /// JIT-compiled filter must still classify identically — including
-    /// injected helper failures and context-allocation faults.
+    /// same `FaultPlan` seed inject identically, so every form of the
+    /// filter must still classify identically — including injected
+    /// helper failures, context-allocation faults and clock jumps.
     #[test]
     fn jit_pipeline_matches_interpreter_under_faults(
         seed in any::<u64>(),
         payload in prop::collection::vec(any::<u8>(), 0..16),
     ) {
-        let (base, base_injected) =
-            run_filter_under_faults(seed, &payload, |p| p);
-        let (jit, jit_injected) = run_filter_under_faults(seed, &payload, |p| {
-            jit_compile(&p, JitConfig::default()).expect("filter validates").0
-        });
-        assert_equivalent(&base, &jit)?;
-        prop_assert_eq!(base_injected, jit_injected);
+        for lane in [&PLAIN[..], &SANDBOXED[..]] {
+            let (base, base_injected) = run_filter_under_faults(seed, &payload, lane[0]);
+            for &form in &lane[1..] {
+                let (jit, jit_injected) = run_filter_under_faults(seed, &payload, form);
+                assert_equivalent(&base, &jit)?;
+                prop_assert_eq!(base_injected, jit_injected);
+            }
+        }
     }
 
     /// The CVE replica stays detectable: with the branch bug enabled, a
@@ -238,7 +324,7 @@ proptest! {
         let prog = Program::new("diff-bug", ProgType::SocketFilter, insns);
         if let Ok((jitted, _)) = jit_compile(&prog, JitConfig { branch_offset_bug: true, ..JitConfig::default() }) {
             // Must complete within the budget, one way or another.
-            let _ = run_fresh(jitted);
+            let _ = run_fresh(jitted, Form::Interp);
         }
     }
 }
@@ -266,7 +352,7 @@ fn truncated_lddw_rejected_identically_in_both_lanes() {
         jit_lower(&prog, JitConfig::default()).err(),
         Some(JitError::TruncatedLddw { pc: 1 })
     );
-    let base = run_fresh(prog);
+    let base = run_fresh(prog, Form::Interp).run;
     assert!(
         matches!(base.result, Err(ExecError::TruncatedLddw { pc: 1 })),
         "interpreter lane must refuse at the same pc: {:?}",
@@ -324,18 +410,6 @@ fn header_access_prog(accesses: &[HeaderAccess]) -> Program {
     Program::new("diff-header-access", ProgType::Xdp, insns)
 }
 
-fn run_packet(prog: Program, payload: &[u8]) -> RunResult {
-    let kernel = Kernel::new();
-    let maps = MapRegistry::default();
-    let helpers = HelperRegistry::standard();
-    let mut vm = Vm::new(&kernel, &maps, &helpers).with_config(VmConfig {
-        max_insns: Some(INSN_BUDGET),
-        ..VmConfig::default()
-    });
-    let id = vm.load(prog);
-    vm.run(id, CtxInput::Packet(payload.to_vec()))
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -358,8 +432,215 @@ proptest! {
         ),
     ) {
         let prog = header_access_prog(&accesses);
-        let (jitted, _) = jit_compile(&prog, JitConfig::default())
-            .expect("header access programs validate");
-        assert_equivalent(&run_packet(prog, &payload), &run_packet(jitted, &payload))?;
+        let input = CtxInput::Packet(payload);
+        assert_forms_agree(|form| {
+            run_on(Kernel::new(), budget(), prog.clone(), form, input.clone())
+        })?;
+    }
+}
+
+/// One case of [`compiled_forms_read_the_interpreters_clock`].
+struct ClockCase {
+    name: &'static str,
+    prog: Asm,
+    config: VmConfig,
+    /// RCU stall timeout of the run's kernel.
+    stall_timeout_ns: u64,
+    /// What the case is about, checked on each lane's interpreter run
+    /// (the other forms must match it) so the comparison cannot pass
+    /// vacuously.
+    shows: fn(&Observed) -> bool,
+}
+
+/// A straight line of `n` pure ALU ops.
+fn pure_line(asm: Asm, n: usize) -> Asm {
+    (0..n).fold(asm, |asm, i| asm.alu64_imm(BPF_ADD, Reg::R5, i as i32))
+}
+
+fn limit(n: u64) -> VmConfig {
+    VmConfig {
+        max_insns: Some(n),
+        ..VmConfig::default()
+    }
+}
+
+/// Every point where the compiled forms settle owed fuel, each as a
+/// run whose clock readers would see a different value if that settle
+/// were missing: the interpreter's and the compiled form's runs, plain
+/// and sandboxed, must leave the same clock and audit bytes and return
+/// the same result.
+#[test]
+fn compiled_forms_read_the_interpreters_clock() {
+    let default_stall = kernel_sim::rcu::DEFAULT_STALL_TIMEOUT_NS;
+    let cases = [
+        ClockCase {
+            name: "bpf_ktime_get_ns after loads and branches",
+            prog: Asm::new()
+                .mov64_reg(Reg::R6, Reg::R1)
+                .ldx(BPF_DW, Reg::R2, Reg::R6, 0)
+                .ldx(BPF_DW, Reg::R3, Reg::R6, 8)
+                .stx(BPF_DW, Reg::R10, -8, Reg::R2)
+                .ldx(BPF_DW, Reg::R4, Reg::R10, -8)
+                .jmp64_reg(BPF_JGT, Reg::R4, Reg::R3, "skip")
+                .alu64_imm(BPF_ADD, Reg::R4, 1)
+                .label("skip")
+                .jmp64_imm(BPF_JEQ, Reg::R4, 0, "skip2")
+                .alu64_imm(BPF_ADD, Reg::R4, 2)
+                .label("skip2")
+                .call_helper(BPF_KTIME_GET_NS as i32)
+                .exit(),
+            config: VmConfig::default(),
+            stall_timeout_ns: default_stall,
+            shows: |o| o.run.result.as_ref().is_ok_and(|&t| t > 0),
+        },
+        ClockCase {
+            name: "bpf_ktime_get_ns in a bpf2bpf callee",
+            prog: pure_line(Asm::new(), 6)
+                .call_fn("callee")
+                .exit()
+                .label("callee")
+                .call_helper(BPF_KTIME_GET_NS as i32)
+                .exit(),
+            config: VmConfig::default(),
+            stall_timeout_ns: default_stall,
+            shows: |o| o.run.result.as_ref().is_ok_and(|&t| t > 0),
+        },
+        ClockCase {
+            name: "an oops on the fifth op of a straight line",
+            prog: pure_line(Asm::new().mov64_imm(Reg::R2, 0), 3)
+                .ldx(BPF_DW, Reg::R0, Reg::R2, 0)
+                .alu64_imm(BPF_ADD, Reg::R0, 1)
+                .exit(),
+            config: VmConfig::default(),
+            stall_timeout_ns: default_stall,
+            // A null read: an oops in the plain lane, a trap in the sandbox.
+            shows: |o| {
+                matches!(
+                    o.run.result,
+                    Err(ExecError::Fault { pc: 4, .. } | ExecError::DomainTrap { pc: 4, .. })
+                ) && o.audit.lines().count() == 1
+            },
+        },
+        ClockCase {
+            name: "an SFI trap mid-line",
+            prog: pure_line(Asm::new().mov64_reg(Reg::R2, Reg::R10), 2)
+                .alu64_imm(BPF_ADD, Reg::R2, 64)
+                .ldx(BPF_DW, Reg::R0, Reg::R2, 0)
+                .alu64_imm(BPF_ADD, Reg::R0, 1)
+                .exit(),
+            config: VmConfig::default(),
+            stall_timeout_ns: default_stall,
+            // Above the frame: dead domain space in the sandbox lane.
+            shows: |o| {
+                matches!(
+                    o.run.result,
+                    Err(ExecError::Fault { pc: 4, .. } | ExecError::DomainTrap { pc: 4, .. })
+                ) && o.audit.lines().count() == 1
+            },
+        },
+        ClockCase {
+            name: "InsnLimit inside a pure run",
+            prog: pure_line(Asm::new(), 12).exit(),
+            config: limit(6),
+            stall_timeout_ns: default_stall,
+            shows: |o| matches!(o.run.result, Err(ExecError::InsnLimit { limit: 6 })),
+        },
+        ClockCase {
+            name: "InsnLimit on a load",
+            prog: pure_line(Asm::new(), 3)
+                .ldx(BPF_DW, Reg::R0, Reg::R10, -8)
+                .exit(),
+            config: limit(3),
+            stall_timeout_ns: default_stall,
+            shows: |o| o.run.insns == 4 && matches!(o.run.result, Err(ExecError::InsnLimit { .. })),
+        },
+        ClockCase {
+            name: "InsnLimit after a bpf2bpf call returns",
+            prog: pure_line(
+                pure_line(pure_line(Asm::new(), 2).call_fn("callee"), 10)
+                    .exit()
+                    .label("callee"),
+                5,
+            )
+            .exit(),
+            config: limit(12),
+            stall_timeout_ns: default_stall,
+            shows: |o| {
+                o.run.insns == 13 && matches!(o.run.result, Err(ExecError::InsnLimit { .. }))
+            },
+        },
+        ClockCase {
+            name: "InsnLimit after bpf_loop callbacks return",
+            prog: pure_line(
+                pure_line(
+                    Asm::new()
+                        .mov64_imm(Reg::R1, 3)
+                        .ld_fn_ptr(Reg::R2, "callback")
+                        .mov64_imm(Reg::R3, 0)
+                        .mov64_imm(Reg::R4, 0)
+                        .call_helper(BPF_LOOP as i32),
+                    10,
+                )
+                .exit()
+                .label("callback")
+                .mov64_imm(Reg::R0, 0),
+                2,
+            )
+            .exit(),
+            config: limit(20),
+            stall_timeout_ns: default_stall,
+            shows: |o| {
+                o.run.insns == 21 && matches!(o.run.result, Err(ExecError::InsnLimit { .. }))
+            },
+        },
+        ClockCase {
+            name: "the RCU stall report at the 4,096-insn poll",
+            prog: Asm::new()
+                .mov64_imm(Reg::R1, 2_500)
+                .label("loop")
+                .alu64_imm(BPF_ADD, Reg::R1, -1)
+                .jmp64_imm(BPF_JNE, Reg::R1, 0, "loop")
+                .exit(),
+            config: VmConfig::default(),
+            stall_timeout_ns: 1_000,
+            // Reported inside the run, before its last instruction.
+            shows: |o| {
+                o.audit
+                    .lines()
+                    .filter(|l| l.contains("|RcuStall|"))
+                    .any(|l| {
+                        l.split('|').next().and_then(|t| t.parse::<u64>().ok())
+                            < Some(o.clock - 500)
+                    })
+            },
+        },
+    ];
+    for case in cases {
+        let insns = case.prog.build().expect("case assembles");
+        for lane in [&PLAIN[..], &SANDBOXED[..]] {
+            let run = |form| {
+                let mut kernel = Kernel::new();
+                kernel.rcu = Rcu::with_stall_timeout(kernel.clock.clone(), case.stall_timeout_ns);
+                let prog = Program::new("clock", ProgType::SocketFilter, insns.clone());
+                run_on(
+                    kernel,
+                    case.config,
+                    prog,
+                    form,
+                    CtxInput::Packet(vec![7; 32]),
+                )
+            };
+            let base = run(lane[0]);
+            assert!(
+                (case.shows)(&base),
+                "{}: {:?} shows nothing: {base:?}",
+                case.name,
+                lane[0]
+            );
+            for &form in &lane[1..] {
+                assert_equivalent(&base, &run(form))
+                    .unwrap_or_else(|e| panic!("{}: {form:?}: {e:?}", case.name));
+            }
+        }
     }
 }

@@ -12,7 +12,7 @@
 //!
 //! The lanes must agree on the *full observable surface*: run result,
 //! instruction/helper/depth counters, printk stream, the kernel's audit
-//! fingerprint, and the span-trace hash. A second property pins the
+//! fingerprint, the span-trace hash, and the virtual clock afterwards. A second property pins the
 //! CVE-2021-29154 replica: with `branch_offset_bug` armed, the lowered
 //! lane must reproduce byte-for-byte the behaviour of interpreting the
 //! byte-lane (`jit_compile`) bugged text — the bug is replicated, not
@@ -28,6 +28,9 @@ use ebpf::program::Program;
 use fuzz::gen::generate;
 use fuzz::oracle::{inputs, ARR_FD, FUEL, HASH_FD, PROG_FD, RB_FD};
 use kernel_sim::{trace, Kernel};
+
+/// A run's observable surface; see [`Env::observe`].
+type Surface = (RunResult, String, String, u64);
 
 /// A fresh kernel + registries with the fuzzer's fixed map layout and
 /// span tracing enabled, so the trace hash is part of the comparison.
@@ -74,14 +77,19 @@ impl Env {
     }
 
     /// Collapses the run into its full observable surface:
-    /// `(result, audit fingerprint, trace hash)`.
-    fn observe(self, result: RunResult) -> (RunResult, String, String) {
+    /// `(result, audit fingerprint, trace hash, clock)`.
+    fn observe(self, result: RunResult) -> Surface {
         let trace_fp = trace::fingerprint(&self.kernel.trace.take());
-        (result, self.kernel.audit.fingerprint(), trace_fp)
+        (
+            result,
+            self.kernel.audit.fingerprint(),
+            trace_fp,
+            self.kernel.clock.now_ns(),
+        )
     }
 }
 
-fn run_interp(prog: Program, input: CtxInput) -> (RunResult, String, String) {
+fn run_interp(prog: Program, input: CtxInput) -> Surface {
     let env = Env::new();
     let result = {
         let mut vm = Vm::new(&env.kernel, &env.maps, &env.helpers).with_config(VmConfig {
@@ -95,11 +103,7 @@ fn run_interp(prog: Program, input: CtxInput) -> (RunResult, String, String) {
     env.observe(result)
 }
 
-fn run_lowered(
-    prog: Program,
-    config: JitConfig,
-    input: CtxInput,
-) -> Result<(RunResult, String, String), JitError> {
+fn run_lowered(prog: Program, config: JitConfig, input: CtxInput) -> Result<Surface, JitError> {
     let env = Env::new();
     let result = {
         let mut vm = Vm::new(&env.kernel, &env.maps, &env.helpers).with_config(VmConfig {
@@ -113,10 +117,7 @@ fn run_lowered(
     Ok(env.observe(result))
 }
 
-fn assert_same_surface(
-    base: &(RunResult, String, String),
-    jit: &(RunResult, String, String),
-) -> Result<(), TestCaseError> {
+fn assert_same_surface(base: &Surface, jit: &Surface) -> Result<(), TestCaseError> {
     prop_assert_eq!(&base.0.result, &jit.0.result);
     prop_assert_eq!(base.0.insns, jit.0.insns);
     prop_assert_eq!(base.0.helper_calls, jit.0.helper_calls);
@@ -124,6 +125,7 @@ fn assert_same_surface(
     prop_assert_eq!(&base.0.printk, &jit.0.printk);
     prop_assert_eq!(&base.1, &jit.1, "audit fingerprints diverged");
     prop_assert_eq!(&base.2, &jit.2, "trace hashes diverged");
+    prop_assert_eq!(base.3, jit.3, "virtual clocks diverged");
     Ok(())
 }
 

@@ -58,7 +58,11 @@ impl HistSketch {
         self.buckets[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
-        self.max.fetch_max(value, Ordering::Relaxed);
+        // `fetch_max` is a compare-exchange loop on x86-64; most samples
+        // do not raise the max, so test with a plain load first.
+        if value > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(value, Ordering::Relaxed);
+        }
     }
 
     /// A point-in-time copy of the sketch.
@@ -306,6 +310,16 @@ mod tests {
                                      // p100 lands in 1000's bucket: values up to 2^10 - 1.
         assert_eq!(s.percentile(100), 1023);
         assert_eq!(s.percentile(1), 0);
+
+        // Samples that do not raise the max leave it alone and still count.
+        for v in [1000u64, 999, 5, 1000, 0] {
+            h.record(v);
+        }
+        let s = h.snapshot();
+        assert_eq!(s.count, 11);
+        assert_eq!(s.sum, 1106 + 3004);
+        assert_eq!(s.max, 1000);
+        assert_eq!(s.buckets[0], 2);
     }
 
     #[test]
