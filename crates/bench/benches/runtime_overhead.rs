@@ -3,16 +3,32 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
+use bench::hooks::HookFamily;
 use bench::workloads;
 use ebpf::helpers::HelperRegistry;
 use ebpf::interp::{CtxInput, Vm};
 use ebpf::jit::JitConfig;
-use ebpf::maps::{MapDef, MapRegistry};
+use ebpf::maps::{MapDef, MapFd, MapRegistry};
 use ebpf::program::ProgType;
 use kernel_sim::mem::{KernelMem, Perms};
 use kernel_sim::Kernel;
 use safe_ext::{ExtInput, Extension, Runtime};
+use tenancy::{HookInput, ProgramSpec, RunVerdict, TenantBudget, TenantId, TenantRegistry};
 use verifier::Verifier;
+
+/// The safe-dialect mirror of `workloads::packet_filter`: counts the
+/// packet's protocol class in `fd` and returns its length.
+fn filter_ext(fd: MapFd) -> Extension {
+    Extension::new("filter.rs", ProgType::SocketFilter, move |ctx| {
+        let pkt = ctx.packet()?;
+        if pkt.len() < 2 {
+            return Ok(0);
+        }
+        let proto = (pkt.load_u8(0)? & 3) as u32;
+        ctx.array(fd)?.fetch_add_u64(proto, 0, 1)?;
+        Ok(pkt.len() as u64)
+    })
+}
 
 fn bench_packet_path(c: &mut Criterion) {
     let kernel = Kernel::new();
@@ -32,15 +48,7 @@ fn bench_packet_path(c: &mut Criterion) {
         });
     });
 
-    let ext = Extension::new("filter.rs", ProgType::SocketFilter, move |ctx| {
-        let pkt = ctx.packet()?;
-        if pkt.len() < 2 {
-            return Ok(0);
-        }
-        let proto = (pkt.load_u8(0)? & 3) as u32;
-        ctx.array(fd)?.fetch_add_u64(proto, 0, 1)?;
-        Ok(pkt.len() as u64)
-    });
+    let ext = filter_ext(fd);
     let runtime = Runtime::new(&kernel, &maps);
     c.bench_function("runtime/safe-ext-filter", |b| {
         b.iter(|| {
@@ -186,9 +194,72 @@ fn bench_checked_mem(c: &mut Criterion) {
     group.finish();
 }
 
+/// The tenancy front door: `TenantRegistry::run_input` per backend, on a
+/// registry of 4 and of 256 tenants that each attach a packet filter at
+/// `xdp` and a kprobe program at `probe`. Runs go round-robin over the
+/// tenants, so the larger registry pays for its working set.
+fn bench_front_door(c: &mut Criterion) {
+    let mut group = c.benchmark_group("tenancy/run_input");
+    for tenants in [4, 256] {
+        for backend in ["safe-ext", "ebpf-jit", "sandbox-jit"] {
+            let kernel = Kernel::new();
+            kernel.populate_demo_env();
+            let maps = MapRegistry::default();
+            let helpers = HelperRegistry::standard();
+            let mut reg = TenantRegistry::new(&kernel, &maps, &helpers);
+            let ids: Vec<TenantId> = (0..tenants)
+                .map(|t| {
+                    let id = reg
+                        .register(&format!("t{t}"), TenantBudget::default())
+                        .unwrap();
+                    let fd = reg.create_map(id, MapDef::array("counts", 8, 4)).unwrap();
+                    let probe = HookFamily::Kprobe;
+                    let (filter, kprobe) = match backend {
+                        "safe-ext" => (
+                            ProgramSpec::Safe(filter_ext(fd)),
+                            ProgramSpec::Safe(probe.extension(id, 1)),
+                        ),
+                        "ebpf-jit" => (
+                            ProgramSpec::EbpfJit(workloads::packet_filter(fd)),
+                            ProgramSpec::EbpfJit(probe.program(1)),
+                        ),
+                        _ => (
+                            ProgramSpec::SandboxJit(workloads::packet_filter(fd)),
+                            ProgramSpec::SandboxJit(probe.program(1)),
+                        ),
+                    };
+                    reg.attach(id, "xdp", filter).unwrap();
+                    reg.attach(id, "probe", kprobe).unwrap();
+                    id
+                })
+                .collect();
+            let inputs = [
+                ("packet", "xdp", HookInput::Packet(&[1, 0xaa, 0xbb])),
+                (
+                    "kprobe",
+                    "probe",
+                    HookInput::Kprobe([2, 1 << 10, 0, 0, 0, 0, 0, 0]),
+                ),
+            ];
+            for (kind, point, input) in inputs {
+                let mut next = 0;
+                group.bench_function(format!("{backend}/{kind}/{tenants}-tenants"), |b| {
+                    b.iter(|| {
+                        next = (next + 1) % ids.len();
+                        let out = reg.run_input(ids[next], point, input).unwrap();
+                        assert!(matches!(out.verdict, RunVerdict::Ok(_)));
+                    });
+                });
+            }
+        }
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30);
-    targets = bench_packet_path, bench_guard_costs, bench_map_access, bench_checked_mem
+    targets = bench_packet_path, bench_guard_costs, bench_map_access, bench_checked_mem,
+        bench_front_door
 }
 criterion_main!(benches);

@@ -246,7 +246,7 @@ fn sched_ext_prog(tenant: TenantId, version: u32) -> Extension {
 
 impl HookFamily {
     /// The family's eBPF program at `version`.
-    fn program(self, version: u32) -> Program {
+    pub fn program(self, version: u32) -> Program {
         match self {
             HookFamily::Kprobe => probe_prog(version),
             HookFamily::Lsm => policy_prog(version),
@@ -255,7 +255,7 @@ impl HookFamily {
     }
 
     /// The family's safe-dialect mirror for `tenant` at `version`.
-    fn extension(self, tenant: TenantId, version: u32) -> Extension {
+    pub fn extension(self, tenant: TenantId, version: u32) -> Extension {
         match self {
             HookFamily::Kprobe => probe_ext(tenant, version),
             HookFamily::Lsm => policy_ext(tenant, version),

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use ebpf::interp::{SandboxConfig, Vm};
 use ebpf::jit::JitConfig;
 use ebpf::program::Program;
-use safe_ext::{ExtInput, Extension, Quarantine, Runtime};
+use safe_ext::{Extension, Quarantine, Runtime};
 use tenancy::ProgramSpec;
 
 use crate::engine::Shard;
@@ -134,10 +134,7 @@ impl Lane {
                     runtime = runtime.with_quarantine(Arc::new(Quarantine::new(threshold)));
                 }
                 let ext = ext();
-                return Box::new(move |payload| {
-                    let input = ExtInput::Packet(payload.to_vec());
-                    runtime.run(&ext, input).result.ok()
-                });
+                return Box::new(move |payload| runtime.run_packet(&ext, payload).result.ok());
             }
         };
         Box::new(move |payload| vm.run_packet(id, payload).result.ok())

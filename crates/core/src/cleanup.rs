@@ -12,13 +12,15 @@
 //! at most `capacity` entries, and a full registry refuses the
 //! acquisition rather than growing past the bound. Its storage is
 //! allocated as resources are registered, so a run that holds nothing
-//! allocates nothing.
+//! allocates nothing. A registry belongs to its one run, so it is a
+//! `RefCell` and a `Cell`: registering a resource takes no lock.
+
+use std::cell::{Cell, RefCell};
 
 use ebpf::maps::{MapFd, MapRegistry};
 use kernel_sim::{
     audit::EventKind, exec::ExecCtx, locks::LockId, mem::Addr, refcount::ObjId, Kernel,
 };
-use parking_lot::Mutex;
 
 /// A kernel resource recorded for cleanup, with its trusted destructor
 /// baked into the variant.
@@ -55,9 +57,9 @@ struct Entry {
 /// The bounded cleanup registry.
 #[derive(Debug)]
 pub struct CleanupRegistry {
-    entries: Mutex<Vec<Entry>>,
+    entries: RefCell<Vec<Entry>>,
     capacity: usize,
-    next_ticket: Mutex<u64>,
+    next_ticket: Cell<u64>,
 }
 
 impl Default for CleanupRegistry {
@@ -72,21 +74,20 @@ impl CleanupRegistry {
     /// demand, up to that limit.
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
-            entries: Mutex::new(Vec::new()),
+            entries: RefCell::new(Vec::new()),
             capacity,
-            next_ticket: Mutex::new(0),
+            next_ticket: Cell::new(0),
         }
     }
 
     /// Records an acquired resource; fails (without acquiring) when full.
     pub fn register(&self, resource: Resource) -> Result<Ticket, ()> {
-        let mut entries = self.entries.lock();
+        let mut entries = self.entries.borrow_mut();
         if entries.len() >= self.capacity {
             return Err(());
         }
-        let mut next = self.next_ticket.lock();
-        *next += 1;
-        let ticket = Ticket(*next);
+        let ticket = Ticket(self.next_ticket.get() + 1);
+        self.next_ticket.set(ticket.0);
         entries.push(Entry { ticket, resource });
         Ok(ticket)
     }
@@ -96,7 +97,7 @@ impl CleanupRegistry {
     /// Idempotent: a second call with the same ticket is a no-op, which is
     /// what makes guard-drop and termination-cleanup compose safely.
     pub fn deregister(&self, ticket: Ticket) -> bool {
-        let mut entries = self.entries.lock();
+        let mut entries = self.entries.borrow_mut();
         match entries.iter().position(|e| e.ticket == ticket) {
             Some(pos) => {
                 entries.remove(pos);
@@ -108,17 +109,17 @@ impl CleanupRegistry {
 
     /// Outstanding (unreleased) resources, oldest first.
     pub fn outstanding(&self) -> Vec<Resource> {
-        self.entries.lock().iter().map(|e| e.resource).collect()
+        self.entries.borrow().iter().map(|e| e.resource).collect()
     }
 
     /// Number of outstanding resources.
     pub fn len(&self) -> usize {
-        self.entries.lock().len()
+        self.entries.borrow().len()
     }
 
     /// Whether nothing is outstanding.
     pub fn is_empty(&self) -> bool {
-        self.entries.lock().is_empty()
+        self.entries.borrow().is_empty()
     }
 
     /// Runs the trusted destructors for everything outstanding, newest
@@ -130,10 +131,7 @@ impl CleanupRegistry {
         maps: &MapRegistry,
         exec: &ExecCtx,
     ) -> Vec<Resource> {
-        let drained: Vec<Entry> = {
-            let mut entries = self.entries.lock();
-            entries.drain(..).collect()
-        };
+        let drained = self.entries.take();
         let mut released = Vec::with_capacity(drained.len());
         for entry in drained.into_iter().rev() {
             release_resource(kernel, maps, exec, entry.resource);

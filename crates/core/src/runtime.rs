@@ -77,6 +77,13 @@ impl Default for RuntimeConfig {
 /// calls [`Quarantine::reset`]. A clean run (normal return or an ordinary
 /// error) resets the consecutive-kill counter.
 ///
+/// Each key's state lives in a [`Breaker`], interned once by
+/// [`Quarantine::breaker`]. A caller that runs one key many times (a
+/// tenant's attachment point) resolves it once and passes the breaker to
+/// [`Quarantine::admit`], [`Quarantine::record_kill`] and
+/// [`Quarantine::record_clean`]; the `&str` methods resolve the key on
+/// every call.
+///
 /// # Examples
 ///
 /// ```
@@ -94,7 +101,7 @@ impl Default for RuntimeConfig {
 pub struct Quarantine {
     threshold: u32,
     cooldown: Option<u32>,
-    state: Mutex<HashMap<String, QuarantineState>>,
+    breakers: Mutex<HashMap<Box<str>, Arc<Breaker>>>,
 }
 
 /// Admission decision from [`Quarantine::try_admit`].
@@ -108,6 +115,20 @@ pub enum Admission {
     /// a half-open probe. A kill re-trips the breaker immediately; a clean
     /// exit readmits the extension fully.
     Probe,
+}
+
+/// One key's breaker state, shared by everything that resolved the key.
+///
+/// The *calm* flag is set exactly when the key is not quarantined and has
+/// had no kill since its last clean run. Then admission is `Admitted` and
+/// a clean run changes nothing, so both return after one atomic load.
+/// Every other transition takes the breaker's own lock and rewrites the
+/// flag under it, with `Release`; the lock-free load is `Acquire`, so a
+/// caller that sees the flag set also sees the state that set it.
+#[derive(Debug)]
+pub struct Breaker {
+    calm: AtomicBool,
+    state: Mutex<QuarantineState>,
 }
 
 #[derive(Debug, Default, Clone, Copy)]
@@ -124,6 +145,51 @@ struct QuarantineState {
     probing: bool,
 }
 
+impl Breaker {
+    fn new() -> Self {
+        Breaker {
+            calm: AtomicBool::new(true),
+            state: Mutex::new(QuarantineState::default()),
+        }
+    }
+
+    /// Whether admission and a clean run take the lock-free path.
+    pub fn is_calm(&self) -> bool {
+        self.calm.load(Ordering::Acquire)
+    }
+
+    /// Whether the key is currently quarantined.
+    pub fn is_quarantined(&self) -> bool {
+        self.state.lock().quarantined
+    }
+
+    /// Total kills ever recorded for the key.
+    pub fn total_kills(&self) -> u64 {
+        self.state.lock().total_kills
+    }
+
+    /// Explicitly readmits the key, clearing quarantine and the
+    /// consecutive-kill counter; returns whether it was quarantined.
+    pub fn reset(&self) -> bool {
+        let mut st = self.state.lock();
+        let was = st.quarantined;
+        st.quarantined = false;
+        st.consecutive_kills = 0;
+        st.cooldown_progress = 0;
+        st.probing = false;
+        self.settle(&st);
+        was
+    }
+
+    /// Rewrites the calm flag from `st`; called with the lock held.
+    fn settle(&self, st: &QuarantineState) {
+        self.calm.store(
+            !st.quarantined && st.consecutive_kills == 0,
+            Ordering::Release,
+        );
+    }
+}
+
 impl Quarantine {
     /// Creates a breaker that trips after `threshold` consecutive kills
     /// (minimum 1).
@@ -131,7 +197,7 @@ impl Quarantine {
         Quarantine {
             threshold: threshold.max(1),
             cooldown: None,
-            state: Mutex::new(HashMap::new()),
+            breakers: Mutex::new(HashMap::new()),
         }
     }
 
@@ -150,13 +216,23 @@ impl Quarantine {
         self.threshold
     }
 
+    /// The breaker for `key`, created on first use. Every call with the
+    /// same key returns the same breaker, so state recorded through one
+    /// resolution is seen through every other and through the `&str`
+    /// methods.
+    pub fn breaker(&self, key: &str) -> Arc<Breaker> {
+        let mut breakers = self.breakers.lock();
+        if let Some(breaker) = breakers.get(key) {
+            return Arc::clone(breaker);
+        }
+        let breaker = Arc::new(Breaker::new());
+        breakers.insert(key.into(), Arc::clone(&breaker));
+        breaker
+    }
+
     /// Whether `name` is currently quarantined.
     pub fn is_quarantined(&self, name: &str) -> bool {
-        self.state
-            .lock()
-            .get(name)
-            .map(|s| s.quarantined)
-            .unwrap_or(false)
+        self.breaker(name).is_quarantined()
     }
 
     /// Admission check for one run attempt. Without a cooldown this is
@@ -164,26 +240,31 @@ impl Quarantine {
     /// refused attempt advances the cooldown clock and the attempt after
     /// it elapses is admitted as a half-open [`Admission::Probe`].
     pub fn try_admit(&self, name: &str) -> Admission {
-        let mut st = self.state.lock();
-        let Some(entry) = st.get_mut(name) else {
+        self.admit(&self.breaker(name))
+    }
+
+    /// [`Self::try_admit`] on a resolved breaker.
+    pub fn admit(&self, breaker: &Breaker) -> Admission {
+        if breaker.is_calm() {
             return Admission::Admitted;
-        };
-        if !entry.quarantined {
+        }
+        let mut st = breaker.state.lock();
+        if !st.quarantined {
             return Admission::Admitted;
         }
         let Some(intervals) = self.cooldown else {
             return Admission::Refused;
         };
-        if entry.probing {
+        if st.probing {
             // A probe is already in flight; refuse until its outcome is in.
             return Admission::Refused;
         }
-        if entry.cooldown_progress >= intervals {
-            entry.cooldown_progress = 0;
-            entry.probing = true;
+        if st.cooldown_progress >= intervals {
+            st.cooldown_progress = 0;
+            st.probing = true;
             Admission::Probe
         } else {
-            entry.cooldown_progress += 1;
+            st.cooldown_progress += 1;
             Admission::Refused
         }
     }
@@ -192,63 +273,61 @@ impl Quarantine {
     /// `true` if this kill tripped (or, for a failed probe, re-tripped)
     /// the breaker.
     pub fn note_kill(&self, name: &str) -> bool {
-        let mut st = self.state.lock();
-        let entry = st.entry(name.to_string()).or_default();
-        entry.consecutive_kills += 1;
-        entry.total_kills += 1;
-        if entry.probing {
+        self.record_kill(&self.breaker(name))
+    }
+
+    /// [`Self::note_kill`] on a resolved breaker.
+    pub fn record_kill(&self, breaker: &Breaker) -> bool {
+        let mut st = breaker.state.lock();
+        st.consecutive_kills += 1;
+        st.total_kills += 1;
+        let tripped = if st.probing {
             // The half-open probe died: re-trip immediately and restart
             // the cooldown from zero.
-            entry.probing = false;
-            entry.cooldown_progress = 0;
-            return true;
-        }
-        if !entry.quarantined && entry.consecutive_kills >= self.threshold {
-            entry.quarantined = true;
+            st.probing = false;
+            st.cooldown_progress = 0;
+            true
+        } else if !st.quarantined && st.consecutive_kills >= self.threshold {
+            st.quarantined = true;
             true
         } else {
             false
-        }
+        };
+        breaker.settle(&st);
+        tripped
     }
 
     /// Records a clean run for `name`, resetting its consecutive-kill
     /// counter. A clean half-open probe readmits the extension fully;
     /// otherwise quarantine status is unaffected.
     pub fn note_clean(&self, name: &str) {
-        if let Some(entry) = self.state.lock().get_mut(name) {
-            entry.consecutive_kills = 0;
-            if entry.probing {
-                entry.probing = false;
-                entry.quarantined = false;
-                entry.cooldown_progress = 0;
-            }
+        self.record_clean(&self.breaker(name));
+    }
+
+    /// [`Self::note_clean`] on a resolved breaker.
+    pub fn record_clean(&self, breaker: &Breaker) {
+        if breaker.is_calm() {
+            return;
         }
+        let mut st = breaker.state.lock();
+        st.consecutive_kills = 0;
+        if st.probing {
+            st.probing = false;
+            st.quarantined = false;
+            st.cooldown_progress = 0;
+        }
+        breaker.settle(&st);
     }
 
     /// Explicitly readmits `name`, clearing quarantine and the
     /// consecutive-kill counter; returns whether it was quarantined.
     pub fn reset(&self, name: &str) -> bool {
-        let mut st = self.state.lock();
-        match st.get_mut(name) {
-            Some(entry) => {
-                let was = entry.quarantined;
-                entry.quarantined = false;
-                entry.consecutive_kills = 0;
-                entry.cooldown_progress = 0;
-                entry.probing = false;
-                was
-            }
-            None => false,
-        }
+        self.breaker(name).reset()
     }
 
     /// Total kills ever recorded for `name`.
     pub fn total_kills(&self, name: &str) -> u64 {
-        self.state
-            .lock()
-            .get(name)
-            .map(|s| s.total_kills)
-            .unwrap_or(0)
+        self.breaker(name).total_kills()
     }
 }
 
@@ -336,8 +415,28 @@ impl<'k> Runtime<'k> {
 
     /// Runs `ext` on `input`.
     pub fn run(&self, ext: &Extension, input: ExtInput) -> ExtOutcome {
-        if let Some(q) = &self.quarantine {
-            match q.try_admit(&ext.name) {
+        match &input {
+            ExtInput::Packet(payload) => self.run_packet(ext, payload),
+            other => self.exec(ext, None, other),
+        }
+    }
+
+    /// Runs `ext` on a borrowed packet payload.
+    ///
+    /// Identical to `run(ext, ExtInput::Packet(payload.to_vec()))` minus
+    /// the per-packet buffer: the payload is copied exactly once, into
+    /// the skb's checked-memory region.
+    pub fn run_packet(&self, ext: &Extension, payload: &[u8]) -> ExtOutcome {
+        self.exec(ext, Some(payload), &ExtInput::None)
+    }
+
+    /// One run: `packet` is the payload of a packet run, `input` the
+    /// context of any other.
+    fn exec(&self, ext: &Extension, packet: Option<&[u8]>, input: &ExtInput) -> ExtOutcome {
+        // The key is resolved once per run, for admission and outcome.
+        let breaker = self.quarantine.as_ref().map(|q| (q, q.breaker(&ext.name)));
+        if let Some((q, breaker)) = &breaker {
+            match q.admit(breaker) {
                 Admission::Admitted => {}
                 Admission::Probe => {
                     self.kernel.audit.record(
@@ -357,8 +456,8 @@ impl<'k> Runtime<'k> {
             }
         }
 
-        let skb = match &input {
-            ExtInput::Packet(payload) => {
+        let skb = match packet {
+            Some(payload) => {
                 // Transient allocation failures (injected memory pressure)
                 // degrade gracefully: bounded retries with exponential
                 // virtual-time backoff instead of giving up at once.
@@ -390,7 +489,7 @@ impl<'k> Runtime<'k> {
                     }
                 }
             }
-            _ => None,
+            None => None,
         };
 
         let _run_span = self
@@ -408,7 +507,7 @@ impl<'k> Runtime<'k> {
             meter,
             self.config.pool_blocks,
             skb,
-            &input,
+            input,
         );
 
         // The run executes under the RCU read lock, exactly like the
@@ -493,10 +592,10 @@ impl<'k> Runtime<'k> {
 
         // Circuit breaker: a kill counts toward quarantine; any other
         // exit resets the consecutive counter.
-        if let Some(q) = &self.quarantine {
+        if let Some((q, breaker)) = &breaker {
             match &result {
                 Err(abort) if abort.is_kill() => {
-                    if q.note_kill(&ext.name) {
+                    if q.record_kill(breaker) {
                         Metrics::bump(&self.kernel.metrics.quarantine_trips, 1);
                         self.kernel.audit.record(
                             self.kernel.clock.now_ns(),
@@ -509,7 +608,7 @@ impl<'k> Runtime<'k> {
                         );
                     }
                 }
-                _ => q.note_clean(&ext.name),
+                _ => q.record_clean(breaker),
             }
         }
 
@@ -546,7 +645,7 @@ impl<'k> Runtime<'k> {
 
         let metrics = &self.kernel.metrics;
         Metrics::bump(&metrics.runs, 1);
-        if matches!(input, ExtInput::Packet(_)) {
+        if packet.is_some() {
             Metrics::bump(&metrics.packets, 1);
         }
         metrics.run_cost.record(fuel_used);

@@ -7,8 +7,11 @@
 //! kernel just leaks), while [`ExecCtx::cleanup`] force-releases everything
 //! (what the paper's proposed termination engine does via trusted
 //! destructors).
+//!
+//! A context belongs to its one run, so its acquired list is a plain
+//! `RefCell`: recording an acquisition takes no lock.
 
-use parking_lot::Mutex;
+use std::cell::RefCell;
 
 use crate::{
     audit::EventKind,
@@ -54,7 +57,7 @@ impl ExecReport {
 #[derive(Debug)]
 pub struct ExecCtx {
     id: OwnerId,
-    acquired: Mutex<Vec<ObjId>>,
+    acquired: RefCell<Vec<ObjId>>,
 }
 
 impl ExecCtx {
@@ -65,7 +68,7 @@ impl ExecCtx {
     pub fn for_kernel(kernel: &Kernel) -> Self {
         Self {
             id: kernel.next_exec_id(),
-            acquired: Mutex::new(Vec::new()),
+            acquired: RefCell::new(Vec::new()),
         }
     }
 
@@ -76,13 +79,13 @@ impl ExecCtx {
 
     /// Records that this execution acquired a reference on `obj`.
     pub fn note_acquired(&self, obj: ObjId) {
-        self.acquired.lock().push(obj);
+        self.acquired.borrow_mut().push(obj);
     }
 
     /// Records that this execution released a reference on `obj`; returns
     /// `false` if no matching acquisition was recorded.
     pub fn note_released(&self, obj: ObjId) -> bool {
-        let mut acquired = self.acquired.lock();
+        let mut acquired = self.acquired.borrow_mut();
         if let Some(pos) = acquired.iter().position(|o| *o == obj) {
             acquired.remove(pos);
             true
@@ -95,7 +98,7 @@ impl ExecCtx {
     /// log — the baseline (eBPF) behaviour when a buggy helper leaks.
     pub fn finish(&self, kernel: &Kernel) -> ExecReport {
         let now = kernel.clock.now_ns();
-        let leaked_refs = self.acquired.lock().clone();
+        let leaked_refs = self.acquired.borrow().clone();
         for obj in &leaked_refs {
             kernel.audit.record(
                 now,
@@ -122,7 +125,7 @@ impl ExecCtx {
     /// released) and returns what was cleaned; used by the safe-ext
     /// termination engine.
     pub fn cleanup(&self, kernel: &Kernel) -> ExecReport {
-        let refs: Vec<ObjId> = std::mem::take(&mut *self.acquired.lock());
+        let refs: Vec<ObjId> = self.acquired.take();
         for obj in &refs {
             // A cleanup put can only fail if the count is already zero,
             // which itself indicates a bug elsewhere; record it.

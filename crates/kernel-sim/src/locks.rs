@@ -7,6 +7,7 @@
 //! and leaking a lock past program exit.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
 
@@ -73,6 +74,11 @@ struct LockInfo {
 #[derive(Debug, Default)]
 pub struct SpinTable {
     state: Mutex<TableState>,
+    /// How many locks have a holder. Written only under `state`'s lock
+    /// (`Release`), so it always equals the table's count;
+    /// [`Self::held_by`] loads it first (`Acquire`) and returns at once
+    /// when nothing is held.
+    held: AtomicUsize,
     pub(crate) inject: crate::inject::InjectSlot,
     pub(crate) trace: crate::trace::TraceSlot,
 }
@@ -146,6 +152,7 @@ impl SpinTable {
                 }
                 info.holder = Some(owner);
                 info.acquisitions += 1;
+                self.held.fetch_add(1, Ordering::Release);
                 // The trace argument is the operation code, not the lock
                 // id: lock ids are per-kernel allocation order, which
                 // would break the canonical trace's shard invariance.
@@ -164,6 +171,7 @@ impl SpinTable {
         match info.holder {
             Some(h) if h == owner => {
                 info.holder = None;
+                self.held.fetch_sub(1, Ordering::Release);
                 if let Some(tracer) = self.trace.get() {
                     tracer.instant(crate::trace::SpanKind::LockOp, 1);
                 }
@@ -174,7 +182,14 @@ impl SpinTable {
     }
 
     /// Returns all locks currently held by `owner`.
+    ///
+    /// Takes no lock while no lock in the table is held: an owner's own
+    /// acquisitions are counted before it can ask, so a zero count means
+    /// it holds none.
     pub fn held_by(&self, owner: OwnerId) -> Vec<LockId> {
+        if self.held.load(Ordering::Acquire) == 0 {
+            return Vec::new();
+        }
         let st = self.state.lock();
         let mut held: Vec<LockId> = st
             .locks
@@ -197,6 +212,7 @@ impl SpinTable {
                 released.push(*id);
             }
         }
+        self.held.fetch_sub(released.len(), Ordering::Release);
         released.sort();
         released
     }

@@ -4,6 +4,8 @@
 //! avoid dynamic allocation of the unwind/cleanup context (§3.1); per-CPU
 //! array maps in the baseline also build on this.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use parking_lot::Mutex;
 
 /// Default number of simulated CPUs.
@@ -13,7 +15,9 @@ pub const DEFAULT_NR_CPUS: usize = 4;
 #[derive(Debug)]
 pub struct CpuInfo {
     nr_cpus: usize,
-    current: Mutex<usize>,
+    /// The current CPU. It publishes no other data, so it is loaded and
+    /// stored `Relaxed`.
+    current: AtomicUsize,
 }
 
 impl Default for CpuInfo {
@@ -27,7 +31,7 @@ impl CpuInfo {
     pub fn new(nr_cpus: usize) -> Self {
         Self {
             nr_cpus: nr_cpus.max(1),
-            current: Mutex::new(0),
+            current: AtomicUsize::new(0),
         }
     }
 
@@ -38,7 +42,7 @@ impl CpuInfo {
 
     /// The CPU the "current" execution runs on.
     pub fn current_cpu(&self) -> usize {
-        *self.current.lock()
+        self.current.load(Ordering::Relaxed)
     }
 
     /// Creates a topology with `nr_cpus` CPUs already migrated to `cpu`:
@@ -71,7 +75,7 @@ impl CpuInfo {
     /// Panics if `cpu >= nr_cpus`.
     pub fn set_current_cpu(&self, cpu: usize) {
         assert!(cpu < self.nr_cpus, "cpu {cpu} out of range");
-        *self.current.lock() = cpu;
+        self.current.store(cpu, Ordering::Relaxed);
     }
 }
 

@@ -5,8 +5,8 @@
 //! statistical machinery out and the API surface in: `criterion_group!` /
 //! `criterion_main!`, `Criterion::benchmark_group`, `bench_function`,
 //! `bench_with_input`, `BenchmarkId`, `black_box`, and `Bencher::iter`.
-//! Each benchmark runs `sample_size` timed samples after a short warm-up
-//! and prints median / min / max nanoseconds per iteration.
+//! Each benchmark runs `sample_size` timed samples after a warm-up and
+//! prints the median, quartiles, min and max nanoseconds per iteration.
 
 use std::hint;
 use std::time::{Duration, Instant};
@@ -44,6 +44,9 @@ impl std::fmt::Display for BenchmarkId {
     }
 }
 
+/// The shortest batch `Bencher::iter` times as one sample.
+const SAMPLE_TIME: Duration = Duration::from_millis(1);
+
 /// Passed to benchmark closures; runs the measured routine.
 pub struct Bencher {
     samples: Vec<Duration>,
@@ -52,14 +55,24 @@ pub struct Bencher {
 
 impl Bencher {
     /// Times `routine`, collecting `sample_size` samples.
+    ///
+    /// One untimed call warms the routine up; then a batch that doubles
+    /// until it takes at least `SAMPLE_TIME` sets the iterations per
+    /// sample. A cold first call can be many times slower than a warm
+    /// one, so sizing samples from it would make them far too short.
     pub fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
-        // Warm-up plus rough calibration: aim for samples of >= ~1ms or at
-        // least one iteration.
-        let cal_start = Instant::now();
         black_box(routine());
-        let once = cal_start.elapsed().max(Duration::from_nanos(1));
-        let iters_per_sample =
-            (Duration::from_millis(1).as_nanos() / once.as_nanos()).clamp(1, 100_000) as u64;
+        let mut iters_per_sample: u64 = 1;
+        loop {
+            let start = Instant::now();
+            for _ in 0..iters_per_sample {
+                black_box(routine());
+            }
+            if start.elapsed() >= SAMPLE_TIME {
+                break;
+            }
+            iters_per_sample *= 2;
+        }
 
         for _ in 0..self.sample_size {
             let start = Instant::now();
@@ -67,7 +80,8 @@ impl Bencher {
                 black_box(routine());
             }
             let total = start.elapsed();
-            self.samples.push(total / iters_per_sample as u32);
+            let per_iter = total.as_nanos() / u128::from(iters_per_sample);
+            self.samples.push(Duration::from_nanos(per_iter as u64));
         }
     }
 
@@ -93,12 +107,14 @@ impl Bencher {
         }
         let mut ns: Vec<u128> = self.samples.iter().map(|d| d.as_nanos()).collect();
         ns.sort_unstable();
-        let median = ns[ns.len() / 2];
+        let n = ns.len();
         println!(
-            "{label:<50} median {median:>12} ns/iter  (min {}, max {}, {} samples)",
+            "{label:<50} median {:>12} ns/iter  (q1 {}, q3 {}, min {}, max {}, {n} samples)",
+            ns[n / 2],
+            ns[n / 4],
+            ns[3 * n / 4],
             ns[0],
-            ns[ns.len() - 1],
-            ns.len()
+            ns[n - 1],
         );
     }
 }

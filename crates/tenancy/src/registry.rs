@@ -12,7 +12,7 @@ use kernel_sim::audit::EventKind;
 use kernel_sim::mem::Fault;
 use kernel_sim::trace::SpanKind;
 use kernel_sim::{Kernel, Metrics};
-use safe_ext::{Admission, ExtInput, Extension, Quarantine, Runtime, RuntimeConfig};
+use safe_ext::{Admission, Breaker, ExtInput, Extension, Quarantine, Runtime, RuntimeConfig};
 use verifier::Verifier;
 
 use crate::budget::TenantBudget;
@@ -198,6 +198,8 @@ struct Attachment {
     version: u32,
     /// `tenant/point`, built once at attach; upgrades keep it.
     breaker_key: Box<str>,
+    /// The key's breaker, resolved once at attach.
+    breaker: Arc<Breaker>,
 }
 
 struct Tenant {
@@ -554,6 +556,7 @@ impl<'k> TenantRegistry<'k> {
         self.check_domain_quota(id, &spec, None)?;
         let breaker_key = self.breaker_key(id, point)?.into_boxed_str();
         let current = self.load_spec(id, spec)?;
+        let breaker = self.quarantine.breaker(&breaker_key);
         let tenant = self.tenant_mut(id)?;
         tenant.attachments.insert(
             point.to_string(),
@@ -561,6 +564,7 @@ impl<'k> TenantRegistry<'k> {
                 current,
                 version: 1,
                 breaker_key,
+                breaker,
             },
         );
         Metrics::bump(&self.kernel.metrics.tenant_loads, 1);
@@ -710,8 +714,8 @@ impl<'k> TenantRegistry<'k> {
             .get(point)
             .ok_or_else(|| TenancyError::UnknownPoint(point.to_string()))?;
         let key = &*att.breaker_key;
-        let admission = self.quarantine.try_admit(key);
-        if admission == Admission::Refused {
+        let breaker = &*att.breaker;
+        if self.quarantine.admit(breaker) == Admission::Refused {
             self.kernel.audit.record(
                 self.kernel.clock.now_ns(),
                 EventKind::Quarantined,
@@ -743,15 +747,15 @@ impl<'k> TenantRegistry<'k> {
                     // plane can't preempt the run, but a blown virtual-time
                     // deadline still counts as a kill for breaker purposes.
                     Ok(_) if self.kernel.clock.now_ns() - t0 > deadline_ns => {
-                        self.note_tripped(key);
+                        self.note_tripped(key, breaker);
                         RunVerdict::Killed
                     }
                     Ok(v) => {
-                        self.quarantine.note_clean(key);
+                        self.quarantine.record_clean(breaker);
                         RunVerdict::Ok(v)
                     }
                     Err(_) => {
-                        self.note_tripped(key);
+                        self.note_tripped(key, breaker);
                         RunVerdict::Killed
                     }
                 }
@@ -761,23 +765,23 @@ impl<'k> TenantRegistry<'k> {
                     fuel: tenant.budget.fuel,
                     ..RuntimeConfig::default()
                 });
-                let ext_input = match input {
-                    HookInput::Packet(payload) => ExtInput::Packet(payload.to_vec()),
-                    HookInput::Kprobe(regs) => ExtInput::Kprobe(regs),
-                    HookInput::Lsm(fields) => ExtInput::Lsm(fields),
-                    HookInput::Sched(fields) => ExtInput::Sched(fields),
+                let outcome = match input {
+                    HookInput::Packet(payload) => runtime.run_packet(ext, payload),
+                    HookInput::Kprobe(regs) => runtime.run(ext, ExtInput::Kprobe(regs)),
+                    HookInput::Lsm(fields) => runtime.run(ext, ExtInput::Lsm(fields)),
+                    HookInput::Sched(fields) => runtime.run(ext, ExtInput::Sched(fields)),
                 };
-                match runtime.run(ext, ext_input).result {
+                match outcome.result {
                     Ok(v) => {
-                        self.quarantine.note_clean(key);
+                        self.quarantine.record_clean(breaker);
                         RunVerdict::Ok(v)
                     }
                     Err(abort) if abort.is_kill() => {
-                        self.note_tripped(key);
+                        self.note_tripped(key, breaker);
                         RunVerdict::Killed
                     }
                     Err(_) => {
-                        self.quarantine.note_clean(key);
+                        self.quarantine.record_clean(breaker);
                         RunVerdict::Error
                     }
                 }
@@ -789,8 +793,8 @@ impl<'k> TenantRegistry<'k> {
         })
     }
 
-    fn note_tripped(&self, key: &str) {
-        if self.quarantine.note_kill(key) {
+    fn note_tripped(&self, key: &str, breaker: &Breaker) {
+        if self.quarantine.record_kill(breaker) {
             Metrics::bump(&self.kernel.metrics.quarantine_trips, 1);
             self.kernel.audit.record(
                 self.kernel.clock.now_ns(),
