@@ -3,8 +3,8 @@
 #
 #   ./ci.sh                  run every stage
 #   ./ci.sh --fast           fmt-lint + tier1 only (pre-push loop)
-#   ./ci.sh --stage NAME     run one stage (fmt-lint, tier1, determinism,
-#                            bench-smoke, regress)
+#   ./ci.sh --stage NAME     run one stage (fmt-lint, tier1, bench-smoke,
+#                            regress)
 #   ./ci.sh --list           print the stage names, one per line
 #
 # Every run ends with a per-stage wall-clock timing summary, so a slow
@@ -14,7 +14,7 @@ cd "$(dirname "$0")"
 # shellcheck source=ci/lib.sh
 source ci/lib.sh
 
-STAGES=(fmt-lint tier1 determinism bench-smoke regress)
+STAGES=(fmt-lint tier1 bench-smoke regress)
 
 usage() {
     echo "usage: ./ci.sh [--fast | --list | --stage <${STAGES[*]// /|}>]" >&2

@@ -18,10 +18,11 @@ fmt_ms() {
 
 # gen_reports <dir>
 #
-# Regenerates all ten canonical reports, with baseline-identical
-# parameters, into <dir>: the eight BENCH_*.json (each beside its
+# Regenerates all eleven canonical reports, with baseline-identical
+# parameters, into <dir>: the nine BENCH_*.json (each beside its
 # BENCH_*.host.json when it measures the host), among them
-# BENCH_repro.json, the paper's figures and tables;
+# BENCH_repro.json, the paper's figures and tables, and BENCH_soak.json,
+# the differential fault-injection soak;
 # BENCH_profile_flame.txt, which the profile report writes beside itself;
 # and BENCH_fuzz_corpus.txt, the reproducer store fuzzstats writes beside
 # its report. The one list of report commands: the regress stage and
@@ -39,4 +40,5 @@ gen_reports() {
     cargo run --release -q -p bench --bin churn -- --out "$dir/BENCH_churn.json"
     cargo run --release -q -p bench --bin hooks -- --out "$dir/BENCH_hooks.json"
     cargo run --release -q -p bench --bin repro -- --out "$dir/BENCH_repro.json"
+    cargo run --release -q -p bench --bin soak -- --out "$dir/BENCH_soak.json"
 }

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Regenerates all ten committed canonical reports (the eight
+# Regenerates all eleven committed canonical reports (the nine
 # BENCH_*.json, BENCH_profile_flame.txt and the reproducer store
 # BENCH_fuzz_corpus.txt) in place, then lists the ones that moved.
 #

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Stage: regress — the report gate. Regenerates all ten canonical
-# reports (the eight BENCH_*.json, BENCH_profile_flame.txt and the
+# Stage: regress — the report gate. Regenerates all eleven canonical
+# reports (the nine BENCH_*.json, BENCH_profile_flame.txt and the
 # reproducer store BENCH_fuzz_corpus.txt) with baseline-identical
 # parameters into a scratch directory, and requires each to equal its
 # committed copy byte for byte. A mismatch prints every differing value

@@ -29,6 +29,7 @@ pub const CANONICAL: &[&str] = &[
     "BENCH_churn.json",
     "BENCH_hooks.json",
     "BENCH_repro.json",
+    "BENCH_soak.json",
 ];
 
 /// Compares the committed bytes of canonical file `name` with its

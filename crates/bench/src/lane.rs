@@ -23,8 +23,8 @@ pub type PacketRun<'s> = Box<dyn Fn(&[u8]) -> Option<u64> + 's>;
 pub enum Lane {
     /// Verified eBPF, interpreted instruction at a time.
     Ebpf,
-    /// Verified eBPF, lowered to basic-block IR with folded fuel checks
-    /// and resolved helper call sites.
+    /// Verified eBPF, lowered to one IR op per slot, with fuel settled
+    /// where the clock is read and resolved helper call sites.
     EbpfJit,
     /// The safe-Rust extension runtime.
     SafeExt,

@@ -6,7 +6,8 @@
 //! paper into `BENCH_repro.json` (see EXPERIMENTS.md).
 //! [`engine`] runs the sharded scenarios ([`dispatch`], [`netflows`],
 //! [`churn`], [`hooks`]) on any [`Lane`], and sweeps each of their report
-//! binaries' grid cells over shard counts.
+//! binaries' grid cells over shard counts. [`soak`] holds the differential
+//! fault-injection soak behind the `soak` report binary.
 
 pub mod churn;
 pub mod dispatch;
@@ -18,6 +19,7 @@ pub mod hostclock;
 pub mod ladder;
 mod lane;
 pub mod netflows;
+pub mod soak;
 pub mod workloads;
 
 pub use lane::{Lane, PacketRun};

@@ -74,15 +74,14 @@ impl Default for RuntimeConfig {
 /// where the termination engine had to step in), the extension is
 /// quarantined. [`crate::Runtime::run`] refuses entry and
 /// [`crate::Loader::load`] refuses re-load until an operator explicitly
-/// calls [`Quarantine::reset`]. A clean run (normal return or an ordinary
+/// calls [`Breaker::reset`]. A clean run (normal return or an ordinary
 /// error) resets the consecutive-kill counter.
 ///
 /// Each key's state lives in a [`Breaker`], interned once by
 /// [`Quarantine::breaker`]. A caller that runs one key many times (a
 /// tenant's attachment point) resolves it once and passes the breaker to
 /// [`Quarantine::admit`], [`Quarantine::record_kill`] and
-/// [`Quarantine::record_clean`]; the `&str` methods resolve the key on
-/// every call.
+/// [`Quarantine::record_clean`].
 ///
 /// # Examples
 ///
@@ -90,11 +89,12 @@ impl Default for RuntimeConfig {
 /// use safe_ext::runtime::Quarantine;
 ///
 /// let q = Quarantine::new(2);
-/// q.note_kill("flaky");
+/// let flaky = q.breaker("flaky");
+/// q.record_kill(&flaky);
 /// assert!(!q.is_quarantined("flaky"));
-/// q.note_kill("flaky");
+/// q.record_kill(&flaky);
 /// assert!(q.is_quarantined("flaky"));
-/// q.reset("flaky");
+/// flaky.reset();
 /// assert!(!q.is_quarantined("flaky"));
 /// ```
 #[derive(Debug)]
@@ -104,7 +104,7 @@ pub struct Quarantine {
     breakers: Mutex<HashMap<Box<str>, Arc<Breaker>>>,
 }
 
-/// Admission decision from [`Quarantine::try_admit`].
+/// Admission decision from [`Quarantine::admit`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Admission {
     /// Not quarantined: run normally.
@@ -141,7 +141,7 @@ struct QuarantineState {
     /// wall time).
     cooldown_progress: u32,
     /// A half-open probe run is in flight: its outcome (the next
-    /// `note_kill` / `note_clean`) decides re-trip vs readmission.
+    /// `record_kill` / `record_clean`) decides re-trip vs readmission.
     probing: bool,
 }
 
@@ -202,9 +202,9 @@ impl Quarantine {
     }
 
     /// Enables half-open probing: after `intervals` refused admissions
-    /// (minimum 1), [`Self::try_admit`] admits one probe run instead of
+    /// (minimum 1), [`Self::admit`] admits one probe run instead of
     /// refusing forever. Without this, quarantine is permanent until an
-    /// operator calls [`Self::reset`] — which under a *transient* fault
+    /// operator calls [`Breaker::reset`] — which under a *transient* fault
     /// storm turns a recoverable extension into a permanently dead one.
     pub fn with_cooldown(mut self, intervals: u32) -> Self {
         self.cooldown = Some(intervals.max(1));
@@ -218,8 +218,8 @@ impl Quarantine {
 
     /// The breaker for `key`, created on first use. Every call with the
     /// same key returns the same breaker, so state recorded through one
-    /// resolution is seen through every other and through the `&str`
-    /// methods.
+    /// resolution is seen through every other and by
+    /// [`Self::is_quarantined`].
     pub fn breaker(&self, key: &str) -> Arc<Breaker> {
         let mut breakers = self.breakers.lock();
         if let Some(breaker) = breakers.get(key) {
@@ -239,11 +239,6 @@ impl Quarantine {
     /// `is_quarantined` reshaped; with [`Self::with_cooldown`], every
     /// refused attempt advances the cooldown clock and the attempt after
     /// it elapses is admitted as a half-open [`Admission::Probe`].
-    pub fn try_admit(&self, name: &str) -> Admission {
-        self.admit(&self.breaker(name))
-    }
-
-    /// [`Self::try_admit`] on a resolved breaker.
     pub fn admit(&self, breaker: &Breaker) -> Admission {
         if breaker.is_calm() {
             return Admission::Admitted;
@@ -269,14 +264,8 @@ impl Quarantine {
         }
     }
 
-    /// Records a kill (watchdog / stack guard / panic) for `name`; returns
-    /// `true` if this kill tripped (or, for a failed probe, re-tripped)
-    /// the breaker.
-    pub fn note_kill(&self, name: &str) -> bool {
-        self.record_kill(&self.breaker(name))
-    }
-
-    /// [`Self::note_kill`] on a resolved breaker.
+    /// Records a kill (watchdog / stack guard / panic); returns `true` if
+    /// this kill tripped (or, for a failed probe, re-tripped) the breaker.
     pub fn record_kill(&self, breaker: &Breaker) -> bool {
         let mut st = breaker.state.lock();
         st.consecutive_kills += 1;
@@ -297,14 +286,9 @@ impl Quarantine {
         tripped
     }
 
-    /// Records a clean run for `name`, resetting its consecutive-kill
-    /// counter. A clean half-open probe readmits the extension fully;
-    /// otherwise quarantine status is unaffected.
-    pub fn note_clean(&self, name: &str) {
-        self.record_clean(&self.breaker(name));
-    }
-
-    /// [`Self::note_clean`] on a resolved breaker.
+    /// Records a clean run, resetting the consecutive-kill counter. A
+    /// clean half-open probe readmits the extension fully; otherwise
+    /// quarantine status is unaffected.
     pub fn record_clean(&self, breaker: &Breaker) {
         if breaker.is_calm() {
             return;
@@ -317,17 +301,6 @@ impl Quarantine {
             st.cooldown_progress = 0;
         }
         breaker.settle(&st);
-    }
-
-    /// Explicitly readmits `name`, clearing quarantine and the
-    /// consecutive-kill counter; returns whether it was quarantined.
-    pub fn reset(&self, name: &str) -> bool {
-        self.breaker(name).reset()
-    }
-
-    /// Total kills ever recorded for `name`.
-    pub fn total_kills(&self, name: &str) -> u64 {
-        self.breaker(name).total_kills()
     }
 }
 
@@ -693,10 +666,11 @@ mod tests {
     #[test]
     fn without_cooldown_quarantine_is_permanent() {
         let q = Quarantine::new(2);
-        q.note_kill("x");
-        assert!(q.note_kill("x"));
+        let x = q.breaker("x");
+        q.record_kill(&x);
+        assert!(q.record_kill(&x));
         for _ in 0..100 {
-            assert_eq!(q.try_admit("x"), Admission::Refused);
+            assert_eq!(q.admit(&x), Admission::Refused);
         }
         assert!(q.is_quarantined("x"));
     }
@@ -704,42 +678,44 @@ mod tests {
     #[test]
     fn cooldown_admits_one_probe_and_clean_probe_readmits() {
         let q = Quarantine::new(1).with_cooldown(3);
-        assert!(q.note_kill("x"));
+        let x = q.breaker("x");
+        assert!(q.record_kill(&x));
         // Three refused admissions are the cooldown...
         for _ in 0..3 {
-            assert_eq!(q.try_admit("x"), Admission::Refused);
+            assert_eq!(q.admit(&x), Admission::Refused);
         }
         // ...then exactly one probe is admitted.
-        assert_eq!(q.try_admit("x"), Admission::Probe);
-        assert_eq!(q.try_admit("x"), Admission::Refused, "one probe at a time");
+        assert_eq!(q.admit(&x), Admission::Probe);
+        assert_eq!(q.admit(&x), Admission::Refused, "one probe at a time");
         // The probe came back clean: fully readmitted.
-        q.note_clean("x");
+        q.record_clean(&x);
         assert!(!q.is_quarantined("x"));
-        assert_eq!(q.try_admit("x"), Admission::Admitted);
+        assert_eq!(q.admit(&x), Admission::Admitted);
     }
 
     #[test]
     fn killed_probe_retrips_immediately_and_restarts_cooldown() {
         let q = Quarantine::new(1).with_cooldown(2);
-        assert!(q.note_kill("x"));
-        assert_eq!(q.try_admit("x"), Admission::Refused);
-        assert_eq!(q.try_admit("x"), Admission::Refused);
-        assert_eq!(q.try_admit("x"), Admission::Probe);
+        let x = q.breaker("x");
+        assert!(q.record_kill(&x));
+        assert_eq!(q.admit(&x), Admission::Refused);
+        assert_eq!(q.admit(&x), Admission::Refused);
+        assert_eq!(q.admit(&x), Admission::Probe);
         // The probe died: the breaker re-trips on that single kill, even
         // though the threshold would normally require more.
-        assert!(q.note_kill("x"));
+        assert!(q.record_kill(&x));
         assert!(q.is_quarantined("x"));
         // And the cooldown starts over from zero.
-        assert_eq!(q.try_admit("x"), Admission::Refused);
-        assert_eq!(q.try_admit("x"), Admission::Refused);
-        assert_eq!(q.try_admit("x"), Admission::Probe);
+        assert_eq!(q.admit(&x), Admission::Refused);
+        assert_eq!(q.admit(&x), Admission::Refused);
+        assert_eq!(q.admit(&x), Admission::Probe);
     }
 
     #[test]
-    fn try_admit_matches_is_quarantined_for_untracked_names() {
+    fn admit_matches_is_quarantined_for_untracked_names() {
         let q = Quarantine::new(3).with_cooldown(1);
-        assert_eq!(q.try_admit("never-seen"), Admission::Admitted);
-        q.note_kill("other");
-        assert_eq!(q.try_admit("other"), Admission::Admitted);
+        assert_eq!(q.admit(&q.breaker("never-seen")), Admission::Admitted);
+        q.record_kill(&q.breaker("other"));
+        assert_eq!(q.admit(&q.breaker("other")), Admission::Admitted);
     }
 }

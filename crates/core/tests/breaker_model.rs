@@ -1,9 +1,10 @@
 //! The quarantine breaker against a reference model: random sequences of
 //! admissions, kills, clean runs, resets and queries over three keys give
-//! the same answers through the `&str` API, through breakers resolved
-//! once, and from a string-keyed map of breaker states; and a breaker is
-//! calm (admission and a clean run skip its lock) exactly when the model
-//! says the key is admitted with no kill since its last clean run.
+//! the same answers through breakers resolved by key on every call,
+//! through breakers resolved once, and from a string-keyed map of breaker
+//! states; and a breaker is calm (admission and a clean run skip its lock)
+//! exactly when the model says the key is admitted with no kill since its
+//! last clean run.
 
 use std::collections::HashMap;
 
@@ -169,7 +170,9 @@ proptest! {
         ops in prop::collection::vec(op(), 1..80),
     ) {
         let mut model = Model::new(threshold, cooldown);
+        // `by_name` resolves a key on every call; `resolved` holds breakers.
         let by_name = quarantine(threshold, cooldown);
+        let named = |k: usize| by_name.breaker(KEYS[k]);
         let resolved = quarantine(threshold, cooldown);
         let breakers: Vec<_> = KEYS.iter().map(|k| resolved.breaker(k)).collect();
 
@@ -177,23 +180,23 @@ proptest! {
             let (want, got_name, got_breaker) = match op {
                 Op::Admit(k) => (
                     Answer::Admission(model.try_admit(KEYS[k])),
-                    Answer::Admission(by_name.try_admit(KEYS[k])),
+                    Answer::Admission(by_name.admit(&named(k))),
                     Answer::Admission(resolved.admit(&breakers[k])),
                 ),
                 Op::Kill(k) => (
                     Answer::Flag(model.note_kill(KEYS[k])),
-                    Answer::Flag(by_name.note_kill(KEYS[k])),
+                    Answer::Flag(by_name.record_kill(&named(k))),
                     Answer::Flag(resolved.record_kill(&breakers[k])),
                 ),
                 Op::Clean(k) => {
                     model.note_clean(KEYS[k]);
-                    by_name.note_clean(KEYS[k]);
+                    by_name.record_clean(&named(k));
                     resolved.record_clean(&breakers[k]);
                     (Answer::Unit, Answer::Unit, Answer::Unit)
                 }
                 Op::Reset(k) => (
                     Answer::Flag(model.reset(KEYS[k])),
-                    Answer::Flag(by_name.reset(KEYS[k])),
+                    Answer::Flag(named(k).reset()),
                     Answer::Flag(breakers[k].reset()),
                 ),
                 Op::IsQuarantined(k) => (
@@ -203,20 +206,20 @@ proptest! {
                 ),
                 Op::TotalKills(k) => (
                     Answer::Count(model.total_kills(KEYS[k])),
-                    Answer::Count(by_name.total_kills(KEYS[k])),
+                    Answer::Count(named(k).total_kills()),
                     Answer::Count(breakers[k].total_kills()),
                 ),
             };
-            prop_assert_eq!(&got_name, &want, "step {} {:?}: &str API", step, op);
+            prop_assert_eq!(&got_name, &want, "step {} {:?}: resolved per call", step, op);
             prop_assert_eq!(&got_breaker, &want, "step {} {:?}: resolved breaker", step, op);
 
             for (k, key) in KEYS.iter().enumerate() {
                 let calm = model.calm(key);
-                prop_assert_eq!(by_name.breaker(key).is_calm(), calm, "step {} key {}", step, key);
+                prop_assert_eq!(named(k).is_calm(), calm, "step {} key {}", step, key);
                 prop_assert_eq!(breakers[k].is_calm(), calm, "step {} key {}", step, key);
                 prop_assert_eq!(breakers[k].is_quarantined(), model.is_quarantined(key));
                 prop_assert_eq!(resolved.is_quarantined(key), model.is_quarantined(key));
-                prop_assert_eq!(resolved.total_kills(key), model.total_kills(key));
+                prop_assert_eq!(resolved.breaker(key).total_kills(), model.total_kills(key));
             }
         }
     }
@@ -240,6 +243,6 @@ fn a_kill_below_the_threshold_ends_calm_until_a_clean_run() {
     assert!(q.record_kill(&b));
     assert!(b.is_quarantined());
     assert_eq!(q.admit(&b), Admission::Refused);
-    assert!(q.reset("t/main"));
+    assert!(q.breaker("t/main").reset());
     assert!(b.is_calm());
 }

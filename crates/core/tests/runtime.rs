@@ -654,6 +654,7 @@ fn quarantine_trips_at_threshold_refuses_and_readmits_after_reset() {
     let q = Arc::new(Quarantine::new(2));
     let runtime = h.runtime().with_quarantine(q.clone());
     let crasher = Extension::new("crasher", ProgType::Kprobe, |_| panic!("boom"));
+    let breaker = q.breaker("crasher");
 
     // First kill: below threshold, still admitted.
     let first = runtime.run(&crasher, ExtInput::None);
@@ -664,20 +665,20 @@ fn quarantine_trips_at_threshold_refuses_and_readmits_after_reset() {
     let second = runtime.run(&crasher, ExtInput::None);
     assert!(matches!(second.result, Err(Abort::Panic(_))));
     assert!(q.is_quarantined("crasher"));
-    assert_eq!(q.total_kills("crasher"), 2);
+    assert_eq!(breaker.total_kills(), 2);
 
     // While quarantined, entry is refused without running the body.
     let refused = runtime.run(&crasher, ExtInput::None);
     assert!(matches!(refused.result, Err(Abort::Quarantined)));
     assert_eq!(refused.fuel_used, 0);
-    assert_eq!(q.total_kills("crasher"), 2);
+    assert_eq!(breaker.total_kills(), 2);
     assert!(h.kernel.audit.count(EventKind::Quarantined) >= 2);
 
     // Explicit reset readmits: the next run executes (and dies) again.
-    assert!(q.reset("crasher"));
+    assert!(breaker.reset());
     let readmitted = runtime.run(&crasher, ExtInput::None);
     assert!(matches!(readmitted.result, Err(Abort::Panic(_))));
-    assert_eq!(q.total_kills("crasher"), 3);
+    assert_eq!(breaker.total_kills(), 3);
     assert!(h.kernel.health().pristine());
 }
 
@@ -708,7 +709,7 @@ fn clean_runs_reset_the_consecutive_kill_counter() {
         assert_eq!(runtime.run(&flaky, ExtInput::None).unwrap(), 0);
     }
     assert!(!q.is_quarantined("flaky"));
-    assert_eq!(q.total_kills("flaky"), 3);
+    assert_eq!(q.breaker("flaky").total_kills(), 3);
 }
 
 #[test]
@@ -735,7 +736,8 @@ fn loader_refuses_quarantined_extension_until_reset() {
     assert!(loader.load(&signed, &registry).is_ok());
 
     // One kill at threshold 1 quarantines `noop`; the loader now refuses.
-    q.note_kill("noop");
+    let noop = q.breaker("noop");
+    q.record_kill(&noop);
     assert!(matches!(
         loader.load(&signed, &registry),
         Err(LoadError::Quarantined(name)) if name == "noop"
@@ -743,7 +745,7 @@ fn loader_refuses_quarantined_extension_until_reset() {
     assert!(h.kernel.audit.count(EventKind::Quarantined) >= 1);
 
     // Reset readmits at the loader too.
-    assert!(q.reset("noop"));
+    assert!(noop.reset());
     assert!(loader.load(&signed, &registry).is_ok());
 }
 

@@ -388,8 +388,8 @@ impl Oracle {
     }
 
     /// Executes the program over the whole input family, through both
-    /// lanes (interpreter and the lowered block executor), each run on a
-    /// fresh kernel.
+    /// lanes (interpreter and the compiled lane, `Vm::load_jit`), each run
+    /// on a fresh kernel.
     pub fn probe(&self, insns: &[Insn], prog_type: ProgType) -> RuntimeProbe {
         let mut class = RuntimeClass::Safe;
         let mut jit_agrees = true;

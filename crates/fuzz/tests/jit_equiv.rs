@@ -8,7 +8,8 @@
 //! oracle's exhaustive input family through both lanes:
 //!
 //! * the instruction-at-a-time interpreter ([`Vm::load`]), and
-//! * the lowered block executor ([`Vm::load_jit`]).
+//! * the compiled lane ([`Vm::load_jit`]): one lowered op per slot, with
+//!   the fuel it owes settled wherever the clock is read.
 //!
 //! The lanes must agree on the *full observable surface*: run result,
 //! instruction/helper/depth counters, printk stream, the kernel's audit

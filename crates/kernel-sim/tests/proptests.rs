@@ -244,6 +244,32 @@ proptest! {
     }
 }
 
+/// A case `checked_memory_matches_oracle` once shrank to: regions of 77,
+/// 161, 130 and 91 bytes, each followed by a 4 KiB guard gap, put region
+/// 3's base exactly 12,656 bytes past region 0's. A read at that offset
+/// from region 0 lands in region 3, and the byte before it in the guard
+/// gap after region 2.
+#[test]
+fn an_offset_past_region_0_reads_the_region_it_lands_in() {
+    let mem = KernelMem::new();
+    let bases: Vec<u64> = [77, 161, 130, 91]
+        .iter()
+        .enumerate()
+        .map(|(i, len)| mem.map(format_args!("r{i}"), *len, Perms::rw()).unwrap())
+        .collect();
+    let addr = bases[0] + 12_656;
+    assert_eq!(addr, bases[3]);
+    mem.fill(bases[3], 1, 0x5a).unwrap();
+    assert_eq!(mem.read_bytes(addr, 1), Ok(vec![0x5a]));
+    assert_eq!(
+        mem.read_bytes(addr - 1, 1),
+        Err(Fault::Unmapped {
+            addr: addr - 1,
+            len: 1
+        })
+    );
+}
+
 /// Many regions mapped and unmapped in arbitrary order never confuse the
 /// allocator: live regions stay readable, dead ones fault.
 #[test]

@@ -1,143 +1,49 @@
-//! Per-seed reproducibility of the fault-injection plane: running the
-//! same seeded scenario twice — on both frameworks — must produce
-//! byte-identical audit event streams, identical injection counts, and
-//! identical final virtual clocks. This is the contract the soak harness
-//! (`cargo run -p bench --bin soak`) relies on to make any failing seed
-//! replayable.
+//! Per-seed reproducibility of the fault-injection soak
+//! ([`bench::soak`]): running a seed's scenario twice — on both
+//! frameworks, over every seed the `soak` report sums — must produce
+//! byte-identical audit event streams, identical tallies and injection
+//! counts, and identical final virtual clocks, and no safe-side run may
+//! break a kernel invariant. This is the contract that makes any failing
+//! seed of `BENCH_soak.json` replayable.
 
-use ebpf::asm::Asm;
-use ebpf::helpers::HelperRegistry;
-use ebpf::insn::*;
-use ebpf::interp::{CtxInput, Vm};
-use ebpf::maps::{MapDef, MapRegistry};
-use ebpf::program::{ProgType, Program};
-use kernel_sim::audit::AuditEvent;
-use kernel_sim::{FaultPlan, Kernel};
-use safe_ext::{ExtInput, Extension, Runtime};
+use bench::soak::{self, SeedRun};
 
-const SEEDS: std::ops::Range<u64> = 1..17;
-const PACKETS: usize = 8;
-
-fn packets() -> Vec<Vec<u8>> {
-    (0..PACKETS)
-        .map(|i| vec![(i % 4) as u8, 0xaa, 0xbb, i as u8])
+/// Runs `scenario` twice under every soak seed, requires the two runs to
+/// agree, and returns the first run of each seed.
+fn replay(scenario: fn(u64) -> SeedRun) -> Vec<SeedRun> {
+    soak::SEEDS
+        .map(|seed| {
+            let (a, b) = (scenario(seed), scenario(seed));
+            assert!(a.audit == b.audit, "seed {seed}: audit streams diverged");
+            assert_eq!(
+                a.tally, b.tally,
+                "seed {seed}: tallies and injection counts"
+            );
+            assert_eq!(a.clock_ns, b.clock_ns, "seed {seed}: final clocks");
+            assert_eq!(a.violations, b.violations, "seed {seed}: violations");
+            a
+        })
         .collect()
-}
-
-/// Canonical byte form of an audit stream.
-fn fingerprint(events: &[AuditEvent]) -> String {
-    events
-        .iter()
-        .map(|e| format!("{}|{:?}|{}|{:?}\n", e.at_ns, e.kind, e.detail, e.fault))
-        .collect()
-}
-
-/// One safe-framework scenario; returns (audit stream, injections, clock).
-fn safe_scenario(seed: u64) -> (String, u64, u64) {
-    let kernel = Kernel::new();
-    kernel.populate_demo_env();
-    let maps = MapRegistry::default();
-    let counts = maps
-        .create(&kernel, MapDef::array("counts", 8, 4))
-        .expect("map creation");
-    let plane = kernel.arm_fault_plan(FaultPlan::new(seed));
-    let runtime = Runtime::new(&kernel, &maps);
-    let ext = Extension::new("det-filter", ProgType::SocketFilter, move |ctx| {
-        let pkt = ctx.packet()?;
-        if pkt.len() < 2 {
-            return Ok(0);
-        }
-        let proto = (pkt.load_u8(0)? & 3) as u32;
-        ctx.array(counts)?.fetch_add_u64(proto, 0, 1)?;
-        Ok(pkt.len() as u64)
-    });
-    for payload in packets() {
-        let _ = runtime.run(&ext, ExtInput::Packet(payload));
-    }
-    (
-        fingerprint(&kernel.audit.snapshot()),
-        plane.total_injected(),
-        kernel.clock.now_ns(),
-    )
-}
-
-/// The packet-filter program: bounds check, map count, accept.
-fn packet_filter(fd: u32) -> Program {
-    let insns = Asm::new()
-        .mov64_reg(Reg::R6, Reg::R1)
-        .ldx(BPF_DW, Reg::R2, Reg::R6, 0)
-        .ldx(BPF_DW, Reg::R3, Reg::R6, 8)
-        .mov64_reg(Reg::R4, Reg::R2)
-        .alu64_imm(BPF_ADD, Reg::R4, 2)
-        .mov64_imm(Reg::R0, 0)
-        .jmp64_reg(BPF_JGT, Reg::R4, Reg::R3, "out")
-        .ldx(BPF_B, Reg::R7, Reg::R2, 0)
-        .alu64_imm(BPF_AND, Reg::R7, 3)
-        .stx(BPF_W, Reg::R10, -4, Reg::R7)
-        .ld_map_fd(Reg::R1, fd)
-        .mov64_reg(Reg::R2, Reg::R10)
-        .alu64_imm(BPF_ADD, Reg::R2, -4)
-        .call_helper(ebpf::helpers::BPF_MAP_LOOKUP_ELEM as i32)
-        .jmp64_imm(BPF_JEQ, Reg::R0, 0, "out")
-        .ldx(BPF_DW, Reg::R0, Reg::R0, 0)
-        .label("out")
-        .exit()
-        .build()
-        .unwrap();
-    Program::new("det-filter", ProgType::SocketFilter, insns)
-}
-
-/// One baseline scenario; returns (audit stream, injections, clock).
-fn baseline_scenario(seed: u64) -> (String, u64, u64) {
-    let kernel = Kernel::new();
-    kernel.populate_demo_env();
-    let maps = MapRegistry::default();
-    let helpers = HelperRegistry::standard();
-    let counts = maps
-        .create(&kernel, MapDef::array("counts", 8, 4))
-        .expect("map creation");
-    let prog = packet_filter(counts);
-    let mut vm = Vm::new(&kernel, &maps, &helpers);
-    let id = vm.load(prog);
-    let plane = kernel.arm_fault_plan(FaultPlan::new(seed));
-    for payload in packets() {
-        let _ = vm.run(id, CtxInput::Packet(payload));
-    }
-    (
-        fingerprint(&kernel.audit.snapshot()),
-        plane.total_injected(),
-        kernel.clock.now_ns(),
-    )
 }
 
 #[test]
 fn same_seed_reproduces_the_safe_audit_stream_byte_for_byte() {
-    for seed in SEEDS {
-        let (stream_a, injected_a, clock_a) = safe_scenario(seed);
-        let (stream_b, injected_b, clock_b) = safe_scenario(seed);
-        assert_eq!(stream_a, stream_b, "seed {seed}: audit streams diverged");
-        assert_eq!(injected_a, injected_b, "seed {seed}: injection counts");
-        assert_eq!(clock_a, clock_b, "seed {seed}: final clocks");
+    for run in replay(soak::safe) {
+        assert!(run.violations.is_empty(), "{:?}", run.violations);
     }
 }
 
 #[test]
 fn same_seed_reproduces_the_baseline_audit_stream_byte_for_byte() {
-    for seed in SEEDS {
-        let (stream_a, injected_a, clock_a) = baseline_scenario(seed);
-        let (stream_b, injected_b, clock_b) = baseline_scenario(seed);
-        assert_eq!(stream_a, stream_b, "seed {seed}: audit streams diverged");
-        assert_eq!(injected_a, injected_b, "seed {seed}: injection counts");
-        assert_eq!(clock_a, clock_b, "seed {seed}: final clocks");
-    }
+    replay(soak::baseline);
 }
 
 #[test]
 fn different_seeds_produce_different_schedules() {
-    // Not a hard guarantee for any *single* pair, but across 16 seeds at
-    // the default storm rates at least one pair must diverge — otherwise
-    // the plane is ignoring its seed.
-    let streams: Vec<String> = SEEDS.map(|s| safe_scenario(s).0).collect();
+    // Not a hard guarantee for any *single* pair, but across the soak's
+    // seeds at the default storm rates at least one pair must diverge —
+    // otherwise the plane is ignoring its seed.
+    let streams: Vec<String> = soak::SEEDS.map(|s| soak::safe(s).audit).collect();
     assert!(
         streams.windows(2).any(|w| w[0] != w[1]),
         "all seeds produced identical audit streams"
