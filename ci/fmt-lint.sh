@@ -30,31 +30,13 @@ say "perfbench: cargo clippy --all-targets -- -D warnings"
 cargo clippy --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 
 # Feature matrix: the workspace must build with default features off,
-# and the ebpf crate with its bug replicas compiled in. Either breaking
-# silently is how feature-gated code rots.
+# and the ebpf crate both without and with its bug replicas compiled in.
+# Either side breaking silently is how feature-gated code rots.
 say "feature matrix: cargo check --workspace --no-default-features"
 cargo check --workspace --no-default-features
 
+say "feature matrix: cargo check -p ebpf"
+cargo check -p ebpf
+
 say "feature matrix: cargo check -p ebpf --features bug-replicas"
 cargo check -p ebpf --features bug-replicas
-
-# Sandbox row: the SFI lane's structural invariants (mask closure,
-# inner windows inside the domain) re-validated on every check. One ctx
-# builder and one helper dispatcher serve every bytecode lane, so every
-# ebpf suite runs under them, plus the sandbox property tests.
-say "feature matrix: cargo test -p ebpf --features sandbox-strict"
-cargo test -q -p ebpf --features sandbox-strict
-say "feature matrix: sandbox proptests under ebpf/sandbox-strict"
-cargo test -q --features ebpf/sandbox-strict --test sandbox_proptests
-
-# Ladder feature matrix: each verifier feature-growth rung (bpf2bpf,
-# tail calls, spin locks, ringbuf reservations) keeps its focused
-# suites green — generator strata, shrinker and store coverage, the
-# ladder measurement harness, and the ladder proptests plus both
-# reproducer-store replay suites.
-say "feature matrix: ladder strata (fuzz gen/shrink/corpus)"
-cargo test -q -p fuzz --lib
-say "feature matrix: ladder measurement harness (bench ladder)"
-cargo test -q -p bench --lib ladder
-say "feature matrix: ladder replay suites"
-cargo test -q --test feature_ladder_proptests --test bugdb_replay --test fuzz_corpus_replay

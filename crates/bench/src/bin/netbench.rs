@@ -7,11 +7,11 @@
 //! lane), 1/2/4/8 shards, with and without a fault plan armed — and
 //! writes the results to `BENCH_net.json` in the repository root.
 //!
-//! Every configuration is run twice and must replay byte-identically;
-//! on top of that, the canonical per-packet record log must be
-//! byte-identical *across shard counts* within each
-//! `(scenario, backend, fault)` cell — including the fault-armed cells.
-//! Either divergence exits nonzero.
+//! Every configuration runs once. The canonical per-packet record log
+//! must be byte-identical *across shard counts* within each
+//! `(scenario, backend, fault)` cell — including the fault-armed cells —
+//! or the binary exits nonzero; replay across processes is the report
+//! gate's check.
 
 use analysis::json::Obj;
 use analysis::report;
@@ -59,8 +59,8 @@ fn full(out: &str) {
                     };
                     run_net_batched(lane, &cfg, &frames)
                 });
-                let base_sim_pps = runs[0][0].per_sim_sec(frames.len() as u64);
-                for (shards, [report, _]) in SHARD_COUNTS.into_iter().zip(&runs) {
+                let base_sim_pps = runs[0].per_sim_sec(frames.len() as u64);
+                for (shards, report) in SHARD_COUNTS.into_iter().zip(&runs) {
                     let packets = report.items();
                     assert_eq!(packets, frames.len() as u64);
                     let sim_pps = report.per_sim_sec(packets);

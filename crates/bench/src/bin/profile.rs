@@ -69,8 +69,8 @@ fn check_unperturbed(
     }
 }
 
-/// Runs `lane` traced across [`SHARD_COUNTS`] (each twice; the canonical
-/// trace must not vary with shard count), checks the zero observer effect
+/// Runs `lane` traced across [`SHARD_COUNTS`] (the canonical trace must
+/// not vary with shard count), checks the zero observer effect
 /// against an untraced run and, for a bytecode lane, the same canonical
 /// trace and zero observer effect under its JIT twin at 1 shard. One row
 /// per shard count.
@@ -80,7 +80,7 @@ fn sweep(lane: Lane, batch: &[Vec<u8>]) -> Vec<Row> {
         run_batched(lane, &config(n, true), batch)
     });
     let mut rows = Vec::new();
-    for (shards, [report, _]) in SHARD_COUNTS.into_iter().zip(runs) {
+    for (shards, report) in SHARD_COUNTS.into_iter().zip(runs) {
         check_unperturbed(lane, shards, &report, batch);
         let tagged: Vec<(usize, Vec<TraceEvent>)> = report
             .shards

@@ -38,7 +38,7 @@ fn full(out: &str) {
                 .num("clean", sum(|t| t.clean))
                 .num("errors", sum(|t| t.errors))
                 .num("kills", sum(|t| t.kills))
-                .num("faults", sum(|t| t.faults))
+                .num("alloc_failed", sum(|t| t.alloc_failed))
                 .num("alloc_retries", sum(|t| t.alloc_retries))
                 .num("injected", sum(|t| t.injected))
                 .num("dirty_kernels", sum(|t| t.dirty_kernels))

@@ -23,10 +23,6 @@ use crate::{workloads, Lane};
 /// 0 masked to two bits).
 pub const PROTO_CLASSES: usize = 4;
 
-/// Consecutive kills before the safe runtime's breaker quarantines a
-/// shard's filter.
-const QUARANTINE_THRESHOLD: u32 = 3;
-
 /// Dispatch configuration.
 #[derive(Debug, Clone, Default)]
 pub struct DispatchConfig {
@@ -175,7 +171,6 @@ impl<'a> Scenario for Batch<'a> {
             shard,
             || workloads::packet_filter(counts_fd),
             || filter_ext(counts_fd),
-            Some(QUARANTINE_THRESHOLD),
         );
         let mut out = ShardOut::<DispatchStats>::default();
         for (index, payload) in feed {

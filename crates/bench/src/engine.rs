@@ -470,21 +470,22 @@ pub fn ok<St>(run: Result<RunReport<St>, DispatchError>, what: &str) -> RunRepor
     run.unwrap_or_else(|e| fail(&format!("{what}: {e}")))
 }
 
-/// Runs one grid cell — one configuration at each of `shard_counts` —
-/// twice per shard count (`run_twice`), and fails unless the canonical
-/// log, the canonical trace and the tallies are the same at every shard
-/// count. Returns each shard count's two runs.
+/// Runs one grid cell — one configuration at each of `shard_counts`,
+/// once each — and fails unless the canonical log, the canonical trace
+/// and the tallies are the same at every shard count. Returns one run
+/// per shard count. Replay determinism is the report gate's to check,
+/// across processes.
 pub fn sweep<St: PartialEq>(
     what: &str,
     shard_counts: &[usize],
     run: impl Fn(usize) -> Result<RunReport<St>, DispatchError>,
-) -> Vec<[RunReport<St>; 2]> {
+) -> Vec<RunReport<St>> {
     let runs: Vec<_> = shard_counts
         .iter()
-        .map(|&n| run_twice(&format!("{what} shards={n}"), || run(n)))
+        .map(|&n| ok(run(n), &format!("{what} shards={n}")))
         .collect();
-    let first = &runs[0][0];
-    for (n, [r, _]) in shard_counts.iter().zip(&runs) {
+    let first = &runs[0];
+    for (n, r) in shard_counts.iter().zip(&runs) {
         if r.canonical_log != first.canonical_log
             || r.canonical_trace != first.canonical_trace
             || r.stats != first.stats
@@ -493,28 +494,6 @@ pub fn sweep<St: PartialEq>(
         }
     }
     runs
-}
-
-/// Runs one configuration twice and fails unless both runs agree on the
-/// merged audit, the canonical log and the canonical trace. Returns both
-/// runs, the one with the lower host critical path first: host cost is
-/// noisy, so reports keep its best observation.
-fn run_twice<St>(
-    what: &str,
-    run: impl Fn() -> Result<RunReport<St>, DispatchError>,
-) -> [RunReport<St>; 2] {
-    let (a, b) = (ok(run(), what), ok(run(), what));
-    if a.merged_fingerprint != b.merged_fingerprint
-        || a.canonical_log != b.canonical_log
-        || a.canonical_trace != b.canonical_trace
-    {
-        fail(&format!("nondeterministic replay for {what}"));
-    }
-    if b.host_cpu_ns < a.host_cpu_ns {
-        [b, a]
-    } else {
-        [a, b]
-    }
 }
 
 #[cfg(test)]

@@ -1,11 +1,9 @@
 //! The five execution lanes every bench scenario runs on.
 
-use std::sync::Arc;
-
 use ebpf::interp::{SandboxConfig, Vm};
 use ebpf::jit::JitConfig;
 use ebpf::program::Program;
-use safe_ext::{Extension, Quarantine, Runtime};
+use safe_ext::{Extension, Runtime};
 use tenancy::ProgramSpec;
 
 use crate::engine::Shard;
@@ -103,8 +101,8 @@ impl Lane {
     }
 
     /// Loads the bytecode from `prog`, or the safe-dialect mirror from
-    /// `ext`, onto `shard` outside the tenancy plane. `quarantine` arms the
-    /// safe runtime's consecutive-kill breaker at that threshold.
+    /// `ext`, onto `shard` outside the tenancy plane, with no breaker:
+    /// admission control is the tenancy plane's.
     ///
     /// # Panics
     ///
@@ -115,7 +113,6 @@ impl Lane {
         shard: &'s Shard,
         prog: impl FnOnce() -> Program,
         ext: impl FnOnce() -> Extension,
-        quarantine: Option<u32>,
     ) -> PacketRun<'s> {
         let mut vm = Vm::new(&shard.kernel, &shard.maps, &shard.helpers);
         let (sandbox, jit) = (SandboxConfig::default(), JitConfig::default());
@@ -129,10 +126,7 @@ impl Lane {
                     .0
             }
             Lane::SafeExt => {
-                let mut runtime = Runtime::new(&shard.kernel, &shard.maps);
-                if let Some(threshold) = quarantine {
-                    runtime = runtime.with_quarantine(Arc::new(Quarantine::new(threshold)));
-                }
+                let runtime = Runtime::new(&shard.kernel, &shard.maps);
                 let ext = ext();
                 return Box::new(move |payload| runtime.run_packet(&ext, payload).result.ok());
             }

@@ -36,8 +36,8 @@
 //!    across the one run.
 //! 4. **No cross-flow capacity pressure.** Shard conntrack tables are
 //!    sized ([`kernel_sim::net::DEFAULT_CONNTRACK_CAPACITY`]) so
-//!    canonical workloads never evict, and no quarantine breaker runs —
-//!    both would couple unrelated flows through shard-global state.
+//!    canonical workloads never evict: eviction would couple unrelated
+//!    flows through shard-global state.
 //!
 //! The merged audit fingerprint is replay-deterministic only; it differs
 //! across shard counts.
@@ -528,15 +528,7 @@ impl<'a> Scenario for Flows<'a> {
         let kernel = &shard.kernel;
         let scenario = self.cfg.scenario;
         let fd = scenario.setup(kernel, &shard.maps);
-        // No quarantine circuit breaker: its consecutive-abort counter is
-        // shard-global cross-flow state, which would make verdicts depend
-        // on which flows share a shard.
-        let prog = lane.load(
-            shard,
-            || scenario.program(fd),
-            || scenario.extension(fd),
-            None,
-        );
+        let prog = lane.load(shard, || scenario.program(fd), || scenario.extension(fd));
         let mut stats = NetStats::default();
         let mut records = Vec::new();
         for (idx, frame) in feed {

@@ -13,6 +13,7 @@ use ebpf::interp::{ExecError, Vm};
 use ebpf::maps::{MapDef, MapRegistry};
 use ebpf::program::ProgType;
 use kernel_sim::audit::EventKind;
+use kernel_sim::mem::Fault;
 use kernel_sim::objects::SockAddr;
 use kernel_sim::{FaultPlan, FaultPlane, Kernel};
 use safe_ext::{ExtError, Extension, Runtime};
@@ -35,7 +36,7 @@ fn packet(i: u8) -> [u8; 4] {
 }
 
 /// What one backend did under one seed. Every run counts once in
-/// `clean`, `errors`, `kills` or `faults`.
+/// `clean`, `errors`, `kills` or `alloc_failed`.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct Tally {
     /// Runs that returned normally.
@@ -44,10 +45,10 @@ pub struct Tally {
     pub errors: u64,
     /// Safe-ext runs killed by a watchdog, the stack guard or a panic.
     pub kills: u64,
-    /// eBPF runs that ended in [`ExecError::Fault`]. Under the soak's
-    /// plan these are context allocation failures: the run fails before
-    /// the program starts, and nothing oopses.
-    pub faults: u64,
+    /// eBPF runs that ended in [`ExecError::Setup`] on an allocation
+    /// failure: the context, or a frame (entry, callee or tail-call
+    /// target), could not be allocated, and nothing oopsed.
+    pub alloc_failed: u64,
     /// Transient skb allocation failures the safe runtime retried.
     pub alloc_retries: u64,
     /// Faults the plane injected.
@@ -170,7 +171,10 @@ pub fn baseline(seed: u64) -> SeedRun {
     for i in 0..PACKETS_PER_SEED {
         match vm.run_packet(id, &packet(i)).result {
             Ok(_) => tally.clean += 1,
-            Err(ExecError::Fault { .. }) => tally.faults += 1,
+            Err(ExecError::Setup {
+                fault: Fault::AllocFailed { .. },
+                ..
+            }) => tally.alloc_failed += 1,
             Err(_) => tally.errors += 1,
         }
     }

@@ -66,7 +66,7 @@ fn run_lane(scenario: NetScenario, frames: &[Vec<u8>], lane: Lane, translate: bo
             .expect("net programs validate")
             .0
     };
-    let run = lane.load(&shard, prog, || scenario.extension(fd), None);
+    let run = lane.load(&shard, prog, || scenario.extension(fd));
     PathOutcome {
         verdicts: frames.iter().map(|bytes| run(bytes)).collect(),
         audit_fingerprint: kernel.audit.fingerprint(),

@@ -102,9 +102,6 @@ pub enum Abort {
     Panic(String),
     /// The extension returned an unhandled error.
     Error(ExtError),
-    /// The run was refused before entry: the extension is quarantined by
-    /// the circuit breaker (see [`crate::runtime::Quarantine`]).
-    Quarantined,
 }
 
 impl std::fmt::Display for Abort {
@@ -116,15 +113,14 @@ impl std::fmt::Display for Abort {
             Abort::StackGuard => write!(f, "terminated: stack guard"),
             Abort::Panic(msg) => write!(f, "terminated: panic: {msg}"),
             Abort::Error(e) => write!(f, "failed: {e}"),
-            Abort::Quarantined => write!(f, "refused: extension is quarantined"),
         }
     }
 }
 
 impl Abort {
     /// Whether the run was killed: a watchdog, the stack guard or a panic
-    /// ended it. A kill counts toward quarantine; an unhandled error or a
-    /// refused run does not.
+    /// ended it. A kill counts toward the control plane's quarantine; an
+    /// unhandled error does not.
     pub fn is_kill(&self) -> bool {
         matches!(
             self,
@@ -160,7 +156,7 @@ mod tests {
             | Abort::WatchdogAsync
             | Abort::StackGuard
             | Abort::Panic(_) => true,
-            Abort::Error(_) | Abort::Quarantined => false,
+            Abort::Error(_) => false,
         };
         let all = [
             Abort::WatchdogFuel,
@@ -169,7 +165,6 @@ mod tests {
             Abort::StackGuard,
             Abort::Panic("boom".into()),
             Abort::Error(ExtError::NotFound),
-            Abort::Quarantined,
         ];
         for abort in &all {
             assert_eq!(abort.is_kill(), kill(abort), "{abort}");

@@ -60,5 +60,5 @@ pub use error::{Abort, ExtError};
 pub use ext::{ChainFn, ExtTable, ExtVerdict, Extension, MAX_TAIL_CHAIN};
 pub use kernel_crate::{ExtCtx, ExtInput, SysBpfRequest, TaskRef};
 pub use loader::{ExtensionRegistry, LoadError, Loader};
-pub use runtime::{Admission, Breaker, ExtOutcome, Quarantine, Runtime, RuntimeConfig};
+pub use runtime::{ExtOutcome, Runtime, RuntimeConfig};
 pub use toolchain::{SignedArtifact, Toolchain, ToolchainError};

@@ -30,9 +30,6 @@ pub enum LoadError {
     UnresolvedCapability(String),
     /// The artifact's program type disagrees with the linked entry's.
     ProgTypeMismatch,
-    /// The extension is quarantined by the circuit breaker and must be
-    /// explicitly reset before it can load again.
-    Quarantined(String),
 }
 
 impl std::fmt::Display for LoadError {
@@ -45,9 +42,6 @@ impl std::fmt::Display for LoadError {
                 write!(f, "unresolved capability `{cap}`")
             }
             LoadError::ProgTypeMismatch => write!(f, "program type mismatch"),
-            LoadError::Quarantined(name) => {
-                write!(f, "extension `{name}` is quarantined")
-            }
         }
     }
 }
@@ -112,28 +106,12 @@ pub struct LoadedExtension {
 pub struct Loader<'k> {
     kernel: &'k Kernel,
     keyring: KeyStore,
-    quarantine: Option<std::sync::Arc<crate::runtime::Quarantine>>,
 }
 
 impl<'k> Loader<'k> {
     /// Creates a loader with the given (ideally sealed) keyring.
     pub fn new(kernel: &'k Kernel, keyring: KeyStore) -> Self {
-        Loader {
-            kernel,
-            keyring,
-            quarantine: None,
-        }
-    }
-
-    /// Attaches a quarantine circuit breaker (typically shared with the
-    /// [`crate::Runtime`]): loads of a quarantined extension are refused
-    /// until it is explicitly reset.
-    pub fn with_quarantine(
-        mut self,
-        quarantine: std::sync::Arc<crate::runtime::Quarantine>,
-    ) -> Self {
-        self.quarantine = Some(quarantine);
-        self
+        Loader { kernel, keyring }
     }
 
     /// Validates, parses, and fixes up a signed artifact.
@@ -169,17 +147,6 @@ impl<'k> Loader<'k> {
             );
             LoadError::MalformedArtifact
         })?;
-
-        if let Some(q) = &self.quarantine {
-            if q.is_quarantined(&artifact.name) {
-                self.kernel.audit.record(
-                    now(),
-                    EventKind::Quarantined,
-                    format!("load refused: `{}` is quarantined", artifact.name),
-                );
-                return Err(LoadError::Quarantined(artifact.name.clone()));
-            }
-        }
 
         // Load-time fixup: resolve every required capability.
         let mut fixups_resolved = 0;

@@ -627,14 +627,9 @@ fn for_each_is_watchdogged() {
     assert!(matches!(outcome.result, Err(Abort::WatchdogFuel)));
 }
 
-// ---- Fault plane: graceful degradation, backoff, and quarantine ----
-
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+// ---- Fault plane: graceful degradation and backoff ----
 
 use kernel_sim::{FaultPlan, FaultPlanConfig};
-use safe_ext::{ExtensionRegistry, LoadError, Loader, Quarantine, Toolchain};
-use signing::{KeyStore, SigningKey};
 
 /// A quiet plan that deterministically fails the first `burst`
 /// allocations — the scripted schedule for retry/backoff tests.
@@ -646,107 +641,6 @@ fn alloc_burst_plan(burst: u32) -> FaultPlan {
             ..FaultPlanConfig::quiet()
         },
     )
-}
-
-#[test]
-fn quarantine_trips_at_threshold_refuses_and_readmits_after_reset() {
-    let h = H::new();
-    let q = Arc::new(Quarantine::new(2));
-    let runtime = h.runtime().with_quarantine(q.clone());
-    let crasher = Extension::new("crasher", ProgType::Kprobe, |_| panic!("boom"));
-    let breaker = q.breaker("crasher");
-
-    // First kill: below threshold, still admitted.
-    let first = runtime.run(&crasher, ExtInput::None);
-    assert!(matches!(first.result, Err(Abort::Panic(_))));
-    assert!(!q.is_quarantined("crasher"));
-
-    // Second consecutive kill trips the breaker.
-    let second = runtime.run(&crasher, ExtInput::None);
-    assert!(matches!(second.result, Err(Abort::Panic(_))));
-    assert!(q.is_quarantined("crasher"));
-    assert_eq!(breaker.total_kills(), 2);
-
-    // While quarantined, entry is refused without running the body.
-    let refused = runtime.run(&crasher, ExtInput::None);
-    assert!(matches!(refused.result, Err(Abort::Quarantined)));
-    assert_eq!(refused.fuel_used, 0);
-    assert_eq!(breaker.total_kills(), 2);
-    assert!(h.kernel.audit.count(EventKind::Quarantined) >= 2);
-
-    // Explicit reset readmits: the next run executes (and dies) again.
-    assert!(breaker.reset());
-    let readmitted = runtime.run(&crasher, ExtInput::None);
-    assert!(matches!(readmitted.result, Err(Abort::Panic(_))));
-    assert_eq!(breaker.total_kills(), 3);
-    assert!(h.kernel.health().pristine());
-}
-
-#[test]
-fn clean_runs_reset_the_consecutive_kill_counter() {
-    let h = H::new();
-    let q = Arc::new(Quarantine::new(2));
-    let runtime = h.runtime().with_quarantine(q.clone());
-    let fail = Arc::new(AtomicBool::new(false));
-    let flaky = Extension::new("flaky", ProgType::Kprobe, {
-        let fail = fail.clone();
-        move |_| {
-            if fail.load(Ordering::Relaxed) {
-                panic!("flaky");
-            }
-            Ok(0)
-        }
-    });
-
-    // Alternating kill/clean never reaches two *consecutive* kills.
-    for _ in 0..3 {
-        fail.store(true, Ordering::Relaxed);
-        assert!(matches!(
-            runtime.run(&flaky, ExtInput::None).result,
-            Err(Abort::Panic(_))
-        ));
-        fail.store(false, Ordering::Relaxed);
-        assert_eq!(runtime.run(&flaky, ExtInput::None).unwrap(), 0);
-    }
-    assert!(!q.is_quarantined("flaky"));
-    assert_eq!(q.breaker("flaky").total_kills(), 3);
-}
-
-#[test]
-fn loader_refuses_quarantined_extension_until_reset() {
-    let h = H::new();
-    let key = SigningKey::derive(7);
-    let toolchain = Toolchain::new(key.clone());
-    let mut keyring = KeyStore::new();
-    keyring.enroll(&key).unwrap();
-    keyring.seal();
-    let mut registry = ExtensionRegistry::new();
-    registry.link(
-        "noop_entry",
-        Extension::new("noop", ProgType::Kprobe, |_| Ok(0)),
-    );
-    let signed = toolchain
-        .build("fn f() {}", "noop", ProgType::Kprobe, "noop_entry", &[])
-        .unwrap();
-
-    let q = Arc::new(Quarantine::new(1));
-    let loader = Loader::new(&h.kernel, keyring).with_quarantine(q.clone());
-
-    // Loadable before the breaker trips.
-    assert!(loader.load(&signed, &registry).is_ok());
-
-    // One kill at threshold 1 quarantines `noop`; the loader now refuses.
-    let noop = q.breaker("noop");
-    q.record_kill(&noop);
-    assert!(matches!(
-        loader.load(&signed, &registry),
-        Err(LoadError::Quarantined(name)) if name == "noop"
-    ));
-    assert!(h.kernel.audit.count(EventKind::Quarantined) >= 1);
-
-    // Reset readmits at the loader too.
-    assert!(noop.reset());
-    assert!(loader.load(&signed, &registry).is_ok());
 }
 
 #[test]
@@ -798,8 +692,7 @@ fn fault_schedule_and_backoff_are_deterministic_in_virtual_time() {
     let scenario = || {
         let h = H::new();
         h.kernel.arm_fault_plan(FaultPlan::new(42));
-        let q = Arc::new(Quarantine::new(3));
-        let runtime = h.runtime().with_quarantine(q);
+        let runtime = h.runtime();
         let ext = Extension::new("det", ProgType::Xdp, |ctx| {
             let pkt = ctx.packet()?;
             Ok(pkt.len() as u64)

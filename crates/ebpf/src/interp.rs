@@ -123,6 +123,16 @@ pub enum ExecError {
         /// Program counter at the faulting instruction.
         pc: usize,
     },
+    /// The run could not set up its context or a stack frame: an
+    /// allocation failed (under injected memory pressure, say), or a hook
+    /// context did not fit the program's. No instruction touched the
+    /// memory, so unlike [`ExecError::Fault`] the kernel does *not* oops.
+    Setup {
+        /// The allocation's or the context write's fault.
+        fault: Fault,
+        /// Entry pc of the frame being set up (0 for the context).
+        pc: usize,
+    },
     /// A helper failed in a non-recoverable way.
     HelperFailure {
         /// Description.
@@ -200,6 +210,7 @@ impl std::fmt::Display for ExecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ExecError::Fault { fault, pc } => write!(f, "fault at pc {pc}: {fault}"),
+            ExecError::Setup { fault, pc } => write!(f, "run setup failed at pc {pc}: {fault}"),
             ExecError::HelperFailure { msg, pc } => write!(f, "helper failure at pc {pc}: {msg}"),
             ExecError::Deadlock { pc } => write!(f, "deadlock at pc {pc}"),
             ExecError::BadInstruction { pc } => write!(f, "bad instruction at pc {pc}"),
@@ -385,25 +396,23 @@ impl DomainRun {
     /// The SFI check: masked-in-domain addresses must sit in a live inner
     /// window, everything else in a granted kernel window.
     fn allows(&self, addr: Addr, len: u64) -> bool {
-        // Under `sandbox-strict`, re-validate the structural invariants
-        // the window bookkeeping relies on at every check: the mask is
-        // closed over the domain, and every live inner window sits
-        // wholly inside it (so mask-identity and window membership can
-        // never disagree). A failure here is a bug in the sandbox
-        // implementation, never in the program under test.
-        #[cfg(feature = "sandbox-strict")]
-        {
-            assert!(
-                self.dom.contains(self.dom.mask(addr), 1),
-                "sandbox-strict: mask escaped the domain for {addr:#x}"
-            );
-            for &(b, l) in &self.inner {
-                assert!(
-                    l == 0 || self.dom.contains(b, l),
-                    "sandbox-strict: inner window [{b:#x}; {l}) escapes the domain"
-                );
-            }
-        }
+        // Debug builds re-validate the structural invariants the window
+        // bookkeeping relies on at every check: the mask is closed over
+        // the domain, and every live inner window sits wholly inside it
+        // (so mask-identity and window membership can never disagree). A
+        // failure here is a bug in the sandbox implementation, never in
+        // the program under test.
+        debug_assert!(
+            self.dom.contains(self.dom.mask(addr), 1),
+            "mask escaped the domain for {addr:#x}"
+        );
+        debug_assert!(
+            self.inner
+                .iter()
+                .all(|&(b, l)| l == 0 || self.dom.contains(b, l)),
+            "an inner window escapes the domain: {:x?}",
+            self.inner
+        );
         let Some(end) = addr.checked_add(len) else {
             return false;
         };
@@ -718,7 +727,7 @@ impl<'a> Vm<'a> {
         let (ctx_addr, skb, dom) =
             match self.build_ctx(loaded.prog.prog_type, input, loaded.sandbox) {
                 Ok(parts) => parts,
-                Err(fault) => return Self::aborted(ExecError::Fault { fault, pc: 0 }),
+                Err(fault) => return Self::aborted(ExecError::Setup { fault, pc: 0 }),
             };
 
         let mut st = St {
@@ -995,14 +1004,14 @@ impl<'a> Vm<'a> {
                 self.kernel
                     .mem
                     .fill(frame, BPF_STACK_SIZE, 0)
-                    .map_err(|fault| ExecError::Fault { fault, pc: entry })?;
+                    .map_err(|fault| ExecError::Setup { fault, pc: entry })?;
                 Ok(frame)
             }
             None => self
                 .kernel
                 .mem
                 .map("bpf-stack", BPF_STACK_SIZE, Perms::rw())
-                .map_err(|fault| ExecError::Fault { fault, pc: entry }),
+                .map_err(|fault| ExecError::Setup { fault, pc: entry }),
         }
     }
 

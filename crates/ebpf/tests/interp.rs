@@ -10,7 +10,7 @@ use ebpf::maps::{MapDef, MapRegistry};
 use ebpf::program::{ProgType, Program};
 use kernel_sim::audit::EventKind;
 use kernel_sim::mem::{Fault, KERNEL_VA_BASE};
-use kernel_sim::Kernel;
+use kernel_sim::{FaultPlan, FaultPlanConfig, Kernel};
 
 struct Harness {
     kernel: Kernel,
@@ -621,6 +621,42 @@ fn load_in_lane(vm: &mut Vm<'_>, lane: usize, prog: Program) -> u32 {
 }
 
 #[test]
+fn context_allocation_failure_is_a_setup_error_not_an_oops() {
+    for lane in 0..4 {
+        let h = Harness::new();
+        let mut vm = h.vm();
+        let prog = Asm::new().mov64_imm(Reg::R0, 1).exit().build().unwrap();
+        let id = load_in_lane(
+            &mut vm,
+            lane,
+            Program::new("t", ProgType::SocketFilter, prog),
+        );
+        // The burst fails the run's first allocation, its context: the
+        // run ends before the program starts, and nothing oopses.
+        h.kernel.arm_fault_plan(FaultPlan::with_config(
+            1,
+            FaultPlanConfig {
+                alloc_fail_burst: 1,
+                ..FaultPlanConfig::quiet()
+            },
+        ));
+        let result = vm.run_packet(id, &[0u8; 8]).result;
+        assert!(
+            matches!(
+                result,
+                Err(ExecError::Setup {
+                    fault: Fault::AllocFailed { .. },
+                    pc: 0
+                })
+            ),
+            "lane {lane}: {result:?}"
+        );
+        assert!(h.kernel.health().pristine(), "lane {lane}");
+        assert_eq!(vm.run_packet(id, &[0u8; 8]).result, Ok(1), "lane {lane}");
+    }
+}
+
+#[test]
 fn hook_ctx_words_reach_every_lane() {
     let words: [u64; 8] =
         std::array::from_fn(|i| 0x0123_4567_89ab_cdefu64.rotate_left(8 * i as u32) ^ i as u64);
@@ -684,8 +720,9 @@ fn hook_ctx_words_reach_every_lane() {
 #[test]
 fn hook_ctx_longer_than_the_program_ctx_faults_on_its_first_extra_word() {
     // A kprobe register file fed to a socket filter: the 24-byte ctx
-    // holds three words, so the fourth faults in the guard gap after
-    // it. A sandbox ctx lies in its 8 KiB domain, which holds all eight.
+    // holds three words, so writing the fourth faults in the guard gap
+    // after it, before the program runs and without an oops. A sandbox
+    // ctx lies in its 8 KiB domain, which holds all eight.
     for lane in 0..4 {
         let h = Harness::new();
         let start = h.kernel.mem.bytes_mapped();
@@ -700,7 +737,7 @@ fn hook_ctx_longer_than_the_program_ctx_faults_on_its_first_extra_word() {
         if lane < 2 {
             assert_eq!(
                 result,
-                Err(ExecError::Fault {
+                Err(ExecError::Setup {
                     fault: Fault::Unmapped {
                         addr: KERNEL_VA_BASE + 0x18,
                         len: 8
@@ -709,6 +746,7 @@ fn hook_ctx_longer_than_the_program_ctx_faults_on_its_first_extra_word() {
                 }),
                 "lane {lane}"
             );
+            assert!(h.kernel.health().pristine(), "lane {lane}");
         } else {
             assert_eq!(result, Ok(5), "lane {lane}");
         }

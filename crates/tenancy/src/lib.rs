@@ -22,18 +22,22 @@
 //!   down when the last reference drops ([`TenancyError`] on stale use;
 //!   the fd-generation table in [`ebpf::maps`] turns any stale fd into an
 //!   error rather than aliasing).
-//! - **Tenant-scoped quarantine** — the circuit breaker is keyed by
-//!   `tenant/point` (tenant names hold no `/`, so two tenants' keys never
-//!   collide), so one misbehaving tenant's breaker trips without
-//!   disturbing neighbors, and the half-open cooldown probe readmits it
+//! - **Tenant-scoped quarantine** — the circuit breaker ([`Quarantine`],
+//!   the only one in the workspace: admission is control-plane policy,
+//!   not a runtime mechanism) is keyed by `tenant/point` (tenant names
+//!   hold no `/`, so two tenants' keys never collide), so one
+//!   misbehaving tenant's breaker trips without disturbing neighbors,
+//!   and the half-open cooldown probe readmits it
 //!   deterministically once the fault storm passes. [`storm`] derives the
 //!   seeded "quarantine storm" fault configuration that drives targeted
 //!   kills through the fault-injection plane.
 
+pub mod breaker;
 pub mod budget;
 pub mod registry;
 pub mod storm;
 
+pub use breaker::{Breaker, Quarantine};
 pub use budget::TenantBudget;
 pub use registry::{
     HookInput, ProgramSpec, RunOutcome, RunVerdict, TenancyError, TenantId, TenantRegistry,

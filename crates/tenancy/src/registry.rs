@@ -12,9 +12,10 @@ use kernel_sim::audit::EventKind;
 use kernel_sim::mem::Fault;
 use kernel_sim::trace::SpanKind;
 use kernel_sim::{Kernel, Metrics};
-use safe_ext::{Admission, Breaker, ExtInput, Extension, Quarantine, Runtime, RuntimeConfig};
+use safe_ext::{ExtInput, Extension, Runtime, RuntimeConfig};
 use verifier::Verifier;
 
+use crate::breaker::{Breaker, Quarantine};
 use crate::budget::TenantBudget;
 
 /// A tenant handle: dense ids in registration order. The tenant's memory
@@ -242,16 +243,11 @@ impl<'k> TenantRegistry<'k> {
     /// Creates a registry with a default breaker (threshold 3, half-open
     /// cooldown of 8 refused admissions).
     pub fn new(kernel: &'k Kernel, maps: &'k MapRegistry, helpers: &'k HelperRegistry) -> Self {
-        Self::with_quarantine(
-            kernel,
-            maps,
-            helpers,
-            Arc::new(Quarantine::new(3).with_cooldown(8)),
-        )
+        Self::with_quarantine(kernel, maps, helpers, Arc::new(Quarantine::new(3, 8)))
     }
 
-    /// Creates a registry with an explicit breaker (shared with whatever
-    /// else wants visibility into trips).
+    /// Creates a registry with an explicit breaker, so the caller can set
+    /// its threshold and cooldown and inspect its keys' trips.
     pub fn with_quarantine(
         kernel: &'k Kernel,
         maps: &'k MapRegistry,
@@ -268,11 +264,6 @@ impl<'k> TenantRegistry<'k> {
             by_name: HashMap::new(),
             shared: BTreeMap::new(),
         }
-    }
-
-    /// The breaker, for inspection (trip counts, quarantine status).
-    pub fn quarantine(&self) -> &Arc<Quarantine> {
-        &self.quarantine
     }
 
     /// Number of registered tenants.
@@ -715,7 +706,7 @@ impl<'k> TenantRegistry<'k> {
             .ok_or_else(|| TenancyError::UnknownPoint(point.to_string()))?;
         let key = &*att.breaker_key;
         let breaker = &*att.breaker;
-        if self.quarantine.admit(breaker) == Admission::Refused {
+        if !self.quarantine.admit(breaker) {
             self.kernel.audit.record(
                 self.kernel.clock.now_ns(),
                 EventKind::Quarantined,

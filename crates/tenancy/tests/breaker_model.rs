@@ -10,7 +10,7 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 
-use safe_ext::{Admission, Quarantine};
+use tenancy::Quarantine;
 
 const KEYS: [&str; 3] = ["a/main", "b/main", "a/probe"];
 
@@ -18,7 +18,7 @@ const KEYS: [&str; 3] = ["a/main", "b/main", "a/probe"];
 /// as `Quarantine` kept it before keys were interned into breakers.
 struct Model {
     threshold: u32,
-    cooldown: Option<u32>,
+    cooldown: u32,
     state: HashMap<String, ModelState>,
 }
 
@@ -32,10 +32,10 @@ struct ModelState {
 }
 
 impl Model {
-    fn new(threshold: u32, cooldown: Option<u32>) -> Self {
+    fn new(threshold: u32, cooldown: u32) -> Self {
         Model {
             threshold: threshold.max(1),
-            cooldown: cooldown.map(|c| c.max(1)),
+            cooldown: cooldown.max(1),
             state: HashMap::new(),
         }
     }
@@ -44,26 +44,23 @@ impl Model {
         self.state.get(name).map(|s| s.quarantined).unwrap_or(false)
     }
 
-    fn try_admit(&mut self, name: &str) -> Admission {
+    fn try_admit(&mut self, name: &str) -> bool {
         let Some(entry) = self.state.get_mut(name) else {
-            return Admission::Admitted;
+            return true;
         };
         if !entry.quarantined {
-            return Admission::Admitted;
+            return true;
         }
-        let Some(intervals) = self.cooldown else {
-            return Admission::Refused;
-        };
         if entry.probing {
-            return Admission::Refused;
+            return false;
         }
-        if entry.cooldown_progress >= intervals {
+        if entry.cooldown_progress >= self.cooldown {
             entry.cooldown_progress = 0;
             entry.probing = true;
-            Admission::Probe
+            true
         } else {
             entry.cooldown_progress += 1;
-            Admission::Refused
+            false
         }
     }
 
@@ -134,7 +131,6 @@ enum Op {
 /// What one operation returned, in a comparable form.
 #[derive(Debug, PartialEq, Eq)]
 enum Answer {
-    Admission(Admission),
     Flag(bool),
     Count(u64),
     Unit,
@@ -152,36 +148,28 @@ fn op() -> impl Strategy<Value = Op> {
     ]
 }
 
-fn quarantine(threshold: u32, cooldown: Option<u32>) -> Quarantine {
-    let q = Quarantine::new(threshold);
-    match cooldown {
-        Some(c) => q.with_cooldown(c),
-        None => q,
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn breakers_match_the_string_keyed_model(
         threshold in 1u32..=4,
-        cooldown in prop::option::of(1u32..=4),
+        cooldown in 1u32..=4,
         ops in prop::collection::vec(op(), 1..80),
     ) {
         let mut model = Model::new(threshold, cooldown);
         // `by_name` resolves a key on every call; `resolved` holds breakers.
-        let by_name = quarantine(threshold, cooldown);
+        let by_name = Quarantine::new(threshold, cooldown);
         let named = |k: usize| by_name.breaker(KEYS[k]);
-        let resolved = quarantine(threshold, cooldown);
+        let resolved = Quarantine::new(threshold, cooldown);
         let breakers: Vec<_> = KEYS.iter().map(|k| resolved.breaker(k)).collect();
 
         for (step, op) in ops.into_iter().enumerate() {
             let (want, got_name, got_breaker) = match op {
                 Op::Admit(k) => (
-                    Answer::Admission(model.try_admit(KEYS[k])),
-                    Answer::Admission(by_name.admit(&named(k))),
-                    Answer::Admission(resolved.admit(&breakers[k])),
+                    Answer::Flag(model.try_admit(KEYS[k])),
+                    Answer::Flag(by_name.admit(&named(k))),
+                    Answer::Flag(resolved.admit(&breakers[k])),
                 ),
                 Op::Kill(k) => (
                     Answer::Flag(model.note_kill(KEYS[k])),
@@ -201,7 +189,7 @@ proptest! {
                 ),
                 Op::IsQuarantined(k) => (
                     Answer::Flag(model.is_quarantined(KEYS[k])),
-                    Answer::Flag(by_name.is_quarantined(KEYS[k])),
+                    Answer::Flag(named(k).is_quarantined()),
                     Answer::Flag(breakers[k].is_quarantined()),
                 ),
                 Op::TotalKills(k) => (
@@ -218,7 +206,6 @@ proptest! {
                 prop_assert_eq!(named(k).is_calm(), calm, "step {} key {}", step, key);
                 prop_assert_eq!(breakers[k].is_calm(), calm, "step {} key {}", step, key);
                 prop_assert_eq!(breakers[k].is_quarantined(), model.is_quarantined(key));
-                prop_assert_eq!(resolved.is_quarantined(key), model.is_quarantined(key));
                 prop_assert_eq!(resolved.breaker(key).total_kills(), model.total_kills(key));
             }
         }
@@ -230,19 +217,19 @@ proptest! {
 /// split by a clean run never trip a threshold of two.
 #[test]
 fn a_kill_below_the_threshold_ends_calm_until_a_clean_run() {
-    let q = Quarantine::new(2);
+    let q = Quarantine::new(2, 8);
     let b = q.breaker("t/main");
     assert!(b.is_calm());
     assert!(!q.record_kill(&b));
     assert!(!b.is_calm());
-    assert_eq!(q.admit(&b), Admission::Admitted);
+    assert!(q.admit(&b));
     q.record_clean(&b);
     assert!(b.is_calm());
     assert!(!q.record_kill(&b));
     assert!(!b.is_quarantined());
     assert!(q.record_kill(&b));
     assert!(b.is_quarantined());
-    assert_eq!(q.admit(&b), Admission::Refused);
+    assert!(!q.admit(&b));
     assert!(q.breaker("t/main").reset());
     assert!(b.is_calm());
 }

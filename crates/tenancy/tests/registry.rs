@@ -11,9 +11,10 @@ use ebpf::maps::{MapDef, MapError, MapRegistry};
 use ebpf::program::{ProgType, Program};
 use kernel_sim::mem::Fault;
 use kernel_sim::{FaultPlan, FaultPlanConfig, Kernel};
-use safe_ext::{ExtError, Extension, Quarantine};
+use safe_ext::{ExtError, Extension};
 use tenancy::{
-    storm_fault_config, ProgramSpec, RunVerdict, Storm, TenancyError, TenantBudget, TenantRegistry,
+    storm_fault_config, ProgramSpec, Quarantine, RunVerdict, Storm, TenancyError, TenantBudget,
+    TenantRegistry,
 };
 
 fn world() -> (Kernel, MapRegistry, HelperRegistry) {
@@ -240,7 +241,7 @@ fn unload_tenant_tears_down_everything() {
 #[test]
 fn storm_trips_only_the_targeted_tenants() {
     let (kernel, maps, helpers) = world();
-    let quarantine = Arc::new(Quarantine::new(3).with_cooldown(1_000_000));
+    let quarantine = Arc::new(Quarantine::new(3, 1_000_000));
     let mut reg = TenantRegistry::with_quarantine(&kernel, &maps, &helpers, quarantine.clone());
     let tenants = 6u32;
     for t in 0..tenants {
@@ -281,7 +282,7 @@ fn storm_trips_only_the_targeted_tenants() {
     for t in 0..tenants {
         let key = reg.breaker_key(t, "pkt").unwrap();
         assert_eq!(
-            quarantine.is_quarantined(&key),
+            quarantine.breaker(&key).is_quarantined(),
             storm.is_victim(t),
             "tenant {t}: breaker state must match victim status"
         );
@@ -344,7 +345,7 @@ fn slash_in_tenant_name_cannot_alias_another_tenants_breaker() {
 #[test]
 fn quarantined_tenant_recovers_through_half_open_probe() {
     let (kernel, maps, helpers) = world();
-    let quarantine = Arc::new(Quarantine::new(2).with_cooldown(3));
+    let quarantine = Arc::new(Quarantine::new(2, 3));
     let mut reg = TenantRegistry::with_quarantine(&kernel, &maps, &helpers, quarantine.clone());
     let id = reg.register("flaky", TenantBudget::default()).unwrap();
     reg.attach(
@@ -364,7 +365,7 @@ fn quarantined_tenant_recovers_through_half_open_probe() {
         );
     }
     let key = reg.breaker_key(id, "pkt").unwrap();
-    assert!(quarantine.is_quarantined(&key));
+    assert!(quarantine.breaker(&key).is_quarantined());
 
     // The tenant ships a fix via hot upgrade while quarantined.
     reg.upgrade(id, "pkt", ProgramSpec::Safe(const_ext("flaky/pkt-v2", 5)))
@@ -383,7 +384,7 @@ fn quarantined_tenant_recovers_through_half_open_probe() {
         reg.run_packet(id, "pkt", &[0u8; 8]).unwrap().verdict,
         RunVerdict::Ok(5)
     );
-    assert!(!quarantine.is_quarantined(&key));
+    assert!(!quarantine.breaker(&key).is_quarantined());
     assert_eq!(
         reg.run_packet(id, "pkt", &[0u8; 8]).unwrap().verdict,
         RunVerdict::Ok(5)

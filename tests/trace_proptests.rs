@@ -1,10 +1,7 @@
 //! Property tests for the span-tracing layer: whatever an extension
-//! does — return cleanly, panic (feeding the quarantine circuit
-//! breaker), or exhaust its fuel budget mid-span — every per-CPU trace
-//! stream stays balanced (strict stack discipline), timestamps stay
-//! monotone, and the ring never silently drops an event.
-
-use std::sync::Arc;
+//! does — return cleanly, panic, or exhaust its fuel budget mid-span —
+//! every per-CPU trace stream stays balanced (strict stack discipline),
+//! timestamps stay monotone, and the ring never silently drops an event.
 
 use proptest::prelude::*;
 
@@ -14,14 +11,14 @@ use ebpf::maps::MapRegistry;
 use ebpf::program::ProgType;
 use kernel_sim::trace::{SpanKind, SpanPhase, TraceEvent};
 use kernel_sim::Kernel;
-use safe_ext::{ExtInput, Extension, Quarantine, Runtime, RuntimeConfig};
+use safe_ext::{ExtInput, Extension, Runtime, RuntimeConfig};
 
 /// What one generated run asks its extension to do.
 #[derive(Debug, Clone, Copy)]
 enum Behavior {
     /// Return the packet length.
     Clean,
-    /// Panic after a few context calls (a kill; feeds quarantine).
+    /// Panic after a few context calls (a kill).
     Panic,
     /// Loop on metered context calls until the fuel budget aborts the
     /// run mid-closure.
@@ -110,19 +107,13 @@ proptest! {
         kernel.enable_tracing();
         let maps = MapRegistry::default();
         let runtime = Runtime::new(&kernel, &maps)
-            .with_config(RuntimeConfig { fuel, ..Default::default() })
-            .with_quarantine(Arc::new(Quarantine::new(3)));
+            .with_config(RuntimeConfig { fuel, ..Default::default() });
         for (i, b) in behaviors.iter().enumerate() {
             kernel.trace.begin_task(i as u64);
             let outcome = runtime.run(&extension(*b), ExtInput::Packet(vec![7; 16]));
             kernel.trace.end_task();
-            if matches!(b, Behavior::Clean) && outcome.result.is_err() {
-                // Quarantine refusals are fine (prior kills tripped the
-                // breaker); any other clean-run failure is a bug.
-                prop_assert!(
-                    matches!(outcome.result, Err(safe_ext::Abort::Quarantined)),
-                    "clean run failed: {:?}", outcome.result
-                );
+            if matches!(b, Behavior::Clean) {
+                prop_assert!(outcome.result.is_ok(), "clean run failed: {:?}", outcome.result);
             }
         }
         prop_assert_eq!(kernel.trace.dropped(), 0, "ring dropped events");
