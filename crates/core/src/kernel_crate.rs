@@ -18,6 +18,7 @@
 //!   CVE-2022-2785 NULL-in-union attack inexpressible.
 
 use std::cell::{Cell, OnceCell, RefCell};
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use ebpf::maps::{Map, MapFd, MapKind, MapRegistry};
@@ -391,7 +392,7 @@ impl<'k> ExtCtx<'k> {
 
     // ---- Maps ----
 
-    fn map(&self, fd: MapFd, kind: MapKind) -> Result<std::sync::Arc<Map>, ExtError> {
+    fn map(&self, fd: MapFd, kind: MapKind) -> Result<Rc<Map>, ExtError> {
         let map = self
             .maps
             .get(fd)
@@ -710,7 +711,7 @@ impl PacketView<'_, '_> {
 /// Checked array-map handle.
 pub struct ArrayHandle<'a, 'k> {
     ctx: &'a ExtCtx<'k>,
-    map: std::sync::Arc<Map>,
+    map: Rc<Map>,
 }
 
 impl ArrayHandle<'_, '_> {
@@ -810,7 +811,7 @@ impl ArrayHandle<'_, '_> {
 /// Checked hash-map handle.
 pub struct HashHandle<'a, 'k> {
     ctx: &'a ExtCtx<'k>,
-    map: std::sync::Arc<Map>,
+    map: Rc<Map>,
 }
 
 impl HashHandle<'_, '_> {
@@ -892,7 +893,7 @@ impl HashHandle<'_, '_> {
 pub struct RingbufHandle<'a, 'k> {
     ctx: &'a ExtCtx<'k>,
     fd: MapFd,
-    map: std::sync::Arc<Map>,
+    map: Rc<Map>,
 }
 
 impl<'a, 'k> RingbufHandle<'a, 'k> {
@@ -1010,7 +1011,7 @@ impl Drop for LockGuard<'_, '_> {
 /// RAII ring-buffer record: submit to publish, drop to discard.
 pub struct RecordGuard<'a, 'k> {
     ctx: &'a ExtCtx<'k>,
-    map: std::sync::Arc<Map>,
+    map: Rc<Map>,
     addr: Addr,
     size: u32,
     ticket: Ticket,

@@ -15,7 +15,8 @@
 //! pointer smuggled inside a union) works exactly as described when the
 //! shipped configuration is used.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::rc::Rc;
 
 use kernel_sim::{
     audit::EventKind,
@@ -268,7 +269,7 @@ pub struct RunState {
     /// Number of `bpf_redirect`/`bpf_clone_redirect` actions.
     pub redirects: u32,
     /// Per-(map fd, pid) task-storage value cells.
-    pub task_storage: HashMap<(u32, u32), Addr>,
+    pub task_storage: BTreeMap<(u32, u32), Addr>,
 }
 
 impl RunState {
@@ -1131,7 +1132,7 @@ pub fn standard_helpers() -> Vec<Helper> {
 
 // ---- Implementations ---------------------------------------------------------------
 
-fn map_from_arg(ctx: &HelperCtx<'_>, arg: u64) -> Result<std::sync::Arc<crate::maps::Map>, u64> {
+fn map_from_arg(ctx: &HelperCtx<'_>, arg: u64) -> Result<Rc<crate::maps::Map>, u64> {
     let fd = match untag(MAP_PTR_TAG, arg) {
         Some(fd) => fd as u32,
         // An untagged value reaching a map argument means the program

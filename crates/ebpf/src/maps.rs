@@ -6,10 +6,9 @@
 //! which is exactly the surface the verifier's pointer tracking exists to
 //! police, and the surface the injected CVE replicas abuse.
 
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::rc::Rc;
 
 use kernel_sim::{
     mem::{Addr, Fault, KernelMem, Perms},
@@ -195,7 +194,7 @@ pub struct Map {
     /// a tenant's byte quota covers growth at runtime, not just the
     /// create-time footprint.
     domain: u32,
-    inner: Mutex<MapInner>,
+    inner: RefCell<MapInner>,
 }
 
 impl Map {
@@ -261,7 +260,7 @@ impl Map {
         Ok(Self {
             def,
             domain,
-            inner: Mutex::new(inner),
+            inner: RefCell::new(inner),
         })
     }
 
@@ -273,7 +272,7 @@ impl Map {
     /// afterwards — a use-after-free is an error here, never silent
     /// aliasing of a later tenant's allocation.
     fn teardown(&self, mem: &KernelMem) -> Result<(), MapError> {
-        match &mut *self.inner.lock() {
+        match &mut *self.inner.borrow_mut() {
             MapInner::Array { base } | MapInner::PerCpu { base, .. } => {
                 mem.unmap(*base)?;
             }
@@ -307,7 +306,7 @@ impl Map {
     ///
     /// Returns `None` when the index is out of range.
     pub fn elem_addr(&self, index: u32, cpu: usize) -> Option<Addr> {
-        let inner = self.inner.lock();
+        let inner = self.inner.borrow();
         match &*inner {
             MapInner::Array { base } => (index < self.def.max_entries)
                 .then(|| base + index as u64 * self.def.value_size as u64),
@@ -333,7 +332,7 @@ impl Map {
     /// `update` / `elem_addr` cannot reach it.
     #[cfg(any(test, feature = "bug-replicas"))]
     pub fn elem_addr_overflow_bug(&self, index: u32) -> Option<Addr> {
-        let inner = self.inner.lock();
+        let inner = self.inner.borrow();
         match &*inner {
             MapInner::Array { base } => {
                 // BUG (replica): 32-bit multiply, checked only against a
@@ -353,7 +352,7 @@ impl Map {
         }
         let max_entries = self.def.max_entries;
         let value_size = self.def.value_size as u64;
-        match &mut *self.inner.lock() {
+        match &mut *self.inner.borrow_mut() {
             MapInner::Array { base } => {
                 let index = u32::from_le_bytes(key.try_into().expect("key_size is 4"));
                 Ok((index < max_entries).then(|| *base + index as u64 * value_size))
@@ -393,7 +392,7 @@ impl Map {
         }
         let name = &self.def.name;
         let max_entries = self.def.max_entries;
-        match &mut *self.inner.lock() {
+        match &mut *self.inner.borrow_mut() {
             MapInner::Array { base } => {
                 let index = u32::from_le_bytes(key.try_into().expect("key_size is 4"));
                 if index >= max_entries {
@@ -465,7 +464,7 @@ impl Map {
         if key.len() != self.def.key_size as usize {
             return Err(MapError::BadKeySize);
         }
-        match &mut *self.inner.lock() {
+        match &mut *self.inner.borrow_mut() {
             MapInner::Hash { entries, lru } => {
                 let addr = entries.remove(key).ok_or(MapError::NotFound)?;
                 if let Some(order) = lru {
@@ -488,7 +487,7 @@ impl Map {
 
     /// Snapshot of the keys of a hash-like map (unspecified order).
     pub fn keys(&self) -> Result<Vec<Vec<u8>>, MapError> {
-        match &*self.inner.lock() {
+        match &*self.inner.borrow() {
             MapInner::Hash { entries, .. } => Ok(entries.keys().cloned().collect()),
             _ => Err(MapError::WrongKind),
         }
@@ -496,7 +495,7 @@ impl Map {
 
     /// Reads a prog-array slot.
     pub fn prog_slot(&self, index: u32) -> Result<Option<u32>, MapError> {
-        match &*self.inner.lock() {
+        match &*self.inner.borrow() {
             MapInner::Prog { slots } => Ok(slots.get(index as usize).copied().flatten()),
             _ => Err(MapError::WrongKind),
         }
@@ -510,7 +509,7 @@ impl Map {
         }
         let name = &self.def.name;
         let capacity = self.def.max_entries;
-        match &mut *self.inner.lock() {
+        match &mut *self.inner.borrow_mut() {
             MapInner::Ring { used, reserved, .. } => {
                 // Widen before adding: `used + size` in u32 wraps for sizes
                 // near u32::MAX, which made oversized reservations look like
@@ -534,7 +533,7 @@ impl Map {
 
     /// Submits a previously reserved record.
     pub fn ringbuf_submit(&self, mem: &KernelMem, addr: Addr) -> Result<(), MapError> {
-        match &mut *self.inner.lock() {
+        match &mut *self.inner.borrow_mut() {
             MapInner::Ring {
                 reserved,
                 committed,
@@ -553,7 +552,7 @@ impl Map {
     /// Discards a previously reserved record without publishing it
     /// (`bpf_ringbuf_discard`), freeing its capacity.
     pub fn ringbuf_discard(&self, mem: &KernelMem, addr: Addr) -> Result<(), MapError> {
-        match &mut *self.inner.lock() {
+        match &mut *self.inner.borrow_mut() {
             MapInner::Ring { used, reserved, .. } => {
                 let size = reserved.remove(&addr).ok_or(MapError::NotFound)?;
                 mem.unmap(addr)?;
@@ -570,7 +569,7 @@ impl Map {
             return Err(MapError::BadValueSize);
         }
         let capacity = self.def.max_entries;
-        match &mut *self.inner.lock() {
+        match &mut *self.inner.borrow_mut() {
             MapInner::Ring {
                 used, committed, ..
             } => {
@@ -590,7 +589,7 @@ impl Map {
     /// Consumes all committed ring-buffer records (the userspace side),
     /// freeing their capacity.
     pub fn ringbuf_consume(&self) -> Result<Vec<Vec<u8>>, MapError> {
-        match &mut *self.inner.lock() {
+        match &mut *self.inner.borrow_mut() {
             MapInner::Ring {
                 used, committed, ..
             } => {
@@ -605,7 +604,7 @@ impl Map {
 
     /// Number of live entries (hash-like maps only).
     pub fn len(&self) -> usize {
-        match &*self.inner.lock() {
+        match &*self.inner.borrow() {
             MapInner::Hash { entries, .. } => entries.len(),
             MapInner::Prog { slots } => slots.iter().filter(|s| s.is_some()).count(),
             MapInner::Ring { committed, .. } => committed.len(),
@@ -645,7 +644,7 @@ const FD_INDEX_MASK: u32 = (1 << FD_INDEX_BITS) - 1;
 /// The per-kernel map registry (the fd table).
 #[derive(Debug, Default)]
 pub struct MapRegistry {
-    state: Mutex<RegistryState>,
+    state: RefCell<RegistryState>,
 }
 
 /// One fd-table slot: the map (if live) plus the generation tag that
@@ -653,7 +652,7 @@ pub struct MapRegistry {
 #[derive(Debug, Default)]
 struct Slot {
     gen: u32,
-    map: Option<Arc<Map>>,
+    map: Option<Rc<Map>>,
 }
 
 #[derive(Debug, Default)]
@@ -682,8 +681,8 @@ impl MapRegistry {
         def: MapDef,
         domain: u32,
     ) -> Result<MapFd, MapError> {
-        let map = Arc::new(Map::create(kernel, def, domain)?);
-        let mut st = self.state.lock();
+        let map = Rc::new(Map::create(kernel, def, domain)?);
+        let mut st = self.state.borrow_mut();
         if let Some(index) = st.free.pop() {
             let slot = &mut st.slots[index as usize];
             slot.map = Some(map);
@@ -701,8 +700,8 @@ impl MapRegistry {
 
     /// Looks up a map by fd. Stale fds — revoked by [`Self::destroy`], or
     /// from a prior generation of a reused slot — return `None`.
-    pub fn get(&self, fd: MapFd) -> Option<Arc<Map>> {
-        let st = self.state.lock();
+    pub fn get(&self, fd: MapFd) -> Option<Rc<Map>> {
+        let st = self.state.borrow();
         let index = (fd & FD_INDEX_MASK).checked_sub(1)?;
         let slot = st.slots.get(index as usize)?;
         if slot.gen != fd >> FD_INDEX_BITS {
@@ -719,7 +718,7 @@ impl MapRegistry {
     /// destroying a map twice is a caller bug, not a no-op.
     pub fn destroy(&self, mem: &KernelMem, fd: MapFd) -> Result<(), MapError> {
         let map = {
-            let mut st = self.state.lock();
+            let mut st = self.state.borrow_mut();
             let index = (fd & FD_INDEX_MASK)
                 .checked_sub(1)
                 .ok_or(MapError::NotFound)?;
@@ -732,15 +731,14 @@ impl MapRegistry {
             st.free.push(index);
             map
         };
-        // Teardown happens outside the table lock: unmapping hash entries
-        // is O(live entries) and must not stall concurrent `get`s on the
-        // helper hot path.
+        // The fd is already revoked, so a failed teardown leaves no live
+        // fd behind.
         map.teardown(mem)
     }
 
     /// Number of live maps.
     pub fn len(&self) -> usize {
-        let st = self.state.lock();
+        let st = self.state.borrow();
         st.slots.iter().filter(|s| s.map.is_some()).count()
     }
 

@@ -3,7 +3,7 @@
 //! Every subsystem appends [`AuditEvent`]s here; integration tests and the
 //! experiment harness assert on the log instead of scraping text output.
 
-use parking_lot::Mutex;
+use std::cell::RefCell;
 
 use crate::mem::Fault;
 
@@ -64,7 +64,7 @@ pub struct AuditEvent {
     pub fault: Option<Fault>,
 }
 
-/// An append-only, thread-safe event log.
+/// An append-only event log, owned by one kernel.
 ///
 /// # Examples
 ///
@@ -77,13 +77,13 @@ pub struct AuditEvent {
 /// ```
 #[derive(Debug, Default)]
 pub struct AuditLog {
-    events: Mutex<Vec<AuditEvent>>,
+    events: RefCell<Vec<AuditEvent>>,
 }
 
 impl AuditLog {
     /// Appends an event with no fault payload.
     pub fn record(&self, at_ns: u64, kind: EventKind, detail: impl Into<String>) {
-        self.events.lock().push(AuditEvent {
+        self.events.borrow_mut().push(AuditEvent {
             at_ns,
             kind,
             detail: detail.into(),
@@ -99,7 +99,7 @@ impl AuditLog {
         detail: impl Into<String>,
         fault: Fault,
     ) {
-        self.events.lock().push(AuditEvent {
+        self.events.borrow_mut().push(AuditEvent {
             at_ns,
             kind,
             detail: detail.into(),
@@ -109,18 +109,22 @@ impl AuditLog {
 
     /// Returns the number of events of `kind`.
     pub fn count(&self, kind: EventKind) -> usize {
-        self.events.lock().iter().filter(|e| e.kind == kind).count()
+        self.events
+            .borrow()
+            .iter()
+            .filter(|e| e.kind == kind)
+            .count()
     }
 
     /// Returns a snapshot of all events recorded so far.
     pub fn snapshot(&self) -> Vec<AuditEvent> {
-        self.events.lock().clone()
+        self.events.borrow().clone()
     }
 
     /// Returns snapshots of events of one kind.
     pub fn of_kind(&self, kind: EventKind) -> Vec<AuditEvent> {
         self.events
-            .lock()
+            .borrow()
             .iter()
             .filter(|e| e.kind == kind)
             .cloned()
@@ -129,23 +133,23 @@ impl AuditLog {
 
     /// Total number of events.
     pub fn len(&self) -> usize {
-        self.events.lock().len()
+        self.events.borrow().len()
     }
 
     /// Whether the log is empty.
     pub fn is_empty(&self) -> bool {
-        self.events.lock().is_empty()
+        self.events.borrow().is_empty()
     }
 
     /// Clears the log; used by benchmarks between iterations.
     pub fn clear(&self) {
-        self.events.lock().clear();
+        self.events.borrow_mut().clear();
     }
 
     /// The canonical fingerprint of everything recorded so far; see
     /// [`fingerprint`].
     pub fn fingerprint(&self) -> String {
-        fingerprint(&self.events.lock())
+        fingerprint(&self.events.borrow())
     }
 }
 

@@ -8,7 +8,7 @@
 //!
 //! * **Probe points** ([`ProbePoint`]) — kprobe/tracepoint-style
 //!   observability. Rather than invoking callbacks from inside the
-//!   substrate (re-entrant under the lock and RCU mutexes), the probe
+//!   substrate (re-entrant inside the subsystems' borrows), the probe
 //!   source is the trace layer's event stream: the hook engine drains the
 //!   [`crate::Tracer`] ring and maps events to probe points with
 //!   [`ProbePoint::from_trace`]. Probe programs aggregate into the

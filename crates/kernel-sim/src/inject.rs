@@ -25,12 +25,9 @@
 //! * helper dispatch in the eBPF baseline — transient helper failure,
 //!   routed through the kernel-level slot ([`crate::Kernel::inject`]).
 
-use std::sync::{
-    atomic::{AtomicBool, AtomicU64, Ordering},
-    Arc,
-};
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 
-use parking_lot::Mutex;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::{
@@ -188,27 +185,27 @@ struct Dice {
 }
 
 /// A live, armed fault plan: the seeded decision stream plus the audit log
-/// and clock it reports through. Shared (via `Arc`) by every subsystem of
+/// and clock it reports through. Shared (via `Rc`) by every subsystem of
 /// one kernel.
 #[derive(Debug)]
 pub struct FaultPlane {
     plan: FaultPlan,
-    audit: Arc<AuditLog>,
+    audit: Rc<AuditLog>,
     clock: VirtualClock,
-    dice: Mutex<Dice>,
-    counts: [AtomicU64; 6],
+    dice: RefCell<Dice>,
+    counts: [Cell<u64>; 6],
     /// Kernel metrics to count injections into, when armed via
     /// [`crate::Kernel::arm_fault_plan`].
-    metrics: Option<Arc<crate::metrics::Metrics>>,
+    metrics: Option<Rc<crate::metrics::Metrics>>,
 }
 
 impl FaultPlane {
     /// Creates a plane from a plan. `clock` should be a bare handle (see
     /// [`VirtualClock::bare_handle`]) so the plane itself never re-enters
     /// injection when reading timestamps.
-    pub fn new(plan: FaultPlan, audit: Arc<AuditLog>, clock: VirtualClock) -> Self {
+    pub fn new(plan: FaultPlan, audit: Rc<AuditLog>, clock: VirtualClock) -> Self {
         FaultPlane {
-            dice: Mutex::new(Dice {
+            dice: RefCell::new(Dice {
                 rng: StdRng::seed_from_u64(plan.seed),
                 alloc_burst_left: plan.config.alloc_fail_burst,
             }),
@@ -221,7 +218,7 @@ impl FaultPlane {
     }
 
     /// Counts every injected fault into `metrics.fault_injections` too.
-    pub fn with_metrics(mut self, metrics: Arc<crate::metrics::Metrics>) -> Self {
+    pub fn with_metrics(mut self, metrics: Rc<crate::metrics::Metrics>) -> Self {
         self.metrics = Some(metrics);
         self
     }
@@ -233,7 +230,7 @@ impl FaultPlane {
 
     /// Number of faults injected at `site` so far.
     pub fn injected(&self, site: FaultSite) -> u64 {
-        self.counts[site.index()].load(Ordering::Relaxed)
+        self.counts[site.index()].get()
     }
 
     /// Total faults injected across all sites.
@@ -246,7 +243,7 @@ impl FaultPlane {
     }
 
     fn note(&self, site: FaultSite, detail: String) {
-        self.counts[site.index()].fetch_add(1, Ordering::Relaxed);
+        crate::metrics::Metrics::bump(&self.counts[site.index()], 1);
         if let Some(metrics) = &self.metrics {
             crate::metrics::Metrics::bump(&metrics.fault_injections, 1);
         }
@@ -257,7 +254,7 @@ impl FaultPlane {
     /// Decides whether the allocation of `len` bytes for `region` fails;
     /// `region` is rendered only into the audit record of a failure.
     pub fn alloc_should_fail(&self, region: impl std::fmt::Display, len: u64) -> bool {
-        let mut dice = self.dice.lock();
+        let mut dice = self.dice.borrow_mut();
         let hit = if dice.alloc_burst_left > 0 {
             dice.alloc_burst_left -= 1;
             true
@@ -276,7 +273,7 @@ impl FaultPlane {
 
     /// Decides whether acquiring `id` finds it transiently busy.
     pub fn lock_should_busy(&self, id: LockId) -> bool {
-        let hit = Self::roll(&mut self.dice.lock(), self.plan.config.lock_busy_rate);
+        let hit = Self::roll(&mut self.dice.borrow_mut(), self.plan.config.lock_busy_rate);
         if hit {
             self.note(
                 FaultSite::Lock,
@@ -294,7 +291,7 @@ impl FaultPlane {
             .config
             .rcu_delay_max_ns
             .min(stall_timeout_ns.saturating_sub(1));
-        let mut dice = self.dice.lock();
+        let mut dice = self.dice.borrow_mut();
         if max == 0 || !Self::roll(&mut dice, self.plan.config.rcu_delay_rate) {
             return None;
         }
@@ -309,7 +306,10 @@ impl FaultPlane {
 
     /// Decides whether a `get` on `id` is refused by saturation pressure.
     pub fn ref_should_saturate(&self, id: ObjId) -> bool {
-        let hit = Self::roll(&mut self.dice.lock(), self.plan.config.ref_saturation_rate);
+        let hit = Self::roll(
+            &mut self.dice.borrow_mut(),
+            self.plan.config.ref_saturation_rate,
+        );
         if hit {
             self.note(
                 FaultSite::Refcount,
@@ -322,7 +322,7 @@ impl FaultPlane {
     /// Decides the extra forward jump (if any) for one clock advance.
     pub fn clock_jump(&self) -> Option<u64> {
         let max = self.plan.config.clock_jump_max_ns;
-        let mut dice = self.dice.lock();
+        let mut dice = self.dice.borrow_mut();
         if max == 0 || !Self::roll(&mut dice, self.plan.config.clock_jump_rate) {
             return None;
         }
@@ -337,7 +337,10 @@ impl FaultPlane {
 
     /// Decides whether helper `id` fails transiently before dispatch.
     pub fn helper_should_fail(&self, id: u32) -> bool {
-        let hit = Self::roll(&mut self.dice.lock(), self.plan.config.helper_fail_rate);
+        let hit = Self::roll(
+            &mut self.dice.borrow_mut(),
+            self.plan.config.helper_fail_rate,
+        );
         if hit {
             self.note(
                 FaultSite::Helper,
@@ -350,35 +353,29 @@ impl FaultPlane {
 
 /// Per-subsystem mount point for a [`FaultPlane`].
 ///
-/// The armed flag is a relaxed-path atomic so the disarmed cost on every
-/// hot-path operation is a single load; the plane itself lives behind a
-/// mutex touched only when armed.
+/// The slot belongs to one kernel and is read on every hot-path
+/// operation, so the disarmed cost is one borrow-flag check and one
+/// `None` test: no lock, no atomic.
 #[derive(Debug, Default)]
 pub struct InjectSlot {
-    armed: AtomicBool,
-    plane: Mutex<Option<Arc<FaultPlane>>>,
+    plane: RefCell<Option<Rc<FaultPlane>>>,
 }
 
 impl InjectSlot {
     /// Installs `plane` and arms the slot.
-    pub fn arm(&self, plane: Arc<FaultPlane>) {
-        *self.plane.lock() = Some(plane);
-        self.armed.store(true, Ordering::Release);
+    pub fn arm(&self, plane: Rc<FaultPlane>) {
+        *self.plane.borrow_mut() = Some(plane);
     }
 
     /// Disarms the slot and drops its plane reference.
     pub fn disarm(&self) {
-        self.armed.store(false, Ordering::Release);
-        *self.plane.lock() = None;
+        *self.plane.borrow_mut() = None;
     }
 
     /// The armed plane, or `None` (the common, near-free case).
     #[inline]
-    pub fn get(&self) -> Option<Arc<FaultPlane>> {
-        if !self.armed.load(Ordering::Acquire) {
-            return None;
-        }
-        self.plane.lock().clone()
+    pub fn get(&self) -> Option<Rc<FaultPlane>> {
+        self.plane.borrow().clone()
     }
 }
 
@@ -389,7 +386,7 @@ mod tests {
     fn plane(seed: u64, config: FaultPlanConfig) -> FaultPlane {
         FaultPlane::new(
             FaultPlan::with_config(seed, config),
-            Arc::new(AuditLog::default()),
+            Rc::new(AuditLog::default()),
             VirtualClock::new(),
         )
     }
@@ -470,7 +467,7 @@ mod tests {
 
     #[test]
     fn injections_are_audited() {
-        let audit = Arc::new(AuditLog::default());
+        let audit = Rc::new(AuditLog::default());
         let p = FaultPlane::new(
             FaultPlan::with_config(
                 0,
@@ -509,12 +506,12 @@ mod tests {
     fn slot_arm_disarm_roundtrip() {
         let slot = InjectSlot::default();
         assert!(slot.get().is_none());
-        let p = Arc::new(plane(0, FaultPlanConfig::quiet()));
+        let p = Rc::new(plane(0, FaultPlanConfig::quiet()));
         slot.arm(p.clone());
         assert!(slot.get().is_some());
         slot.disarm();
         assert!(slot.get().is_none());
         // The slot dropped its reference; only `p` remains.
-        assert_eq!(Arc::strong_count(&p), 1);
+        assert_eq!(Rc::strong_count(&p), 1);
     }
 }

@@ -1,7 +1,7 @@
 //! The [`Kernel`] façade tying all subsystems together.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 
 use crate::{
     audit::{AuditLog, EventKind},
@@ -44,9 +44,14 @@ impl HealthReport {
 
 /// The simulated kernel.
 ///
-/// All subsystems use interior locking, so a `Kernel` is shared by
-/// reference (or [`Arc`]) between the extension frameworks, watchdog
-/// threads, and test harnesses.
+/// A kernel has exactly one owner, like a CPU running a program with
+/// migration disabled. Every subsystem keeps its state in `Cell`s and
+/// `RefCell`s and shares it within the kernel through `Rc`, so no
+/// operation takes a lock or a locked instruction. The extension
+/// frameworks, the control plane and test harnesses borrow it
+/// (`&Kernel`); each dispatch shard and fuzz worker boots its own inside
+/// its own thread. An operation that re-enters a subsystem it is already
+/// inside panics.
 ///
 /// # Examples
 ///
@@ -55,6 +60,14 @@ impl HealthReport {
 ///
 /// let kernel = Kernel::new();
 /// assert!(kernel.health().pristine());
+/// ```
+///
+/// The compiler holds the one-owner rule: a `Kernel` is not `Sync`, so no
+/// other thread can reach it.
+///
+/// ```compile_fail,E0277
+/// fn assert_sync<T: Sync>() {}
+/// assert_sync::<kernel_sim::Kernel>();
 /// ```
 #[derive(Debug)]
 pub struct Kernel {
@@ -73,7 +86,7 @@ pub struct Kernel {
     /// CPU topology.
     pub cpus: CpuInfo,
     /// Audit log (shared with the fault-injection plane when armed).
-    pub audit: Arc<AuditLog>,
+    pub audit: Rc<AuditLog>,
     /// Oops log.
     pub oopses: OopsLog,
     /// Kernel-level fault-injection mount point, consulted by helper
@@ -81,21 +94,21 @@ pub struct Kernel {
     /// subsystem's slot by [`Kernel::arm_fault_plan`].
     pub inject: InjectSlot,
     /// Runtime metrics, incremented by the extension frameworks and the
-    /// fault plane. Shared (`Arc`) so an armed [`FaultPlane`] can count
+    /// fault plane. Shared (`Rc`) so an armed [`FaultPlane`] can count
     /// injections into it.
-    pub metrics: Arc<Metrics>,
+    pub metrics: Rc<Metrics>,
     /// Simulated network stack (conntrack + RX hook counters), shared by
     /// the eBPF net helpers and the safe-ext net methods.
     pub net: NetStack,
     /// Per-CPU span-trace sink (each shard kernel *is* one simulated
     /// CPU). Disabled by default; recording never advances the virtual
     /// clock, so traced and untraced runs are simulated-cost identical.
-    pub trace: Arc<Tracer>,
+    pub trace: Rc<Tracer>,
     /// Per-CPU log2 histogram banks probe programs aggregate into via the
     /// `hist_record`/`hist_read` helpers.
     pub hooks: HookHists,
     /// Per-kernel execution-id allocator; see [`Kernel::next_exec_id`].
-    exec_ids: AtomicU64,
+    exec_ids: Cell<u64>,
 }
 
 impl Default for Kernel {
@@ -118,7 +131,7 @@ impl Kernel {
         // The tracer reads a bare clock handle (timestamps must never
         // draw injected jumps of their own) and is labelled with the CPU
         // this kernel is pinned to.
-        let trace = Arc::new(Tracer::new(clock.bare_handle(), cpus.current_cpu()));
+        let trace = Rc::new(Tracer::new(clock.bare_handle(), cpus.current_cpu()));
         let hooks = HookHists::new(cpus.nr_cpus());
         let kernel = Self {
             rcu: Rcu::new(clock.clone()),
@@ -128,29 +141,24 @@ impl Kernel {
             refs: RefTable::default(),
             objects: ObjectTable::default(),
             cpus,
-            audit: Arc::new(AuditLog::default()),
+            audit: Rc::new(AuditLog::default()),
             oopses: OopsLog::default(),
             inject: InjectSlot::default(),
-            metrics: Arc::new(Metrics::new()),
+            metrics: Rc::new(Metrics::new()),
             net: NetStack::default(),
             trace,
             hooks,
-            exec_ids: AtomicU64::new(1),
+            exec_ids: Cell::new(1),
         };
-        kernel.rcu.trace.arm(Arc::clone(&kernel.trace));
-        kernel.locks.trace.arm(Arc::clone(&kernel.trace));
-        kernel.refs.trace.arm(Arc::clone(&kernel.trace));
-        kernel.objects.trace.arm(Arc::clone(&kernel.trace));
+        kernel.rcu.trace.arm(Rc::clone(&kernel.trace));
+        kernel.locks.trace.arm(Rc::clone(&kernel.trace));
+        kernel.refs.trace.arm(Rc::clone(&kernel.trace));
+        kernel.objects.trace.arm(Rc::clone(&kernel.trace));
         kernel
     }
 
-    /// Boots a kernel wrapped in an [`Arc`] for sharing across threads.
-    pub fn new_shared() -> Arc<Self> {
-        Arc::new(Self::new())
-    }
-
     /// Allocates the next execution owner id from this kernel's private
-    /// counter (starting at 1).
+    /// counter (starting at 1, wrapping at `u64::MAX`).
     ///
     /// Execution ids appear verbatim in leak audit records, so they are
     /// allocated per kernel rather than from a process-global counter:
@@ -158,7 +166,9 @@ impl Kernel {
     /// audit fingerprints byte-comparable across replays and across the
     /// interpreter/JIT execution lanes.
     pub fn next_exec_id(&self) -> OwnerId {
-        self.exec_ids.fetch_add(1, Ordering::Relaxed)
+        let id = self.exec_ids.get();
+        self.exec_ids.set(id.wrapping_add(1));
+        id
     }
 
     /// Arms `plan` on every subsystem: allocations, locks, RCU, refcounts,
@@ -166,17 +176,17 @@ impl Kernel {
     /// from one seeded stream, each injected fault audited as
     /// [`EventKind::FaultInjected`]. Returns the shared plane so callers
     /// can query injection counters.
-    pub fn arm_fault_plan(&self, plan: FaultPlan) -> Arc<FaultPlane> {
-        let plane = Arc::new(
-            FaultPlane::new(plan, Arc::clone(&self.audit), self.clock.bare_handle())
-                .with_metrics(Arc::clone(&self.metrics)),
+    pub fn arm_fault_plan(&self, plan: FaultPlan) -> Rc<FaultPlane> {
+        let plane = Rc::new(
+            FaultPlane::new(plan, Rc::clone(&self.audit), self.clock.bare_handle())
+                .with_metrics(Rc::clone(&self.metrics)),
         );
-        self.mem.inject.arm(Arc::clone(&plane));
-        self.locks.inject.arm(Arc::clone(&plane));
-        self.rcu.inject.arm(Arc::clone(&plane));
-        self.refs.inject.arm(Arc::clone(&plane));
-        self.clock.inject.arm(Arc::clone(&plane));
-        self.inject.arm(Arc::clone(&plane));
+        self.mem.inject.arm(Rc::clone(&plane));
+        self.locks.inject.arm(Rc::clone(&plane));
+        self.rcu.inject.arm(Rc::clone(&plane));
+        self.refs.inject.arm(Rc::clone(&plane));
+        self.clock.inject.arm(Rc::clone(&plane));
+        self.inject.arm(Rc::clone(&plane));
         plane
     }
 
@@ -280,19 +290,5 @@ mod tests {
         assert_eq!(kernel.objects.current().unwrap().comm, "nginx");
         assert_eq!(kernel.objects.socket_count(), 3);
         assert!(kernel.health().pristine());
-    }
-
-    #[test]
-    fn shared_kernel_is_send_sync() {
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<Kernel>();
-        let shared = Kernel::new_shared();
-        let s2 = shared.clone();
-        std::thread::spawn(move || {
-            s2.clock.advance(100);
-        })
-        .join()
-        .unwrap();
-        assert_eq!(shared.clock.now_ns(), 100);
     }
 }

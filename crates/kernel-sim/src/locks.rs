@@ -6,10 +6,8 @@
 //! deadlock (re-acquiring a held lock), releasing a lock that is not held,
 //! and leaking a lock past program exit.
 
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-use parking_lot::Mutex;
 
 /// Identifies a simulated execution (one run of one extension).
 pub type OwnerId = u64;
@@ -73,12 +71,11 @@ struct LockInfo {
 /// ```
 #[derive(Debug, Default)]
 pub struct SpinTable {
-    state: Mutex<TableState>,
-    /// How many locks have a holder. Written only under `state`'s lock
-    /// (`Release`), so it always equals the table's count;
-    /// [`Self::held_by`] loads it first (`Acquire`) and returns at once
-    /// when nothing is held.
-    held: AtomicUsize,
+    state: RefCell<TableState>,
+    /// How many locks have a holder. Written with every change of a
+    /// holder, so it always equals the table's count; [`Self::held_by`]
+    /// reads it first and returns at once when nothing is held.
+    held: Cell<usize>,
     pub(crate) inject: crate::inject::InjectSlot,
     pub(crate) trace: crate::trace::TraceSlot,
 }
@@ -95,7 +92,7 @@ struct TableState {
 impl SpinTable {
     /// Creates a new named lock and returns its id.
     pub fn create(&self, name: &str) -> LockId {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         st.next_id += 1;
         let id = LockId(st.next_id);
         st.locks.insert(
@@ -115,7 +112,7 @@ impl SpinTable {
     /// *stable* kernel identity: every execution — and both extension
     /// frameworks — locking the same cell contends on the same lock.
     pub fn lock_for_key(&self, key: u64, name: &str) -> LockId {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         if let Some(id) = st.keyed.get(&key) {
             return *id;
         }
@@ -139,7 +136,7 @@ impl SpinTable {
     /// contention spike ([`LockError::Contended`] with [`PHANTOM_OWNER`]):
     /// the trylock failed, nothing is held, retrying may succeed.
     pub fn acquire(&self, owner: OwnerId, id: LockId) -> Result<(), LockError> {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         let info = st.locks.get_mut(&id).ok_or(LockError::UnknownLock(id))?;
         match info.holder {
             Some(h) if h == owner => Err(LockError::SelfDeadlock(id)),
@@ -152,7 +149,7 @@ impl SpinTable {
                 }
                 info.holder = Some(owner);
                 info.acquisitions += 1;
-                self.held.fetch_add(1, Ordering::Release);
+                self.held.set(self.held.get() + 1);
                 // The trace argument is the operation code, not the lock
                 // id: lock ids are per-kernel allocation order, which
                 // would break the canonical trace's shard invariance.
@@ -166,12 +163,12 @@ impl SpinTable {
 
     /// Releases `id` on behalf of `owner`.
     pub fn release(&self, owner: OwnerId, id: LockId) -> Result<(), LockError> {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         let info = st.locks.get_mut(&id).ok_or(LockError::UnknownLock(id))?;
         match info.holder {
             Some(h) if h == owner => {
                 info.holder = None;
-                self.held.fetch_sub(1, Ordering::Release);
+                self.held.set(self.held.get() - 1);
                 if let Some(tracer) = self.trace.get() {
                     tracer.instant(crate::trace::SpanKind::LockOp, 1);
                 }
@@ -183,14 +180,13 @@ impl SpinTable {
 
     /// Returns all locks currently held by `owner`.
     ///
-    /// Takes no lock while no lock in the table is held: an owner's own
-    /// acquisitions are counted before it can ask, so a zero count means
-    /// it holds none.
+    /// Does not borrow the table while no lock in it is held: a zero
+    /// count means `owner` holds none.
     pub fn held_by(&self, owner: OwnerId) -> Vec<LockId> {
-        if self.held.load(Ordering::Acquire) == 0 {
+        if self.held.get() == 0 {
             return Vec::new();
         }
-        let st = self.state.lock();
+        let st = self.state.borrow();
         let mut held: Vec<LockId> = st
             .locks
             .iter()
@@ -204,7 +200,7 @@ impl SpinTable {
     /// Forcibly releases everything held by `owner` (termination cleanup);
     /// returns what was released.
     pub fn force_release_all(&self, owner: OwnerId) -> Vec<LockId> {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         let mut released = Vec::new();
         for (id, info) in st.locks.iter_mut() {
             if info.holder == Some(owner) {
@@ -212,20 +208,20 @@ impl SpinTable {
                 released.push(*id);
             }
         }
-        self.held.fetch_sub(released.len(), Ordering::Release);
+        self.held.set(self.held.get() - released.len());
         released.sort();
         released
     }
 
     /// The display name of a lock.
     pub fn name(&self, id: LockId) -> Option<String> {
-        self.state.lock().locks.get(&id).map(|i| i.name.clone())
+        self.state.borrow().locks.get(&id).map(|i| i.name.clone())
     }
 
     /// Total successful acquisitions of a lock.
     pub fn acquisitions(&self, id: LockId) -> u64 {
         self.state
-            .lock()
+            .borrow()
             .locks
             .get(&id)
             .map(|i| i.acquisitions)

@@ -9,9 +9,8 @@
 //! behaviour, exactly what the reproduction needs to demonstrate §2.2's
 //! "verified program crashes the kernel" experiment safely.
 
+use std::cell::RefCell;
 use std::fmt::Display;
-
-use parking_lot::Mutex;
 
 use crate::table::AppendTable;
 
@@ -240,8 +239,8 @@ impl MemState {
 
 /// The simulated kernel address space.
 ///
-/// Thread-safe via interior locking; shared through the [`crate::Kernel`]
-/// façade.
+/// Owned by one kernel and shared through the [`crate::Kernel`] façade;
+/// its state sits in a `RefCell`, so an access takes no lock.
 ///
 /// # Examples
 ///
@@ -256,7 +255,7 @@ impl MemState {
 /// ```
 #[derive(Debug)]
 pub struct KernelMem {
-    state: Mutex<MemState>,
+    state: RefCell<MemState>,
     pub(crate) inject: crate::inject::InjectSlot,
 }
 
@@ -271,7 +270,7 @@ impl KernelMem {
     pub fn new() -> Self {
         Self {
             inject: crate::inject::InjectSlot::default(),
-            state: Mutex::new(MemState {
+            state: RefCell::new(MemState {
                 regions: AppendTable::default(),
                 next_base: KERNEL_VA_BASE,
                 bytes_mapped: 0,
@@ -385,7 +384,7 @@ impl KernelMem {
                 return Err(Fault::AllocFailed { len });
             }
         }
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         if domain != 0 {
             let d = st.domain_mut(domain);
             if let Some(limit) = d.limit.filter(|&limit| d.used + len > limit) {
@@ -430,14 +429,14 @@ impl KernelMem {
     /// `access_disable` denies all access through key `k`; bit `k` of
     /// `write_disable` denies writes. Key 0 bits are ignored.
     pub fn set_pkey_rights(&self, access_disable: u16, write_disable: u16) {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         st.pkey_access_disable = access_disable & !1;
         st.pkey_write_disable = write_disable & !1;
     }
 
     /// Unmaps the region based at `base`; subsequent accesses fault.
     pub fn unmap(&self, base: Addr) -> Result<(), Fault> {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         match st.regions.remove(base) {
             Some(r) => {
                 st.bytes_mapped -= r.len();
@@ -463,12 +462,12 @@ impl KernelMem {
         if domain == 0 {
             return;
         }
-        self.state.lock().domain_mut(domain).limit = Some(limit);
+        self.state.borrow_mut().domain_mut(domain).limit = Some(limit);
     }
 
     /// Removes the byte quota for `domain`, making it unlimited again.
     pub fn clear_domain_quota(&self, domain: u32) {
-        if let Some(d) = self.state.lock().domains.get_mut(domain as usize) {
+        if let Some(d) = self.state.borrow_mut().domains.get_mut(domain as usize) {
             d.limit = None;
         }
     }
@@ -476,14 +475,14 @@ impl KernelMem {
     /// Bytes currently mapped in accounting `domain` (0 for domain 0:
     /// the kernel domain is not tracked).
     pub fn domain_bytes(&self, domain: u32) -> u64 {
-        let st = self.state.lock();
+        let st = self.state.borrow();
         st.domains.get(domain as usize).map_or(0, |d| d.used)
     }
 
     /// Returns the `(base, len, perms)` of the region containing `addr`,
     /// if any.
     pub fn region_of(&self, addr: Addr) -> Option<(Addr, u64, Perms)> {
-        let st = self.state.lock();
+        let st = self.state.borrow();
         st.regions
             .floor(addr)
             .filter(|r| r.contains(addr))
@@ -492,12 +491,12 @@ impl KernelMem {
 
     /// Total bytes currently mapped.
     pub fn bytes_mapped(&self) -> u64 {
-        self.state.lock().bytes_mapped
+        self.state.borrow().bytes_mapped
     }
 
     /// High-water mark of mapped bytes.
     pub fn peak_bytes_mapped(&self) -> u64 {
-        self.state.lock().peak_bytes_mapped
+        self.state.borrow().peak_bytes_mapped
     }
 
     fn check(
@@ -551,7 +550,7 @@ impl KernelMem {
 
     /// Copies `buf.len()` bytes starting at `addr` into `buf`.
     pub fn read_into(&self, addr: Addr, buf: &mut [u8]) -> Result<(), Fault> {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         let (region, off) = Self::check(&mut st, addr, buf.len() as u64, false)?;
         buf.copy_from_slice(&region.data[off..off + buf.len()]);
         Ok(())
@@ -566,7 +565,7 @@ impl KernelMem {
 
     /// Writes `buf` starting at `addr`.
     pub fn write_from(&self, addr: Addr, buf: &[u8]) -> Result<(), Fault> {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         let (region, off) = Self::check(&mut st, addr, buf.len() as u64, true)?;
         region.data[off..off + buf.len()].copy_from_slice(buf);
         Ok(())
@@ -574,7 +573,7 @@ impl KernelMem {
 
     /// Fills `len` bytes starting at `addr` with `byte`.
     pub fn fill(&self, addr: Addr, len: u64, byte: u8) -> Result<(), Fault> {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         let (region, off) = Self::check(&mut st, addr, len, true)?;
         region.data[off..off + len as usize].fill(byte);
         Ok(())
@@ -660,15 +659,16 @@ impl KernelMem {
     /// Atomically applies `op` to the sized value at `addr`, returning the
     /// old value.
     ///
-    /// The simulator holds the address-space lock across the read-modify-
-    /// write, which is what makes it "atomic" with respect to other accessors.
+    /// The address space stays borrowed across the read-modify-write, so
+    /// no other accessor sees a half-applied update; an `op` that touches
+    /// this address space itself panics.
     pub fn fetch_update(
         &self,
         addr: Addr,
         size: u8,
         op: impl FnOnce(u64) -> u64,
     ) -> Result<u64, Fault> {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         let (region, off) = Self::check(&mut st, addr, size as u64, true)?;
         let old = match size {
             1 => region.data[off] as u64,

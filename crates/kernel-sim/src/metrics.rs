@@ -1,11 +1,12 @@
-//! Lightweight runtime metrics: lock-free counters plus a log2-bucket
+//! Lightweight runtime metrics: per-kernel counters plus a log2-bucket
 //! histogram sketch.
 //!
 //! Every [`crate::Kernel`] owns a [`Metrics`] instance; the extension
 //! frameworks (interpreter and safe-ext runtime) and the fault plane
-//! increment it on their hot paths with relaxed atomics, so recording
-//! costs one `fetch_add` and never takes a lock. Snapshots are plain
-//! values that merge associatively, which is what lets the sharded
+//! increment it on their hot paths. A kernel has one owner, so each
+//! counter is a plain `Cell<u64>`: recording is one add, with no lock
+//! and no locked instruction, and wraps at `u64::MAX`. Snapshots are
+//! plain values that merge associatively, which is what lets the sharded
 //! dispatch engine sum per-shard kernels into one fleet-wide view.
 //!
 //! The histogram is a power-of-two sketch (HdrHistogram's coarsest
@@ -15,28 +16,28 @@
 //! watchdog", merges by element-wise addition, and costs a single
 //! `leading_zeros` per sample.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// Number of histogram buckets: one per possible bit-length of a `u64`
 /// sample (0..=64).
 pub const HIST_BUCKETS: usize = 65;
 
-/// Lock-free power-of-two histogram.
+/// Power-of-two histogram, owned by one kernel.
 #[derive(Debug)]
 pub struct HistSketch {
-    buckets: [AtomicU64; HIST_BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-    max: AtomicU64,
+    buckets: [Cell<u64>; HIST_BUCKETS],
+    count: Cell<u64>,
+    sum: Cell<u64>,
+    max: Cell<u64>,
 }
 
 impl Default for HistSketch {
     fn default() -> Self {
         Self {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
+            buckets: std::array::from_fn(|_| Cell::new(0)),
+            count: Cell::new(0),
+            sum: Cell::new(0),
+            max: Cell::new(0),
         }
     }
 }
@@ -53,25 +54,21 @@ impl HistSketch {
         Self::default()
     }
 
-    /// Records one sample.
+    /// Records one sample. The sum wraps at `u64::MAX`.
     pub fn record(&self, value: u64) {
-        self.buckets[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
-        // `fetch_max` is a compare-exchange loop on x86-64; most samples
-        // do not raise the max, so test with a plain load first.
-        if value > self.max.load(Ordering::Relaxed) {
-            self.max.fetch_max(value, Ordering::Relaxed);
-        }
+        Metrics::bump(&self.buckets[bucket_of(value)], 1);
+        Metrics::bump(&self.count, 1);
+        Metrics::bump(&self.sum, value);
+        self.max.set(self.max.get().max(value));
     }
 
     /// A point-in-time copy of the sketch.
     pub fn snapshot(&self) -> HistSnapshot {
         HistSnapshot {
-            buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
-            count: self.count.load(Ordering::Relaxed),
-            sum: self.sum.load(Ordering::Relaxed),
-            max: self.max.load(Ordering::Relaxed),
+            buckets: std::array::from_fn(|i| self.buckets[i].get()),
+            count: self.count.get(),
+            sum: self.sum.get(),
+            max: self.max.get(),
         }
     }
 }
@@ -141,43 +138,43 @@ impl HistSnapshot {
 #[derive(Debug, Default)]
 pub struct Metrics {
     /// Extension executions (interpreter runs + safe-ext runs).
-    pub runs: AtomicU64,
+    pub runs: Cell<u64>,
     /// Packet-shaped inputs dispatched.
-    pub packets: AtomicU64,
+    pub packets: Cell<u64>,
     /// eBPF helper invocations.
-    pub helper_calls: AtomicU64,
+    pub helper_calls: Cell<u64>,
     /// Faults injected by an armed [`crate::FaultPlane`].
-    pub fault_injections: AtomicU64,
+    pub fault_injections: Cell<u64>,
     /// Extensions quarantined by the runtime's circuit breaker.
-    pub quarantine_trips: AtomicU64,
+    pub quarantine_trips: Cell<u64>,
     /// Tenant program loads through the tenancy control plane.
-    pub tenant_loads: AtomicU64,
+    pub tenant_loads: Cell<u64>,
     /// Atomic hot upgrades (attachment-pointer swaps) performed.
-    pub tenant_swaps: AtomicU64,
+    pub tenant_swaps: Cell<u64>,
     /// Tenant program unloads (including the drained old version of a
     /// hot upgrade).
-    pub tenant_unloads: AtomicU64,
+    pub tenant_unloads: Cell<u64>,
     /// Allocations or map creations refused by a tenant quota.
-    pub quota_rejections: AtomicU64,
+    pub quota_rejections: Cell<u64>,
     /// Transitions into a sandbox protection domain (program entry and
     /// each helper return).
-    pub domain_entries: AtomicU64,
+    pub domain_entries: Cell<u64>,
     /// Transitions out of a sandbox protection domain (program exit and
     /// each helper call).
-    pub domain_exits: AtomicU64,
+    pub domain_exits: Cell<u64>,
     /// SFI violations trapped by the sandbox lane (each aborts one run
     /// without an oops).
-    pub domain_traps: AtomicU64,
+    pub domain_traps: Cell<u64>,
     /// Probe-program invocations (kprobe/tracepoint hook fires).
-    pub probe_fires: AtomicU64,
+    pub probe_fires: Cell<u64>,
     /// Operations denied by an LSM-style policy hook (including
     /// fail-closed denials when the policy program was killed).
-    pub policy_denies: AtomicU64,
+    pub policy_denies: Cell<u64>,
     /// Scheduler pick-next-task decisions taken from an extension.
-    pub sched_picks: AtomicU64,
+    pub sched_picks: Cell<u64>,
     /// Scheduler picks that fell back to the default policy because the
     /// extension trapped, was killed, or returned an invalid choice.
-    pub sched_fallbacks: AtomicU64,
+    pub sched_fallbacks: Cell<u64>,
     /// Per-run cost: instructions (interpreter) or fuel (safe-ext).
     pub run_cost: HistSketch,
 }
@@ -188,30 +185,30 @@ impl Metrics {
         Self::default()
     }
 
-    /// Relaxed increment helper for the counter fields.
-    pub fn bump(counter: &AtomicU64, by: u64) {
-        counter.fetch_add(by, Ordering::Relaxed);
+    /// Adds `by` to a counter field, wrapping at `u64::MAX`.
+    pub fn bump(counter: &Cell<u64>, by: u64) {
+        counter.set(counter.get().wrapping_add(by));
     }
 
     /// A point-in-time copy of every counter and the histogram.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            runs: self.runs.load(Ordering::Relaxed),
-            packets: self.packets.load(Ordering::Relaxed),
-            helper_calls: self.helper_calls.load(Ordering::Relaxed),
-            fault_injections: self.fault_injections.load(Ordering::Relaxed),
-            quarantine_trips: self.quarantine_trips.load(Ordering::Relaxed),
-            tenant_loads: self.tenant_loads.load(Ordering::Relaxed),
-            tenant_swaps: self.tenant_swaps.load(Ordering::Relaxed),
-            tenant_unloads: self.tenant_unloads.load(Ordering::Relaxed),
-            quota_rejections: self.quota_rejections.load(Ordering::Relaxed),
-            domain_entries: self.domain_entries.load(Ordering::Relaxed),
-            domain_exits: self.domain_exits.load(Ordering::Relaxed),
-            domain_traps: self.domain_traps.load(Ordering::Relaxed),
-            probe_fires: self.probe_fires.load(Ordering::Relaxed),
-            policy_denies: self.policy_denies.load(Ordering::Relaxed),
-            sched_picks: self.sched_picks.load(Ordering::Relaxed),
-            sched_fallbacks: self.sched_fallbacks.load(Ordering::Relaxed),
+            runs: self.runs.get(),
+            packets: self.packets.get(),
+            helper_calls: self.helper_calls.get(),
+            fault_injections: self.fault_injections.get(),
+            quarantine_trips: self.quarantine_trips.get(),
+            tenant_loads: self.tenant_loads.get(),
+            tenant_swaps: self.tenant_swaps.get(),
+            tenant_unloads: self.tenant_unloads.get(),
+            quota_rejections: self.quota_rejections.get(),
+            domain_entries: self.domain_entries.get(),
+            domain_exits: self.domain_exits.get(),
+            domain_traps: self.domain_traps.get(),
+            probe_fires: self.probe_fires.get(),
+            policy_denies: self.policy_denies.get(),
+            sched_picks: self.sched_picks.get(),
+            sched_fallbacks: self.sched_fallbacks.get(),
             run_cost: self.run_cost.snapshot(),
         }
     }
@@ -349,6 +346,25 @@ mod tests {
         assert_eq!(total.packets, 4);
         assert_eq!(total.helper_calls, 20);
         assert_eq!(total.run_cost.count, 2);
+    }
+
+    #[test]
+    fn histogram_sum_wraps_at_the_top_of_the_range() {
+        let h = HistSketch::new();
+        h.record(u64::MAX);
+        h.record(2);
+        let s = h.snapshot();
+        assert_eq!(s.sum, 1);
+        assert_eq!(s.count, 2);
+        assert_eq!(s.max, u64::MAX);
+    }
+
+    #[test]
+    fn bump_wraps_at_the_top_of_the_range() {
+        let m = Metrics::new();
+        Metrics::bump(&m.runs, u64::MAX);
+        Metrics::bump(&m.runs, 2);
+        assert_eq!(m.snapshot().runs, 1);
     }
 
     #[test]

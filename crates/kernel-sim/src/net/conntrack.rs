@@ -17,9 +17,8 @@
 //! different virtual-clock costs, so raw audit timestamps differ across
 //! them, but the state-transition sequence must not.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
-
-use parking_lot::Mutex;
 
 use super::packet::{FlowKey, IPPROTO_TCP, TCP_ACK, TCP_FIN, TCP_RST, TCP_SYN};
 
@@ -149,13 +148,13 @@ struct Inner {
 /// assert_eq!(ct.lookup(key), Some(CtState::Established));
 /// ```
 pub struct Conntrack {
-    inner: Mutex<Inner>,
+    inner: RefCell<Inner>,
     capacity: usize,
 }
 
 impl std::fmt::Debug for Conntrack {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.lock();
+        let inner = self.inner.borrow();
         f.debug_struct("Conntrack")
             .field("capacity", &self.capacity)
             .field("len", &inner.index.len())
@@ -177,7 +176,7 @@ impl Conntrack {
             capacity
         ];
         Conntrack {
-            inner: Mutex::new(Inner {
+            inner: RefCell::new(Inner {
                 slots,
                 free: (0..capacity).rev().collect(),
                 index: HashMap::with_capacity(capacity),
@@ -197,7 +196,7 @@ impl Conntrack {
 
     /// Current number of tracked flows.
     pub fn len(&self) -> usize {
-        self.inner.lock().index.len()
+        self.inner.borrow().index.len()
     }
 
     /// Whether the table is empty.
@@ -207,7 +206,7 @@ impl Conntrack {
 
     /// Non-mutating state lookup (does not touch LRU order or stats).
     pub fn lookup(&self, key: FlowKey) -> Option<CtState> {
-        let inner = self.inner.lock();
+        let inner = self.inner.borrow();
         let &slot = inner.index.get(&key)?;
         inner.slots[slot].entry.map(|e| e.state)
     }
@@ -220,7 +219,7 @@ impl Conntrack {
     /// * FIN → `FinWait`; `FinWait` + ACK/FIN → `Closed`
     /// * RST → `Closed` from any state; `Closed` + SYN → reopen (`SynSent`)
     pub fn observe(&self, key: FlowKey, flags: u8, len: u64) -> Observation {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         if let Some(&slot) = inner.index.get(&key) {
             inner.stats.hits += 1;
             let prev = inner.slots[slot]
@@ -267,14 +266,14 @@ impl Conntrack {
 
     /// Snapshot of the behaviour counters.
     pub fn stats(&self) -> CtStats {
-        self.inner.lock().stats
+        self.inner.borrow().stats
     }
 
     /// The timestamp-free flow log: one line per state transition, in
     /// observation order. Identical across the interpreter, the JIT and
     /// the safe-ext runtime when the same packets are observed.
     pub fn flow_log_fingerprint(&self) -> String {
-        let inner = self.inner.lock();
+        let inner = self.inner.borrow();
         let mut out = String::with_capacity(inner.flow_log.len() * 48);
         for line in &inner.flow_log {
             out.push_str(line);
@@ -285,7 +284,7 @@ impl Conntrack {
 
     /// Clears entries, stats, and the flow log.
     pub fn clear(&self) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         let capacity = inner.slots.len();
         for slot in &mut inner.slots {
             slot.entry = None;

@@ -1,6 +1,6 @@
 //! XDP-style RX hook point: verdict codes and per-action counters.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// Verdict returned by an XDP-style program, using the Linux action codes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,14 +53,14 @@ impl XdpAction {
     }
 }
 
-/// Lock-free per-action counters for an RX hook.
+/// Per-action counters for an RX hook, owned by one kernel.
 #[derive(Debug, Default)]
 pub struct RxStats {
-    aborted: AtomicU64,
-    drop: AtomicU64,
-    pass: AtomicU64,
-    tx: AtomicU64,
-    redirect: AtomicU64,
+    aborted: Cell<u64>,
+    drop: Cell<u64>,
+    pass: Cell<u64>,
+    tx: Cell<u64>,
+    redirect: Cell<u64>,
 }
 
 /// Point-in-time copy of [`RxStats`].
@@ -95,27 +95,27 @@ impl RxStats {
             XdpAction::Tx => &self.tx,
             XdpAction::Redirect => &self.redirect,
         };
-        counter.fetch_add(1, Ordering::Relaxed);
+        counter.set(counter.get().wrapping_add(1));
     }
 
-    /// Returns a consistent-enough snapshot for reporting.
+    /// Returns a snapshot for reporting.
     pub fn snapshot(&self) -> RxSnapshot {
         RxSnapshot {
-            aborted: self.aborted.load(Ordering::Relaxed),
-            drop: self.drop.load(Ordering::Relaxed),
-            pass: self.pass.load(Ordering::Relaxed),
-            tx: self.tx.load(Ordering::Relaxed),
-            redirect: self.redirect.load(Ordering::Relaxed),
+            aborted: self.aborted.get(),
+            drop: self.drop.get(),
+            pass: self.pass.get(),
+            tx: self.tx.get(),
+            redirect: self.redirect.get(),
         }
     }
 
     /// Zeroes all counters.
     pub fn clear(&self) {
-        self.aborted.store(0, Ordering::Relaxed);
-        self.drop.store(0, Ordering::Relaxed);
-        self.pass.store(0, Ordering::Relaxed);
-        self.tx.store(0, Ordering::Relaxed);
-        self.redirect.store(0, Ordering::Relaxed);
+        self.aborted.set(0);
+        self.drop.set(0);
+        self.pass.set(0);
+        self.tx.set(0);
+        self.redirect.set(0);
     }
 }
 

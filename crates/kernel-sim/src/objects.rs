@@ -7,9 +7,8 @@
 //! programs read and write an [`SkBuff`] whose payload lives in checked
 //! kernel memory.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
-
-use parking_lot::Mutex;
 
 use crate::{
     mem::{Addr, Fault, KernelMem, Perms},
@@ -117,7 +116,7 @@ struct ObjState {
 /// ```
 #[derive(Debug, Default)]
 pub struct ObjectTable {
-    state: Mutex<ObjState>,
+    state: RefCell<ObjState>,
     /// Armed at kernel boot; skb alloc/free emit [`SpanKind::SkbLife`]
     /// instants so the hook layer can observe buffer lifetimes.
     pub(crate) trace: TraceSlot,
@@ -134,24 +133,24 @@ impl ObjectTable {
             obj: refs.register(ObjKind::Task, 1),
             stack_obj: refs.register(ObjKind::TaskStack, 1),
         };
-        self.state.lock().tasks.insert(pid, task.clone());
+        self.state.borrow_mut().tasks.insert(pid, task.clone());
         task
     }
 
     /// Sets the current task by pid.
     pub fn set_current(&self, pid: u32) {
-        self.state.lock().current_pid = Some(pid);
+        self.state.borrow_mut().current_pid = Some(pid);
     }
 
     /// Returns the current task, if one is set.
     pub fn current(&self) -> Option<Task> {
-        let st = self.state.lock();
+        let st = self.state.borrow();
         st.current_pid.and_then(|pid| st.tasks.get(&pid).cloned())
     }
 
     /// Looks up a task by pid.
     pub fn task_by_pid(&self, pid: u32) -> Option<Task> {
-        self.state.lock().tasks.get(&pid).cloned()
+        self.state.borrow().tasks.get(&pid).cloned()
     }
 
     /// Creates a socket registered at refcount 1.
@@ -168,7 +167,7 @@ impl ObjectTable {
             dst,
             obj: refs.register(ObjKind::Socket, 1),
         };
-        self.state.lock().sockets.push(socket.clone());
+        self.state.borrow_mut().sockets.push(socket.clone());
         socket
     }
 
@@ -177,7 +176,7 @@ impl ObjectTable {
     /// where the `bpf_sk_lookup` leak bug of Table 1 lives).
     pub fn lookup_socket(&self, proto: Proto, src: SockAddr, dst: SockAddr) -> Option<Socket> {
         self.state
-            .lock()
+            .borrow()
             .sockets
             .iter()
             .find(|s| s.proto == proto && s.src == src && s.dst == dst)
@@ -186,7 +185,7 @@ impl ObjectTable {
 
     /// Number of sockets registered.
     pub fn socket_count(&self) -> usize {
-        self.state.lock().sockets.len()
+        self.state.borrow().sockets.len()
     }
 
     /// Allocates an skb whose payload is `payload`, backed by a fresh
@@ -197,7 +196,7 @@ impl ObjectTable {
         } else {
             mem.map_with_data("skb-data", payload, Perms::rw())?
         };
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         st.next_skb += 1;
         let skb = SkBuff {
             id: st.next_skb,
@@ -216,14 +215,14 @@ impl ObjectTable {
 
     /// Looks up an skb by id.
     pub fn skb(&self, id: u64) -> Option<SkBuff> {
-        self.state.lock().skbs.get(id).copied()
+        self.state.borrow().skbs.get(id).copied()
     }
 
     /// Frees an skb and unmaps its payload region.
     pub fn free_skb(&self, mem: &KernelMem, id: u64) -> Result<(), Fault> {
         let skb = self
             .state
-            .lock()
+            .borrow_mut()
             .skbs
             .remove(id)
             .ok_or(Fault::Unmapped { addr: 0, len: 0 })?;

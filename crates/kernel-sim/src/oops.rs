@@ -5,7 +5,7 @@
 //! of §2.2 need to *observe* kernel crashes caused by verified programs, not
 //! actually crash.
 
-use parking_lot::Mutex;
+use std::cell::RefCell;
 
 use crate::mem::Fault;
 
@@ -47,13 +47,13 @@ pub struct Oops {
 /// The oops log; once non-empty the kernel is considered tainted.
 #[derive(Debug, Default)]
 pub struct OopsLog {
-    oopses: Mutex<Vec<Oops>>,
+    oopses: RefCell<Vec<Oops>>,
 }
 
 impl OopsLog {
     /// Records an oops.
     pub fn record(&self, at_ns: u64, reason: OopsReason, context: impl Into<String>) {
-        self.oopses.lock().push(Oops {
+        self.oopses.borrow_mut().push(Oops {
             reason,
             context: context.into(),
             at_ns,
@@ -62,22 +62,22 @@ impl OopsLog {
 
     /// Number of oopses recorded.
     pub fn count(&self) -> usize {
-        self.oopses.lock().len()
+        self.oopses.borrow().len()
     }
 
     /// Whether any oops has occurred (kernel tainted).
     pub fn tainted(&self) -> bool {
-        !self.oopses.lock().is_empty()
+        !self.oopses.borrow().is_empty()
     }
 
     /// Snapshot of all oopses.
     pub fn snapshot(&self) -> Vec<Oops> {
-        self.oopses.lock().clone()
+        self.oopses.borrow().clone()
     }
 
     /// Clears the log; used by benches between iterations.
     pub fn clear(&self) {
-        self.oopses.lock().clear();
+        self.oopses.borrow_mut().clear();
     }
 }
 

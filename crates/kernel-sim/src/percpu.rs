@@ -4,9 +4,7 @@
 //! avoid dynamic allocation of the unwind/cleanup context (§3.1); per-CPU
 //! array maps in the baseline also build on this.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-use parking_lot::Mutex;
+use std::cell::{Cell, RefCell};
 
 /// Default number of simulated CPUs.
 pub const DEFAULT_NR_CPUS: usize = 4;
@@ -15,9 +13,8 @@ pub const DEFAULT_NR_CPUS: usize = 4;
 #[derive(Debug)]
 pub struct CpuInfo {
     nr_cpus: usize,
-    /// The current CPU. It publishes no other data, so it is loaded and
-    /// stored `Relaxed`.
-    current: AtomicUsize,
+    /// The current CPU.
+    current: Cell<usize>,
 }
 
 impl Default for CpuInfo {
@@ -31,7 +28,7 @@ impl CpuInfo {
     pub fn new(nr_cpus: usize) -> Self {
         Self {
             nr_cpus: nr_cpus.max(1),
-            current: AtomicUsize::new(0),
+            current: Cell::new(0),
         }
     }
 
@@ -42,7 +39,7 @@ impl CpuInfo {
 
     /// The CPU the "current" execution runs on.
     pub fn current_cpu(&self) -> usize {
-        self.current.load(Ordering::Relaxed)
+        self.current.get()
     }
 
     /// Creates a topology with `nr_cpus` CPUs already migrated to `cpu`:
@@ -75,11 +72,12 @@ impl CpuInfo {
     /// Panics if `cpu >= nr_cpus`.
     pub fn set_current_cpu(&self, cpu: usize) {
         assert!(cpu < self.nr_cpus, "cpu {cpu} out of range");
-        self.current.store(cpu, Ordering::Relaxed);
+        self.current.set(cpu);
     }
 }
 
-/// A value replicated per CPU.
+/// A value replicated per CPU, owned by one kernel: each slot is a
+/// `RefCell`, so a closure that re-enters its own slot panics.
 ///
 /// # Examples
 ///
@@ -93,7 +91,7 @@ impl CpuInfo {
 /// ```
 #[derive(Debug)]
 pub struct PerCpu<T> {
-    slots: Vec<Mutex<T>>,
+    slots: Vec<RefCell<T>>,
 }
 
 impl<T: Default> PerCpu<T> {
@@ -101,7 +99,7 @@ impl<T: Default> PerCpu<T> {
     pub fn new(nr_cpus: usize) -> Self {
         Self {
             slots: (0..nr_cpus.max(1))
-                .map(|_| Mutex::new(T::default()))
+                .map(|_| RefCell::new(T::default()))
                 .collect(),
         }
     }
@@ -124,7 +122,7 @@ impl<T> PerCpu<T> {
     ///
     /// Panics if `cpu` is out of range.
     pub fn with<R>(&self, cpu: usize, f: impl FnOnce(&T) -> R) -> R {
-        f(&self.slots[cpu].lock())
+        f(&self.slots[cpu].borrow())
     }
 
     /// Runs `f` with exclusive access to CPU `cpu`'s slot.
@@ -133,7 +131,7 @@ impl<T> PerCpu<T> {
     ///
     /// Panics if `cpu` is out of range.
     pub fn with_mut<R>(&self, cpu: usize, f: impl FnOnce(&mut T) -> R) -> R {
-        f(&mut self.slots[cpu].lock())
+        f(&mut self.slots[cpu].borrow_mut())
     }
 }
 

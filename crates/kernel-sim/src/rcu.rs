@@ -7,7 +7,7 @@
 //! interpreter and the safe-ext runtime) reports a stall for every elapsed
 //! stall period, mirroring Linux's repeating 21-second stall warnings.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::cell::Cell;
 
 use crate::{
     audit::{AuditLog, EventKind},
@@ -43,17 +43,16 @@ impl std::fmt::Display for RcuError {
 
 impl std::error::Error for RcuError {}
 
-/// Read-side state, kept in independent atomics: the read-lock/unlock
+/// Read-side state, kept in independent `Cell`s: the read-lock/unlock
 /// pair and the stall poll sit on the per-packet hot path, and each
-/// kernel is driven by one shard thread, so lock-free counters are both
-/// cheaper than a mutex and just as deterministic.
+/// kernel has one owner, so plain loads and stores suffice.
 #[derive(Debug, Default)]
 struct RcuState {
-    depth: AtomicU32,
-    outermost_enter_ns: AtomicU64,
-    stalls_reported_this_section: AtomicU64,
-    gp_seq: AtomicU64,
-    total_stalls: AtomicU64,
+    depth: Cell<u32>,
+    outermost_enter_ns: Cell<u64>,
+    stalls_reported_this_section: Cell<u64>,
+    gp_seq: Cell<u64>,
+    total_stalls: Cell<u64>,
 }
 
 /// The RCU subsystem.
@@ -108,13 +107,11 @@ impl Rcu {
     /// appears to have been running for a long time, approaching (but by
     /// itself never crossing) the stall threshold.
     pub fn read_lock(&self) -> RcuReadGuard<'_> {
-        if self.state.depth.fetch_add(1, Ordering::Relaxed) == 0 {
-            self.state
-                .outermost_enter_ns
-                .store(self.clock.now_ns(), Ordering::Relaxed);
-            self.state
-                .stalls_reported_this_section
-                .store(0, Ordering::Relaxed);
+        let depth = self.state.depth.get();
+        self.state.depth.set(depth + 1);
+        if depth == 0 {
+            self.state.outermost_enter_ns.set(self.clock.now_ns());
+            self.state.stalls_reported_this_section.set(0);
             if let Some(plane) = self.inject.get() {
                 if let Some(delay) = plane.rcu_entry_delay(self.stall_timeout_ns) {
                     self.clock.advance(delay);
@@ -128,8 +125,9 @@ impl Rcu {
     }
 
     fn read_unlock(&self) {
-        let prev = self.state.depth.fetch_sub(1, Ordering::Relaxed);
+        let prev = self.state.depth.get();
         debug_assert!(prev > 0, "unbalanced rcu_read_unlock");
+        self.state.depth.set(prev.wrapping_sub(1));
         if prev == 1 {
             if let Some(tracer) = self.trace.get() {
                 tracer.exit(crate::trace::SpanKind::RcuRead, 0);
@@ -139,18 +137,18 @@ impl Rcu {
 
     /// Whether no read-side critical section is active.
     pub fn quiescent(&self) -> bool {
-        self.state.depth.load(Ordering::Relaxed) == 0
+        self.state.depth.get() == 0
     }
 
     /// Current read-side nesting depth.
     pub fn depth(&self) -> u32 {
-        self.state.depth.load(Ordering::Relaxed)
+        self.state.depth.get()
     }
 
     /// Waits for a grace period; fails (and would deadlock on real hardware)
     /// when called from inside a read-side section.
     pub fn synchronize(&self, audit: &AuditLog) -> Result<u64, RcuError> {
-        if self.state.depth.load(Ordering::Relaxed) > 0 {
+        if self.state.depth.get() > 0 {
             audit.record(
                 self.clock.now_ns(),
                 EventKind::RcuDeadlock,
@@ -158,7 +156,8 @@ impl Rcu {
             );
             return Err(RcuError::SynchronizeInReader);
         }
-        let seq = self.state.gp_seq.fetch_add(1, Ordering::Relaxed) + 1;
+        let seq = self.state.gp_seq.get() + 1;
+        self.state.gp_seq.set(seq);
         // Probe source for the hook layer: one instant per completed
         // grace period. The arg stays 0 — the sequence number is
         // per-kernel state and would break shard-count invariance.
@@ -170,7 +169,7 @@ impl Rcu {
 
     /// Grace-period sequence number (number of completed grace periods).
     pub fn gp_seq(&self) -> u64 {
-        self.state.gp_seq.load(Ordering::Relaxed)
+        self.state.gp_seq.get()
     }
 
     /// Polls the stall detector.
@@ -179,16 +178,13 @@ impl Rcu {
     /// timeout that has elapsed inside the current read-side section since
     /// the last report, and returns how many new stalls were reported.
     pub fn check_stall(&self, audit: &AuditLog) -> u64 {
-        if self.state.depth.load(Ordering::Relaxed) == 0 {
+        if self.state.depth.get() == 0 {
             return 0;
         }
         let now = self.clock.now_ns();
-        let elapsed = now.saturating_sub(self.state.outermost_enter_ns.load(Ordering::Relaxed));
+        let elapsed = now.saturating_sub(self.state.outermost_enter_ns.get());
         let due = elapsed / self.stall_timeout_ns;
-        let reported = self
-            .state
-            .stalls_reported_this_section
-            .load(Ordering::Relaxed);
+        let reported = self.state.stalls_reported_this_section.get();
         let new = due.saturating_sub(reported);
         for i in 0..new {
             let nth = reported + i + 1;
@@ -201,16 +197,16 @@ impl Rcu {
                 ),
             );
         }
+        self.state.stalls_reported_this_section.set(due);
         self.state
-            .stalls_reported_this_section
-            .store(due, Ordering::Relaxed);
-        self.state.total_stalls.fetch_add(new, Ordering::Relaxed);
+            .total_stalls
+            .set(self.state.total_stalls.get() + new);
         new
     }
 
     /// Total stalls reported since creation.
     pub fn total_stalls(&self) -> u64 {
-        self.state.total_stalls.load(Ordering::Relaxed)
+        self.state.total_stalls.get()
     }
 }
 

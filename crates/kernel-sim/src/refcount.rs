@@ -6,9 +6,8 @@
 //! The substrate counts for real: `get`/`put` with underflow detection, and
 //! leak detection is performed per-execution by [`crate::exec::ExecCtx`].
 
+use std::cell::RefCell;
 use std::collections::HashMap;
-
-use parking_lot::Mutex;
 
 /// Identifies a refcounted kernel object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -75,7 +74,7 @@ struct RefInfo {
 /// ```
 #[derive(Debug, Default)]
 pub struct RefTable {
-    state: Mutex<RefState>,
+    state: RefCell<RefState>,
     pub(crate) inject: crate::inject::InjectSlot,
     pub(crate) trace: crate::trace::TraceSlot,
 }
@@ -89,7 +88,7 @@ struct RefState {
 impl RefTable {
     /// Registers a new object with an initial count and returns its id.
     pub fn register(&self, kind: ObjKind, initial: u64) -> ObjId {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         st.next_id += 1;
         let id = ObjId(st.next_id);
         st.objects.insert(
@@ -109,7 +108,7 @@ impl RefTable {
     /// [`RefError::Saturated`] — callers must treat that as "no reference
     /// taken" and degrade (e.g. report a lookup miss).
     pub fn get(&self, id: ObjId) -> Result<u64, RefError> {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         let info = st.objects.get_mut(&id).ok_or(RefError::UnknownObject(id))?;
         if let Some(plane) = self.inject.get() {
             if plane.ref_should_saturate(id) {
@@ -128,7 +127,7 @@ impl RefTable {
 
     /// Decrements the refcount of `id`, detecting underflow.
     pub fn put(&self, id: ObjId) -> Result<u64, RefError> {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         let info = st.objects.get_mut(&id).ok_or(RefError::UnknownObject(id))?;
         if info.count == 0 {
             return Err(RefError::Underflow(id));
@@ -142,18 +141,18 @@ impl RefTable {
 
     /// Current count, or `None` for unknown objects.
     pub fn count(&self, id: ObjId) -> Option<u64> {
-        self.state.lock().objects.get(&id).map(|i| i.count)
+        self.state.borrow().objects.get(&id).map(|i| i.count)
     }
 
     /// Object kind, or `None` for unknown objects.
     pub fn kind(&self, id: ObjId) -> Option<ObjKind> {
-        self.state.lock().objects.get(&id).map(|i| i.kind)
+        self.state.borrow().objects.get(&id).map(|i| i.kind)
     }
 
     /// Total `get` operations ever performed on `id`.
     pub fn total_gets(&self, id: ObjId) -> u64 {
         self.state
-            .lock()
+            .borrow()
             .objects
             .get(&id)
             .map(|i| i.gets)
@@ -162,12 +161,12 @@ impl RefTable {
 
     /// Number of registered objects.
     pub fn len(&self) -> usize {
-        self.state.lock().objects.len()
+        self.state.borrow().objects.len()
     }
 
     /// Whether no objects are registered.
     pub fn is_empty(&self) -> bool {
-        self.state.lock().objects.is_empty()
+        self.state.borrow().objects.is_empty()
     }
 }
 

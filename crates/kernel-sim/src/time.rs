@@ -6,20 +6,20 @@
 //! experiment of §2.2 "run" for 800 simulated seconds — or millions of
 //! simulated years — in milliseconds of host time.
 
-use std::sync::{
-    atomic::{AtomicU64, Ordering},
-    Arc,
-};
+use std::cell::Cell;
+use std::rc::Rc;
 
 use crate::inject::InjectSlot;
 
 /// Nanoseconds per second, for converting the paper's second-scale numbers.
 pub const NANOS_PER_SEC: u64 = 1_000_000_000;
 
-/// A shareable, monotonically advancing virtual clock.
+/// A monotonically advancing virtual clock, shared within one kernel.
 ///
 /// Cloning a `VirtualClock` yields a handle onto the same underlying
 /// instant; advancing through any handle is visible through all of them.
+/// The handles share one `Cell` through `Rc`, so every handle stays on
+/// the thread of the kernel that owns the clock.
 ///
 /// # Examples
 ///
@@ -33,8 +33,8 @@ pub const NANOS_PER_SEC: u64 = 1_000_000_000;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct VirtualClock {
-    now_ns: Arc<AtomicU64>,
-    pub(crate) inject: Arc<InjectSlot>,
+    now_ns: Rc<Cell<u64>>,
+    pub(crate) inject: Rc<InjectSlot>,
 }
 
 impl VirtualClock {
@@ -48,14 +48,14 @@ impl VirtualClock {
     /// timestamps, breaking the plane → clock → plane reference cycle.
     pub fn bare_handle(&self) -> Self {
         VirtualClock {
-            now_ns: Arc::clone(&self.now_ns),
-            inject: Arc::new(InjectSlot::default()),
+            now_ns: Rc::clone(&self.now_ns),
+            inject: Rc::new(InjectSlot::default()),
         }
     }
 
     /// Returns the current instant in nanoseconds since clock creation.
     pub fn now_ns(&self) -> u64 {
-        self.now_ns.load(Ordering::SeqCst)
+        self.now_ns.get()
     }
 
     /// Whether a fault plan is armed on this clock, i.e. whether
@@ -70,7 +70,7 @@ impl VirtualClock {
     /// instant.
     ///
     /// When a fault plan is armed the advance may additionally carry an
-    /// injected forward jump.
+    /// injected forward jump. The instant wraps at `u64::MAX`.
     pub fn advance(&self, delta_ns: u64) -> u64 {
         let mut total = delta_ns;
         if let Some(plane) = self.inject.get() {
@@ -78,9 +78,9 @@ impl VirtualClock {
                 total = total.saturating_add(jump);
             }
         }
-        self.now_ns
-            .fetch_add(total, Ordering::SeqCst)
-            .wrapping_add(total)
+        let now = self.now_ns.get().wrapping_add(total);
+        self.now_ns.set(now);
+        now
     }
 
     /// Advances the clock by whole seconds; convenience for experiment code.
@@ -113,6 +113,14 @@ mod tests {
         let clock = VirtualClock::new();
         clock.advance_secs(2);
         assert_eq!(clock.now_ns(), 2 * NANOS_PER_SEC);
+    }
+
+    #[test]
+    fn advance_wraps_at_the_top_of_the_range() {
+        let clock = VirtualClock::new();
+        clock.advance(u64::MAX - 1);
+        assert_eq!(clock.advance(3), 1);
+        assert_eq!(clock.now_ns(), 1);
     }
 
     #[test]

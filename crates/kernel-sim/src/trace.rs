@@ -37,14 +37,10 @@
 //! never per-kernel identities such as lock ids, object ids, or
 //! addresses, which depend on each shard's private allocation order.
 
+use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
-use std::sync::{
-    atomic::{AtomicBool, AtomicU64, Ordering},
-    Arc, OnceLock,
-};
-
-use parking_lot::Mutex;
+use std::rc::Rc;
 
 use crate::time::VirtualClock;
 
@@ -224,7 +220,7 @@ struct TracerState {
 /// with the CPU the shard is pinned to — the sharded engines' "one
 /// kernel per shard" design makes the kernel's sink exactly the per-CPU
 /// ring buffer. Disabled by default; the hot-path cost while disabled is
-/// a single relaxed atomic load per site.
+/// a single plain load per site.
 ///
 /// # Examples
 ///
@@ -244,12 +240,12 @@ struct TracerState {
 /// ```
 #[derive(Debug)]
 pub struct Tracer {
-    enabled: AtomicBool,
+    enabled: Cell<bool>,
     clock: VirtualClock,
     cpu: usize,
     capacity: usize,
-    dropped: AtomicU64,
-    state: Mutex<TracerState>,
+    dropped: Cell<u64>,
+    state: RefCell<TracerState>,
 }
 
 impl Tracer {
@@ -263,12 +259,12 @@ impl Tracer {
     /// Creates a disabled tracer with an explicit ring capacity.
     pub fn with_capacity(clock: VirtualClock, cpu: usize, capacity: usize) -> Self {
         Self {
-            enabled: AtomicBool::new(false),
+            enabled: Cell::new(false),
             clock,
             cpu,
             capacity: capacity.max(1),
-            dropped: AtomicU64::new(0),
-            state: Mutex::new(TracerState {
+            dropped: Cell::new(0),
+            state: RefCell::new(TracerState {
                 ring: VecDeque::new(),
                 depth: 0,
                 task: UNTASKED,
@@ -279,18 +275,18 @@ impl Tracer {
 
     /// Starts recording.
     pub fn enable(&self) {
-        self.enabled.store(true, Ordering::Release);
+        self.enabled.set(true);
     }
 
     /// Stops recording (already-buffered events are kept).
     pub fn disable(&self) {
-        self.enabled.store(false, Ordering::Release);
+        self.enabled.set(false);
     }
 
     /// Whether the tracer is currently recording.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Acquire)
+        self.enabled.get()
     }
 
     /// The simulated CPU this sink belongs to.
@@ -305,7 +301,7 @@ impl Tracer {
         if !self.is_enabled() {
             return;
         }
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         st.task = task;
         st.task_begin_ns = self.clock.now_ns();
     }
@@ -315,14 +311,14 @@ impl Tracer {
         if !self.is_enabled() {
             return;
         }
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         st.task = UNTASKED;
         st.task_begin_ns = 0;
     }
 
     fn record(&self, phase: SpanPhase, kind: SpanKind, arg: u64) {
         let now = self.clock.now_ns();
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         let depth = match phase {
             SpanPhase::Enter => {
                 let d = st.depth;
@@ -342,7 +338,7 @@ impl Tracer {
         };
         if st.ring.len() == self.capacity {
             st.ring.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
+            self.dropped.set(self.dropped.get() + 1);
         }
         st.ring.push_back(TraceEvent {
             task,
@@ -411,25 +407,25 @@ impl Tracer {
     /// Events recorded but overwritten because the ring was full. The
     /// span-balance guarantee holds exactly when this is zero.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.dropped.get()
     }
 
     /// A copy of the buffered events, oldest first.
     pub fn snapshot(&self) -> Vec<TraceEvent> {
-        self.state.lock().ring.iter().copied().collect()
+        self.state.borrow().ring.iter().copied().collect()
     }
 
     /// Drains the buffered events, oldest first, and resets the dropped
     /// counter.
     pub fn take(&self) -> Vec<TraceEvent> {
-        self.dropped.store(0, Ordering::Relaxed);
-        self.state.lock().ring.drain(..).collect()
+        self.dropped.set(0);
+        self.state.borrow_mut().ring.drain(..).collect()
     }
 
     /// Discards all buffered events and resets the dropped counter.
     pub fn clear(&self) {
-        self.dropped.store(0, Ordering::Relaxed);
-        self.state.lock().ring.clear();
+        self.dropped.set(0);
+        self.state.borrow_mut().ring.clear();
     }
 }
 
@@ -456,13 +452,13 @@ impl Drop for SpanGuard<'_> {
 /// armed into their slot at kernel boot.
 ///
 /// A slot is bound to one tracer for its whole life (the kernel's), so
-/// [`Self::get`] is atomic loads only: it takes no lock and touches no
+/// [`Self::get`] is plain loads only: it takes no borrow and touches no
 /// reference count, which matters because RCU, lock, refcount and skb
 /// operations consult their slot with tracing off too.
 #[derive(Debug, Default)]
 pub struct TraceSlot {
-    armed: AtomicBool,
-    tracer: OnceLock<Arc<Tracer>>,
+    armed: Cell<bool>,
+    tracer: OnceCell<Rc<Tracer>>,
 }
 
 impl TraceSlot {
@@ -471,30 +467,30 @@ impl TraceSlot {
     /// # Panics
     ///
     /// Panics if the slot was armed before with a different tracer.
-    pub fn arm(&self, tracer: Arc<Tracer>) {
-        let bound = self.tracer.get_or_init(|| Arc::clone(&tracer));
+    pub fn arm(&self, tracer: Rc<Tracer>) {
+        let bound = self.tracer.get_or_init(|| Rc::clone(&tracer));
         assert!(
-            Arc::ptr_eq(bound, &tracer),
+            Rc::ptr_eq(bound, &tracer),
             "a trace slot is bound to one tracer"
         );
-        self.armed.store(true, Ordering::Release);
+        self.armed.set(true);
     }
 
     /// Disarms the slot. The tracer stays installed, ready to be re-armed.
     pub fn disarm(&self) {
-        self.armed.store(false, Ordering::Release);
+        self.armed.set(false);
     }
 
     /// The armed tracer if it is armed *and enabled*, else `None` (the
     /// common, near-free case).
     #[inline]
     pub fn get(&self) -> Option<&Tracer> {
-        if !self.armed.load(Ordering::Acquire) {
+        if !self.armed.get() {
             return None;
         }
         self.tracer
             .get()
-            .map(Arc::as_ref)
+            .map(Rc::as_ref)
             .filter(|tracer| tracer.is_enabled())
     }
 }
@@ -661,8 +657,8 @@ mod tests {
     fn slot_requires_armed_and_enabled() {
         let slot = TraceSlot::default();
         assert!(slot.get().is_none());
-        let tracer = Arc::new(Tracer::new(VirtualClock::new(), 0));
-        slot.arm(Arc::clone(&tracer));
+        let tracer = Rc::new(Tracer::new(VirtualClock::new(), 0));
+        slot.arm(Rc::clone(&tracer));
         assert!(slot.get().is_none(), "armed but disabled");
         tracer.enable();
         assert!(slot.get().is_some());
@@ -674,12 +670,12 @@ mod tests {
     #[should_panic(expected = "bound to one tracer")]
     fn slot_rearms_only_with_its_own_tracer() {
         let slot = TraceSlot::default();
-        let tracer = Arc::new(Tracer::new(VirtualClock::new(), 0));
+        let tracer = Rc::new(Tracer::new(VirtualClock::new(), 0));
         tracer.enable();
-        slot.arm(Arc::clone(&tracer));
+        slot.arm(Rc::clone(&tracer));
         slot.disarm();
-        slot.arm(Arc::clone(&tracer));
+        slot.arm(Rc::clone(&tracer));
         assert!(slot.get().is_some(), "re-armed with the same tracer");
-        slot.arm(Arc::new(Tracer::new(VirtualClock::new(), 0)));
+        slot.arm(Rc::new(Tracer::new(VirtualClock::new(), 0)));
     }
 }

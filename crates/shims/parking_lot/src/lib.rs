@@ -6,13 +6,18 @@
 //! whose non-poisoning `lock()` / `try_lock()` return guards directly rather
 //! than `Result`s.
 //!
-//! `Mutex` is a spinlock rather than a `std::sync::Mutex` wrapper. Every
-//! lock in the simulator is effectively thread-private (each dispatch shard
-//! owns its kernel outright), so the uncontended path is all that matters:
-//! one compare-exchange to take the lock, one plain store to release it.
-//! The rare contended path spins briefly and then yields, which also keeps
-//! single-core hosts from burning a timeslice waiting on a descheduled
-//! holder.
+//! Two crates use it: `safe_ext` for its scratch pool and `tenancy` for
+//! its circuit breakers. The simulated kernel and the eBPF maps take no
+//! lock at all: a kernel has one owner, so they keep their state in
+//! `Cell`/`RefCell`.
+//!
+//! `Mutex` is a spinlock rather than a `std::sync::Mutex` wrapper. Both
+//! users are effectively thread-private (each dispatch shard owns its
+//! kernel and control plane outright), so the uncontended path is all that
+//! matters: one compare-exchange to take the lock, one plain store to
+//! release it. The rare contended path spins briefly and then yields,
+//! which also keeps single-core hosts from burning a timeslice waiting on
+//! a descheduled holder.
 
 use std::cell::UnsafeCell;
 use std::fmt;
@@ -24,8 +29,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 ///
 /// Poisoning is deliberately absent: like `parking_lot`, a panic while the
 /// lock is held does not make the data permanently inaccessible (the guard
-/// releases the lock during unwinding). The kernel simulator relies on this
-/// to keep auditing after a simulated oops.
+/// releases the lock during unwinding).
 #[derive(Default)]
 pub struct Mutex<T: ?Sized> {
     locked: AtomicBool,
